@@ -1236,9 +1236,11 @@ fn run_campaign_inner(
 /// (`0` means one thread per available core).
 ///
 /// The event loop itself is inherently serial — events are causally
-/// ordered — but each 15-minute sampling pass advances all nodes in
-/// parallel, which dominates the loop's work on large machines. The
-/// result is bit-identical to [`run_campaign`] at any thread count.
+/// ordered. Each 15-minute sampling pass may advance the nodes across
+/// the pool: the reference engine always does, the default batch engine
+/// only for banks of at least 16384 counter lanes (the paper's 144-node
+/// machine, 3168 lanes, advances serially). The result is bit-identical
+/// to [`run_campaign`] at any thread count.
 pub fn run_campaign_with_threads(
     config: &ClusterConfig,
     library: &WorkloadLibrary,

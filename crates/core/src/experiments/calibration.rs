@@ -7,7 +7,7 @@ use crate::json::{Json, ToJson};
 use crate::render;
 use serde::{Deserialize, Serialize};
 use sp2_hpm::Signal;
-use sp2_power2::{measure_on_fresh_node, MachineConfig};
+use sp2_power2::{FastForward, KernelSignature, MachineConfig, SignatureCache};
 use sp2_workload::kernels::{
     blocked_matmul_kernel, cfd_kernel, naive_matmul_kernel, seqaccess_kernel, CfdKernelParams,
 };
@@ -40,13 +40,7 @@ pub struct Calibration {
     pub points: Vec<CalibrationPoint>,
 }
 
-fn measure(
-    name: &str,
-    kernel: &sp2_isa::Kernel,
-    machine: &MachineConfig,
-    seed: u64,
-) -> CalibrationPoint {
-    let sig = measure_on_fresh_node(kernel, machine, seed);
+fn point(name: &str, sig: &KernelSignature) -> CalibrationPoint {
     let fxu = sig.events.fxu_total().max(1) as f64;
     let memrefs = sig.events.get(Signal::StorageRefs).max(1) as f64;
     CalibrationPoint {
@@ -64,25 +58,28 @@ fn measure(
 /// Runs all §5 calibration kernels on a fresh NAS node.
 pub(crate) fn run(machine: &MachineConfig) -> Calibration {
     let iters = 40_000;
+    let names = [
+        "blocked-matmul",
+        "naive-matmul",
+        "cfd-workload-avg",
+        "npb-bt-like",
+        "seq-access",
+    ];
+    let jobs = [
+        (blocked_matmul_kernel(iters), 1),
+        (naive_matmul_kernel(iters), 2),
+        (cfd_kernel("cfd-avg", &CfdKernelParams::default(), iters), 3),
+        (cfd_kernel("bt", &CfdKernelParams::npb_bt(), iters), 4),
+        (seqaccess_kernel(4 * iters), 5),
+    ];
+    let sigs = SignatureCache::global().measure_all(&jobs, machine, FastForward::Auto);
     Calibration {
         peak_mflops: machine.peak_mflops(),
-        points: vec![
-            measure("blocked-matmul", &blocked_matmul_kernel(iters), machine, 1),
-            measure("naive-matmul", &naive_matmul_kernel(iters), machine, 2),
-            measure(
-                "cfd-workload-avg",
-                &cfd_kernel("cfd-avg", &CfdKernelParams::default(), iters),
-                machine,
-                3,
-            ),
-            measure(
-                "npb-bt-like",
-                &cfd_kernel("bt", &CfdKernelParams::npb_bt(), iters),
-                machine,
-                4,
-            ),
-            measure("seq-access", &seqaccess_kernel(4 * iters), machine, 5),
-        ],
+        points: names
+            .iter()
+            .zip(&sigs)
+            .map(|(name, sig)| point(name, sig))
+            .collect(),
     }
 }
 

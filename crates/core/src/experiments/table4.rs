@@ -9,7 +9,7 @@ use crate::render;
 use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 use sp2_hpm::Signal;
-use sp2_power2::measure_on_fresh_node;
+use sp2_power2::{FastForward, SignatureCache};
 use sp2_workload::kernels::{cfd_kernel, seqaccess_kernel, CfdKernelParams};
 
 /// One Table-4 column.
@@ -64,11 +64,24 @@ pub(crate) fn run(campaign: &CampaignResult) -> Table4 {
         mflops_per_cpu: Some(mean(|r| r.mflops)),
     };
 
+    // The two reference columns: one batch of direct kernel measurements.
+    let sigs = SignatureCache::global().measure_all(
+        &[
+            (seqaccess_kernel(200_000), 0x5E0),
+            (
+                cfd_kernel("npb-bt-table4", &CfdKernelParams::npb_bt(), 50_000),
+                0xB7,
+            ),
+        ],
+        machine,
+        FastForward::Auto,
+    );
+    let (seq_sig, bt_sig) = (&sigs[0], &sigs[1]);
+
     // Sequential access: direct measurement of the reference kernel.
     // The paper's column is the per-*element* arithmetic exercise ("a
     // cache-miss every 32 elements and a TLB miss every 512"), so the
     // denominator here is storage references, not total FXU issue.
-    let seq_sig = measure_on_fresh_node(&seqaccess_kernel(200_000), machine, 0x5E0);
     let seq_refs = seq_sig.events.get(Signal::StorageRefs) as f64;
     let sequential = MemoryColumn {
         name: "Sequential Access".to_string(),
@@ -80,11 +93,6 @@ pub(crate) fn run(campaign: &CampaignResult) -> Table4 {
     };
 
     // NPB BT (the paper cites 49 CPUs; rates are per CPU).
-    let bt_sig = measure_on_fresh_node(
-        &cfd_kernel("npb-bt-table4", &CfdKernelParams::npb_bt(), 50_000),
-        machine,
-        0xB7,
-    );
     let bt_fxu = bt_sig.events.fxu_total() as f64;
     let bt = MemoryColumn {
         name: "NPB BT on 49 CPUs".to_string(),

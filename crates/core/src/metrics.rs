@@ -103,12 +103,15 @@ pub fn profile_report(snap: &MetricsSnapshot) -> String {
         count_of(snap, "power2.sigcache.entries"),
     ));
     let (measure_ms, measure_n) = duration_of(snap, "power2.signature_measure");
+    let (batch_ms, batches) = duration_of(snap, "power2.measure_batch");
     line(format!(
         "kernel simulator  {} runs, {:.3e} simulated cycles, \
-         {measure_ms:.1} ms measuring over {measure_n} misses \
-         ({:.3e} cycles/s)",
+         {batch_ms:.1} ms wall over {batches} batch(es) on up to {} thread(s), \
+         {measure_ms:.1} ms busy over {measure_n} misses \
+         ({:.3e} cycles per busy s)",
         count_of(snap, "power2.kernel_runs"),
         count_of(snap, "power2.simulated_cycles") as f64,
+        count_of(snap, "power2.measure_threads"),
         value_of(snap, "power2.simulated_cycles_per_sec"),
     ));
 

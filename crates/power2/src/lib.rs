@@ -49,6 +49,6 @@ pub use cache::{AccessOutcome, Cache, CacheConfig, WritePolicy};
 pub use config::{FpuDispatch, MachineConfig};
 pub use node::{Detail, FastForward, KernelReport, KernelRun, Node, RunStats};
 pub use sigcache::{Fnv128, SignatureCache};
-pub use signature::{measure_on_fresh_node, measure_on_fresh_node_with, KernelSignature};
+pub use signature::{measure_on_fresh_node, KernelSignature};
 pub use steady::{fast_forward_enabled, set_fast_forward_enabled, FastForwardReport};
 pub use tlb::Tlb;

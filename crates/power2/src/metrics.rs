@@ -9,7 +9,7 @@
 
 use crate::sigcache::SignatureCache;
 use crate::steady::FastForwardReport;
-use sp2_trace::{Counter, MetricValue, MetricsSnapshot, Timer};
+use sp2_trace::{Counter, MaxGauge, MetricValue, MetricsSnapshot, Timer};
 
 /// Kernels cycle-simulated by [`crate::node::Node::run_kernel`].
 pub static KERNEL_RUNS: Counter = Counter::new("power2.kernel_runs");
@@ -33,12 +33,22 @@ pub static FF_ITERS_EXTRAPOLATED: Counter = Counter::new("power2.fastforward.ite
 pub static FF_DETECT_LATENCY: Counter = Counter::new("power2.fastforward.detect_latency_iters");
 
 /// Simulated POWER2 cycles across all kernel runs (the numerator of
-/// simulated-cycle throughput; divide by [`MEASURE`] wall time).
+/// simulated-cycle throughput; divide by [`MEASURE`] busy time).
 pub static SIMULATED_CYCLES: Counter = Counter::new("power2.simulated_cycles");
 
-/// Wall time spent cycle-simulating kernels for signature measurements
-/// (the signature cache's miss path).
+/// Busy time spent cycle-simulating kernels for signature measurements
+/// (the signature cache's miss path), summed over every measuring
+/// thread. A batch measured on several cores adds more busy time than
+/// the wall time it takes; [`MEASURE_BATCH`] has the wall time.
 pub static MEASURE: Timer = Timer::new("power2.signature_measure");
+
+/// Wall time of each [`SignatureCache::measure_all`] batch, hits and
+/// misses together.
+pub static MEASURE_BATCH: Timer = Timer::new("power2.measure_batch");
+
+/// The most threads any [`SignatureCache::measure_all`] batch measured
+/// its misses on.
+pub static MEASURE_THREADS: MaxGauge = MaxGauge::new("power2.measure_threads");
 
 /// Folds one kernel run's fast-forward outcome into the counters.
 /// Called once per `run_kernel`, never inside the dispatch loop.
@@ -87,6 +97,8 @@ pub fn collect(snap: &mut MetricsSnapshot) {
     KERNEL_RUNS.observe(snap);
     SIMULATED_CYCLES.observe(snap);
     MEASURE.observe(snap);
+    MEASURE_BATCH.observe(snap);
+    MEASURE_THREADS.observe(snap);
     FF_DETECTED.observe(snap);
     FF_FALLBACK.observe(snap);
     FF_ITERS_SIMULATED.observe(snap);
@@ -101,11 +113,13 @@ pub fn collect(snap: &mut MetricsSnapshot) {
             FF_ITERS_EXTRAPOLATED.get() as f64 / total_iters as f64
         }),
     );
-    let wall_s = MEASURE.total_ns() as f64 / 1e9;
+    // Simulated cycles per busy second: the single-thread simulator
+    // rate, whatever the number of threads that measured in parallel.
+    let busy_s = MEASURE.total_ns() as f64 / 1e9;
     snap.append(
         "power2.simulated_cycles_per_sec",
-        MetricValue::Value(if wall_s > 0.0 {
-            SIMULATED_CYCLES.get() as f64 / wall_s
+        MetricValue::Value(if busy_s > 0.0 {
+            SIMULATED_CYCLES.get() as f64 / busy_s
         } else {
             0.0
         }),
@@ -118,6 +132,8 @@ pub fn reset() {
     KERNEL_RUNS.reset();
     SIMULATED_CYCLES.reset();
     MEASURE.reset();
+    MEASURE_BATCH.reset();
+    MEASURE_THREADS.reset();
     FF_DETECTED.reset();
     FF_FALLBACK.reset();
     FF_ITERS_SIMULATED.reset();
@@ -142,6 +158,8 @@ mod tests {
             "power2.kernel_runs",
             "power2.simulated_cycles",
             "power2.signature_measure",
+            "power2.measure_batch",
+            "power2.measure_threads",
             "power2.simulated_cycles_per_sec",
             "power2.fastforward.detected_runs",
             "power2.fastforward.fallback_runs",

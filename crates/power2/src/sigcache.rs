@@ -21,15 +21,22 @@
 //!   on the in-flight slot and receive the leader's result (counted as
 //!   `coalesced`). If the leader unwinds without publishing, the slot is
 //!   abandoned and the waiters re-elect.
+//!
+//! A batch of independent measurements ([`SignatureCache::measure_all`])
+//! resolves its hits on the calling thread and simulates its misses on
+//! every available core. Each miss is the same single-flight measurement
+//! a lone call would make, so the batch returns exactly what measuring
+//! its jobs one after another returns, in input order.
 
 use crate::config::MachineConfig;
-use crate::node::Node;
+use crate::node::{FastForward, Node};
 use crate::signature::KernelSignature;
 use parking_lot::Mutex;
 use sp2_isa::Kernel;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock};
 
 const SHARDS: usize = 16;
@@ -204,7 +211,7 @@ impl SignatureCache {
     /// already run (in any thread). Concurrent requests for the same
     /// uncached key coalesce onto a single in-flight simulation.
     pub fn measure(&self, kernel: &Kernel, config: &MachineConfig, seed: u64) -> KernelSignature {
-        self.measure_with(kernel, config, seed, crate::node::FastForward::Auto)
+        self.measure_with(kernel, config, seed, FastForward::Auto)
     }
 
     /// [`SignatureCache::measure`] with an explicit fast-forward policy
@@ -217,9 +224,138 @@ impl SignatureCache {
         kernel: &Kernel,
         config: &MachineConfig,
         seed: u64,
-        fast_forward: crate::node::FastForward,
+        fast_forward: FastForward,
     ) -> KernelSignature {
         let hash = Self::key_hash(kernel, config, seed);
+        self.measure_keyed(hash, kernel, config, seed, fast_forward)
+    }
+
+    /// Measures every `(kernel, seed)` job on `config`, returning the
+    /// signatures in input order — exactly what calling
+    /// [`SignatureCache::measure_with`] on each job in turn returns, with
+    /// the same hit/miss/coalesced tallies.
+    ///
+    /// Hits resolve on the calling thread. The first occurrence of each
+    /// missing key is simulated on one of
+    /// [`std::thread::available_parallelism`] threads, the caller
+    /// included; no thread is spawned when fewer than two jobs miss.
+    /// Repeats of a key within the batch are answered from its published
+    /// entry afterwards, so each key is simulated once.
+    pub fn measure_all(
+        &self,
+        jobs: &[(Kernel, u64)],
+        config: &MachineConfig,
+        fast_forward: FastForward,
+    ) -> Vec<KernelSignature> {
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.measure_all_on(jobs, config, fast_forward, workers)
+    }
+
+    /// [`SignatureCache::measure_all`] on at most `workers` threads.
+    pub(crate) fn measure_all_on(
+        &self,
+        jobs: &[(Kernel, u64)],
+        config: &MachineConfig,
+        fast_forward: FastForward,
+        workers: usize,
+    ) -> Vec<KernelSignature> {
+        let _batch = crate::metrics::MEASURE_BATCH.span();
+        let _ev = sp2_trace::events::span("sigcache batch", "sigcache");
+        let hashes: Vec<u128> = jobs
+            .iter()
+            .map(|(kernel, seed)| Self::key_hash(kernel, config, *seed))
+            .collect();
+        let mut sigs: Vec<Option<KernelSignature>> = jobs
+            .iter()
+            .zip(&hashes)
+            .map(|((kernel, seed), &hash)| self.lookup(hash, kernel, config, *seed))
+            .collect();
+        let mut firsts: Vec<usize> = Vec::new();
+        for (i, sig) in sigs.iter().enumerate() {
+            if sig.is_none()
+                && !firsts
+                    .iter()
+                    .any(|&j| hashes[j] == hashes[i] && jobs[j] == jobs[i])
+            {
+                firsts.push(i);
+            }
+        }
+
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            while let Some(&i) = firsts.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let (kernel, seed) = &jobs[i];
+                let sig = self.measure_keyed(hashes[i], kernel, config, *seed, fast_forward);
+                done.push((i, sig));
+            }
+            done
+        };
+        let threads = workers.clamp(1, firsts.len().max(1));
+        crate::metrics::MEASURE_THREADS.record(threads as u64);
+        let measured = if threads < 2 {
+            work()
+        } else {
+            std::thread::scope(|s| {
+                let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+                let mut done = work();
+                for helper in helpers {
+                    done.extend(
+                        helper
+                            .join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                    );
+                }
+                done
+            })
+        };
+        for (i, sig) in measured {
+            sigs[i] = Some(sig);
+        }
+
+        // Only repeats are still unresolved; their first occurrence is
+        // published by now, so these are ordinary hits.
+        sigs.into_iter()
+            .zip(jobs.iter().zip(&hashes))
+            .map(|(sig, ((kernel, seed), &hash))| {
+                sig.unwrap_or_else(|| self.measure_keyed(hash, kernel, config, *seed, fast_forward))
+            })
+            .collect()
+    }
+
+    /// The published measurement for a key, counted as a hit, or `None`
+    /// when the key is absent or still in flight.
+    fn lookup(
+        &self,
+        hash: u128,
+        kernel: &Kernel,
+        config: &MachineConfig,
+        seed: u64,
+    ) -> Option<KernelSignature> {
+        let map = self.shard(hash).lock();
+        let entry = map
+            .get(&hash)?
+            .iter()
+            .find(|e| e.matches(kernel, config, seed))?;
+        let state = entry.slot.lock_state();
+        match &*state {
+            SlotState::Done(sig) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some((**sig).clone())
+            }
+            SlotState::InFlight | SlotState::Abandoned => None,
+        }
+    }
+
+    /// [`SignatureCache::measure_with`] for a key whose hash is known.
+    fn measure_keyed(
+        &self,
+        hash: u128,
+        kernel: &Kernel,
+        config: &MachineConfig,
+        seed: u64,
+        fast_forward: FastForward,
+    ) -> KernelSignature {
         loop {
             let (slot, leader) = {
                 let mut map = self.shard(hash).lock();
@@ -523,6 +659,60 @@ mod tests {
         assert_eq!(cache.len(), 1);
         for sig in &sigs[1..] {
             assert_eq!(sig, &sigs[0]);
+        }
+    }
+
+    /// Worker counts the batch tests run at: serial, fewer workers than
+    /// misses, and more workers than misses.
+    const WORKERS: [usize; 3] = [1, 2, 7];
+
+    #[test]
+    fn batch_equals_serial_measurement_at_any_worker_count() {
+        let cfg = MachineConfig::nas_sp2();
+        let jobs: Vec<(Kernel, u64)> = (0..5u64)
+            .map(|i| (tiny_kernel(&format!("batch-{i}"), 200 + 100 * i), i))
+            .collect();
+        let serial_cache = SignatureCache::new();
+        let serial: Vec<KernelSignature> = jobs
+            .iter()
+            .map(|(k, seed)| serial_cache.measure_with(k, &cfg, *seed, FastForward::Auto))
+            .collect();
+        for workers in WORKERS {
+            let cache = SignatureCache::new();
+            let batch = cache.measure_all_on(&jobs, &cfg, FastForward::Auto, workers);
+            assert_eq!(batch, serial, "{workers} workers");
+            assert_eq!(
+                (cache.misses(), cache.hits(), cache.coalesced()),
+                (jobs.len() as u64, 0, 0),
+                "{workers} workers"
+            );
+            // Measured again, the whole batch resolves from the table.
+            let warm = cache.measure_all_on(&jobs, &cfg, FastForward::Auto, workers);
+            assert_eq!(warm, serial, "{workers} workers");
+            assert_eq!(cache.hits(), jobs.len() as u64, "{workers} workers");
+            assert_eq!(cache.misses(), jobs.len() as u64, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn batch_simulates_a_repeated_key_once() {
+        let cfg = MachineConfig::nas_sp2();
+        let k = tiny_kernel("repeat", 400);
+        let other = tiny_kernel("other", 400);
+        let jobs = [(k.clone(), 3), (other, 3), (k.clone(), 3), (k, 3)];
+        for workers in WORKERS {
+            let cache = SignatureCache::new();
+            let sigs = cache.measure_all_on(&jobs, &cfg, FastForward::Auto, workers);
+            assert_eq!(cache.misses(), 2, "{workers} workers: one per distinct key");
+            assert_eq!(
+                (cache.hits(), cache.coalesced()),
+                (2, 0),
+                "{workers} workers: repeats are hits, as when measured serially"
+            );
+            assert_eq!(sigs[0], sigs[2]);
+            assert_eq!(sigs[0], sigs[3]);
+            assert_eq!(sigs[0], cache.measure(&jobs[0].0, &cfg, 3));
+            assert_eq!(sigs[1].name, "other");
         }
     }
 }

@@ -103,19 +103,6 @@ pub fn measure_on_fresh_node(
     crate::sigcache::SignatureCache::global().measure(kernel, config, seed)
 }
 
-/// [`measure_on_fresh_node`] with an explicit fast-forward policy. The
-/// signature is bit-identical under every policy (the fast-forward
-/// equivalence suite proves it), so the cache key ignores the policy —
-/// this variant only controls how a cache miss is simulated.
-pub fn measure_on_fresh_node_with(
-    kernel: &Kernel,
-    config: &MachineConfig,
-    seed: u64,
-    fast_forward: crate::node::FastForward,
-) -> KernelSignature {
-    crate::sigcache::SignatureCache::global().measure_with(kernel, config, seed, fast_forward)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

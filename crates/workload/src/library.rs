@@ -14,7 +14,8 @@ use crate::kernels::{
 use crate::program::{CommSpec, JobProgram, ProgramFamily, ProgramId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sp2_power2::{measure_on_fresh_node_with, FastForward, KernelSignature, MachineConfig};
+use sp2_isa::Kernel;
+use sp2_power2::{FastForward, KernelSignature, MachineConfig, SignatureCache};
 
 /// Iterations used when measuring each kernel variant. Long enough that
 /// cold-start effects vanish below 1 %.
@@ -41,224 +42,18 @@ impl WorkloadLibrary {
     /// for the signature measurements (threaded from an engine
     /// configuration instead of read from the process-global switch).
     /// Signatures are bit-identical under every policy.
+    ///
+    /// The kernels are generated first, then measured as one
+    /// [`SignatureCache::measure_all`] batch across the host's cores;
+    /// the library is the same at any core count.
     pub fn build_with(config: &MachineConfig, seed: u64, fast_forward: FastForward) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut lib = WorkloadLibrary {
-            programs: Vec::new(),
-            signatures: Vec::new(),
+        let Palette { programs, jobs } = Palette::generate(seed);
+        let signatures = SignatureCache::global().measure_all(&jobs, config, fast_forward);
+        WorkloadLibrary {
+            programs,
+            signatures,
             config: *config,
-        };
-
-        // --- CFD solver variants (the bulk of the workload) ------------
-        for i in 0..20 {
-            let p = jitter_cfd(&mut rng, false);
-            let k = cfd_kernel(&format!("cfd-solver-v{i:02}"), &p, MEASURE_ITERS);
-            let sig = lib.add_signature(&k, seed ^ (i as u64), fast_forward);
-            let comm_bytes = 50 * 50 * 25 * 8; // 50³ blocks, 25 vars (§4)
-            lib.programs.push(JobProgram {
-                id: ProgramId(lib.programs.len()),
-                family: ProgramFamily::CfdSolver,
-                name: k.name.clone(),
-                signature: sig,
-                comm: CommSpec {
-                    exchange_bytes: rng.gen_range(comm_bytes / 2..comm_bytes * 2),
-                    neighbors: 4,
-                    step_seconds: rng.gen_range(1.5..6.0),
-                    synchronous: rng.gen_bool(0.2),
-                },
-                mem_per_node: rng.gen_range(40..110) << 20,
-                disk_bytes_per_s: rng.gen_range(10_000.0..80_000.0),
-                duty_cycle: 1.0,
-            });
         }
-
-        // --- Oversubscribed CFD variants (page heavily) ----------------
-        for i in 0..10 {
-            let p = jitter_cfd(&mut rng, true);
-            let k = cfd_kernel(&format!("cfd-bigmem-v{i:02}"), &p, MEASURE_ITERS);
-            let sig = lib.add_signature(&k, seed ^ (0x100 + i as u64), fast_forward);
-            lib.programs.push(JobProgram {
-                id: ProgramId(lib.programs.len()),
-                family: ProgramFamily::CfdSolver,
-                name: k.name.clone(),
-                signature: sig,
-                comm: CommSpec {
-                    exchange_bytes: 800_000,
-                    neighbors: 6,
-                    step_seconds: rng.gen_range(2.0..6.0),
-                    synchronous: rng.gen_bool(0.5),
-                },
-                // Automatic arrays sized at runtime: 1.05–1.9x node
-                // memory, weighted toward mild oversubscription (the
-                // continuum of Figure 5's x-axis).
-                mem_per_node: if rng.gen_bool(0.5) {
-                    rng.gen_range(134..175) << 20
-                } else {
-                    rng.gen_range(175..240) << 20
-                },
-                disk_bytes_per_s: rng.gen_range(10_000.0..60_000.0),
-                duty_cycle: 1.0,
-            });
-        }
-
-        // --- NPB-BT-like tuned solvers ----------------------------------
-        for i in 0..4 {
-            let mut p = CfdKernelParams::npb_bt();
-            p.indep_adds += rng.gen_range(0..3);
-            p.streaming_loads += rng.gen_range(0..2);
-            let k = cfd_kernel(&format!("npb-bt-v{i}"), &p, MEASURE_ITERS);
-            let sig = lib.add_signature(&k, seed ^ (0x200 + i as u64), fast_forward);
-            lib.programs.push(JobProgram {
-                id: ProgramId(lib.programs.len()),
-                family: ProgramFamily::NpbBtLike,
-                name: k.name.clone(),
-                signature: sig,
-                comm: CommSpec {
-                    exchange_bytes: 300_000,
-                    neighbors: 4,
-                    step_seconds: rng.gen_range(3.0..8.0),
-                    synchronous: false,
-                },
-                mem_per_node: rng.gen_range(50..100) << 20,
-                disk_bytes_per_s: rng.gen_range(5_000.0..20_000.0),
-                duty_cycle: 1.0,
-            });
-        }
-
-        // --- Optimization sweeps (embarrassingly parallel) --------------
-        for i in 0..5 {
-            let p = jitter_cfd(&mut rng, false);
-            let k = cfd_kernel(&format!("mdo-sweep-v{i}"), &p, MEASURE_ITERS);
-            let sig = lib.add_signature(&k, seed ^ (0x300 + i as u64), fast_forward);
-            lib.programs.push(JobProgram {
-                id: ProgramId(lib.programs.len()),
-                family: ProgramFamily::Optimization,
-                name: k.name.clone(),
-                signature: sig,
-                comm: CommSpec::none(),
-                mem_per_node: rng.gen_range(30..90) << 20,
-                disk_bytes_per_s: rng.gen_range(2_000.0..15_000.0),
-                duty_cycle: 1.0,
-            });
-        }
-
-        // --- Development kernels -----------------------------------------
-        {
-            let k = blocked_matmul_kernel(MEASURE_ITERS);
-            let sig = lib.add_signature(&k, seed ^ 0x400, fast_forward);
-            lib.programs.push(JobProgram {
-                id: ProgramId(lib.programs.len()),
-                family: ProgramFamily::DevKernel,
-                name: k.name.clone(),
-                signature: sig,
-                comm: CommSpec::none(),
-                mem_per_node: 16 << 20,
-                disk_bytes_per_s: 1_000.0,
-                duty_cycle: 1.0,
-            });
-            let k = naive_matmul_kernel(MEASURE_ITERS);
-            let sig = lib.add_signature(&k, seed ^ 0x401, fast_forward);
-            lib.programs.push(JobProgram {
-                id: ProgramId(lib.programs.len()),
-                family: ProgramFamily::DevKernel,
-                name: k.name.clone(),
-                signature: sig,
-                comm: CommSpec::none(),
-                mem_per_node: 24 << 20,
-                disk_bytes_per_s: 1_000.0,
-                duty_cycle: 1.0,
-            });
-        }
-
-        // --- Streaming benchmark -----------------------------------------
-        {
-            let k = seqaccess_kernel(200_000);
-            let sig = lib.add_signature(&k, seed ^ 0x500, fast_forward);
-            lib.programs.push(JobProgram {
-                id: ProgramId(lib.programs.len()),
-                family: ProgramFamily::SeqBench,
-                name: k.name.clone(),
-                signature: sig,
-                comm: CommSpec::none(),
-                mem_per_node: 64 << 20,
-                disk_bytes_per_s: 500.0,
-                duty_cycle: 1.0,
-            });
-        }
-
-        // --- BLAS3 scattering codes (rare, fast) --------------------------
-        for i in 0..3 {
-            let k = blas3_kernel(MEASURE_ITERS);
-            let sig = lib.add_signature(&k, seed ^ (0x700 + i as u64), fast_forward);
-            lib.programs.push(JobProgram {
-                id: ProgramId(lib.programs.len()),
-                family: ProgramFamily::Blas3,
-                name: format!("{}-v{i}", k.name),
-                signature: sig,
-                comm: CommSpec {
-                    exchange_bytes: rng.gen_range(200_000..600_000),
-                    neighbors: 4,
-                    step_seconds: rng.gen_range(4.0..10.0),
-                    synchronous: false,
-                },
-                mem_per_node: rng.gen_range(60..110) << 20,
-                disk_bytes_per_s: rng.gen_range(20_000.0..120_000.0),
-                duty_cycle: 1.0,
-            });
-        }
-
-        // --- Spectral codes (large-stride TLB hazards) --------------------
-        for i in 0..3 {
-            let stride = 4_096u64 << rng.gen_range(2..6); // 16 kB – 128 kB
-            let k = spectral_kernel(&format!("spectral-v{i}"), stride, MEASURE_ITERS);
-            let sig = lib.add_signature(&k, seed ^ (0x800 + i as u64), fast_forward);
-            lib.programs.push(JobProgram {
-                id: ProgramId(lib.programs.len()),
-                family: ProgramFamily::CfdSolver,
-                name: k.name.clone(),
-                signature: sig,
-                comm: CommSpec {
-                    exchange_bytes: 400_000,
-                    neighbors: 2,
-                    step_seconds: rng.gen_range(2.0..6.0),
-                    synchronous: false,
-                },
-                mem_per_node: rng.gen_range(40..100) << 20,
-                disk_bytes_per_s: rng.gen_range(5_000.0..30_000.0),
-                duty_cycle: 1.0,
-            });
-        }
-
-        // --- Interactive debugging sessions ------------------------------
-        for i in 0..6 {
-            let p = jitter_cfd(&mut rng, false);
-            let k = cfd_kernel(&format!("interactive-v{i}"), &p, MEASURE_ITERS);
-            let sig = lib.add_signature(&k, seed ^ (0x600 + i as u64), fast_forward);
-            lib.programs.push(JobProgram {
-                id: ProgramId(lib.programs.len()),
-                family: ProgramFamily::Interactive,
-                name: k.name.clone(),
-                signature: sig,
-                comm: CommSpec::none(),
-                mem_per_node: rng.gen_range(20..80) << 20,
-                disk_bytes_per_s: rng.gen_range(1_000.0..8_000.0),
-                // Mostly think time: short runs between edits.
-                duty_cycle: rng.gen_range(0.03..0.15),
-            });
-        }
-
-        lib
-    }
-
-    fn add_signature(
-        &mut self,
-        kernel: &sp2_isa::Kernel,
-        seed: u64,
-        fast_forward: FastForward,
-    ) -> usize {
-        let sig = measure_on_fresh_node_with(kernel, &self.config, seed, fast_forward);
-        self.signatures.push(sig);
-        self.signatures.len() - 1
     }
 
     /// The machine the signatures were measured on.
@@ -302,6 +97,242 @@ impl WorkloadLibrary {
             .filter(|p| (p.mem_per_node <= node_mem) == fits)
             .map(|p| p.id)
             .collect()
+    }
+}
+
+/// The library before measurement: every program, and the `(kernel,
+/// seed)` job each one's signature is measured from, in signature order.
+struct Palette {
+    programs: Vec<JobProgram>,
+    jobs: Vec<(Kernel, u64)>,
+}
+
+impl Palette {
+    /// Generates the standard NAS palette, drawing every jitter value
+    /// from one RNG seeded with `seed`.
+    fn generate(seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut lib = Palette {
+            programs: Vec::new(),
+            jobs: Vec::new(),
+        };
+
+        // --- CFD solver variants (the bulk of the workload) ------------
+        for i in 0..20 {
+            let p = jitter_cfd(&mut rng, false);
+            let k = cfd_kernel(&format!("cfd-solver-v{i:02}"), &p, MEASURE_ITERS);
+            let name = k.name.clone();
+            let sig = lib.queue(k, seed ^ (i as u64));
+            let comm_bytes = 50 * 50 * 25 * 8; // 50³ blocks, 25 vars (§4)
+            lib.programs.push(JobProgram {
+                id: ProgramId(lib.programs.len()),
+                family: ProgramFamily::CfdSolver,
+                name,
+                signature: sig,
+                comm: CommSpec {
+                    exchange_bytes: rng.gen_range(comm_bytes / 2..comm_bytes * 2),
+                    neighbors: 4,
+                    step_seconds: rng.gen_range(1.5..6.0),
+                    synchronous: rng.gen_bool(0.2),
+                },
+                mem_per_node: rng.gen_range(40..110) << 20,
+                disk_bytes_per_s: rng.gen_range(10_000.0..80_000.0),
+                duty_cycle: 1.0,
+            });
+        }
+
+        // --- Oversubscribed CFD variants (page heavily) ----------------
+        for i in 0..10 {
+            let p = jitter_cfd(&mut rng, true);
+            let k = cfd_kernel(&format!("cfd-bigmem-v{i:02}"), &p, MEASURE_ITERS);
+            let name = k.name.clone();
+            let sig = lib.queue(k, seed ^ (0x100 + i as u64));
+            lib.programs.push(JobProgram {
+                id: ProgramId(lib.programs.len()),
+                family: ProgramFamily::CfdSolver,
+                name,
+                signature: sig,
+                comm: CommSpec {
+                    exchange_bytes: 800_000,
+                    neighbors: 6,
+                    step_seconds: rng.gen_range(2.0..6.0),
+                    synchronous: rng.gen_bool(0.5),
+                },
+                // Automatic arrays sized at runtime: 1.05–1.9x node
+                // memory, weighted toward mild oversubscription (the
+                // continuum of Figure 5's x-axis).
+                mem_per_node: if rng.gen_bool(0.5) {
+                    rng.gen_range(134..175) << 20
+                } else {
+                    rng.gen_range(175..240) << 20
+                },
+                disk_bytes_per_s: rng.gen_range(10_000.0..60_000.0),
+                duty_cycle: 1.0,
+            });
+        }
+
+        // --- NPB-BT-like tuned solvers ----------------------------------
+        for i in 0..4 {
+            let mut p = CfdKernelParams::npb_bt();
+            p.indep_adds += rng.gen_range(0..3);
+            p.streaming_loads += rng.gen_range(0..2);
+            let k = cfd_kernel(&format!("npb-bt-v{i}"), &p, MEASURE_ITERS);
+            let name = k.name.clone();
+            let sig = lib.queue(k, seed ^ (0x200 + i as u64));
+            lib.programs.push(JobProgram {
+                id: ProgramId(lib.programs.len()),
+                family: ProgramFamily::NpbBtLike,
+                name,
+                signature: sig,
+                comm: CommSpec {
+                    exchange_bytes: 300_000,
+                    neighbors: 4,
+                    step_seconds: rng.gen_range(3.0..8.0),
+                    synchronous: false,
+                },
+                mem_per_node: rng.gen_range(50..100) << 20,
+                disk_bytes_per_s: rng.gen_range(5_000.0..20_000.0),
+                duty_cycle: 1.0,
+            });
+        }
+
+        // --- Optimization sweeps (embarrassingly parallel) --------------
+        for i in 0..5 {
+            let p = jitter_cfd(&mut rng, false);
+            let k = cfd_kernel(&format!("mdo-sweep-v{i}"), &p, MEASURE_ITERS);
+            let name = k.name.clone();
+            let sig = lib.queue(k, seed ^ (0x300 + i as u64));
+            lib.programs.push(JobProgram {
+                id: ProgramId(lib.programs.len()),
+                family: ProgramFamily::Optimization,
+                name,
+                signature: sig,
+                comm: CommSpec::none(),
+                mem_per_node: rng.gen_range(30..90) << 20,
+                disk_bytes_per_s: rng.gen_range(2_000.0..15_000.0),
+                duty_cycle: 1.0,
+            });
+        }
+
+        // --- Development kernels -----------------------------------------
+        {
+            let k = blocked_matmul_kernel(MEASURE_ITERS);
+            let name = k.name.clone();
+            let sig = lib.queue(k, seed ^ 0x400);
+            lib.programs.push(JobProgram {
+                id: ProgramId(lib.programs.len()),
+                family: ProgramFamily::DevKernel,
+                name,
+                signature: sig,
+                comm: CommSpec::none(),
+                mem_per_node: 16 << 20,
+                disk_bytes_per_s: 1_000.0,
+                duty_cycle: 1.0,
+            });
+            let k = naive_matmul_kernel(MEASURE_ITERS);
+            let name = k.name.clone();
+            let sig = lib.queue(k, seed ^ 0x401);
+            lib.programs.push(JobProgram {
+                id: ProgramId(lib.programs.len()),
+                family: ProgramFamily::DevKernel,
+                name,
+                signature: sig,
+                comm: CommSpec::none(),
+                mem_per_node: 24 << 20,
+                disk_bytes_per_s: 1_000.0,
+                duty_cycle: 1.0,
+            });
+        }
+
+        // --- Streaming benchmark -----------------------------------------
+        {
+            let k = seqaccess_kernel(200_000);
+            let name = k.name.clone();
+            let sig = lib.queue(k, seed ^ 0x500);
+            lib.programs.push(JobProgram {
+                id: ProgramId(lib.programs.len()),
+                family: ProgramFamily::SeqBench,
+                name,
+                signature: sig,
+                comm: CommSpec::none(),
+                mem_per_node: 64 << 20,
+                disk_bytes_per_s: 500.0,
+                duty_cycle: 1.0,
+            });
+        }
+
+        // --- BLAS3 scattering codes (rare, fast) --------------------------
+        for i in 0..3 {
+            let k = blas3_kernel(MEASURE_ITERS);
+            let name = format!("{}-v{i}", k.name);
+            let sig = lib.queue(k, seed ^ (0x700 + i as u64));
+            lib.programs.push(JobProgram {
+                id: ProgramId(lib.programs.len()),
+                family: ProgramFamily::Blas3,
+                name,
+                signature: sig,
+                comm: CommSpec {
+                    exchange_bytes: rng.gen_range(200_000..600_000),
+                    neighbors: 4,
+                    step_seconds: rng.gen_range(4.0..10.0),
+                    synchronous: false,
+                },
+                mem_per_node: rng.gen_range(60..110) << 20,
+                disk_bytes_per_s: rng.gen_range(20_000.0..120_000.0),
+                duty_cycle: 1.0,
+            });
+        }
+
+        // --- Spectral codes (large-stride TLB hazards) --------------------
+        for i in 0..3 {
+            let stride = 4_096u64 << rng.gen_range(2..6); // 16 kB – 128 kB
+            let k = spectral_kernel(&format!("spectral-v{i}"), stride, MEASURE_ITERS);
+            let name = k.name.clone();
+            let sig = lib.queue(k, seed ^ (0x800 + i as u64));
+            lib.programs.push(JobProgram {
+                id: ProgramId(lib.programs.len()),
+                family: ProgramFamily::CfdSolver,
+                name,
+                signature: sig,
+                comm: CommSpec {
+                    exchange_bytes: 400_000,
+                    neighbors: 2,
+                    step_seconds: rng.gen_range(2.0..6.0),
+                    synchronous: false,
+                },
+                mem_per_node: rng.gen_range(40..100) << 20,
+                disk_bytes_per_s: rng.gen_range(5_000.0..30_000.0),
+                duty_cycle: 1.0,
+            });
+        }
+
+        // --- Interactive debugging sessions ------------------------------
+        for i in 0..6 {
+            let p = jitter_cfd(&mut rng, false);
+            let k = cfd_kernel(&format!("interactive-v{i}"), &p, MEASURE_ITERS);
+            let name = k.name.clone();
+            let sig = lib.queue(k, seed ^ (0x600 + i as u64));
+            lib.programs.push(JobProgram {
+                id: ProgramId(lib.programs.len()),
+                family: ProgramFamily::Interactive,
+                name,
+                signature: sig,
+                comm: CommSpec::none(),
+                mem_per_node: rng.gen_range(20..80) << 20,
+                disk_bytes_per_s: rng.gen_range(1_000.0..8_000.0),
+                // Mostly think time: short runs between edits.
+                duty_cycle: rng.gen_range(0.03..0.15),
+            });
+        }
+
+        lib
+    }
+
+    /// Queues `kernel` for measurement under `seed`, returning the index
+    /// its signature will have.
+    fn queue(&mut self, kernel: Kernel, seed: u64) -> usize {
+        self.jobs.push((kernel, seed));
+        self.jobs.len() - 1
     }
 }
 
@@ -425,6 +456,34 @@ mod tests {
         assert_eq!(a.programs(), b.programs());
         for (x, y) in a.signatures().iter().zip(b.signatures()) {
             assert_eq!(x, y);
+        }
+    }
+
+    #[test]
+    fn parallel_build_equals_serial_measurement() {
+        let config = MachineConfig::nas_sp2();
+        let built = library();
+        let Palette { programs, jobs } = Palette::generate(1998);
+        let cache = SignatureCache::new();
+        let serial: Vec<KernelSignature> = jobs
+            .iter()
+            .map(|(kernel, seed)| cache.measure_with(kernel, &config, *seed, FastForward::Auto))
+            .collect();
+        assert_eq!(built.programs(), programs.as_slice());
+        assert_eq!(built.signatures().len(), serial.len());
+        for (b, s) in built.signatures().iter().zip(&serial) {
+            assert_eq!(b.name, s.name);
+            assert_eq!(b.cycles, s.cycles, "{}", s.name);
+            assert_eq!(b.iters, s.iters, "{}", s.name);
+            assert_eq!(b.clock_hz.to_bits(), s.clock_hz.to_bits(), "{}", s.name);
+            for signal in sp2_hpm::Signal::ALL {
+                assert_eq!(
+                    b.events.get(signal),
+                    s.events.get(signal),
+                    "{} {signal:?}",
+                    s.name
+                );
+            }
         }
     }
 }

@@ -94,7 +94,9 @@ OPTIONS:
     --days N        campaign length in days (default 60; the paper used 270)
     --threads N     campaign worker threads (default 1). `-j 0` means one
                     worker per core; values above the machine's available
-                    parallelism are rejected
+                    parallelism are rejected. Sets campaign workers only:
+                    kernel measurement always uses every core, with
+                    identical results at any core count
     --faults RATE   fault-injection rate (default 0 = fault-free; 1.0 is
                     roughly a troubled production month)
     --fault-seed N  seed for the fault plan (default 4096)
