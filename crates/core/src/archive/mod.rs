@@ -239,7 +239,7 @@ fn machine_from_json(obj: &Json) -> Result<MachineConfig, Sp2Error> {
         obj.get(key)
             .ok_or_else(|| malformed(format!("machine missing field {key:?}")))
     };
-    Ok(MachineConfig {
+    let machine = MachineConfig {
         clock_hz: num_field(obj, "clock_hz")?,
         dcache: cache_from_json(sub("dcache")?)?,
         icache: cache_from_json(sub("icache")?)?,
@@ -268,7 +268,13 @@ fn machine_from_json(obj: &Json) -> Result<MachineConfig, Sp2Error> {
             "write_through" => WritePolicy::WriteThrough,
             other => return Err(malformed(format!("unknown dcache_policy {other:?}"))),
         },
-    })
+    };
+    // Replaying experiments measure kernels on this machine; an
+    // impossible geometry must stop here, not panic in the simulator.
+    machine
+        .validate()
+        .map_err(|e| malformed(format!("machine: {e}")))?;
+    Ok(machine)
 }
 
 fn faults_from_json(obj: &Json) -> Result<FaultSummary, Sp2Error> {

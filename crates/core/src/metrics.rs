@@ -104,15 +104,23 @@ pub fn profile_report(snap: &MetricsSnapshot) -> String {
     ));
     let (measure_ms, measure_n) = duration_of(snap, "power2.signature_measure");
     let (batch_ms, batches) = duration_of(snap, "power2.measure_batch");
+    let instr_rate = value_of(snap, "power2.simulated_instructions_per_sec");
     line(format!(
         "kernel simulator  {} runs, {:.3e} simulated cycles, \
+         {:.3e} simulated instructions, \
          {batch_ms:.1} ms wall over {batches} batch(es) on up to {} thread(s), \
          {measure_ms:.1} ms busy over {measure_n} misses \
-         ({:.3e} cycles per busy s)",
+         ({:.3e} cycles per busy s, {:.1} ns per simulated instruction)",
         count_of(snap, "power2.kernel_runs"),
         count_of(snap, "power2.simulated_cycles") as f64,
+        count_of(snap, "power2.simulated_instructions") as f64,
         count_of(snap, "power2.measure_threads"),
         value_of(snap, "power2.simulated_cycles_per_sec"),
+        if instr_rate > 0.0 {
+            1e9 / instr_rate
+        } else {
+            0.0
+        },
     ));
 
     let (campaign_ms, campaigns) = duration_of(snap, "cluster.campaign");
@@ -207,6 +215,7 @@ mod tests {
         for needle in [
             "signature cache",
             "kernel simulator",
+            "ns per simulated instruction",
             "campaign engine",
             "phase advance",
             "daemon",

@@ -71,17 +71,18 @@ impl AddrGen {
     }
 
     /// Produces the next virtual address.
+    #[inline]
     pub fn next_addr(&mut self) -> u64 {
         match self.pattern {
             AddrPattern::Fixed { addr } => addr,
             AddrPattern::Seq { base, stride, span } => {
                 let a = base + self.cursor;
-                self.cursor = (self.cursor + stride) % span.max(stride);
+                self.cursor = wrap_step(self.cursor, stride, span.max(stride));
                 a
             }
             AddrPattern::Tile { base, stride, tile } => {
                 let a = base + self.cursor;
-                self.cursor = (self.cursor + stride) % tile.max(stride);
+                self.cursor = wrap_step(self.cursor, stride, tile.max(stride));
                 a
             }
             AddrPattern::Strided2D {
@@ -113,9 +114,23 @@ impl AddrGen {
     }
 }
 
+/// `(cursor + stride) % wrap` for `cursor < wrap` and `stride <= wrap`:
+/// the sum stays below `2 * wrap`, so one compare-and-subtract replaces
+/// the divide.
+#[inline]
+fn wrap_step(cursor: u64, stride: u64, wrap: u64) -> u64 {
+    let next = cursor + stride;
+    if next >= wrap {
+        next - wrap
+    } else {
+        next
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fixed_repeats() {
@@ -222,5 +237,46 @@ mod tests {
             lines.insert(g.next_addr() / 256);
         }
         assert_eq!(lines.len(), 100);
+    }
+
+    #[test]
+    fn stride_beyond_span_stays_at_base() {
+        // max(span, stride) = stride: every step wraps straight back.
+        for span in [0, 8, 24] {
+            let mut g = AddrGen::new(AddrPattern::Seq {
+                base: 0x2000,
+                stride: 32,
+                span,
+            });
+            for _ in 0..4 {
+                assert_eq!(g.next_addr(), 0x2000);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// `Seq` and `Tile` walks visit `base + (k·stride) mod
+        /// max(span, stride)` at step `k`, strides at or beyond the span
+        /// included.
+        #[test]
+        fn wrapping_walks_match_the_modulo_formula(
+            base in 0u64..1 << 40,
+            stride in 1u64..1 << 16,
+            span in 0u64..1 << 17,
+            steps in 0usize..3_000,
+            tile in 0u8..2,
+        ) {
+            let pattern = if tile == 1 {
+                AddrPattern::Tile { base, stride, tile: span }
+            } else {
+                AddrPattern::Seq { base, stride, span }
+            };
+            let mut g = AddrGen::new(pattern);
+            let wrap = span.max(stride);
+            for k in 0..steps as u64 {
+                prop_assert_eq!(g.next_addr(), base + (k * stride) % wrap, "step {}", k);
+            }
+        }
     }
 }

@@ -58,7 +58,9 @@ pub struct AccessOutcome {
 pub struct Cache {
     config: CacheConfig,
     policy: WritePolicy,
-    sets: usize,
+    /// Set count minus one: the set count is a power of two, so a mask
+    /// picks the set without a divide.
+    set_mask: usize,
     ways: usize,
     line_shift: u32,
     /// Tags per way, `sets * ways`, row-major by set.
@@ -75,7 +77,7 @@ impl Cache {
     ///
     /// # Panics
     /// Panics unless `line_bytes` is a power of two and the geometry
-    /// divides evenly into sets.
+    /// divides evenly into a power-of-two number of sets.
     pub fn new(config: CacheConfig) -> Self {
         assert!(
             config.line_bytes.is_power_of_two(),
@@ -89,11 +91,15 @@ impl Cache {
         );
         let sets = config.sets();
         assert!(sets >= 1, "need at least one set");
+        assert!(
+            sets.is_power_of_two(),
+            "set count must be a power of two, got {sets}"
+        );
         let n = sets * config.ways;
         Cache {
             config,
             policy: WritePolicy::WriteBack,
-            sets,
+            set_mask: sets - 1,
             ways: config.ways,
             line_shift: config.line_bytes.trailing_zeros(),
             tags: vec![0; n],
@@ -123,10 +129,11 @@ impl Cache {
 
     /// Performs one access. `is_store` marks the line dirty (write-back,
     /// write-allocate: a store miss also brings the line in).
+    #[inline]
     pub fn access(&mut self, addr: u64, is_store: bool) -> AccessOutcome {
         self.tick += 1;
         let line = addr >> self.line_shift;
-        let set = (line as usize) % self.sets;
+        let set = (line as usize) & self.set_mask;
         let base = set * self.ways;
         let write_through = self.policy == WritePolicy::WriteThrough;
         // Hit?
@@ -189,7 +196,7 @@ impl Cache {
         }
         let mut a: Vec<(u64, u64, bool)> = Vec::with_capacity(self.ways);
         let mut b: Vec<(u64, u64, bool)> = Vec::with_capacity(self.ways);
-        for set in 0..self.sets {
+        for set in 0..=self.set_mask {
             a.clear();
             b.clear();
             let base = set * self.ways;
@@ -395,6 +402,17 @@ mod tests {
             bytes: 600,
             ways: 2,
             line_bytes: 100,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_set_count_rejected() {
+        // 6 lines of 64 bytes in 2 ways: 3 sets.
+        Cache::new(CacheConfig {
+            bytes: 384,
+            ways: 2,
+            line_bytes: 64,
         });
     }
 }

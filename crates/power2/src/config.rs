@@ -121,6 +121,64 @@ impl MachineConfig {
     pub fn tlb_penalty_mean(&self) -> f64 {
         (self.tlb_penalty_min + self.tlb_penalty_max) as f64 / 2.0
     }
+
+    /// Checks that a [`crate::Node`] can be built on this machine: line
+    /// and page sizes and every set count are powers of two, each
+    /// associativity is at least 1 and divides its structure evenly, the
+    /// TLB penalty range is ordered, and the ICU dispatches something.
+    ///
+    /// A configuration read from outside the program (an archive header)
+    /// must pass this before it reaches the cache and TLB constructors,
+    /// which panic on an impossible geometry.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, c) in [("dcache", &self.dcache), ("icache", &self.icache)] {
+            if !c.line_bytes.is_power_of_two() {
+                return Err(format!(
+                    "{name} line size {} is not a power of two",
+                    c.line_bytes
+                ));
+            }
+            if c.ways == 0 || !c.lines().is_multiple_of(c.ways) {
+                return Err(format!(
+                    "{name}: {} lines do not divide into {} ways",
+                    c.lines(),
+                    c.ways
+                ));
+            }
+            if !c.sets().is_power_of_two() {
+                return Err(format!(
+                    "{name} set count {} is not a power of two",
+                    c.sets()
+                ));
+            }
+        }
+        if !self.page_bytes.is_power_of_two() {
+            return Err(format!(
+                "page size {} is not a power of two",
+                self.page_bytes
+            ));
+        }
+        if self.tlb_ways == 0 || !self.tlb_entries.is_multiple_of(self.tlb_ways) {
+            return Err(format!(
+                "tlb: {} entries do not divide into {} ways",
+                self.tlb_entries, self.tlb_ways
+            ));
+        }
+        let tlb_sets = self.tlb_entries / self.tlb_ways;
+        if !tlb_sets.is_power_of_two() {
+            return Err(format!("tlb set count {tlb_sets} is not a power of two"));
+        }
+        if self.tlb_penalty_min > self.tlb_penalty_max {
+            return Err(format!(
+                "tlb penalty range {}..={} is empty",
+                self.tlb_penalty_min, self.tlb_penalty_max
+            ));
+        }
+        if self.dispatch_width == 0 {
+            return Err("dispatch width must be at least 1".into());
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -147,6 +205,21 @@ mod tests {
         assert_eq!(c.tlb_entries, 512);
         assert_eq!(c.page_bytes, 4096);
         assert_eq!(c.tlb_penalty_mean(), 45.0);
+    }
+
+    #[test]
+    fn shipped_and_ablation_machines_validate() {
+        let base = MachineConfig::nas_sp2();
+        let mut round_robin = base;
+        round_robin.fpu_dispatch = FpuDispatch::RoundRobin;
+        let mut short_lines = base;
+        short_lines.dcache.line_bytes = 128;
+        let mut fixed_penalty = base;
+        fixed_penalty.tlb_penalty_min = 45;
+        fixed_penalty.tlb_penalty_max = 45;
+        for m in [base, round_robin, short_lines, fixed_penalty] {
+            assert_eq!(m.validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -36,6 +36,11 @@ pub static FF_DETECT_LATENCY: Counter = Counter::new("power2.fastforward.detect_
 /// simulated-cycle throughput; divide by [`MEASURE`] busy time).
 pub static SIMULATED_CYCLES: Counter = Counter::new("power2.simulated_cycles");
 
+/// Dynamic instructions across all kernel runs, extrapolated ones
+/// included (the numerator of simulated-instruction throughput, which,
+/// unlike the cycle rate, does not swing with each kernel's CPI).
+pub static SIMULATED_INSTRUCTIONS: Counter = Counter::new("power2.simulated_instructions");
+
 /// Busy time spent cycle-simulating kernels for signature measurements
 /// (the signature cache's miss path), summed over every measuring
 /// thread. A batch measured on several cores adds more busy time than
@@ -96,6 +101,7 @@ pub fn collect(snap: &mut MetricsSnapshot) {
     );
     KERNEL_RUNS.observe(snap);
     SIMULATED_CYCLES.observe(snap);
+    SIMULATED_INSTRUCTIONS.observe(snap);
     MEASURE.observe(snap);
     MEASURE_BATCH.observe(snap);
     MEASURE_THREADS.observe(snap);
@@ -113,16 +119,19 @@ pub fn collect(snap: &mut MetricsSnapshot) {
             FF_ITERS_EXTRAPOLATED.get() as f64 / total_iters as f64
         }),
     );
-    // Simulated cycles per busy second: the single-thread simulator
-    // rate, whatever the number of threads that measured in parallel.
+    // Simulated cycles and instructions per busy second: single-thread
+    // simulator rates, whatever the number of threads that measured in
+    // parallel.
     let busy_s = MEASURE.total_ns() as f64 / 1e9;
+    let per_busy_s =
+        |n: u64| MetricValue::Value(if busy_s > 0.0 { n as f64 / busy_s } else { 0.0 });
     snap.append(
         "power2.simulated_cycles_per_sec",
-        MetricValue::Value(if busy_s > 0.0 {
-            SIMULATED_CYCLES.get() as f64 / busy_s
-        } else {
-            0.0
-        }),
+        per_busy_s(SIMULATED_CYCLES.get()),
+    );
+    snap.append(
+        "power2.simulated_instructions_per_sec",
+        per_busy_s(SIMULATED_INSTRUCTIONS.get()),
     );
 }
 
@@ -131,6 +140,7 @@ pub fn collect(snap: &mut MetricsSnapshot) {
 pub fn reset() {
     KERNEL_RUNS.reset();
     SIMULATED_CYCLES.reset();
+    SIMULATED_INSTRUCTIONS.reset();
     MEASURE.reset();
     MEASURE_BATCH.reset();
     MEASURE_THREADS.reset();
@@ -157,10 +167,12 @@ mod tests {
             "power2.sigcache.hit_rate",
             "power2.kernel_runs",
             "power2.simulated_cycles",
+            "power2.simulated_instructions",
             "power2.signature_measure",
             "power2.measure_batch",
             "power2.measure_threads",
             "power2.simulated_cycles_per_sec",
+            "power2.simulated_instructions_per_sec",
             "power2.fastforward.detected_runs",
             "power2.fastforward.fallback_runs",
             "power2.fastforward.iters_simulated",

@@ -1,11 +1,12 @@
 //! The node pipeline model.
 //!
 //! An in-order, dual-FXU / dual-FPU machine with a 4-wide dispatching ICU.
-//! The simulator replays a kernel's loop body instruction by instruction,
-//! tracking per-register readiness (a scoreboard), per-unit occupancy, the
-//! global halt a D-cache or TLB miss imposes (paper §5: "execution may
-//! halt for 8 cycles"), and the FPU0-first dispatch policy the paper uses
-//! to explain the 1.7 FPU0/FPU1 asymmetry.
+//! The simulator decodes a kernel's loop body once per run into a flat
+//! micro-op table and replays it instruction by instruction, tracking
+//! per-register readiness (a scoreboard), per-unit occupancy, the global
+//! halt a D-cache or TLB miss imposes (paper §5: "execution may halt for
+//! 8 cycles"), and the FPU0-first dispatch policy the paper uses to
+//! explain the 1.7 FPU0/FPU1 asymmetry.
 
 use crate::cache::Cache;
 use crate::config::{FpuDispatch, MachineConfig};
@@ -13,8 +14,9 @@ use crate::steady::{self, Detector, FastForwardReport, Verdict};
 use crate::tlb::{Tlb, TlbConfig};
 use serde::{Deserialize, Serialize};
 use sp2_hpm::{EventSet, Signal};
+use sp2_isa::inst::MAX_SRCS;
 use sp2_isa::op::{BrKind, FpOp, FxOp, Op};
-use sp2_isa::reg::SCOREBOARD_SLOTS;
+use sp2_isa::reg::{RegId, SCOREBOARD_SLOTS};
 use sp2_isa::{AddrGen, Inst, Kernel};
 
 /// How many cycles of already-dispatched work the ICU's buffering lets
@@ -178,10 +180,145 @@ pub struct Node {
     rng: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FxUnit {
-    Fxu0,
-    Fxu1,
+/// Scoreboard slot no instruction writes: absent sources read it, and
+/// its 0 never wins a `max` against the dispatch cycle.
+const ZERO_SLOT: u8 = SCOREBOARD_SLOTS as u8;
+/// Scoreboard slot no instruction reads: absent destinations write it.
+const DISCARD_SLOT: u8 = SCOREBOARD_SLOTS as u8 + 1;
+/// The architectural registers plus [`ZERO_SLOT`] and [`DISCARD_SLOT`].
+const READY_SLOTS: usize = SCOREBOARD_SLOTS + 2;
+
+/// The signals one FPU's work lands on.
+struct FpuSignals {
+    exec: Signal,
+    add: Signal,
+    mul: Signal,
+    div: Signal,
+    fma: Signal,
+    sqrt: Signal,
+}
+
+/// FPU0's signals, then FPU1's.
+const FPU_SIGNALS: [FpuSignals; 2] = [
+    FpuSignals {
+        exec: Signal::Fpu0Exec,
+        add: Signal::Fpu0Add,
+        mul: Signal::Fpu0Mul,
+        div: Signal::Fpu0Div,
+        fma: Signal::Fpu0Fma,
+        sqrt: Signal::Fpu0Sqrt,
+    },
+    FpuSignals {
+        exec: Signal::Fpu1Exec,
+        add: Signal::Fpu1Add,
+        mul: Signal::Fpu1Mul,
+        div: Signal::Fpu1Div,
+        fma: Signal::Fpu1Fma,
+        sqrt: Signal::Fpu1Sqrt,
+    },
+];
+
+/// What a decoded instruction executes on, with its per-op constants.
+#[derive(Debug, Clone, Copy)]
+enum Class {
+    /// Integer arithmetic on the FXU free earlier (ties to FXU0), or on
+    /// FXU1 alone for the addressing multiply/divide.
+    Alu { fxu1_only: bool },
+    /// Storage reference through address generator `slot`.
+    Mem { slot: u16, store: bool },
+    /// FPU op whose result is ready `latency` cycles after issue.
+    Fp { op: FpOp, latency: u64 },
+    /// ICU op (branch or condition-register op) counted on `signal`,
+    /// done `latency` cycles after its operands are ready.
+    Icu { signal: Signal, latency: u64 },
+}
+
+/// One body instruction decoded for the dispatch loop: everything the
+/// loop would otherwise work out from an [`Inst`] per dynamic
+/// instruction is resolved once per run.
+#[derive(Debug, Clone, Copy)]
+struct MicroOp {
+    class: Class,
+    /// Cycles the executing unit stays busy after issue.
+    occupancy: u64,
+    /// Cycles a resolving conditional branch holds up issue behind it.
+    bubble: u64,
+    /// Scoreboard slots read, padded with [`ZERO_SLOT`].
+    srcs: [u8; MAX_SRCS],
+    /// Scoreboard slots written, padded with [`DISCARD_SLOT`].
+    dsts: [u8; 2],
+}
+
+impl MicroOp {
+    fn decode(inst: &Inst, config: &MachineConfig) -> Self {
+        let (class, occupancy, bubble) = match inst.op {
+            Op::Fx(fx) if fx.is_memory() => {
+                // Validation guarantees memory ops carry a slot; degrade
+                // to slot 0 rather than aborting a campaign mid-flight.
+                let slot = inst.mem_slot.unwrap_or_else(|| {
+                    debug_assert!(false, "validated kernel: memory op carries a slot");
+                    0
+                });
+                let store = fx.is_store();
+                (Class::Mem { slot, store }, 1, 0)
+            }
+            Op::Fx(fx) => {
+                let occupancy = match fx {
+                    FxOp::IntMul => config.imul_cycles,
+                    FxOp::IntDiv => config.idiv_cycles,
+                    _ => 1,
+                };
+                let fxu1_only = fx.fxu1_only();
+                (Class::Alu { fxu1_only }, occupancy, 0)
+            }
+            Op::Fp(op) => {
+                let (occupancy, latency) = match op {
+                    FpOp::Add | FpOp::Mul | FpOp::Fma => (1, config.fpu_latency),
+                    FpOp::Div => (config.fdiv_cycles, config.fdiv_cycles),
+                    FpOp::Sqrt => (config.fsqrt_cycles, config.fsqrt_cycles),
+                    FpOp::Move | FpOp::Cmp => (1, 1),
+                };
+                (Class::Fp { op, latency }, occupancy, 0)
+            }
+            // Loop-back branches are effectively free (the ICU refetches
+            // the loop top); data-dependent conditional branches (flux
+            // limiters) stall the in-order front end until resolved.
+            Op::Br(kind) => {
+                let signal = Signal::IcuType1;
+                let bubble = if kind == BrKind::Cond { 3 } else { 0 };
+                (Class::Icu { signal, latency: 0 }, 0, bubble)
+            }
+            Op::CondReg => {
+                let signal = Signal::IcuType2;
+                (Class::Icu { signal, latency: 1 }, 0, 0)
+            }
+        };
+        let mut srcs = [ZERO_SLOT; MAX_SRCS];
+        for (slot, reg) in srcs.iter_mut().zip(inst.sources()) {
+            *slot = scoreboard_slot(reg);
+        }
+        let mut dsts = [DISCARD_SLOT; 2];
+        for (slot, reg) in dsts.iter_mut().zip(inst.dst.into_iter().chain(inst.dst2)) {
+            *slot = scoreboard_slot(reg);
+        }
+        MicroOp {
+            class,
+            occupancy,
+            bubble,
+            srcs,
+            dsts,
+        }
+    }
+}
+
+/// The register's scoreboard slot; never one of the padding slots.
+fn scoreboard_slot(reg: RegId) -> u8 {
+    let i = reg.flat_index();
+    assert!(
+        i < SCOREBOARD_SLOTS,
+        "register {reg:?} is off the scoreboard"
+    );
+    i as u8
 }
 
 /// Everything one loop iteration reads or writes besides the node's own
@@ -193,8 +330,10 @@ enum FxUnit {
 pub(crate) struct LoopState {
     pub(crate) gens: Vec<AddrGen>,
     pub(crate) events: EventSet,
-    /// Per-register readiness (cycle at which the value is available).
-    pub(crate) ready: [u64; SCOREBOARD_SLOTS],
+    /// Per-register readiness (cycle at which the value is available):
+    /// the architectural registers first, then [`ZERO_SLOT`] and
+    /// [`DISCARD_SLOT`], which carry no machine state.
+    pub(crate) ready: [u64; READY_SLOTS],
     // Unit availability (cycle at which the unit can accept work).
     pub(crate) fxu0_free: u64,
     pub(crate) fxu1_free: u64,
@@ -220,7 +359,7 @@ impl LoopState {
         LoopState {
             gens: kernel.addr_gens.clone(),
             events: EventSet::new(),
-            ready: [0; SCOREBOARD_SLOTS],
+            ready: [0; READY_SLOTS],
             fxu0_free: 0,
             fxu1_free: 0,
             fpu0_free: 0,
@@ -234,6 +373,65 @@ impl LoopState {
             stall_cycles: 0,
             instructions: 0,
         }
+    }
+
+    /// Issues a fixed-point op on FXU0 (`fxu0`) or FXU1 once its operands
+    /// are ready at `ready_at`, keeping the unit busy for `occupancy`
+    /// cycles; returns the issue cycle.
+    #[inline]
+    fn issue_fx(&mut self, fxu0: bool, ready_at: u64, occupancy: u64) -> u64 {
+        let (unit_free, signal) = if fxu0 {
+            (&mut self.fxu0_free, Signal::Fxu0Exec)
+        } else {
+            (&mut self.fxu1_free, Signal::Fxu1Exec)
+        };
+        let issue = ready_at.max(*unit_free);
+        *unit_free = issue + occupancy;
+        self.events.bump(signal, 1);
+        issue
+    }
+
+    /// Issues an FPU op once its operands are ready at `ready_at`,
+    /// keeping the unit busy for `occupancy` cycles and counting the op
+    /// on that unit's signals; returns the issue cycle.
+    #[inline]
+    fn issue_fp(&mut self, dispatch: FpuDispatch, op: FpOp, ready_at: u64, occupancy: u64) -> u64 {
+        // FPU0-first policy (paper §5): instructions go to FPU0 until it
+        // is tied up (a dependency is keeping it busy or a multicycle op
+        // occupies it), then fall over to FPU1. The round-robin ablation
+        // alternates strictly.
+        let fpu0 = match dispatch {
+            FpuDispatch::RoundRobin => {
+                self.fpu_rr_toggle = !self.fpu_rr_toggle;
+                self.fpu_rr_toggle
+            }
+            FpuDispatch::Fpu0First => {
+                self.fpu0_free <= ready_at
+                    || (self.fpu1_free > ready_at && self.fpu0_free <= self.fpu1_free)
+            }
+        };
+        let (unit_free, sig) = if fpu0 {
+            (&mut self.fpu0_free, &FPU_SIGNALS[0])
+        } else {
+            (&mut self.fpu1_free, &FPU_SIGNALS[1])
+        };
+        let issue = ready_at.max(*unit_free);
+        *unit_free = issue + occupancy;
+        self.events.bump(sig.exec, 1);
+        match op {
+            FpOp::Add => self.events.bump(sig.add, 1),
+            FpOp::Mul => self.events.bump(sig.mul, 1),
+            // HPM accounting: the fma multiply lands in the fma count, the
+            // fma add in the add count (paper §5).
+            FpOp::Fma => {
+                self.events.bump(sig.fma, 1);
+                self.events.bump(sig.add, 1);
+            }
+            FpOp::Div => self.events.bump(sig.div, 1),
+            FpOp::Sqrt => self.events.bump(sig.sqrt, 1),
+            FpOp::Move | FpOp::Cmp => {}
+        }
+        issue
     }
 }
 
@@ -334,32 +532,6 @@ impl Node {
         }
     }
 
-    /// Replays `kernel` strictly cycle by cycle, never fast-forwarding.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run_kernel(KernelRun::new(kernel).fast_forward(FastForward::Off))"
-    )]
-    pub fn run_kernel_full(&mut self, kernel: &Kernel) -> RunStats {
-        self.run_kernel(KernelRun::new(kernel).fast_forward(FastForward::Off))
-            .stats
-    }
-
-    /// Like [`Node::run_kernel`] with forced detection, returning the
-    /// report as a tuple.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run_kernel(KernelRun::new(kernel).fast_forward(FastForward::On).detail(Detail::Full))"
-    )]
-    pub fn run_kernel_reported(&mut self, kernel: &Kernel) -> (RunStats, FastForwardReport) {
-        let report = self.run_kernel(
-            KernelRun::new(kernel)
-                .fast_forward(FastForward::On)
-                .detail(Detail::Full),
-        );
-        let ff = report.fast_forward.unwrap_or_default();
-        (report.stats, ff)
-    }
-
     /// State the steady-state detector fingerprints beyond [`LoopState`]:
     /// the D-cache, the TLB, and the TLB-penalty RNG. (The I-cache is
     /// modeled purely through events and never mutates during a run.)
@@ -368,6 +540,11 @@ impl Node {
     }
 
     fn run(&mut self, kernel: &Kernel, detect: bool) -> (RunStats, FastForwardReport) {
+        let ops: Vec<MicroOp> = kernel
+            .body
+            .iter()
+            .map(|inst| MicroOp::decode(inst, &self.config))
+            .collect();
         let mut st = LoopState::new(kernel);
         let fetch_groups_per_iter = (kernel.body.len() as u64).div_ceil(8);
         let icache_lines = (self.config.icache.bytes / self.config.icache.line_bytes) as u32;
@@ -385,7 +562,14 @@ impl Node {
 
         let mut iter = 0u64;
         while iter < kernel.iters {
-            self.step_iteration(kernel, &mut st, iter, fetch_groups_per_iter, icache_lines);
+            self.step_iteration(
+                kernel,
+                &ops,
+                &mut st,
+                iter,
+                fetch_groups_per_iter,
+                icache_lines,
+            );
             if let Some(det) = detector.as_mut() {
                 match det.observe(self, &st, iter) {
                     Verdict::Continue => {}
@@ -417,6 +601,7 @@ impl Node {
         st.events.bump(Signal::FxuStallCycles, st.stall_cycles);
         crate::metrics::KERNEL_RUNS.inc();
         crate::metrics::SIMULATED_CYCLES.add(cycles);
+        crate::metrics::SIMULATED_INSTRUCTIONS.add(st.instructions);
         crate::metrics::record_fast_forward(&report);
         (
             RunStats {
@@ -433,6 +618,7 @@ impl Node {
     fn step_iteration(
         &mut self,
         kernel: &Kernel,
+        ops: &[MicroOp],
         st: &mut LoopState,
         iter: u64,
         fetch_groups_per_iter: u64,
@@ -456,10 +642,9 @@ impl Node {
                     .bump(Signal::IcacheReload, kernel.code_lines as u64);
             }
         }
+        st.instructions += ops.len() as u64;
 
-        for inst in &kernel.body {
-            st.instructions += 1;
-
+        for op in ops {
             // --- dispatch ------------------------------------------
             if st.disp_in_cycle >= self.config.dispatch_width {
                 st.cycle += 1;
@@ -480,238 +665,84 @@ impl Node {
 
             // --- operand readiness ---------------------------------
             let mut r = d;
-            for src in inst.sources() {
-                r = r.max(st.ready[src.flat_index()]);
+            for &src in &op.srcs {
+                r = r.max(st.ready[src as usize]);
             }
 
             // --- issue & execute ------------------------------------
-            let mut post_bubble = 0;
-            let (issue, done) = match inst.op {
-                Op::Fx(fx) => self.exec_fx(
-                    fx,
-                    inst,
-                    &mut st.gens,
-                    &mut st.events,
-                    r,
-                    &mut st.fxu0_free,
-                    &mut st.fxu1_free,
-                    &mut st.stall_until,
-                ),
-                Op::Fp(fp) => Self::exec_fp(
-                    &self.config,
-                    fp,
-                    &mut st.events,
-                    r,
-                    &mut st.fpu0_free,
-                    &mut st.fpu1_free,
-                    &mut st.fpu_rr_toggle,
-                ),
-                Op::Br(kind) => {
-                    st.events.bump(Signal::IcuType1, 1);
-                    // Loop-back branches are effectively free (the
-                    // ICU refetches the loop top); data-dependent
-                    // conditional branches (flux limiters) stall the
-                    // in-order front end until resolved.
-                    if kind == BrKind::Cond {
-                        post_bubble = 3;
-                    }
-                    (r, r)
+            let (issue, done) = match op.class {
+                Class::Alu { fxu1_only } => {
+                    // The unit free earlier takes the op; ties go to FXU0,
+                    // which also explains why FXU0 retires more
+                    // instructions once miss handling is added.
+                    let fxu0 = !fxu1_only && st.fxu0_free <= st.fxu1_free;
+                    let issue = st.issue_fx(fxu0, r, op.occupancy);
+                    (issue, issue + op.occupancy)
                 }
-                Op::CondReg => {
-                    st.events.bump(Signal::IcuType2, 1);
-                    (r, r + 1)
+                Class::Mem { slot, store } => {
+                    let fxu0 = st.fxu0_free <= st.fxu1_free;
+                    let issue = st.issue_fx(fxu0, r, op.occupancy);
+                    let penalty = self.reference(st, slot, store, issue);
+                    // Stores complete into the (now-resident) line; the
+                    // FPU store-overlap hardware hides their latency.
+                    let done = if store {
+                        issue + 1
+                    } else {
+                        issue + penalty + self.config.load_hit_latency
+                    };
+                    (issue, done)
+                }
+                Class::Fp { op: fp, latency } => {
+                    let issue = st.issue_fp(self.config.fpu_dispatch, fp, r, op.occupancy);
+                    (issue, issue + latency)
+                }
+                Class::Icu { signal, latency } => {
+                    st.events.bump(signal, 1);
+                    (r, r + latency)
                 }
             };
 
             // In-order issue: never issue before a predecessor; a
             // resolving conditional branch additionally holds up
             // everything behind it.
-            let issue = issue.max(st.last_issue) + post_bubble;
-            st.last_issue = issue;
+            st.last_issue = issue.max(st.last_issue) + op.bubble;
             st.end_of_work = st.end_of_work.max(done);
-
-            if let Some(dst) = inst.dst {
-                st.ready[dst.flat_index()] = done;
-            }
-            if let Some(dst2) = inst.dst2 {
-                st.ready[dst2.flat_index()] = done;
+            for &dst in &op.dsts {
+                st.ready[dst as usize] = done;
             }
         }
     }
 
-    /// Executes a fixed-point op; returns `(issue, done)` cycles.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_fx(
-        &mut self,
-        fx: FxOp,
-        inst: &Inst,
-        gens: &mut [sp2_isa::AddrGen],
-        events: &mut EventSet,
-        ready_at: u64,
-        fxu0_free: &mut u64,
-        fxu1_free: &mut u64,
-        stall_until: &mut u64,
-    ) -> (u64, u64) {
-        // Unit choice: IntMul/IntDiv are FXU1-only; otherwise take the
-        // unit free earlier (ties to FXU0, which also explains why FXU0
-        // retires more instructions once miss handling is added).
-        let unit = if fx.fxu1_only() {
-            FxUnit::Fxu1
-        } else if *fxu0_free <= *fxu1_free {
-            FxUnit::Fxu0
-        } else {
-            FxUnit::Fxu1
-        };
-        let unit_free = match unit {
-            FxUnit::Fxu0 => *fxu0_free,
-            FxUnit::Fxu1 => *fxu1_free,
-        };
-        let issue = ready_at.max(unit_free);
-
-        match unit {
-            FxUnit::Fxu0 => events.bump(Signal::Fxu0Exec, 1),
-            FxUnit::Fxu1 => events.bump(Signal::Fxu1Exec, 1),
+    /// Performs the storage reference of a memory op issued at `issue`
+    /// through generator `slot`: TLB, then D-cache. Returns the cycles
+    /// the reference halts execution for (0 on a double hit).
+    #[inline]
+    fn reference(&mut self, st: &mut LoopState, slot: u16, store: bool, issue: u64) -> u64 {
+        st.events.bump(Signal::StorageRefs, 1);
+        let addr = st.gens[slot as usize].next_addr();
+        let mut penalty = 0;
+        if !self.tlb.access(addr) {
+            st.events.bump(Signal::TlbMiss, 1);
+            penalty += self.draw_tlb_penalty();
         }
-
-        let occupancy = match fx {
-            FxOp::IntMul => self.config.imul_cycles,
-            FxOp::IntDiv => self.config.idiv_cycles,
-            _ => 1,
-        };
-
-        let done;
-        if fx.is_memory() {
-            events.bump(Signal::StorageRefs, 1);
-            // Validation guarantees memory ops carry a slot; degrade to
-            // slot 0 rather than aborting a campaign mid-flight.
-            let slot = inst.mem_slot.unwrap_or_else(|| {
-                debug_assert!(false, "validated kernel: memory op carries a slot");
-                0
-            });
-            let addr = gens[slot as usize].next_addr();
-            let is_store = fx.is_store();
-
-            let mut penalty = 0;
-            if !self.tlb.access(addr) {
-                events.bump(Signal::TlbMiss, 1);
-                penalty += self.draw_tlb_penalty();
-            }
-            let out = self.dcache.access(addr, is_store);
-            if !out.hit {
-                events.bump(Signal::DcacheMiss, 1);
-                events.bump(Signal::DcacheReload, 1);
-                penalty += self.config.dcache_miss_penalty;
-                // FXU0 administers the reload regardless of which unit
-                // issued the reference (paper §5: FXU0 "has additional
-                // responsibility in handling cache misses").
-                *fxu0_free = (*fxu0_free).max(issue + self.config.fxu0_miss_occupancy);
-            }
-            if out.memory_write {
-                events.bump(Signal::DcacheStore, 1);
-            }
-
-            if penalty > 0 {
-                // The reference halts execution until satisfied.
-                *stall_until = (*stall_until).max(issue + penalty);
-            }
-            if !is_store {
-                done = issue + penalty + self.config.load_hit_latency;
-            } else {
-                // Stores complete into the (now-resident) line; the FPU
-                // store-overlap hardware hides their latency.
-                done = issue + 1;
-            }
-        } else {
-            done = issue + occupancy;
+        let out = self.dcache.access(addr, store);
+        if !out.hit {
+            st.events.bump(Signal::DcacheMiss, 1);
+            st.events.bump(Signal::DcacheReload, 1);
+            penalty += self.config.dcache_miss_penalty;
+            // FXU0 administers the reload regardless of which unit
+            // issued the reference (paper §5: FXU0 "has additional
+            // responsibility in handling cache misses").
+            st.fxu0_free = st.fxu0_free.max(issue + self.config.fxu0_miss_occupancy);
         }
-
-        match unit {
-            FxUnit::Fxu0 => *fxu0_free = (*fxu0_free).max(issue + occupancy),
-            FxUnit::Fxu1 => *fxu1_free = (*fxu1_free).max(issue + occupancy),
+        if out.memory_write {
+            st.events.bump(Signal::DcacheStore, 1);
         }
-        (issue, done)
-    }
-
-    /// Executes a floating-point op; returns `(issue, done)` cycles.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_fp(
-        config: &MachineConfig,
-        fp: FpOp,
-        events: &mut EventSet,
-        ready_at: u64,
-        fpu0_free: &mut u64,
-        fpu1_free: &mut u64,
-        rr_toggle: &mut bool,
-    ) -> (u64, u64) {
-        // FPU0-first policy (paper §5): instructions go to FPU0 until it
-        // is tied up (a dependency is keeping it busy or a multicycle op
-        // occupies it), then fall over to FPU1. The round-robin ablation
-        // alternates strictly.
-        let use_fpu0 = match config.fpu_dispatch {
-            FpuDispatch::RoundRobin => {
-                *rr_toggle = !*rr_toggle;
-                *rr_toggle
-            }
-            FpuDispatch::Fpu0First => {
-                if *fpu0_free <= ready_at {
-                    true
-                } else {
-                    *fpu1_free > ready_at && *fpu0_free <= *fpu1_free
-                }
-            }
-        };
-        let (unit_free, exec_sig, add_sig, mul_sig, div_sig, fma_sig, sqrt_sig) = if use_fpu0 {
-            (
-                &mut *fpu0_free,
-                Signal::Fpu0Exec,
-                Signal::Fpu0Add,
-                Signal::Fpu0Mul,
-                Signal::Fpu0Div,
-                Signal::Fpu0Fma,
-                Signal::Fpu0Sqrt,
-            )
-        } else {
-            (
-                &mut *fpu1_free,
-                Signal::Fpu1Exec,
-                Signal::Fpu1Add,
-                Signal::Fpu1Mul,
-                Signal::Fpu1Div,
-                Signal::Fpu1Fma,
-                Signal::Fpu1Sqrt,
-            )
-        };
-
-        let issue = ready_at.max(*unit_free);
-        events.bump(exec_sig, 1);
-        let (occupancy, latency) = match fp {
-            FpOp::Add => {
-                events.bump(add_sig, 1);
-                (1, config.fpu_latency)
-            }
-            FpOp::Mul => {
-                events.bump(mul_sig, 1);
-                (1, config.fpu_latency)
-            }
-            FpOp::Fma => {
-                // HPM accounting: the fma multiply lands in the fma
-                // count, the fma add in the add count (paper §5).
-                events.bump(fma_sig, 1);
-                events.bump(add_sig, 1);
-                (1, config.fpu_latency)
-            }
-            FpOp::Div => {
-                events.bump(div_sig, 1);
-                (config.fdiv_cycles, config.fdiv_cycles)
-            }
-            FpOp::Sqrt => {
-                events.bump(sqrt_sig, 1);
-                (config.fsqrt_cycles, config.fsqrt_cycles)
-            }
-            FpOp::Move | FpOp::Cmp => (1, 1),
-        };
-        *unit_free = issue + occupancy;
-        (issue, issue + latency)
+        if penalty > 0 {
+            // The reference halts execution until satisfied.
+            st.stall_until = st.stall_until.max(issue + penalty);
+        }
+        penalty
     }
 }
 

@@ -292,7 +292,7 @@ impl Detector {
         st.fxu1_free += shift;
         st.fpu0_free += shift;
         st.fpu1_free += shift;
-        for r in st.ready.iter_mut() {
+        for r in &mut st.ready[..SCOREBOARD_SLOTS] {
             *r += shift;
         }
         st.stall_cycles += whole_periods * (st.stall_cycles - self.stall_cycles);

@@ -31,7 +31,9 @@ impl Default for TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    sets: usize,
+    /// Set count minus one: the set count is a power of two, so a mask
+    /// picks the set without a divide.
+    set_mask: usize,
     page_shift: u32,
     tags: Vec<u64>,
     valid: Vec<bool>,
@@ -44,7 +46,7 @@ impl Tlb {
     ///
     /// # Panics
     /// Panics unless the page size is a power of two and entries divide
-    /// evenly into ways.
+    /// evenly into a power-of-two number of sets.
     pub fn new(config: TlbConfig) -> Self {
         assert!(
             config.page_bytes.is_power_of_two(),
@@ -52,9 +54,13 @@ impl Tlb {
         );
         assert!(config.ways >= 1 && config.entries.is_multiple_of(config.ways));
         let sets = config.entries / config.ways;
+        assert!(
+            sets.is_power_of_two(),
+            "TLB set count must be a power of two, got {sets}"
+        );
         Tlb {
             config,
-            sets,
+            set_mask: sets - 1,
             page_shift: config.page_bytes.trailing_zeros(),
             tags: vec![0; config.entries],
             valid: vec![false; config.entries],
@@ -69,10 +75,11 @@ impl Tlb {
     }
 
     /// Translates `addr`; returns `true` on a TLB hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         let page = addr >> self.page_shift;
-        let set = (page as usize) % self.sets;
+        let set = (page as usize) & self.set_mask;
         let base = set * self.config.ways;
         for w in 0..self.config.ways {
             let i = base + w;
@@ -112,7 +119,7 @@ impl Tlb {
         let ways = self.config.ways;
         let mut a: Vec<(u64, u64)> = Vec::with_capacity(ways);
         let mut b: Vec<(u64, u64)> = Vec::with_capacity(ways);
-        for set in 0..self.sets {
+        for set in 0..=self.set_mask {
             a.clear();
             b.clear();
             let base = set * ways;
@@ -203,6 +210,17 @@ mod tests {
             }
         }
         assert_eq!(misses, n / 512);
+    }
+
+    #[test]
+    #[should_panic(expected = "TLB set count must be a power of two")]
+    fn non_power_of_two_set_count_rejected() {
+        // 384 entries in 2 ways: 192 sets.
+        Tlb::new(TlbConfig {
+            entries: 384,
+            ways: 2,
+            page_bytes: 4096,
+        });
     }
 
     #[test]

@@ -459,6 +459,28 @@ mod tests {
         }
     }
 
+    /// FNV-1a-128 over every signature (name, cycles, iters, clock bits,
+    /// all 28 signals): the seed-1998 library the benchmark's golden
+    /// digests also pin. It moves only with a deliberate model change.
+    #[test]
+    fn seed_1998_library_digest_is_pinned() {
+        use std::hash::Hasher;
+        let mut h = sp2_power2::Fnv128::new();
+        for s in library().signatures() {
+            h.write(s.name.as_bytes());
+            h.write_u64(s.cycles);
+            h.write_u64(s.iters);
+            h.write_u64(s.clock_hz.to_bits());
+            for signal in sp2_hpm::Signal::ALL {
+                h.write_u64(s.events.get(signal));
+            }
+        }
+        assert_eq!(
+            format!("{:032x}", h.finish128()),
+            "b5aa1a1a0edb0725686a3c9925ed977f"
+        );
+    }
+
     #[test]
     fn parallel_build_equals_serial_measurement() {
         let config = MachineConfig::nas_sp2();

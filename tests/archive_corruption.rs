@@ -50,9 +50,13 @@ fn tiny_campaign() -> CampaignResult {
     }
 }
 
-fn reference_bytes() -> Vec<u8> {
+fn archive_bytes(campaign: &CampaignResult) -> Vec<u8> {
     let lines = vec![r#"{"event":"dataset","seq":0,"doc":{"x":1}}"#.to_string()];
-    archive::write_campaign_archive(Vec::new(), &tiny_campaign(), &lines).expect("writes")
+    archive::write_campaign_archive(Vec::new(), campaign, &lines).expect("writes")
+}
+
+fn reference_bytes() -> Vec<u8> {
+    archive_bytes(&tiny_campaign())
 }
 
 proptest! {
@@ -108,4 +112,39 @@ fn double_corruption_in_distinct_blocks_still_errors() {
     damaged[mid] ^= 0xFF;
     damaged[bytes.len() - 3] ^= 0xFF;
     assert!(read_archive(&damaged[..]).is_err());
+}
+
+/// A named edit that makes a machine impossible to simulate.
+type BadGeometry = (&'static str, fn(&mut MachineConfig));
+
+/// A CRC-valid archive whose header names a machine the simulator cannot
+/// build (experiments replaying it measure kernels on that machine) must
+/// be refused with a typed error when it is read, before any cache or
+/// TLB constructor sees the geometry.
+#[test]
+fn impossible_machine_geometry_errors_cleanly() {
+    let bad: [BadGeometry; 10] = [
+        ("dcache ways 3", |m| m.dcache.ways = 3),
+        ("dcache ways 0", |m| m.dcache.ways = 0),
+        ("dcache line 100 B", |m| m.dcache.line_bytes = 100),
+        ("dcache 192 sets", |m| m.dcache.bytes = 192 * 1024),
+        ("icache without a line", |m| m.icache.bytes = 64),
+        ("tlb ways 3", |m| m.tlb_ways = 3),
+        ("tlb 192 sets", |m| m.tlb_entries = 384),
+        ("page 3000 B", |m| m.page_bytes = 3000),
+        ("tlb penalty 54..=36", |m| {
+            (m.tlb_penalty_min, m.tlb_penalty_max) = (54, 36)
+        }),
+        ("dispatch width 0", |m| m.dispatch_width = 0),
+    ];
+    assert!(read_archive(&reference_bytes()[..]).is_ok());
+    for (label, edit) in bad {
+        let mut campaign = tiny_campaign();
+        edit(&mut campaign.machine);
+        let bytes = archive_bytes(&campaign);
+        match read_archive(&bytes[..]) {
+            Err(e) => assert!(e.to_string().contains("machine"), "{label}: {e}"),
+            Ok(_) => panic!("{label}: archive with an impossible machine was accepted"),
+        }
+    }
 }
