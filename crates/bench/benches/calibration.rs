@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sp2_cluster::CampaignResult;
 use sp2_core::experiments::{experiment, ExperimentInput};
 use sp2_hpm::nas_selection;
-use sp2_power2::{FastForward, KernelRun, MachineConfig, Node};
+use sp2_power2::{MachineConfig, Node};
 use sp2_workload::{blocked_matmul_kernel, cfd_kernel, CfdKernelParams};
 
 fn bench(c: &mut Criterion) {
@@ -30,25 +30,6 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Elements(cfd.dynamic_instructions()));
     g.bench_function("cfd_kernel_10k_iters", |b| {
         b.iter(|| Node::with_seed(machine, 1).run_kernel(&cfd))
-    });
-    g.finish();
-
-    // Long streaming/tiled kernels: the steady-state fast-forward's home
-    // turf. `run_kernel` (fast-forward on) vs `FastForward::Off`
-    // (cycle-by-cycle) on the same 2M-iteration kernel — the ≥10×
-    // headline speedup lives in the ratio of these two.
-    let long_mm = blocked_matmul_kernel(2_000_000);
-    let mut g = c.benchmark_group("node-simulator-long");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(long_mm.dynamic_instructions()));
-    g.bench_function("blocked_matmul_2m_iters_fast_forward", |b| {
-        b.iter(|| Node::with_seed(machine, 1).run_kernel(&long_mm))
-    });
-    g.bench_function("blocked_matmul_2m_iters_full", |b| {
-        b.iter(|| {
-            Node::with_seed(machine, 1)
-                .run_kernel(KernelRun::new(&long_mm).fast_forward(FastForward::Off))
-        })
     });
     g.finish();
 }

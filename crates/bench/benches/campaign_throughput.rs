@@ -1,11 +1,11 @@
 //! Campaign-engine throughput: days simulated per wall second, reference
 //! engine vs the batch engine, serial and on an 8-thread pool.
 //!
-//! Not a criterion bench: this is the perf-trajectory artifact CI tracks
-//! (like `BENCH_fastforward.json`). It replays one skewed-mix campaign —
-//! wide jobs for plan sharing, single-node stragglers for churn — under
-//! four engine configurations, asserts every variant's datasets are
-//! bit-identical to the reference, and writes the readings to
+//! Not a criterion bench: this is the perf-trajectory artifact CI tracks.
+//! It replays one skewed-mix campaign — wide jobs for plan sharing,
+//! single-node stragglers for churn — under four engine configurations,
+//! asserts every variant's datasets are bit-identical to the reference,
+//! and writes the readings to
 //! `BENCH_throughput.json` at the workspace root. Two untimed passes
 //! ride along: an instrumented run that measures the cluster-interval
 //! fast-forward's elision rate (elided sweeps / total sweeps), and a

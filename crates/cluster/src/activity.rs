@@ -8,14 +8,13 @@
 //! without per-cycle work.
 
 use crate::paging::{PagingModel, TimeSplit};
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{EventSet, Signal};
 use sp2_power2::KernelSignature;
 use sp2_switch::{DmaEngine, SwitchConfig};
 use sp2_workload::JobProgram;
 
 /// Counter-advancement rates for one node running one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityPlan {
     /// The job's compute signature (events per its own cycles).
     user_signature: KernelSignature,

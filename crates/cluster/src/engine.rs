@@ -23,14 +23,12 @@
 //!   node over `dt` is "add a precomputed lane vector". The sweep
 //!   cadence makes `dt` repeat exactly (times accumulate as exact
 //!   multiples of 900.0), so steady intervals — idle nights, long jobs —
-//!   hit the cache and cost one vectorizable add per node. This is the
-//!   cluster-interval analogue of the kernel-level steady-state
-//!   fast-forward, and like it, the result is bit-identical to the
-//!   reference path by construction.
+//!   hit the cache and cost one vectorizable add per node. The result is
+//!   bit-identical to the reference path by construction.
 //!
 //! [`EngineConfig`] is the explicit configuration the engine runs under:
 //! which engine, how many worker threads, and the switches that used to
-//! be reachable only as process globals (fast-forward, metrics capture,
+//! be reachable only as process globals (sweep elision, metrics capture,
 //! flight-recorder cadence). `None` fields inherit whatever the process
 //! globals currently say, so a default config changes nothing.
 
@@ -68,7 +66,9 @@ pub struct EngineConfig {
     /// caller's current pool; `Some(0)` builds one thread per core;
     /// `Some(n)` builds an `n`-thread pool.
     pub threads: Option<usize>,
-    /// Steady-state fast-forward for kernel measurement (`--no-fast-forward`).
+    /// The batch engine's cluster-interval fast-forward: eliding runs of
+    /// steady sampling sweeps (`--no-fast-forward` sets `Some(false)`).
+    /// Results are bit-identical either way.
     pub fast_forward: Option<bool>,
     /// Self-metering metric capture (`--metrics` / `profile`).
     pub metrics: Option<bool>,

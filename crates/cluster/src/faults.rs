@@ -25,11 +25,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// One node-outage window: the node is out of service over `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Outage {
     /// The failing node.
     pub node: usize,
@@ -40,7 +39,7 @@ pub struct Outage {
 }
 
 /// A deterministic schedule of faults for one campaign.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     outages: Vec<Outage>,
     /// 1-based daemon sweep indices that never run.

@@ -12,10 +12,8 @@
 //! that share), an I/O-wait share (no instructions, disk DMA traffic),
 //! and the remaining user share (the job's own signature runs for it).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the oversubscription → time-split map.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PagingModel {
     /// System-share slope per unit of oversubscription excess.
     pub sys_slope: f64,
@@ -48,7 +46,7 @@ impl Default for PagingModel {
 }
 
 /// The time split of one wall second on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeSplit {
     /// Fraction running the job's own (user-mode) code.
     pub user: f64,

@@ -1,6 +1,5 @@
 //! Campaign results and the aggregations the paper's figures use.
 
-use serde::{Deserialize, Serialize};
 use sp2_hpm::CounterSelection;
 use sp2_pbs::{utilization, JobRecord};
 use sp2_power2::MachineConfig;
@@ -12,7 +11,7 @@ const DAY_S: f64 = 86_400.0;
 
 /// What the fault layer actually did to a campaign. All zeros (and
 /// `enabled == false`) for a fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultSummary {
     /// Whether any fault injection was configured.
     pub enabled: bool,
@@ -33,7 +32,7 @@ pub struct FaultSummary {
 }
 
 /// Everything a campaign produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignResult {
     /// Campaign length in days.
     pub days: u32,

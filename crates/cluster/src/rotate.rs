@@ -27,7 +27,6 @@ use crate::engine::EngineConfig;
 use crate::faults::FaultPlan;
 use crate::result::CampaignResult;
 use crate::sim::{run_campaign_cfg_cancellable, CampaignError, CancelToken, ClusterConfig};
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{PlanError, SchedulePlan, Signal};
 use sp2_rs2hpm::{reconstruct, ReconstructError, Reconstruction, SystemSample};
 use sp2_workload::{SubmittedJob, WorkloadLibrary};
@@ -53,7 +52,7 @@ pub fn plan_signals_with_passes(
 
 /// A completed rotated campaign: the plan it executed and one full
 /// campaign result per pass, in plan order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RotatedCampaign {
     /// The pass sequence the rotation cycled through.
     pub plan: SchedulePlan,

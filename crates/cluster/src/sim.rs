@@ -14,7 +14,6 @@ use crate::paging::PagingModel;
 use crate::result::{CampaignResult, FaultSummary};
 use crate::state::NodeState;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{nas_selection, CounterSelection, CounterSnapshot};
 use sp2_pbs::{JobId, JobOutcome, JobRecord, JobSpec, Pbs, PbsError};
 use sp2_power2::handler::{daemon_sample_signature, page_fault_signature};
@@ -33,7 +32,7 @@ use std::fmt;
 const MAX_JOB_ATTEMPTS: u32 = 3;
 
 /// Machine-level configuration of the simulated SP2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Node count (144 at NAS).
     pub nodes: usize,
@@ -745,9 +744,8 @@ fn run_campaign_inner(
     // Cluster-interval fast-forward: the batch engine may elide runs of
     // steady sweeps (see the Sample arm). The reference engine never
     // does — it is the baseline the elision is proven against — and
-    // `--no-fast-forward` forces full stepping for A/B runs, the same
-    // switch that governs the kernel-level fast-forward. The switch is
-    // read from the config when set (one read per campaign, immune to
+    // `--no-fast-forward` forces full stepping for A/B runs. The switch
+    // is read from the config when set (one read per campaign, immune to
     // other threads flipping the process global mid-run) and from the
     // global otherwise.
     let steady_ff = engine_cfg.engine == EngineKind::Batch

@@ -11,11 +11,10 @@ use crate::experiments::{Dataset, Experiment, ExperimentInput};
 use crate::json::{Json, ToJson};
 use crate::render;
 use crate::Sp2Error;
-use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 
 /// The regenerated availability report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Availability {
     /// Campaign length in days.
     pub days: u32,

@@ -5,15 +5,14 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_hpm::Signal;
-use sp2_power2::{FastForward, KernelSignature, MachineConfig, SignatureCache};
+use sp2_power2::{KernelSignature, MachineConfig, SignatureCache};
 use sp2_workload::kernels::{
     blocked_matmul_kernel, cfd_kernel, naive_matmul_kernel, seqaccess_kernel, CfdKernelParams,
 };
 
 /// One calibration measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CalibrationPoint {
     /// Kernel name.
     pub name: String,
@@ -32,7 +31,7 @@ pub struct CalibrationPoint {
 }
 
 /// The regenerated §5 calibration set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Calibration {
     /// Peak Mflops of the machine (267 at 66.7 MHz).
     pub peak_mflops: f64,
@@ -72,7 +71,7 @@ pub(crate) fn run(machine: &MachineConfig) -> Calibration {
         (cfd_kernel("bt", &CfdKernelParams::npb_bt(), iters), 4),
         (seqaccess_kernel(4 * iters), 5),
     ];
-    let sigs = SignatureCache::global().measure_all(&jobs, machine, FastForward::Auto);
+    let sigs = SignatureCache::global().measure_all(&jobs, machine);
     Calibration {
         peak_mflops: machine.peak_mflops(),
         points: names

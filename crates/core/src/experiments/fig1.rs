@@ -5,12 +5,11 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 use sp2_stats::{centered_moving_average, linear_trend_slope, trailing_moving_average};
 
 /// The regenerated Figure 1 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1 {
     /// Daily machine Gflops (the scatter).
     pub daily_gflops: Vec<f64>,

@@ -4,12 +4,11 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput, BATCH_MIN_WALLTIME_S};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 use sp2_pbs::walltime_histogram;
 
 /// The regenerated Figure 2 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2 {
     /// `(nodes_requested, total_walltime_seconds)` for nonzero bins.
     pub bars: Vec<(usize, f64)>,

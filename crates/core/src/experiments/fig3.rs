@@ -4,13 +4,12 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput, BATCH_MIN_WALLTIME_S};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 use sp2_stats::Summary;
 use std::collections::BTreeMap;
 
 /// The regenerated Figure 3 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3 {
     /// Raw scatter: `(nodes_requested, mflops_per_node)` per job.
     pub points: Vec<(u32, f64)>,
@@ -26,7 +25,7 @@ pub struct Fig3 {
 }
 
 /// Per-node-count aggregate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeBucket {
     /// Nodes requested.
     pub nodes: u32,

@@ -5,12 +5,11 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput, BATCH_MIN_WALLTIME_S};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 use sp2_stats::{linear_trend_slope, trailing_moving_average, Summary};
 
 /// The regenerated Figure 4 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4 {
     /// `(job_id, job_mflops)` for 16-node batch jobs, by submission order.
     pub points: Vec<(u64, f64)>,

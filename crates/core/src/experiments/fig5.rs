@@ -5,12 +5,11 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput, BATCH_MIN_WALLTIME_S};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 use sp2_stats::BinnedScatter;
 
 /// The regenerated Figure 5 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5 {
     /// Raw scatter: `(system/user FXU ratio, mflops_per_node)` per job.
     pub points: Vec<(f64, f64)>,

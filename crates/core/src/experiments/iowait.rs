@@ -16,11 +16,10 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput, SelectionKind};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 
 /// One day of the io-aware campaign.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IoWaitDay {
     /// Day index.
     pub day: usize,
@@ -31,7 +30,7 @@ pub struct IoWaitDay {
 }
 
 /// The §7 extension dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IoWaitReport {
     /// Per-day series.
     pub days: Vec<IoWaitDay>,

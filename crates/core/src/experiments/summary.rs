@@ -9,11 +9,10 @@ use crate::experiments::{
 };
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 
 /// The paper's reported value for a statistic, alongside ours.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SummaryRow {
     /// Statistic name.
     pub name: String,
@@ -25,7 +24,7 @@ pub struct SummaryRow {
 }
 
 /// The regenerated campaign summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignSummary {
     /// Campaign length in days.
     pub days: u32,

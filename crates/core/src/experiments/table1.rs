@@ -4,11 +4,10 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_hpm::config::{table1_rows, Table1Row};
 
 /// The regenerated Table 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// One row per configured counter slot.
     pub rows: Vec<Table1Row>,

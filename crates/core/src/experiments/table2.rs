@@ -6,12 +6,11 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput, GOOD_DAY_GFLOPS};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 use sp2_stats::Summary;
 
 /// One Table-2 row (a rate with its representative-day value, mean, std).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RateRow {
     /// Rate name (Mips / Mops / Mflops).
     pub name: String,
@@ -24,7 +23,7 @@ pub struct RateRow {
 }
 
 /// The regenerated Table 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// Index of the representative day (the paper's "Day 45.0").
     pub representative_day: usize,

@@ -5,13 +5,12 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput, GOOD_DAY_GFLOPS};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 use sp2_rs2hpm::RateReport;
 use sp2_stats::Summary;
 
 /// One Table-3 row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BreakdownRow {
     /// Section (OPS / INST / CACHE / I/O).
     pub section: String,
@@ -26,7 +25,7 @@ pub struct BreakdownRow {
 }
 
 /// The regenerated Table 3 plus the §5 derived ratios.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     /// Representative day index.
     pub representative_day: usize,

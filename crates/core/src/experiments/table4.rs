@@ -6,14 +6,13 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput, GOOD_DAY_GFLOPS};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_cluster::CampaignResult;
 use sp2_hpm::Signal;
-use sp2_power2::{FastForward, SignatureCache};
+use sp2_power2::SignatureCache;
 use sp2_workload::kernels::{cfd_kernel, seqaccess_kernel, CfdKernelParams};
 
 /// One Table-4 column.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryColumn {
     /// Workload name.
     pub name: String,
@@ -27,7 +26,7 @@ pub struct MemoryColumn {
 }
 
 /// The regenerated Table 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4 {
     /// Columns: NAS workload / sequential access / NPB BT.
     pub columns: Vec<MemoryColumn>,
@@ -74,7 +73,6 @@ pub(crate) fn run(campaign: &CampaignResult) -> Table4 {
             ),
         ],
         machine,
-        FastForward::Auto,
     );
     let (seq_sig, bt_sig) = (&sigs[0], &sigs[1]);
 

@@ -74,7 +74,6 @@ use crate::submission::Submission;
 use crate::system::{Sp2System, DEFAULT_LIBRARY_SEED};
 use crate::{metrics, timeline};
 use sp2_cluster::{CampaignError, CampaignResult, CancelToken, ClusterConfig, EngineConfig};
-use sp2_power2::FastForward;
 use sp2_workload::WorkloadLibrary;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -116,14 +115,10 @@ fn read_line_capped(
 /// One workload library serves every job: submissions don't vary the
 /// machine model, and the library build (kernel measurement) is the
 /// most expensive fixed cost in the process.
-fn shared_library(fast_forward: FastForward) -> &'static WorkloadLibrary {
+fn shared_library() -> &'static WorkloadLibrary {
     static LIBRARY: OnceLock<WorkloadLibrary> = OnceLock::new();
     LIBRARY.get_or_init(|| {
-        WorkloadLibrary::build_with(
-            &ClusterConfig::default().machine,
-            DEFAULT_LIBRARY_SEED,
-            fast_forward,
-        )
+        WorkloadLibrary::build(&ClusterConfig::default().machine, DEFAULT_LIBRARY_SEED)
     })
 }
 
@@ -427,13 +422,7 @@ impl ServerInner {
         let start = std::time::Instant::now();
         let mut sys = Sp2System::builder()
             .spec(*job.submission.spec())
-            .library(
-                shared_library(match self.engine.fast_forward {
-                    Some(false) => FastForward::Off,
-                    _ => FastForward::Auto,
-                })
-                .clone(),
-            )
+            .library(shared_library().clone())
             .engine(self.engine)
             .faults(job.submission.fault_rate())
             .fault_seed(job.submission.fault_seed())

@@ -7,7 +7,6 @@ use sp2_cluster::{
     CancelToken, ClusterConfig, EngineConfig, FaultPlan, RotatedCampaign,
 };
 use sp2_hpm::SchedulePlan;
-use sp2_power2::FastForward;
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -162,17 +161,12 @@ impl Sp2SystemBuilder {
 
     /// Assembles the system, applying the engine configuration's
     /// switches (so kernel measurement during library construction
-    /// already honors them) and building the workload library under its
-    /// fast-forward policy.
+    /// already honors them) and building the workload library.
     pub fn build(self) -> Sp2System {
         crate::timeline::apply_engine_config(&self.engine);
-        let fast_forward = match self.engine.fast_forward {
-            Some(false) => FastForward::Off,
-            _ => FastForward::Auto,
-        };
-        let library = self.library.unwrap_or_else(|| {
-            WorkloadLibrary::build_with(&self.config.machine, self.library_seed, fast_forward)
-        });
+        let library = self
+            .library
+            .unwrap_or_else(|| WorkloadLibrary::build(&self.config.machine, self.library_seed));
         Sp2System {
             config: self.config,
             library,

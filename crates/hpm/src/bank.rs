@@ -19,10 +19,9 @@
 
 use crate::config::CounterSelection;
 use crate::events::EventSet;
-use serde::{Deserialize, Serialize};
 
 /// Execution mode a node is in when events fire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// User (problem-state) execution.
     User,
@@ -32,7 +31,7 @@ pub enum Mode {
 
 /// A point-in-time reading of every configured slot, both modes — the
 /// kernel extension's 64-bit virtualized view.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// User-mode counter values, indexed by slot.
     pub user: Vec<u64>,
@@ -69,7 +68,7 @@ impl CounterSnapshot {
 }
 
 /// Wrap-aware difference between two snapshots, in events.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterDelta {
     /// User-mode event counts per slot.
     pub user: Vec<u64>,
@@ -152,7 +151,7 @@ impl CounterDelta {
 /// let slot = hpm.selection().slot_of(Signal::Fpu0Fma).unwrap();
 /// assert_eq!(delta.user[slot], 1_000);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Hpm {
     selection: CounterSelection,
     user: Vec<u64>,

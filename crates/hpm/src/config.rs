@@ -6,10 +6,9 @@
 //! [`nas_selection`] is the Table-1 combination NAS ran for nine months.
 
 use crate::signal::{Signal, SignalGroup};
-use serde::{Deserialize, Serialize};
 
 /// One counter slot: the unit group's slot index and the signal it watches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotSpec {
     /// Unit group of the slot.
     pub group: SignalGroup,
@@ -34,7 +33,7 @@ impl SlotSpec {
 }
 
 /// A full counter configuration: up to 22 slots, each in its group.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSelection {
     slots: Vec<SlotSpec>,
 }
@@ -184,7 +183,7 @@ pub fn io_aware_selection() -> CounterSelection {
 }
 
 /// One row of the rendered Table 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// RS2HPM counter name, e.g. `user.fxu0`.
     pub counter: String,

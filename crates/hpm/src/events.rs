@@ -5,14 +5,13 @@
 //! way the hardware mux selects 22 of 320 signals.
 
 use crate::signal::Signal;
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Raw counts for every modeled signal.
 ///
 /// Indexable by [`Signal`]; supports merge (`+`) and scaling so that a
 /// signature measured over `n` iterations can be replayed at cluster scale.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventSet {
     counts: [u64; Signal::ALL.len()],
 }

@@ -18,11 +18,10 @@
 
 use crate::config::CounterSelection;
 use crate::signal::{Signal, SignalGroup};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A request the scheduler cannot plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The caller forced fewer passes than the request needs: some group
     /// would have to over-subscribe its slots.
@@ -56,7 +55,7 @@ impl std::error::Error for PlanError {}
 /// is therefore watched in roughly `passes * k / v.len()` of the passes,
 /// and with `n_passes == 1` the single pass *is* the requested selection,
 /// signals in request order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulePlan {
     requested: Vec<Signal>,
     passes: Vec<CounterSelection>,

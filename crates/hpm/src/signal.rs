@@ -1,12 +1,10 @@
 //! Reportable monitor signals and their unit groups.
 
-use serde::{Deserialize, Serialize};
-
 /// The unit group a signal (and a counter slot) belongs to.
 ///
 /// The POWER2 monitor provides five counters each for the FXU, FPU0, FPU1,
 /// and SCU and two for the ICU — 22 in total.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SignalGroup {
     /// Fixed point unit group (both FXUs plus storage-related FXU events).
     Fxu,
@@ -56,7 +54,7 @@ impl SignalGroup {
 }
 
 /// A reportable signal — the modeled subset of the POWER2's 320.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Signal {
     // --- FXU group ----------------------------------------------------

@@ -2,7 +2,6 @@
 
 use crate::op::{FxOp, Op};
 use crate::reg::RegId;
-use serde::{Deserialize, Serialize};
 
 /// Maximum source operands an instruction can name (fma has three).
 pub const MAX_SRCS: usize = 3;
@@ -13,7 +12,7 @@ pub const MAX_SRCS: usize = 3;
 /// (`mem_slot`) in the enclosing kernel; the simulator resolves the slot to
 /// a virtual address at replay time, so the same body can walk arbitrarily
 /// large arrays without materializing a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct Inst {
     /// The operation.
     pub op: Op,

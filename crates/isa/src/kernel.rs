@@ -3,7 +3,6 @@
 use crate::inst::Inst;
 use crate::mem::AddrGen;
 use crate::op::{FpOp, FxOp, Op};
-use serde::{Deserialize, Serialize};
 
 /// A compute kernel: one loop body replayed `iters` times.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// the end of DO-loops seem to dominate the number of instructions executed
 /// by the ICU" — i.e. the unit of modeling is an inner loop nest with a
 /// characteristic instruction mix and address pattern.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Kernel {
     /// Human-readable kernel name (appears in reports and signatures).
     pub name: String,
@@ -33,7 +32,7 @@ pub struct Kernel {
 }
 
 /// Static (pre-simulation) per-iteration instruction mix of a kernel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStatics {
     /// Total instructions per iteration.
     pub instructions: u64,

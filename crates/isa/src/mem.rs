@@ -8,10 +8,8 @@
 //! bind each memory instruction to an [`AddrGen`] that produces the next
 //! virtual address on demand.
 
-use serde::{Deserialize, Serialize};
-
 /// The address pattern an [`AddrGen`] follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddrPattern {
     /// Always the same address (a scalar in memory).
     Fixed { addr: u64 },
@@ -39,7 +37,7 @@ pub enum AddrPattern {
 }
 
 /// A stateful generator producing the address stream of one array walk.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AddrGen {
     pattern: AddrPattern,
     /// Linear position within the pattern; its meaning varies per pattern

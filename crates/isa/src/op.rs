@@ -1,13 +1,11 @@
 //! Operation kinds and their unit affinities.
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed-point (FXU) operations.
 ///
 /// On POWER2 the FXUs process *all storage references* plus integer
 /// arithmetic; FXU1 alone owns the integer multiply/divide used for
 /// addressing (White & Dhawan 1994, reproduced in the paper's §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FxOp {
     /// Load of a single word (4 bytes).
     LoadSingle,
@@ -72,7 +70,7 @@ impl FxOp {
 }
 
 /// Floating-point (FPU) operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FpOp {
     /// Floating add/subtract: 1 flop.
     Add,
@@ -110,7 +108,7 @@ impl FpOp {
 }
 
 /// Branch kinds executed by the ICU ("type I" instructions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BrKind {
     /// Backward loop-closing branch (the DO-loop branch the paper says
     /// dominates ICU counts); always taken until the trip count expires.
@@ -122,7 +120,7 @@ pub enum BrKind {
 }
 
 /// An abstract POWER2 operation with its executing unit implied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Fixed-point / storage op (FXU0 or FXU1).
     Fx(FxOp),

@@ -5,15 +5,13 @@
 //! scoreboard tracks readiness per register, so instruction operands name
 //! registers through [`RegId`].
 
-use serde::{Deserialize, Serialize};
-
 /// Number of general purpose registers.
 pub const NUM_GPRS: u8 = 32;
 /// Number of floating point registers.
 pub const NUM_FPRS: u8 = 32;
 
 /// A register identifier in one of the two architectural files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegId {
     /// General purpose register `0..32` (fixed-point / addressing).
     Gpr(u8),

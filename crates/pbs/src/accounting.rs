@@ -1,9 +1,7 @@
 //! PBS accounting: job records, utilization, and Figure-2 aggregation.
 
-use serde::{Deserialize, Serialize};
-
 /// How a job left the machine, as the accounting log sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobOutcome {
     /// Ran to completion.
     Completed,
@@ -27,7 +25,7 @@ impl JobOutcome {
 }
 
 /// One job attempt, as the accounting log sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobRecord {
     /// Batch job id (submission order).
     pub id: u64,

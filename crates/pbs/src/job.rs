@@ -1,14 +1,12 @@
 //! Batch job descriptions and lifecycle states.
 
-use serde::{Deserialize, Serialize};
-
 /// Unique batch job identifier; also the x-axis of Figure 4
 /// ("performance … as a function of batch job id").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 /// What a user submits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job id (assigned by submission order).
     pub id: JobId,
@@ -30,7 +28,7 @@ impl JobSpec {
 }
 
 /// Lifecycle of a job inside PBS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobState {
     /// Waiting in the queue.
     Queued,

@@ -2,11 +2,10 @@
 
 use crate::error::PbsError;
 use crate::job::{JobId, JobSpec, JobState};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// A job the scheduler just started (prologue hook payload).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StartedJob {
     /// The job's spec.
     pub spec: JobSpec,

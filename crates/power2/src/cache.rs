@@ -5,11 +5,9 @@
 //! so the SCU `dcache_store` counter can see them, and every miss is a
 //! `dcache_reload` / `icache_reload` transfer.
 
-use serde::{Deserialize, Serialize};
-
 /// Store handling policy (ablation: Table 1's `dcache_store` semantics —
 /// castouts — exist only under write-back).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WritePolicy {
     /// Stores dirty the line; memory sees data only on eviction (castout).
     WriteBack,
@@ -18,7 +16,7 @@ pub enum WritePolicy {
 }
 
 /// Cache geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub bytes: u64,
@@ -41,7 +39,7 @@ impl CacheConfig {
 }
 
 /// Outcome of a single cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Whether the line was already resident.
     pub hit: bool,
@@ -182,48 +180,6 @@ impl Cache {
     pub fn flush(&mut self) {
         self.valid.fill(false);
         self.dirty.fill(false);
-    }
-
-    /// Whether two caches will behave identically on every future access
-    /// sequence. Raw `stamp`/`tick` values grow monotonically and so never
-    /// repeat across loop iterations; what actually determines hits and
-    /// victim choice is the *recency order* of the valid lines within each
-    /// set. Two caches are equivalent when every set holds the same
-    /// `(tag, dirty)` lines in the same LRU order.
-    pub(crate) fn equivalent(&self, other: &Cache) -> bool {
-        if self.config != other.config || self.policy != other.policy {
-            return false;
-        }
-        let mut a: Vec<(u64, u64, bool)> = Vec::with_capacity(self.ways);
-        let mut b: Vec<(u64, u64, bool)> = Vec::with_capacity(self.ways);
-        for set in 0..=self.set_mask {
-            a.clear();
-            b.clear();
-            let base = set * self.ways;
-            for i in base..base + self.ways {
-                if self.valid[i] {
-                    a.push((self.stamp[i], self.tags[i], self.dirty[i]));
-                }
-                if other.valid[i] {
-                    b.push((other.stamp[i], other.tags[i], other.dirty[i]));
-                }
-            }
-            if a.len() != b.len() {
-                return false;
-            }
-            // Stamps are unique within a set (each access bumps `tick`),
-            // so sorting by stamp yields the LRU order.
-            a.sort_unstable();
-            b.sort_unstable();
-            if !a
-                .iter()
-                .zip(&b)
-                .all(|(&(_, ta, da), &(_, tb, db))| ta == tb && da == db)
-            {
-                return false;
-            }
-        }
-        true
     }
 
     /// Number of currently valid lines (diagnostics/tests).

@@ -1,11 +1,10 @@
 //! Machine parameters of the NAS SP2 node (paper §2).
 
 use crate::cache::{CacheConfig, WritePolicy};
-use serde::{Deserialize, Serialize};
 
 /// FPU dispatch policy (ablation: the paper attributes the 1.7 FPU0/FPU1
 /// ratio to the FPU0-first policy plus dependency-limited ILP).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FpuDispatch {
     /// The POWER2 policy: send to FPU0 until a dependency or multicycle
     /// op ties it up, then fall over to FPU1.
@@ -15,7 +14,7 @@ pub enum FpuDispatch {
 }
 
 /// Configuration of one RS6000/590 POWER2 node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     /// Clock rate in Hz (66.7 MHz on the NAS SP2).
     pub clock_hz: f64,

@@ -31,7 +31,12 @@
 
 #![cfg_attr(
     not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    warn(
+        unused_crate_dependencies,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
 )]
 pub mod batch;
 pub mod cache;
@@ -41,14 +46,43 @@ pub mod metrics;
 pub mod node;
 pub mod sigcache;
 pub mod signature;
-pub mod steady;
 pub mod tlb;
 
 pub use batch::{BatchDelta, CounterBatch};
 pub use cache::{AccessOutcome, Cache, CacheConfig, WritePolicy};
 pub use config::{FpuDispatch, MachineConfig};
-pub use node::{Detail, FastForward, KernelReport, KernelRun, Node, RunStats};
+pub use node::{KernelReport, KernelRun, Node, RunStats};
 pub use sigcache::{Fnv128, SignatureCache};
 pub use signature::{measure_on_fresh_node, KernelSignature};
-pub use steady::{fast_forward_enabled, set_fast_forward_enabled, FastForwardReport};
 pub use tlb::Tlb;
+
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// The argument `WorkloadLibrary::build_with` still takes. Every kernel
+/// run is cycle-exact; the type remains only because the end-to-end
+/// benchmark in `perfbench/` names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FastForward {
+    /// The only policy: simulate every iteration.
+    Auto,
+}
+
+/// Process-global switch for the batch campaign engine's
+/// cluster-interval sweep elision (the `--no-fast-forward` escape
+/// hatch). On by default; results are bit-identical either way, so the
+/// switch exists for A/B timing and for distrust.
+static FAST_FORWARD: AtomicBool = AtomicBool::new(true);
+
+/// Enables or disables sweep elision for subsequent campaigns
+/// process-wide.
+pub fn set_fast_forward_enabled(enabled: bool) {
+    FAST_FORWARD.store(enabled, Ordering::Relaxed);
+}
+
+/// Whether campaigns that leave `EngineConfig::fast_forward` unset
+/// elide steady sweeps. The switch lives here rather than in
+/// `sp2-cluster`, which reads it, because the end-to-end benchmark in
+/// `perfbench/` checks it through this crate.
+pub fn fast_forward_enabled() -> bool {
+    FAST_FORWARD.load(Ordering::Relaxed)
+}

@@ -8,37 +8,18 @@
 //! snapshot here.
 
 use crate::sigcache::SignatureCache;
-use crate::steady::FastForwardReport;
 use sp2_trace::{Counter, MaxGauge, MetricValue, MetricsSnapshot, Timer};
 
 /// Kernels cycle-simulated by [`crate::node::Node::run_kernel`].
 pub static KERNEL_RUNS: Counter = Counter::new("power2.kernel_runs");
 
-/// Kernel runs where the steady-state detector found a period and
-/// fast-forwarded ([`crate::steady`]).
-pub static FF_DETECTED: Counter = Counter::new("power2.fastforward.detected_runs");
-
-/// Kernel runs where the detector engaged but gave up (aperiodic state),
-/// falling back to full cycle-by-cycle simulation.
-pub static FF_FALLBACK: Counter = Counter::new("power2.fastforward.fallback_runs");
-
-/// Loop iterations actually stepped through the dispatch loop.
-pub static FF_ITERS_SIMULATED: Counter = Counter::new("power2.fastforward.iters_simulated");
-
-/// Loop iterations accounted for algebraically instead of stepped.
-pub static FF_ITERS_EXTRAPOLATED: Counter = Counter::new("power2.fastforward.iters_extrapolated");
-
-/// Total iterations the detector ran before confirming a period, summed
-/// over detected runs (divide by `detected_runs` for the mean latency).
-pub static FF_DETECT_LATENCY: Counter = Counter::new("power2.fastforward.detect_latency_iters");
-
 /// Simulated POWER2 cycles across all kernel runs (the numerator of
 /// simulated-cycle throughput; divide by [`MEASURE`] busy time).
 pub static SIMULATED_CYCLES: Counter = Counter::new("power2.simulated_cycles");
 
-/// Dynamic instructions across all kernel runs, extrapolated ones
-/// included (the numerator of simulated-instruction throughput, which,
-/// unlike the cycle rate, does not swing with each kernel's CPI).
+/// Dynamic instructions across all kernel runs (the numerator of
+/// simulated-instruction throughput, which, unlike the cycle rate, does
+/// not swing with each kernel's CPI).
 pub static SIMULATED_INSTRUCTIONS: Counter = Counter::new("power2.simulated_instructions");
 
 /// Busy time spent cycle-simulating kernels for signature measurements
@@ -54,22 +35,6 @@ pub static MEASURE_BATCH: Timer = Timer::new("power2.measure_batch");
 /// The most threads any [`SignatureCache::measure_all`] batch measured
 /// its misses on.
 pub static MEASURE_THREADS: MaxGauge = MaxGauge::new("power2.measure_threads");
-
-/// Folds one kernel run's fast-forward outcome into the counters.
-/// Called once per `run_kernel`, never inside the dispatch loop.
-pub(crate) fn record_fast_forward(r: &FastForwardReport) {
-    FF_ITERS_SIMULATED.add(r.simulated_iters);
-    if !r.engaged {
-        return;
-    }
-    if r.detected() {
-        FF_DETECTED.inc();
-        FF_ITERS_EXTRAPOLATED.add(r.extrapolated_iters);
-        FF_DETECT_LATENCY.add(r.detected_at_iter + 1);
-    } else {
-        FF_FALLBACK.inc();
-    }
-}
 
 /// Appends the node simulator's readings — including the process-wide
 /// signature cache's hit/miss/eviction tallies and the derived hit rate
@@ -105,20 +70,6 @@ pub fn collect(snap: &mut MetricsSnapshot) {
     MEASURE.observe(snap);
     MEASURE_BATCH.observe(snap);
     MEASURE_THREADS.observe(snap);
-    FF_DETECTED.observe(snap);
-    FF_FALLBACK.observe(snap);
-    FF_ITERS_SIMULATED.observe(snap);
-    FF_ITERS_EXTRAPOLATED.observe(snap);
-    FF_DETECT_LATENCY.observe(snap);
-    let total_iters = FF_ITERS_SIMULATED.get() + FF_ITERS_EXTRAPOLATED.get();
-    snap.append(
-        "power2.fastforward.extrapolated_fraction",
-        MetricValue::Value(if total_iters == 0 {
-            0.0
-        } else {
-            FF_ITERS_EXTRAPOLATED.get() as f64 / total_iters as f64
-        }),
-    );
     // Simulated cycles and instructions per busy second: single-thread
     // simulator rates, whatever the number of threads that measured in
     // parallel.
@@ -144,11 +95,6 @@ pub fn reset() {
     MEASURE.reset();
     MEASURE_BATCH.reset();
     MEASURE_THREADS.reset();
-    FF_DETECTED.reset();
-    FF_FALLBACK.reset();
-    FF_ITERS_SIMULATED.reset();
-    FF_ITERS_EXTRAPOLATED.reset();
-    FF_DETECT_LATENCY.reset();
 }
 
 #[cfg(test)]
@@ -173,12 +119,6 @@ mod tests {
             "power2.measure_threads",
             "power2.simulated_cycles_per_sec",
             "power2.simulated_instructions_per_sec",
-            "power2.fastforward.detected_runs",
-            "power2.fastforward.fallback_runs",
-            "power2.fastforward.iters_simulated",
-            "power2.fastforward.iters_extrapolated",
-            "power2.fastforward.detect_latency_iters",
-            "power2.fastforward.extrapolated_fraction",
         ] {
             assert!(snap.get(key).is_some(), "missing {key}");
         }

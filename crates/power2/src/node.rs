@@ -10,9 +10,7 @@
 
 use crate::cache::Cache;
 use crate::config::{FpuDispatch, MachineConfig};
-use crate::steady::{self, Detector, FastForwardReport, Verdict};
 use crate::tlb::{Tlb, TlbConfig};
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{EventSet, Signal};
 use sp2_isa::inst::MAX_SRCS;
 use sp2_isa::op::{BrKind, FpOp, FxOp, Op};
@@ -23,90 +21,19 @@ use sp2_isa::{AddrGen, Inst, Kernel};
 /// dispatch run ahead of issue (dispatch queue elasticity).
 const DISPATCH_LEAD: u64 = 4;
 
-/// Fast-forward policy for one kernel run (see [`KernelRun`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum FastForward {
-    /// Engage the steady-state detector when the process-wide switch
-    /// ([`crate::steady::fast_forward_enabled`]) is on and the kernel is
-    /// long enough ([`steady::MIN_ITERS`]) to pay for the bookkeeping.
-    #[default]
-    Auto,
-    /// Always engage the detector, regardless of the global switch —
-    /// for benchmarks and diagnostics.
-    On,
-    /// Strictly cycle-by-cycle: the reference path the equivalence
-    /// suite compares against.
-    Off,
-}
-
-/// How much of the run's machinery to report back (see [`KernelRun`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Detail {
-    /// Just the [`RunStats`] (the common case).
-    #[default]
-    Stats,
-    /// Additionally return the [`FastForwardReport`] describing what
-    /// the steady-state machinery did.
-    Full,
-}
-
-/// Options for one [`Node::run_kernel`] call.
-///
-/// `&Kernel` converts into the default request (automatic fast-forward,
-/// stats only), so the common call stays `node.run_kernel(&kernel)`;
-/// builder methods select the other policies:
-///
-/// ```
-/// use sp2_power2::{Detail, FastForward, KernelRun, MachineConfig, Node};
-/// use sp2_isa::KernelBuilder;
-///
-/// let mut b = KernelBuilder::new("doc");
-/// let acc = b.fresh_fpr();
-/// let x = b.fresh_fpr();
-/// b.fma_acc(acc, x, x);
-/// b.loop_back();
-/// let kernel = b.build(1_000);
-///
-/// let mut node = Node::new(MachineConfig::nas_sp2());
-/// let full = node.run_kernel(KernelRun::new(&kernel).fast_forward(FastForward::Off));
-/// let reported = node.run_kernel(
-///     KernelRun::new(&kernel)
-///         .fast_forward(FastForward::On)
-///         .detail(Detail::Full),
-/// );
-/// assert_eq!(full.stats.events, reported.stats.events);
-/// assert!(reported.fast_forward.is_some());
-/// ```
+/// The argument of [`Node::run_kernel`]; `&Kernel` converts into it, so
+/// calls read `node.run_kernel(&kernel)`. Kept because the end-to-end
+/// benchmark in `perfbench/` builds one with [`KernelRun::new`].
 #[derive(Debug, Clone, Copy)]
 pub struct KernelRun<'k> {
     /// The kernel to replay.
     pub kernel: &'k Kernel,
-    /// When to engage the steady-state detector.
-    pub fast_forward: FastForward,
-    /// What to report back.
-    pub detail: Detail,
 }
 
 impl<'k> KernelRun<'k> {
-    /// The default request: automatic fast-forward, stats only.
+    /// A run of `kernel`.
     pub fn new(kernel: &'k Kernel) -> Self {
-        KernelRun {
-            kernel,
-            fast_forward: FastForward::default(),
-            detail: Detail::default(),
-        }
-    }
-
-    /// Selects the fast-forward policy.
-    pub fn fast_forward(mut self, policy: FastForward) -> Self {
-        self.fast_forward = policy;
-        self
-    }
-
-    /// Selects the reporting detail.
-    pub fn detail(mut self, detail: Detail) -> Self {
-        self.detail = detail;
-        self
+        KernelRun { kernel }
     }
 }
 
@@ -116,18 +43,13 @@ impl<'k> From<&'k Kernel> for KernelRun<'k> {
     }
 }
 
-/// Outcome of a [`Node::run_kernel`] call: the run statistics plus, at
-/// [`Detail::Full`], the fast-forward report.
-///
-/// Derefs to [`RunStats`], so `report.events`, `report.cycles`, and
-/// `report.mflops(..)` read straight through.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Outcome of a [`Node::run_kernel`] call. Derefs to [`RunStats`], so
+/// `report.events` and `report.mflops(..)` read straight through; the
+/// end-to-end benchmark in `perfbench/` reads the `stats` field.
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelReport {
     /// Events and timing of the run.
     pub stats: RunStats,
-    /// What the steady-state machinery did; `None` unless the request
-    /// asked for [`Detail::Full`].
-    pub fast_forward: Option<FastForwardReport>,
 }
 
 impl std::ops::Deref for KernelReport {
@@ -138,7 +60,7 @@ impl std::ops::Deref for KernelReport {
 }
 
 /// Outcome of running one kernel on a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Raw monitor events produced by the run.
     pub events: EventSet,
@@ -323,35 +245,33 @@ fn scoreboard_slot(reg: RegId) -> u8 {
 
 /// Everything one loop iteration reads or writes besides the node's own
 /// caches/TLB/RNG: address generators, event accumulators, the register
-/// scoreboard, unit occupancy, and dispatch bookkeeping. Factored out of
-/// `run_kernel` so the steady-state detector can snapshot and
-/// shift-forward the whole machine state ([`crate::steady`]).
-#[derive(Debug, Clone)]
-pub(crate) struct LoopState {
-    pub(crate) gens: Vec<AddrGen>,
-    pub(crate) events: EventSet,
+/// scoreboard, unit occupancy, and dispatch bookkeeping.
+#[derive(Debug)]
+struct LoopState {
+    gens: Vec<AddrGen>,
+    events: EventSet,
     /// Per-register readiness (cycle at which the value is available):
     /// the architectural registers first, then [`ZERO_SLOT`] and
     /// [`DISCARD_SLOT`], which carry no machine state.
-    pub(crate) ready: [u64; READY_SLOTS],
+    ready: [u64; READY_SLOTS],
     // Unit availability (cycle at which the unit can accept work).
-    pub(crate) fxu0_free: u64,
-    pub(crate) fxu1_free: u64,
-    pub(crate) fpu0_free: u64,
-    pub(crate) fpu1_free: u64,
-    pub(crate) fpu_rr_toggle: bool,
+    fxu0_free: u64,
+    fxu1_free: u64,
+    fpu0_free: u64,
+    fpu1_free: u64,
+    fpu_rr_toggle: bool,
     // Dispatch bookkeeping.
     /// Current dispatch cycle.
-    pub(crate) cycle: u64,
-    pub(crate) disp_in_cycle: u64,
+    cycle: u64,
+    disp_in_cycle: u64,
     /// Global memory halt.
-    pub(crate) stall_until: u64,
+    stall_until: u64,
     /// In-order issue horizon.
-    pub(crate) last_issue: u64,
+    last_issue: u64,
     /// Completion horizon.
-    pub(crate) end_of_work: u64,
-    pub(crate) stall_cycles: u64,
-    pub(crate) instructions: u64,
+    end_of_work: u64,
+    stall_cycles: u64,
+    instructions: u64,
 }
 
 impl LoopState {
@@ -505,41 +425,13 @@ impl Node {
     /// let stats = node.run_kernel(&kernel);
     /// assert!(stats.mflops(&config) > 0.85 * config.peak_mflops());
     /// ```
-    /// When steady-state fast-forward is enabled (the default) and the
-    /// kernel is long enough, the run detects the loop's periodic steady
-    /// state and accounts for the remaining whole periods algebraically —
-    /// bit-identical to stepping them, but orders of magnitude faster on
-    /// periodic kernels ([`crate::steady`]).
-    ///
-    /// The request is a [`KernelRun`]: `&Kernel` converts into the
-    /// default (automatic fast-forward, stats only), and the builder
-    /// methods select the cycle-exact reference path
-    /// ([`FastForward::Off`]), forced detection ([`FastForward::On`]),
-    /// or a full [`FastForwardReport`] ([`Detail::Full`]).
-    pub fn run_kernel<'k>(&mut self, req: impl Into<KernelRun<'k>>) -> KernelReport {
-        let req = req.into();
-        let detect = match req.fast_forward {
-            FastForward::Auto => {
-                steady::fast_forward_enabled() && req.kernel.iters >= steady::MIN_ITERS
-            }
-            FastForward::On => true,
-            FastForward::Off => false,
-        };
-        let (stats, report) = self.run(req.kernel, detect);
-        KernelReport {
-            stats,
-            fast_forward: (req.detail == Detail::Full).then_some(report),
-        }
+    pub fn run_kernel<'k>(&mut self, run: impl Into<KernelRun<'k>>) -> KernelReport {
+        self.run(run.into().kernel)
     }
 
-    /// State the steady-state detector fingerprints beyond [`LoopState`]:
-    /// the D-cache, the TLB, and the TLB-penalty RNG. (The I-cache is
-    /// modeled purely through events and never mutates during a run.)
-    pub(crate) fn steady_view(&self) -> (&Cache, &Tlb, u64) {
-        (&self.dcache, &self.tlb, self.rng)
-    }
-
-    fn run(&mut self, kernel: &Kernel, detect: bool) -> (RunStats, FastForwardReport) {
+    /// [`Node::run_kernel`]'s body, not generic, so the dispatch loop is
+    /// compiled once, in this crate, whatever the caller passes.
+    fn run(&mut self, kernel: &Kernel) -> KernelReport {
         let ops: Vec<MicroOp> = kernel
             .body
             .iter()
@@ -548,20 +440,7 @@ impl Node {
         let mut st = LoopState::new(kernel);
         let fetch_groups_per_iter = (kernel.body.len() as u64).div_ceil(8);
         let icache_lines = (self.config.icache.bytes / self.config.icache.line_bytes) as u32;
-
-        let mut report = FastForwardReport {
-            engaged: detect,
-            ..FastForwardReport::default()
-        };
-        let mut detector = detect.then(|| Detector::new(self, &st, kernel, icache_lines));
-        // The detection window as a flight-recorder span: opens with the
-        // detector, closes when it resolves (detected, gave up, or ran
-        // out of iterations).
-        let mut detect_ev =
-            detect.then(|| sp2_trace::events::span("fastforward detect", "fastforward"));
-
-        let mut iter = 0u64;
-        while iter < kernel.iters {
+        for iter in 0..kernel.iters {
             self.step_iteration(
                 kernel,
                 &ops,
@@ -570,31 +449,7 @@ impl Node {
                 fetch_groups_per_iter,
                 icache_lines,
             );
-            if let Some(det) = detector.as_mut() {
-                match det.observe(self, &st, iter) {
-                    Verdict::Continue => {}
-                    Verdict::GiveUp => {
-                        detector = None;
-                        detect_ev = None;
-                    }
-                    Verdict::Periodic(period) => {
-                        let skipped = det.fast_forward(&mut st, iter, kernel.iters, period);
-                        report.period = period;
-                        report.detected_at_iter = iter;
-                        report.extrapolated_iters = skipped;
-                        iter += skipped;
-                        detector = None;
-                        detect_ev = None;
-                        if sp2_trace::recording() {
-                            sp2_trace::events::instant("fastforward extrapolate", "fastforward");
-                        }
-                    }
-                }
-            }
-            iter += 1;
         }
-        drop(detect_ev);
-        report.simulated_iters = kernel.iters - report.extrapolated_iters;
 
         let cycles = st.end_of_work.max(st.cycle) + 1;
         st.events.bump(Signal::Cycles, cycles);
@@ -602,16 +457,14 @@ impl Node {
         crate::metrics::KERNEL_RUNS.inc();
         crate::metrics::SIMULATED_CYCLES.add(cycles);
         crate::metrics::SIMULATED_INSTRUCTIONS.add(st.instructions);
-        crate::metrics::record_fast_forward(&report);
-        (
-            RunStats {
+        KernelReport {
+            stats: RunStats {
                 events: st.events,
                 cycles,
                 instructions: st.instructions,
                 stall_cycles: st.stall_cycles,
             },
-            report,
-        )
+        }
     }
 
     /// Steps one loop iteration through fetch, dispatch, and execute.

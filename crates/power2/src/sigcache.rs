@@ -29,15 +29,14 @@
 //! its jobs one after another returns, in input order.
 
 use crate::config::MachineConfig;
-use crate::node::{FastForward, Node};
+use crate::node::Node;
 use crate::signature::KernelSignature;
-use parking_lot::Mutex;
 use sp2_isa::Kernel;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 const SHARDS: usize = 16;
 
@@ -99,23 +98,28 @@ enum SlotState {
 
 #[derive(Debug)]
 struct Slot {
-    state: StdMutex<SlotState>,
+    state: Mutex<SlotState>,
     cond: Condvar,
 }
 
 impl Slot {
     fn new() -> Self {
         Slot {
-            state: StdMutex::new(SlotState::InFlight),
+            state: Mutex::new(SlotState::InFlight),
             cond: Condvar::new(),
         }
     }
 
-    /// Locks the state; a poisoned lock is fine to enter because every
-    /// state transition is a single assignment (no torn invariants).
     fn lock_state(&self) -> MutexGuard<'_, SlotState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.state)
     }
+}
+
+/// Locks `mutex`, entering it even if poisoned: a slot transition is a
+/// single assignment, and a holder that panics mid-update leaves a shard
+/// at worst with an empty bucket, so there is no torn invariant to fear.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One bucket entry: the full key (hash collisions coexist in the bucket
@@ -177,7 +181,7 @@ impl Drop for InFlightGuard<'_> {
         if self.published {
             return;
         }
-        let mut map = self.cache.shard(self.hash).lock();
+        let mut map = self.cache.lock_shard(self.hash);
         if let Some(bucket) = map.get_mut(&self.hash) {
             bucket.retain(|e| !Arc::ptr_eq(&e.slot, self.slot));
             if bucket.is_empty() {
@@ -211,28 +215,13 @@ impl SignatureCache {
     /// already run (in any thread). Concurrent requests for the same
     /// uncached key coalesce onto a single in-flight simulation.
     pub fn measure(&self, kernel: &Kernel, config: &MachineConfig, seed: u64) -> KernelSignature {
-        self.measure_with(kernel, config, seed, FastForward::Auto)
-    }
-
-    /// [`SignatureCache::measure`] with an explicit fast-forward policy
-    /// for the cache-miss simulation. The policy is deliberately *not*
-    /// part of the cache key: measured signatures are bit-identical
-    /// under every policy (the fast-forward equivalence suite proves
-    /// it), so keying on it would only duplicate residents.
-    pub fn measure_with(
-        &self,
-        kernel: &Kernel,
-        config: &MachineConfig,
-        seed: u64,
-        fast_forward: FastForward,
-    ) -> KernelSignature {
         let hash = Self::key_hash(kernel, config, seed);
-        self.measure_keyed(hash, kernel, config, seed, fast_forward)
+        self.measure_keyed(hash, kernel, config, seed)
     }
 
     /// Measures every `(kernel, seed)` job on `config`, returning the
     /// signatures in input order — exactly what calling
-    /// [`SignatureCache::measure_with`] on each job in turn returns, with
+    /// [`SignatureCache::measure`] on each job in turn returns, with
     /// the same hit/miss/coalesced tallies.
     ///
     /// Hits resolve on the calling thread. The first occurrence of each
@@ -245,10 +234,9 @@ impl SignatureCache {
         &self,
         jobs: &[(Kernel, u64)],
         config: &MachineConfig,
-        fast_forward: FastForward,
     ) -> Vec<KernelSignature> {
         let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        self.measure_all_on(jobs, config, fast_forward, workers)
+        self.measure_all_on(jobs, config, workers)
     }
 
     /// [`SignatureCache::measure_all`] on at most `workers` threads.
@@ -256,7 +244,6 @@ impl SignatureCache {
         &self,
         jobs: &[(Kernel, u64)],
         config: &MachineConfig,
-        fast_forward: FastForward,
         workers: usize,
     ) -> Vec<KernelSignature> {
         let _batch = crate::metrics::MEASURE_BATCH.span();
@@ -286,7 +273,7 @@ impl SignatureCache {
             let mut done = Vec::new();
             while let Some(&i) = firsts.get(next.fetch_add(1, Ordering::Relaxed)) {
                 let (kernel, seed) = &jobs[i];
-                let sig = self.measure_keyed(hashes[i], kernel, config, *seed, fast_forward);
+                let sig = self.measure_keyed(hashes[i], kernel, config, *seed);
                 done.push((i, sig));
             }
             done
@@ -318,7 +305,7 @@ impl SignatureCache {
         sigs.into_iter()
             .zip(jobs.iter().zip(&hashes))
             .map(|(sig, ((kernel, seed), &hash))| {
-                sig.unwrap_or_else(|| self.measure_keyed(hash, kernel, config, *seed, fast_forward))
+                sig.unwrap_or_else(|| self.measure_keyed(hash, kernel, config, *seed))
             })
             .collect()
     }
@@ -332,7 +319,7 @@ impl SignatureCache {
         config: &MachineConfig,
         seed: u64,
     ) -> Option<KernelSignature> {
-        let map = self.shard(hash).lock();
+        let map = self.lock_shard(hash);
         let entry = map
             .get(&hash)?
             .iter()
@@ -347,18 +334,17 @@ impl SignatureCache {
         }
     }
 
-    /// [`SignatureCache::measure_with`] for a key whose hash is known.
+    /// [`SignatureCache::measure`] for a key whose hash is known.
     fn measure_keyed(
         &self,
         hash: u128,
         kernel: &Kernel,
         config: &MachineConfig,
         seed: u64,
-        fast_forward: FastForward,
     ) -> KernelSignature {
         loop {
             let (slot, leader) = {
-                let mut map = self.shard(hash).lock();
+                let mut map = self.lock_shard(hash);
                 let bucket = map.entry(hash).or_default();
                 match bucket.iter().find(|e| e.matches(kernel, config, seed)) {
                     Some(e) => (Arc::clone(&e.slot), false),
@@ -387,7 +373,7 @@ impl SignatureCache {
                     let _span = crate::metrics::MEASURE.span();
                     let _ev = sp2_trace::events::span("sigcache miss", "sigcache");
                     let mut node = Node::with_seed(*config, seed);
-                    KernelSignature::measure_with(&mut node, kernel, fast_forward)
+                    KernelSignature::measure(&mut node, kernel)
                 };
                 *slot.lock_state() = SlotState::Done(Box::new(sig.clone()));
                 guard.published = true;
@@ -395,7 +381,7 @@ impl SignatureCache {
                 // hasn't already swept this slot out of the table; the
                 // shard lock serializes this against the sweep.
                 {
-                    let map = self.shard(hash).lock();
+                    let map = self.lock_shard(hash);
                     let resident = map
                         .get(&hash)
                         .is_some_and(|b| b.iter().any(|e| Arc::ptr_eq(&e.slot, &slot)));
@@ -434,8 +420,8 @@ impl SignatureCache {
         }
     }
 
-    fn shard(&self, hash: u128) -> &Shard {
-        &self.shards[(hash >> 124) as usize]
+    fn lock_shard(&self, hash: u128) -> MutexGuard<'_, HashMap<u128, Vec<Entry>>> {
+        lock(&self.shards[(hash >> 124) as usize])
     }
 
     fn key_hash(kernel: &Kernel, config: &MachineConfig, seed: u64) -> u128 {
@@ -511,7 +497,7 @@ impl SignatureCache {
     pub fn clear(&self) {
         let mut dropped = 0u64;
         for shard in &self.shards {
-            let mut map = shard.lock();
+            let mut map = lock(shard);
             dropped += map
                 .values()
                 .flatten()
@@ -675,11 +661,11 @@ mod tests {
         let serial_cache = SignatureCache::new();
         let serial: Vec<KernelSignature> = jobs
             .iter()
-            .map(|(k, seed)| serial_cache.measure_with(k, &cfg, *seed, FastForward::Auto))
+            .map(|(k, seed)| serial_cache.measure(k, &cfg, *seed))
             .collect();
         for workers in WORKERS {
             let cache = SignatureCache::new();
-            let batch = cache.measure_all_on(&jobs, &cfg, FastForward::Auto, workers);
+            let batch = cache.measure_all_on(&jobs, &cfg, workers);
             assert_eq!(batch, serial, "{workers} workers");
             assert_eq!(
                 (cache.misses(), cache.hits(), cache.coalesced()),
@@ -687,7 +673,7 @@ mod tests {
                 "{workers} workers"
             );
             // Measured again, the whole batch resolves from the table.
-            let warm = cache.measure_all_on(&jobs, &cfg, FastForward::Auto, workers);
+            let warm = cache.measure_all_on(&jobs, &cfg, workers);
             assert_eq!(warm, serial, "{workers} workers");
             assert_eq!(cache.hits(), jobs.len() as u64, "{workers} workers");
             assert_eq!(cache.misses(), jobs.len() as u64, "{workers} workers");
@@ -702,7 +688,7 @@ mod tests {
         let jobs = [(k.clone(), 3), (other, 3), (k.clone(), 3), (k, 3)];
         for workers in WORKERS {
             let cache = SignatureCache::new();
-            let sigs = cache.measure_all_on(&jobs, &cfg, FastForward::Auto, workers);
+            let sigs = cache.measure_all_on(&jobs, &cfg, workers);
             assert_eq!(cache.misses(), 2, "{workers} workers: one per distinct key");
             assert_eq!(
                 (cache.hits(), cache.coalesced()),

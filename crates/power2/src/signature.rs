@@ -8,13 +8,12 @@
 //! simulation, not to a hand-entered constant.
 
 use crate::config::MachineConfig;
-use crate::node::{FastForward, KernelRun, Node};
-use serde::{Deserialize, Serialize};
+use crate::node::Node;
 use sp2_hpm::{EventSet, Signal};
 use sp2_isa::Kernel;
 
 /// Measured behaviour of one kernel on one node configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelSignature {
     /// Kernel name.
     pub name: String,
@@ -33,14 +32,7 @@ impl KernelSignature {
     /// state; measuring long runs amortizes cold misses the same way a
     /// production code's startup vanishes in a multi-hour job).
     pub fn measure(node: &mut Node, kernel: &Kernel) -> Self {
-        Self::measure_with(node, kernel, FastForward::Auto)
-    }
-
-    /// [`KernelSignature::measure`] with an explicit fast-forward policy
-    /// (threaded down from an engine configuration instead of read from
-    /// the process-global switch). Results are bit-identical either way.
-    pub fn measure_with(node: &mut Node, kernel: &Kernel, fast_forward: FastForward) -> Self {
-        let report = node.run_kernel(KernelRun::new(kernel).fast_forward(fast_forward));
+        let report = node.run_kernel(kernel);
         KernelSignature {
             name: kernel.name.clone(),
             events: report.stats.events,

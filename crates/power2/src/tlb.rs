@@ -4,10 +4,8 @@
 //! costs 36–54 cycles (paper §2/§5). Modeled as a set-associative cache of
 //! page numbers with true LRU within a set.
 
-use serde::{Deserialize, Serialize};
-
 /// TLB geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Total entries (512 on the POWER2).
     pub entries: usize,
@@ -106,41 +104,6 @@ impl Tlb {
         self.valid[victim] = true;
         self.stamp[victim] = self.tick;
         false
-    }
-
-    /// Whether two TLBs will behave identically on every future access
-    /// sequence — same geometry and, per set, the same resident page tags
-    /// in the same LRU order (raw stamps are monotonic and never compare
-    /// equal across loop iterations; only the recency *order* matters).
-    pub(crate) fn equivalent(&self, other: &Tlb) -> bool {
-        if self.config != other.config {
-            return false;
-        }
-        let ways = self.config.ways;
-        let mut a: Vec<(u64, u64)> = Vec::with_capacity(ways);
-        let mut b: Vec<(u64, u64)> = Vec::with_capacity(ways);
-        for set in 0..=self.set_mask {
-            a.clear();
-            b.clear();
-            let base = set * ways;
-            for i in base..base + ways {
-                if self.valid[i] {
-                    a.push((self.stamp[i], self.tags[i]));
-                }
-                if other.valid[i] {
-                    b.push((other.stamp[i], other.tags[i]));
-                }
-            }
-            if a.len() != b.len() {
-                return false;
-            }
-            a.sort_unstable();
-            b.sort_unstable();
-            if !a.iter().zip(&b).all(|(&(_, ta), &(_, tb))| ta == tb) {
-                return false;
-            }
-        }
-        true
     }
 
     /// Drops every translation (job start / address-space switch).

@@ -9,7 +9,6 @@
 //! its per-sample maximum.
 
 use crate::rates::RateReport;
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{CounterDelta, CounterSelection, CounterSnapshot};
 
 /// The cron cadence: 15 minutes.
@@ -56,7 +55,7 @@ pub trait CounterSource {
 }
 
 /// One 15-minute, machine-wide sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemSample {
     /// Sample time, seconds since campaign start.
     pub t: f64,

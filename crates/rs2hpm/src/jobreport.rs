@@ -7,11 +7,10 @@
 //! those scripts wrote, post-processed: per-job rates for Figures 3–5.
 
 use crate::rates::RateReport;
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{CounterDelta, CounterSelection, CounterSnapshot};
 
 /// The epilogue-time report for one batch job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobCounterReport {
     /// Batch job id.
     pub job_id: u64,

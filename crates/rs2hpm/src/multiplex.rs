@@ -31,12 +31,11 @@
 //! included.
 
 use crate::daemon::SystemSample;
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{SchedulePlan, Signal};
 use std::fmt;
 
 /// Why a reconstruction could not run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReconstructError {
     /// The plan has no passes (empty request).
     EmptyPlan,
@@ -91,7 +90,7 @@ impl fmt::Display for ReconstructError {
 impl std::error::Error for ReconstructError {}
 
 /// One signal's reconstructed full-campaign total with its error bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SignalEstimate {
     /// The signal.
     pub signal: Signal,
@@ -119,7 +118,7 @@ pub struct SignalEstimate {
 }
 
 /// A reconstructed campaign: every requested signal's estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reconstruction {
     /// Campaign span covered by the samples, seconds.
     pub total_seconds: f64,

@@ -1,6 +1,5 @@
 //! Rate rules: counter deltas → the paper's reported numbers.
 
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{CounterDelta, CounterSelection, Signal};
 
 /// All per-node rates the paper's Tables 2–3 report, in millions per
@@ -21,7 +20,7 @@ use sp2_hpm::{CounterDelta, CounterSelection, Signal};
 /// assert!((report.mflops - 17.4).abs() < 0.01);
 /// assert!((report.fma_flop_fraction() - 0.54).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RateReport {
     /// Elapsed seconds of the measurement window.
     pub seconds: f64,
@@ -281,7 +280,7 @@ pub const ICACHE_RELOAD_PENALTY_CYCLES: f64 = 8.0;
 /// dispatch machinery spent issuing, stalling, or idling. Each category
 /// is clamped so the split never exceeds the measured cycles; fractions
 /// are of total cycles. Totals combine user and system mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BottleneckSplit {
     /// Total cycles in the window.
     pub cycles: f64,

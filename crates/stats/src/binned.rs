@@ -7,10 +7,9 @@
 //! series the figures show.
 
 use crate::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Accumulates `(x, y)` points into uniform bins over `[x_min, x_max)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinnedScatter {
     x_min: f64,
     x_max: f64,

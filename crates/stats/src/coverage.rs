@@ -6,14 +6,12 @@
 //! layer an explicit coverage ledger so those holes are *measured*
 //! (and reported) instead of silently averaged over.
 
-use serde::{Deserialize, Serialize};
-
 /// A tally of how much of a population was actually observed.
 ///
 /// Units are caller-defined (node-samples, node-seconds, …); only the
 /// ratio matters. `fraction()` is exactly `1.0` when nothing was missed,
 /// so scaling by it is bit-neutral for complete data.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Coverage {
     /// Observed quantity.
     pub covered: f64,

@@ -4,17 +4,14 @@
 //! weight) against *nodes requested* (the category). [`Histogram`] supports
 //! exactly that: integer categories, `f64` accumulated weight.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over integer categories `0 ..= max_category` accumulating
 /// `f64` weights.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bins: Vec<f64>,
     /// Weight from categories beyond `max_category`. Kept out of the bins
     /// so the last in-range category is never inflated, but still part of
     /// [`Histogram::total`] — nothing is silently dropped.
-    #[serde(default)]
     overflow: f64,
 }
 

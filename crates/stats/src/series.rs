@@ -5,8 +5,6 @@
 //! `(t_seconds, value)` pairs and supports the daily binning and peak
 //! queries (max day, max 15-minute interval) that the paper quotes.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds per simulated day.
 pub const SECONDS_PER_DAY: f64 = 86_400.0;
 
@@ -14,7 +12,7 @@ pub const SECONDS_PER_DAY: f64 = 86_400.0;
 ///
 /// Samples must be appended in nondecreasing time order; `push` enforces
 /// this so downstream binning can be a single pass.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     times: Vec<f64>,
     values: Vec<f64>,

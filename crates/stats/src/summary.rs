@@ -3,8 +3,6 @@
 //! Tables 2 and 3 of the paper report "Avg" and "Std" columns over the 30
 //! high-activity days; [`Summary`] is the carrier for those columns.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming summary of a sequence of `f64` observations.
 ///
 /// Uses Welford's online algorithm so that a nine-month campaign can be
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 17.1).abs() < 0.01);
 /// assert!(s.std() > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     n: u64,
     mean: f64,

@@ -7,11 +7,10 @@
 //! either 4 or 8 words" (§5) — with 4-byte words, 16 or 32 bytes per
 //! transfer event.
 
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{EventSet, Signal};
 
 /// Which direction memory is on for a DMA operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DmaSide {
     /// Memory → I/O device (message send, disk write): `dma_read` events.
     FromMemory,
@@ -20,7 +19,7 @@ pub enum DmaSide {
 }
 
 /// DMA engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaConfig {
     /// Words per transfer event (4 or 8).
     pub words_per_transfer: u32,

@@ -1,9 +1,7 @@
 //! The High Performance Switch: latency/bandwidth timing model.
 
-use serde::{Deserialize, Serialize};
-
 /// Switch parameters (paper §2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchConfig {
     /// One-way message latency in seconds (~45 µs).
     pub latency_s: f64,

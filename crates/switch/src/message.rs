@@ -5,10 +5,8 @@
 //! compute halo-exchange message sizes for block-decomposed 3-D grids so
 //! the workload generator can charge realistic per-step traffic.
 
-use serde::{Deserialize, Serialize};
-
 /// One point-to-point message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     /// Sending node (cluster-local index).
     pub src: usize,

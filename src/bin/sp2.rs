@@ -106,11 +106,10 @@ OPTIONS:
                     batch engine is proven against). Results are
                     bit-identical either way
     --no-fast-forward
-                    disable the steady-state fast-forward in the node
-                    simulator (kernel measurement and cluster-interval
-                    sweep elision) and step everything
-                    (A/B escape hatch; results are bit-identical either
-                    way, this only trades speed for paranoia)
+                    disable the batch engine's cluster-interval
+                    fast-forward (sweep elision) and step every sampling
+                    sweep (A/B escape hatch; results are bit-identical
+                    either way, this only trades speed for paranoia)
     --json          print the dataset (or profile metrics) as JSON
     --metrics [PATH] enable the trace layer for any command; after it
                     finishes, write the metrics JSON to PATH, or print the
@@ -587,7 +586,7 @@ fn run() -> Result<ExitCode, CliError> {
     let args = parse_args().map_err(CliError::Usage)?;
     let engine = engine_config(&args);
     // Applied up front so commands that never build an Sp2System (probe,
-    // list) still honor --metrics / --trace-out / --no-fast-forward.
+    // list) still honor --metrics / --trace-out.
     timeline::apply_engine_config(&engine);
     let code = dispatch(&args, engine)?;
     if let Some(dest) = &args.metrics {

@@ -4,6 +4,8 @@
 //! examples (`examples/`) and the cross-crate integration tests (`tests/`)
 //! can reach the whole system through a single dependency.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub use sp2_cluster as cluster;
 pub use sp2_core as core;
 pub use sp2_hpm as hpm;

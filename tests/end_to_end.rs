@@ -47,6 +47,30 @@ fn row_field(doc: &Json, arr: &str, name: &str, field: &str) -> f64 {
         .unwrap_or_else(|| panic!("{arr}[name={name}].{field} missing"))
 }
 
+/// FNV-1a-128 over every signature of the shared system's seed-1998
+/// workload library (name, cycles, iters, clock bits, all 28 signals):
+/// the library the benchmark's golden digests also pin. It moves only
+/// with a deliberate change to the simulator or the kernel palette.
+#[test]
+fn seed_1998_library_digest_is_pinned() {
+    use std::hash::Hasher;
+    let sys = system().lock().unwrap();
+    let mut h = sp2_repro::power2::Fnv128::new();
+    for s in sys.library().signatures() {
+        h.write(s.name.as_bytes());
+        h.write_u64(s.cycles);
+        h.write_u64(s.iters);
+        h.write_u64(s.clock_hz.to_bits());
+        for signal in sp2_repro::hpm::Signal::ALL {
+            h.write_u64(s.events.get(signal));
+        }
+    }
+    assert_eq!(
+        format!("{:032x}", h.finish128()),
+        "b5aa1a1a0edb0725686a3c9925ed977f"
+    );
+}
+
 #[test]
 fn campaign_has_complete_datasets() {
     let mut sys = system().lock().unwrap();

@@ -3,8 +3,8 @@
 //! Every counter the reproduction reports comes from `Node::run_kernel`,
 //! so a change to the simulator's hot loop must leave its output
 //! untouched down to the last event. These tests run every kernel
-//! constructor strictly cycle by cycle (`FastForward::Off`) on the NAS
-//! machine and on the three microarchitectural ablations of
+//! constructor through `Node::run_kernel` on the NAS machine and on the
+//! three microarchitectural ablations of
 //! `crates/bench/benches/ablations.rs`, fold each run's full `RunStats`
 //! (cycles, instructions, stall cycles and all 28 signals) into one
 //! FNV-1a-128 digest per machine, and compare it with the digest the
@@ -16,9 +16,7 @@
 use sp2_repro::hpm::Signal;
 use sp2_repro::isa::Kernel;
 use sp2_repro::power2::handler::{daemon_sample_kernel, page_fault_handler_kernel};
-use sp2_repro::power2::{
-    FastForward, Fnv128, FpuDispatch, KernelRun, MachineConfig, Node, WritePolicy,
-};
+use sp2_repro::power2::{Fnv128, FpuDispatch, MachineConfig, Node, WritePolicy};
 use sp2_repro::workload::kernels::{
     blas3_kernel, blocked_matmul_kernel, cfd_kernel, naive_matmul_kernel, seqaccess_kernel,
     spectral_kernel, CfdKernelParams,
@@ -48,9 +46,7 @@ fn corpus() -> Vec<Kernel> {
 fn digest(machine: MachineConfig) -> u128 {
     let mut h = Fnv128::new();
     for kernel in corpus() {
-        let stats = Node::with_seed(machine, 1998)
-            .run_kernel(KernelRun::new(&kernel).fast_forward(FastForward::Off))
-            .stats;
+        let stats = Node::with_seed(machine, 1998).run_kernel(&kernel);
         h.write(kernel.name.as_bytes());
         h.write_u64(stats.cycles);
         h.write_u64(stats.instructions);
