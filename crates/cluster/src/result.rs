@@ -1,13 +1,39 @@
 //! Campaign results and the aggregations the paper's figures use.
 
-use sp2_hpm::CounterSelection;
-use sp2_pbs::{utilization, JobRecord};
+use sp2_hpm::{CounterDelta, CounterSelection};
+use sp2_pbs::JobRecord;
 use sp2_power2::MachineConfig;
 use sp2_rs2hpm::{JobCounterReport, RateReport, SystemSample};
 use sp2_stats::{Coverage, TimeSeries};
+use std::ops::Range;
 
 /// Seconds per day.
 const DAY_S: f64 = 86_400.0;
+
+/// The day `d < days` whose window `(d·86400, (d+1)·86400]` holds sample
+/// time `t`, or `None` for the `t = 0` baseline and any time outside the
+/// horizon (negative, NaN and infinite times included).
+fn sample_day(t: f64, days: usize) -> Option<usize> {
+    // The rounded quotient's floor is the day or the one after it; the
+    // window test settles which. Clamping to the horizon keeps `q + 1`
+    // from overflowing on huge or infinite times; NaN casts to 0.
+    let q = (t / DAY_S).clamp(0.0, days as f64) as usize;
+    (q.saturating_sub(1)..days.min(q + 1)).find(|&d| {
+        let lo = d as f64 * DAY_S;
+        t > lo && t <= lo + DAY_S
+    })
+}
+
+/// The days a PBS record can overlap, as a range that may also hold a
+/// day it misses (its overlap term there is exactly zero). The start's
+/// day is widened by one for the quotient's rounding. A NaN endpoint
+/// leaves that side open, as `JobRecord::overlap_node_seconds` ignores
+/// it.
+fn record_days(r: &JobRecord, days: usize) -> Range<usize> {
+    let first = (r.start / DAY_S).max(0.0).min(days as f64) as usize;
+    let last = (r.end / DAY_S).min(days as f64).max(0.0) as usize;
+    first.saturating_sub(1)..days.min(last + 1)
+}
 
 /// What the fault layer actually did to a campaign. All zeros (and
 /// `enabled == false`) for a fault-free run.
@@ -84,17 +110,17 @@ impl CampaignResult {
         c
     }
 
-    /// Sample-coverage ledger for day `d` (samples in `(d, d+1]` days).
-    pub fn day_coverage(&self, d: usize) -> Coverage {
-        let lo = d as f64 * DAY_S;
-        let hi = lo + DAY_S;
-        let mut c = Coverage::new();
+    /// Sample-coverage ledger per day (day `d` holds the samples in
+    /// `(d, d+1]` days, pushed in sample order).
+    pub fn daily_coverage(&self) -> Vec<Coverage> {
+        let days = self.days as usize;
+        let mut out = vec![Coverage::new(); days];
         for s in &self.samples {
-            if s.t > lo && s.t <= hi {
-                c.push(s.nodes_sampled as f64, s.nodes_total as f64);
+            if let Some(d) = sample_day(s.t, days) {
+                out[d].push(s.nodes_sampled as f64, s.nodes_total as f64);
             }
         }
-        c
+        out
     }
 
     /// Samples the daemon should have collected over the horizon (one
@@ -111,8 +137,11 @@ impl CampaignResult {
     /// Days whose sample coverage is incomplete (gaps from outages,
     /// restarts, or anomalies).
     pub fn partial_days(&self) -> Vec<usize> {
-        (0..self.days as usize)
-            .filter(|&d| !self.day_coverage(d).is_complete())
+        self.daily_coverage()
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.is_complete())
+            .map(|(d, _)| d)
             .collect()
     }
 
@@ -126,20 +155,43 @@ impl CampaignResult {
     }
 
     /// Daily mean machine Gflops (Figure 1's daily-rate dots).
+    ///
+    /// Known inconsistency: this bins through `TimeSeries::daily_means`,
+    /// whose day `d` is `[d, d+1)` days, so the `t = 0` baseline lands in
+    /// day 0 and each midnight sample in the day after it. Coverage, node
+    /// rates and utilization use `(d, d+1]`, so Tables 2–3 pick good days
+    /// on a window one sample off from the one they average. Aligning the
+    /// two changes every dataset digest.
     pub fn daily_gflops(&self) -> Vec<f64> {
         self.gflops_series().daily_means(self.days as usize)
     }
 
-    /// Daily machine utilization (Figure 1's utilization trace).
+    /// Daily machine utilization (Figure 1's utilization trace): day `d`
+    /// is `sp2_pbs::utilization` over `[d, d+1]` days, bit for bit, with
+    /// each record visited only on the days it can overlap.
     pub fn daily_utilization(&self) -> Vec<f64> {
-        (0..self.days)
-            .map(|d| {
-                utilization(
-                    &self.pbs_records,
-                    self.node_count as u32,
-                    d as f64 * DAY_S,
-                    (d + 1) as f64 * DAY_S,
-                )
+        let days = self.days as usize;
+        let window = |d: usize| (d as f64 * DAY_S, (d + 1) as f64 * DAY_S);
+        // `utilization` sums from -0.0 and every record adds +0.0 on the
+        // days it misses, so an idle day is -0.0 only without records.
+        let zero = if self.pbs_records.is_empty() {
+            -0.0
+        } else {
+            0.0
+        };
+        let mut busy = vec![zero; days];
+        for r in &self.pbs_records {
+            for d in record_days(r, days) {
+                let (t0, t1) = window(d);
+                busy[d] += r.overlap_node_seconds(t0, t1);
+            }
+        }
+        let nodes = self.node_count as u32 as f64;
+        busy.iter()
+            .enumerate()
+            .map(|(d, b)| {
+                let (t0, t1) = window(d);
+                b / (nodes * (t1 - t0))
             })
             .collect()
     }
@@ -189,33 +241,30 @@ impl CampaignResult {
     /// is bit-identical to the unweighted computation; a fully dark day
     /// reports zero rates over the nominal window.
     pub fn daily_node_rates(&self) -> Vec<RateReport> {
-        let selection = &self.selection;
-        let n_slots = selection.len();
-        let mut out = Vec::with_capacity(self.days as usize);
-        for d in 0..self.days as usize {
-            let lo = d as f64 * DAY_S;
-            let hi = lo + DAY_S;
-            let mut total = sp2_hpm::CounterDelta::zero(n_slots);
-            let mut cov = Coverage::new();
-            for s in &self.samples {
-                // A sample at time t covers (t - interval, t]; attribute
-                // it to the day containing t.
-                if s.t > lo && s.t <= hi {
-                    total.accumulate(&s.total);
-                    cov.push(s.nodes_sampled as f64, s.nodes_total as f64);
-                }
+        let days = self.days as usize;
+        let mut totals = vec![CounterDelta::zero(self.selection.len()); days];
+        for s in &self.samples {
+            // A sample at time t covers (t - interval, t]; attribute it to
+            // the day containing t.
+            if let Some(d) = sample_day(s.t, days) {
+                totals[d].accumulate(&s.total);
             }
-            let frac = cov.fraction();
-            let node_seconds = if frac > 0.0 {
-                DAY_S * self.node_count as f64 * frac
-            } else {
-                // A fully dark day: the delta is zero too, so dividing by
-                // the nominal window just yields all-zero rates.
-                DAY_S * self.node_count.max(1) as f64
-            };
-            out.push(RateReport::from_delta(selection, &total, node_seconds));
         }
-        out
+        totals
+            .iter()
+            .zip(self.daily_coverage())
+            .map(|(total, cov)| {
+                let frac = cov.fraction();
+                let node_seconds = if frac > 0.0 {
+                    DAY_S * self.node_count as f64 * frac
+                } else {
+                    // A fully dark day: the delta is zero too, so dividing
+                    // by the nominal window just yields all-zero rates.
+                    DAY_S * self.node_count.max(1) as f64
+                };
+                RateReport::from_delta(&self.selection, total, node_seconds)
+            })
+            .collect()
     }
 
     /// Indices of days whose machine rate exceeds `gflops` (the paper's
@@ -252,7 +301,7 @@ impl CampaignResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2_hpm::{nas_selection, CounterDelta};
+    use sp2_hpm::nas_selection;
 
     /// Builds a synthetic result without running a simulation.
     fn synthetic() -> CampaignResult {
@@ -352,8 +401,9 @@ mod tests {
         let c = r.coverage();
         assert!(c.fraction() < 1.0);
         assert_eq!(r.partial_days(), vec![0]);
-        assert!((r.day_coverage(0).fraction() - 100.0 / 144.0).abs() < 1e-12);
-        assert_eq!(r.day_coverage(1).fraction().to_bits(), 1.0f64.to_bits());
+        let days = r.daily_coverage();
+        assert!((days[0].fraction() - 100.0 / 144.0).abs() < 1e-12);
+        assert_eq!(days[1].fraction().to_bits(), 1.0f64.to_bits());
     }
 
     #[test]

@@ -645,6 +645,22 @@ pub fn read_archive<R: Read>(inp: R) -> Result<Archive, Sp2Error> {
             )));
         }
     }
+    // The experiments chart samples as a time-ordered series; a CRC-valid
+    // archive whose times are not finite or go backwards is refused here
+    // rather than panicking there.
+    let mut last = f64::NEG_INFINITY;
+    for (i, s) in samples.iter().enumerate() {
+        if !s.t.is_finite() {
+            return Err(malformed(format!("sample {i} has non-finite time {}", s.t)));
+        }
+        if s.t < last {
+            return Err(malformed(format!(
+                "sample {i} time {} precedes the previous sample's time {last}",
+                s.t
+            )));
+        }
+        last = s.t;
+    }
     let campaign = meta.map(|m| CampaignResult {
         days: m.days,
         node_count: m.node_count,

@@ -49,6 +49,20 @@ impl JobRecord {
     pub fn node_seconds(&self) -> f64 {
         self.walltime() * self.nodes as f64
     }
+
+    /// Node-seconds this record spent inside `[t0, t1]`: its overlap
+    /// with the window times its node count, `0.0` when they are
+    /// disjoint. A NaN endpoint is ignored (`f64::max`/`min` drop NaN),
+    /// so such a record is clipped only at its other end.
+    pub fn overlap_node_seconds(&self, t0: f64, t1: f64) -> f64 {
+        let lo = self.start.max(t0);
+        let hi = self.end.min(t1);
+        if hi > lo {
+            (hi - lo) * self.nodes as f64
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Machine utilization over `[t0, t1]`: the fraction of node-time the
@@ -58,18 +72,7 @@ impl JobRecord {
 pub fn utilization(records: &[JobRecord], total_nodes: u32, t0: f64, t1: f64) -> f64 {
     assert!(t1 > t0, "window must be nonempty");
     let denom = total_nodes as f64 * (t1 - t0);
-    let busy: f64 = records
-        .iter()
-        .map(|r| {
-            let lo = r.start.max(t0);
-            let hi = r.end.min(t1);
-            if hi > lo {
-                (hi - lo) * r.nodes as f64
-            } else {
-                0.0
-            }
-        })
-        .sum();
+    let busy: f64 = records.iter().map(|r| r.overlap_node_seconds(t0, t1)).sum();
     busy / denom
 }
 

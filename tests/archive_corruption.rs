@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use sp2_repro::cluster::{CampaignResult, FaultSummary};
 use sp2_repro::core::archive::{self, read_archive};
+use sp2_repro::core::Sp2Error;
 use sp2_repro::hpm::{nas_selection, CounterDelta};
 use sp2_repro::power2::MachineConfig;
 use sp2_repro::rs2hpm::{RateReport, SystemSample};
@@ -147,4 +148,35 @@ fn impossible_machine_geometry_errors_cleanly() {
             Ok(_) => panic!("{label}: archive with an impossible machine was accepted"),
         }
     }
+}
+
+/// A named edit to a campaign's sample times.
+type BadTimes = (&'static str, fn(&mut [SystemSample]));
+
+/// A CRC-valid archive whose sample times go backwards or are not finite
+/// must be refused with a typed error when it is read: Figure 1, Table 2
+/// and the summary chart the samples as a time-ordered series, so
+/// replaying such a campaign would otherwise panic.
+#[test]
+fn unordered_or_non_finite_sample_times_error_cleanly() {
+    let bad: [BadTimes; 4] = [
+        ("times go backwards", |s| s.swap(1, 2)),
+        ("NaN time", |s| s[2].t = f64::NAN),
+        ("infinite last time", |s| s[4].t = f64::INFINITY),
+        ("-inf first time", |s| s[0].t = f64::NEG_INFINITY),
+    ];
+    for (label, edit) in bad {
+        let mut campaign = tiny_campaign();
+        edit(&mut campaign.samples);
+        let bytes = archive_bytes(&campaign);
+        match read_archive(&bytes[..]) {
+            Err(Sp2Error::Protocol(m)) => assert!(m.contains("time"), "{label}: {m}"),
+            Err(e) => panic!("{label}: not a protocol error: {e}"),
+            Ok(_) => panic!("{label}: archive with bad sample times was accepted"),
+        }
+    }
+    // Repeated times are nondecreasing, so they still read.
+    let mut campaign = tiny_campaign();
+    campaign.samples[2].t = campaign.samples[1].t;
+    assert!(read_archive(&archive_bytes(&campaign)[..]).is_ok());
 }

@@ -47,6 +47,18 @@ fn row_field(doc: &Json, arr: &str, name: &str, field: &str) -> f64 {
         .unwrap_or_else(|| panic!("{arr}[name={name}].{field} missing"))
 }
 
+/// The benchmark's golden FNV-1a-128 digest of `op` in `workload`, as
+/// hex: every pinned digest lives in that one file.
+fn golden(workload: &str, op: &str) -> &'static str {
+    include_str!("../perfbench/golden.txt")
+        .lines()
+        .find_map(|l| match l.split_whitespace().collect::<Vec<_>>()[..] {
+            [w, o, digest] if w == workload && o == op => Some(digest),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no golden digest for {workload} {op}"))
+}
+
 /// FNV-1a-128 over every signature of the shared system's seed-1998
 /// workload library (name, cycles, iters, clock bits, all 28 signals):
 /// the library the benchmark's golden digests also pin. It moves only
@@ -67,8 +79,30 @@ fn seed_1998_library_digest_is_pinned() {
     }
     assert_eq!(
         format!("{:032x}", h.finish128()),
-        "b5aa1a1a0edb0725686a3c9925ed977f"
+        golden("repro_270d", "library")
     );
+}
+
+/// The paper's 270-day reproduction as `sp2 campaign --days 270` runs
+/// it (the seed-1998 library, trace seed 1996, every registered
+/// experiment through `Sp2System::dataset`): each dataset's compact
+/// JSON must hash to the benchmark's golden digest.
+#[test]
+fn reproduction_at_270_days_matches_the_golden_digests() {
+    use std::hash::Hasher;
+    let library = system().lock().unwrap().library().clone();
+    let mut sys = Sp2System::builder().days(270).library(library).build();
+    for e in all_experiments() {
+        let ds = sys.dataset(*e).expect("experiment runs");
+        let mut h = sp2_repro::power2::Fnv128::new();
+        h.write(ds.json.to_string_compact().as_bytes());
+        assert_eq!(
+            format!("{:032x}", h.finish128()),
+            golden("repro_270d", e.id()),
+            "{} dataset changed",
+            e.id()
+        );
+    }
 }
 
 #[test]

@@ -1,14 +1,19 @@
 //! Property-based tests on the core data structures and invariants.
 
 use proptest::prelude::*;
-use sp2_repro::cluster::{run_campaign, ClusterConfig, FaultPlan};
+use sp2_repro::cluster::{run_campaign, CampaignResult, ClusterConfig, FaultPlan, FaultSummary};
+use sp2_repro::core::archive::columnar::rate_report_fields;
 use sp2_repro::hpm::{
     nas_selection, CounterDelta, CounterSelection, EventSet, Hpm, Mode, SchedulePlan, Signal,
     SignalGroup,
 };
 use sp2_repro::isa::{AddrGen, AddrPattern};
-use sp2_repro::power2::{Cache, CacheConfig};
-use sp2_repro::stats::{centered_moving_average, trailing_moving_average, Histogram, Summary};
+use sp2_repro::pbs::{utilization, JobOutcome, JobRecord};
+use sp2_repro::power2::{Cache, CacheConfig, MachineConfig};
+use sp2_repro::rs2hpm::{RateReport, SystemSample};
+use sp2_repro::stats::{
+    centered_moving_average, trailing_moving_average, Coverage, Histogram, Summary,
+};
 use sp2_repro::workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 
 fn arb_signal() -> impl Strategy<Value = Signal> {
@@ -323,4 +328,276 @@ proptest! {
             prop_assert_eq!(cov.fraction(), 0.0, "nothing was sampled");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Per-day analysis: the single-pass helpers against per-day scans
+// ---------------------------------------------------------------------
+
+const DAY_S: f64 = 86_400.0;
+
+/// Reference for `daily_coverage`: the per-day scan `CampaignResult`
+/// used before its helpers became single passes.
+fn scan_day_coverage(r: &CampaignResult, d: usize) -> Coverage {
+    let lo = d as f64 * DAY_S;
+    let hi = lo + DAY_S;
+    let mut c = Coverage::new();
+    for s in &r.samples {
+        if s.t > lo && s.t <= hi {
+            c.push(s.nodes_sampled as f64, s.nodes_total as f64);
+        }
+    }
+    c
+}
+
+/// Reference for `partial_days`.
+fn scan_partial_days(r: &CampaignResult) -> Vec<usize> {
+    (0..r.days as usize)
+        .filter(|&d| !scan_day_coverage(r, d).is_complete())
+        .collect()
+}
+
+/// Reference for `daily_node_rates`: every sample rescanned per day.
+fn scan_daily_node_rates(r: &CampaignResult) -> Vec<RateReport> {
+    let selection = &r.selection;
+    let n_slots = selection.len();
+    let mut out = Vec::with_capacity(r.days as usize);
+    for d in 0..r.days as usize {
+        let lo = d as f64 * DAY_S;
+        let hi = lo + DAY_S;
+        let mut total = CounterDelta::zero(n_slots);
+        let mut cov = Coverage::new();
+        for s in &r.samples {
+            if s.t > lo && s.t <= hi {
+                total.accumulate(&s.total);
+                cov.push(s.nodes_sampled as f64, s.nodes_total as f64);
+            }
+        }
+        let frac = cov.fraction();
+        let node_seconds = if frac > 0.0 {
+            DAY_S * r.node_count as f64 * frac
+        } else {
+            DAY_S * r.node_count.max(1) as f64
+        };
+        out.push(RateReport::from_delta(selection, &total, node_seconds));
+    }
+    out
+}
+
+/// Reference for `daily_utilization`: `sp2_pbs::utilization` day by day.
+fn scan_daily_utilization(r: &CampaignResult) -> Vec<f64> {
+    (0..r.days)
+        .map(|d| {
+            utilization(
+                &r.pbs_records,
+                r.node_count as u32,
+                d as f64 * DAY_S,
+                (d + 1) as f64 * DAY_S,
+            )
+        })
+        .collect()
+}
+
+/// A sample or record time of kind `kind`, placed by `x` in `[0, 1)`:
+/// the daemon's 15-minute grid (the `t = 0` baseline and every midnight
+/// included), exact midnights, anywhere inside the horizon, past it,
+/// before 0, signed zeros, NaN, ±inf and ±1e300.
+fn edge_time(kind: u8, x: f64, days: u32) -> f64 {
+    let horizon = days as f64 * DAY_S;
+    match kind {
+        0..=3 => (x * (days as f64 + 1.0) * 96.0).floor() * 900.0,
+        4 | 5 => (x * (days as f64 + 2.0)).floor() * DAY_S,
+        6 | 7 => x * horizon,
+        8 => horizon + 1.0 + x * 2.0 * DAY_S,
+        9 => -1.0 - x * DAY_S,
+        10 => 0.0,
+        11 => -0.0,
+        12 => f64::NAN,
+        13 => f64::INFINITY,
+        14 => f64::NEG_INFINITY,
+        15 => 1e300,
+        _ => -1e300,
+    }
+}
+
+/// A synthetic campaign over `days` days on `node_count` nodes.
+fn per_day_campaign(
+    days: u32,
+    node_count: usize,
+    samples: Vec<SystemSample>,
+    pbs_records: Vec<JobRecord>,
+) -> CampaignResult {
+    CampaignResult {
+        days,
+        node_count,
+        machine: MachineConfig::nas_sp2(),
+        selection: nas_selection(),
+        samples,
+        job_reports: vec![],
+        pbs_records,
+        faults: FaultSummary::default(),
+    }
+}
+
+/// A daemon sample at `t` that saw `sampled` of 144 nodes, its counter
+/// lanes derived from `seed` (small enough that no day's sum overflows).
+fn per_day_sample(t: f64, sampled: usize, seed: u64) -> SystemSample {
+    let slots = nas_selection().len() as u64;
+    let lane = |k: u64| {
+        (0..slots)
+            .map(|s| (seed * 7_919 + s * 104_729 + k) % (1 << 32))
+            .collect()
+    };
+    SystemSample {
+        t,
+        nodes_sampled: sampled.min(144),
+        nodes_total: 144,
+        anomalies: 0,
+        total: CounterDelta {
+            user: lane(0),
+            system: lane(1),
+        },
+        rates: RateReport::default(),
+    }
+}
+
+/// Every per-day helper matches its reference bit for bit, the sign of
+/// every zero included.
+fn assert_per_day_bit_identical(r: &CampaignResult) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let cov = r.daily_coverage();
+    assert_eq!(cov.len(), r.days as usize);
+    for (d, c) in cov.iter().enumerate() {
+        let want = scan_day_coverage(r, d);
+        assert_eq!(
+            bits(&[c.covered, c.total]),
+            bits(&[want.covered, want.total]),
+            "coverage of day {d}"
+        );
+    }
+    assert_eq!(r.partial_days(), scan_partial_days(r));
+    let rates = r.daily_node_rates();
+    let want = scan_daily_node_rates(r);
+    assert_eq!(rates.len(), want.len());
+    for (d, (a, b)) in rates.iter().zip(&want).enumerate() {
+        assert_eq!(
+            bits(&rate_report_fields(a)),
+            bits(&rate_report_fields(b)),
+            "node rates of day {d}"
+        );
+    }
+    assert_eq!(
+        bits(&r.daily_utilization()),
+        bits(&scan_daily_utilization(r)),
+        "utilization"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The single-pass per-day helpers equal one scan per day on any
+    /// input: unordered samples, times on midnights, outside the horizon
+    /// or not finite, and records that span days, start before 0, end
+    /// past the horizon, run backwards or have a NaN or infinite end.
+    #[test]
+    fn per_day_helpers_match_per_day_scans(
+        shape in (0u32..6, 1usize..300),
+        samples in prop::collection::vec(
+            ((0u8..17, 0.0f64..1.0), 0usize..400, 0u64..1 << 20),
+            0..200,
+        ),
+        records in prop::collection::vec(
+            ((0u8..17, 0.0f64..1.0), (0u8..17, 0.0f64..1.0), 0u32..145),
+            0..12,
+        ),
+    ) {
+        let (days, node_count) = shape;
+        let samples = samples
+            .into_iter()
+            .map(|((kind, x), sampled, seed)| {
+                per_day_sample(edge_time(kind, x, days), sampled, seed)
+            })
+            .collect();
+        let records = records
+            .into_iter()
+            .enumerate()
+            .map(|(id, ((ks, xs), (ke, xe), nodes))| {
+                let start = edge_time(ks, xs, days);
+                // Mostly a 0-3 day job after `start`, else any edge time.
+                let end = if ke < 8 && start.is_finite() {
+                    start + xe * 3.0 * DAY_S
+                } else {
+                    edge_time(ke, xe, days)
+                };
+                JobRecord {
+                    id: id as u64,
+                    nodes,
+                    start,
+                    end,
+                    outcome: JobOutcome::Completed,
+                }
+            })
+            .collect();
+        assert_per_day_bit_identical(&per_day_campaign(days, node_count, samples, records));
+    }
+
+    /// A daemon-shaped campaign (every 15-minute sample, the baseline
+    /// included) in shuffled order bins exactly like the per-day scans.
+    #[test]
+    fn per_day_helpers_ignore_sample_order(
+        days in 0u32..5,
+        keys in prop::collection::vec(0u64..1 << 40, 481..482),
+        starts in prop::collection::vec(0u64..600, 4..5),
+    ) {
+        // Sorting by random keys shuffles the daemon's time-ordered samples.
+        let mut keyed: Vec<(u64, SystemSample)> = (0..=days as usize * 96)
+            .map(|k| {
+                let sampled = 130 + (keys[k] % 30) as usize;
+                (keys[k], per_day_sample(k as f64 * 900.0, sampled, k as u64))
+            })
+            .collect();
+        keyed.sort_by_key(|&(key, _)| key);
+        let samples = keyed.into_iter().map(|(_, s)| s).collect();
+        let records = starts
+            .iter()
+            .enumerate()
+            .map(|(id, &s)| {
+                let start = s as f64 * 900.0 - DAY_S;
+                JobRecord {
+                    id: id as u64,
+                    nodes: 16,
+                    start,
+                    end: start + 1.5 * DAY_S,
+                    outcome: JobOutcome::Completed,
+                }
+            })
+            .collect();
+        assert_per_day_bit_identical(&per_day_campaign(days, 144, samples, records));
+    }
+}
+
+/// The signs of zero the per-day scans produce: an idle day reads -0.0
+/// utilization when there are no records at all (`Iterator::sum` starts
+/// at -0.0) and +0.0 once any record exists; a zero-day horizon yields
+/// no days.
+#[test]
+fn per_day_helpers_keep_zero_signs_and_empty_horizons() {
+    let far = JobRecord {
+        id: 1,
+        nodes: 8,
+        start: 10.0 * DAY_S,
+        end: 11.0 * DAY_S,
+        outcome: JobOutcome::Completed,
+    };
+    let all_bits = |v: Vec<f64>, x: f64| v.iter().all(|u| u.to_bits() == x.to_bits());
+    let idle = per_day_campaign(2, 144, vec![per_day_sample(900.0, 144, 1)], vec![]);
+    assert_per_day_bit_identical(&idle);
+    assert!(all_bits(idle.daily_utilization(), -0.0));
+    let with_far = per_day_campaign(2, 144, vec![], vec![far]);
+    assert_per_day_bit_identical(&with_far);
+    assert!(all_bits(with_far.daily_utilization(), 0.0));
+    let empty = per_day_campaign(0, 144, vec![per_day_sample(900.0, 144, 1)], vec![far]);
+    assert_per_day_bit_identical(&empty);
+    assert!(empty.daily_coverage().is_empty() && empty.daily_utilization().is_empty());
 }
