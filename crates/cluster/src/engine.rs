@@ -1,7 +1,7 @@
 //! The batch node engine and its configuration.
 //!
 //! The campaign's hot path is the 15-minute sampling sweep: advance every
-//! node's counters to the sweep time, then snapshot. The reference
+//! node's counters to the sweep time, then read them. The reference
 //! engine ([`crate::state::NodeState`]) does this by walking a
 //! `Vec<NodeState>`, each advance re-deriving the interval's event sets
 //! from the node's [`ActivityPlan`] and folding them through the
@@ -23,8 +23,12 @@
 //!   node over `dt` is "add a precomputed lane vector". The sweep
 //!   cadence makes `dt` repeat exactly (times accumulate as exact
 //!   multiples of 900.0), so steady intervals — idle nights, long jobs —
-//!   hit the cache and cost one vectorizable add per node. The result is
-//!   bit-identical to the reference path by construction.
+//!   hit the cache and cost one vectorizable add per node, applied
+//!   straight from the cache. The result is bit-identical to the
+//!   reference path by construction.
+//! - **Readers take the lanes as they are.** The daemon's sweep and the
+//!   job prologue/epilogue read [`NodeBank::lanes`] directly, so the
+//!   sampling path builds no per-node snapshot.
 //!
 //! [`EngineConfig`] is the explicit configuration the engine runs under:
 //! which engine, how many worker threads, and the switches that used to
@@ -33,8 +37,7 @@
 //! globals currently say, so a default config changes nothing.
 
 use crate::activity::ActivityPlan;
-use rayon::prelude::*;
-use sp2_hpm::{CounterSelection, CounterSnapshot};
+use sp2_hpm::CounterSelection;
 use sp2_power2::{BatchDelta, CounterBatch};
 
 /// Which node engine a campaign runs on.
@@ -168,15 +171,6 @@ impl EngineConfig {
 /// least-recently-used tail entry is dropped.
 const DT_CACHE_CAP: usize = 16;
 
-/// Smallest lane buffer worth distributing over the worker pool. A
-/// node's advance is a handful of wrapping adds — far below the cost of
-/// dispatching a stolen task — so small banks (the paper's 144-node
-/// machine included) apply serially even when a pool is attached, and
-/// the pool earns its keep only on banks thousands of nodes wide.
-/// Scheduling never changes results: each node's lanes are written
-/// exactly once either way.
-const MIN_PAR_LANES: usize = 1 << 14;
-
 /// One interned activity plan shared by every node running it.
 #[derive(Debug, Clone)]
 struct PlanEntry {
@@ -208,20 +202,6 @@ impl PlanEntry {
     }
 }
 
-/// Reusable temporaries for the advance passes: the distinct
-/// `(plan, dt_bits)` keys seen this pass, their resolved deltas, the
-/// per-node delta index (dense, for whole-bank passes), and the
-/// `(node, delta index)` list (sparse, for job-sized node lists). Held
-/// by the bank and cleared per pass so steady-state advancing allocates
-/// nothing once the vectors have grown to their working size.
-#[derive(Debug, Clone, Default)]
-struct ResolveScratch {
-    keys: Vec<(u32, u64)>,
-    deltas: Vec<BatchDelta>,
-    which: Vec<u32>,
-    targets: Vec<(u32, u32)>,
-}
-
 /// The batch node engine: every node's counters, activity, and clock in
 /// struct-of-arrays layout.
 ///
@@ -239,7 +219,6 @@ pub struct NodeBank {
     plans: Vec<PlanEntry>,
     /// Plan slots whose refcount dropped to zero, reused on intern.
     free: Vec<u32>,
-    scratch: ResolveScratch,
 }
 
 impl NodeBank {
@@ -252,7 +231,6 @@ impl NodeBank {
             last_advance: vec![0.0; nodes],
             plans: Vec::new(),
             free: Vec::new(),
-            scratch: ResolveScratch::default(),
         }
     }
 
@@ -293,97 +271,20 @@ impl NodeBank {
     /// [`crate::state::NodeState::advance`], with the same monotonicity
     /// contract.
     pub fn advance_node(&mut self, node: usize, t: f64) {
-        let last = self.last_advance[node];
-        assert!(t >= last - 1e-9, "time went backwards: {t} < {last}");
-        let dt = t - last;
-        if dt <= 0.0 {
+        let Some((dt, _)) = step_of(&mut self.last_advance[node], t, None) else {
             return;
-        }
+        };
         if let Some(p) = self.plan_of[node] {
             let delta = self.plans[p as usize].delta(dt, &self.selection);
             delta.apply_to(self.batch.node_lanes_mut(node));
         }
-        self.last_advance[node] = t;
     }
 
-    /// Advances every node to `t` in one batched pass: resolve the
-    /// distinct `(plan, dt)` deltas once (serial, almost always cached),
-    /// then stream the lane adds — in parallel over the worker pool when
-    /// the bank is large enough to pay for it, serially otherwise.
-    /// Scheduling cannot matter: each node's lanes are written exactly
-    /// once.
+    /// Advances every node to `t` in one pass over the lane buffer: each
+    /// node adds its plan's `(plan, dt)` delta straight from the plan's
+    /// cache — no copy of the delta, no allocation once the cache is warm.
     pub fn advance_all(&mut self, t: f64) {
-        let n = self.node_count();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.keys.clear();
-        scratch.deltas.clear();
-        scratch.which.clear();
-        scratch.which.resize(n, u32::MAX);
-        for (i, w) in scratch.which.iter_mut().enumerate() {
-            let last = self.last_advance[i];
-            assert!(t >= last - 1e-9, "time went backwards: {t} < {last}");
-            let dt = t - last;
-            if dt <= 0.0 {
-                continue;
-            }
-            self.last_advance[i] = t;
-            let Some(p) = self.plan_of[i] else { continue };
-            let bits = dt.to_bits();
-            let idx = match scratch.keys.iter().position(|&k| k == (p, bits)) {
-                Some(idx) => idx,
-                None => {
-                    let d = self.plans[p as usize].delta(dt, &self.selection).clone();
-                    scratch.keys.push((p, bits));
-                    scratch.deltas.push(d);
-                    scratch.deltas.len() - 1
-                }
-            };
-            *w = idx as u32;
-        }
-        self.apply_resolved(&scratch.which, &scratch.deltas, 1);
-        self.scratch = scratch;
-    }
-
-    /// Advances just the listed nodes to `t` — the job prologue/epilogue
-    /// path, where a whole allocation is read at once. Exactly
-    /// equivalent to [`NodeBank::advance_node`] per node (each node must
-    /// appear at most once), but the distinct `(plan, dt)` deltas are
-    /// resolved once for the list instead of once per node, and each
-    /// resolved delta is applied straight from the plan's cache — no
-    /// clone, no allocation beyond the bank's reusable scratch.
-    pub fn advance_many(&mut self, nodes: &[usize], t: f64) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.keys.clear();
-        scratch.targets.clear();
-        for &i in nodes {
-            let last = self.last_advance[i];
-            assert!(t >= last - 1e-9, "time went backwards: {t} < {last}");
-            let dt = t - last;
-            if dt <= 0.0 {
-                continue;
-            }
-            self.last_advance[i] = t;
-            let Some(p) = self.plan_of[i] else { continue };
-            let bits = dt.to_bits();
-            let idx = match scratch.keys.iter().position(|&k| k == (p, bits)) {
-                Some(idx) => idx,
-                None => {
-                    scratch.keys.push((p, bits));
-                    scratch.keys.len() - 1
-                }
-            };
-            scratch.targets.push((i as u32, idx as u32));
-        }
-        for (gi, &(p, bits)) in scratch.keys.iter().enumerate() {
-            let dt = f64::from_bits(bits);
-            let delta = self.plans[p as usize].delta(dt, &self.selection);
-            for &(i, w) in &scratch.targets {
-                if w as usize == gi {
-                    delta.apply_to(self.batch.node_lanes_mut(i as usize));
-                }
-            }
-        }
-        self.scratch = scratch;
+        self.advance_every_node(t, None);
     }
 
     /// Fast-forwards every node through `steps` sweeps of exactly `dt`
@@ -398,73 +299,24 @@ impl NodeBank {
     /// exactly `steps × dt` before `t_final` (the sweep cadence makes
     /// those times exact f64 multiples of the interval).
     pub fn advance_steady(&mut self, dt: f64, steps: u64, t_final: f64) {
-        let n = self.node_count();
-        let bits = dt.to_bits();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.keys.clear();
-        scratch.deltas.clear();
-        scratch.which.clear();
-        scratch.which.resize(n, u32::MAX);
-        for (i, w) in scratch.which.iter_mut().enumerate() {
-            let last = self.last_advance[i];
-            assert!(
-                t_final >= last - 1e-9,
-                "time went backwards: {t_final} < {last}"
-            );
-            self.last_advance[i] = t_final;
-            let Some(p) = self.plan_of[i] else { continue };
-            let idx = match scratch.keys.iter().position(|&k| k == (p, bits)) {
-                Some(idx) => idx,
-                None => {
-                    let d = self.plans[p as usize].delta(dt, &self.selection).clone();
-                    scratch.keys.push((p, bits));
-                    scratch.deltas.push(d);
-                    scratch.deltas.len() - 1
-                }
-            };
-            *w = idx as u32;
-        }
-        self.apply_resolved(&scratch.which, &scratch.deltas, steps);
-        self.scratch = scratch;
+        self.advance_every_node(t_final, Some((dt, steps)));
     }
 
-    /// Applies the resolved per-node deltas (scaled by `steps`) onto the
-    /// lane buffer — in worker-pool chunks when the bank is big enough
-    /// ([`MIN_PAR_LANES`]), serially otherwise.
-    fn apply_resolved(&mut self, which: &[u32], deltas: &[BatchDelta], steps: u64) {
-        let n = self.node_count();
-        let stride = self.batch.stride();
-        let lanes = self.batch.lanes_mut();
-        let threads = rayon::current_num_threads();
-        if threads > 1 && n > 1 && lanes.len() >= MIN_PAR_LANES {
-            // One worker-sized chunk per thread, not one per node: the
-            // per-node add is a handful of lane additions, far below the
-            // cost of a stolen task, so finer chunks would drown in pool
-            // overhead.
-            let per_chunk = n.div_ceil(threads);
-            let base = lanes.as_ptr() as usize;
-            lanes.par_chunks_mut(stride * per_chunk).for_each(|chunk| {
-                let first =
-                    (chunk.as_ptr() as usize - base) / (std::mem::size_of::<u64>() * stride);
-                for (j, node_lanes) in chunk.chunks_mut(stride).enumerate() {
-                    let w = which[first + j];
-                    if w != u32::MAX {
-                        match steps {
-                            1 => deltas[w as usize].apply_to(node_lanes),
-                            _ => deltas[w as usize].apply_scaled(node_lanes, steps),
-                        }
-                    }
-                }
-            });
-        } else {
-            for (i, chunk) in lanes.chunks_mut(stride).enumerate() {
-                let w = which[i];
-                if w != u32::MAX {
-                    match steps {
-                        1 => deltas[w as usize].apply_to(chunk),
-                        _ => deltas[w as usize].apply_scaled(chunk, steps),
-                    }
-                }
+    /// Moves every node's clock to `t`, adding its plan's delta over its
+    /// own elapsed `t − last` once (`steady = None`), or its plan's `dt`
+    /// delta `steps` times (`steady = Some((dt, steps))`).
+    fn advance_every_node(&mut self, t: f64, steady: Option<(f64, u64)>) {
+        let per_node = self.selection.lanes_per_node();
+        let nodes = self.batch.lanes_mut().chunks_exact_mut(per_node);
+        for (i, node_lanes) in nodes.enumerate() {
+            let Some((dt, steps)) = step_of(&mut self.last_advance[i], t, steady) else {
+                continue;
+            };
+            let Some(p) = self.plan_of[i] else { continue };
+            let delta = self.plans[p as usize].delta(dt, &self.selection);
+            match steps {
+                1 => delta.apply_to(node_lanes),
+                _ => delta.apply_scaled(node_lanes, steps),
             }
         }
     }
@@ -508,30 +360,27 @@ impl NodeBank {
         self.batch.reset(node);
     }
 
-    /// Snapshots one node's monitor as of time `t`.
-    pub fn snapshot_at(&mut self, node: usize, t: f64) -> CounterSnapshot {
-        self.advance_node(node, t);
-        self.batch.snapshot(node)
+    /// Every node's counters as of its last advance, in the layout of
+    /// [`CounterSelection::lanes_per_node`].
+    pub fn lanes(&self) -> &[u64] {
+        self.batch.lanes()
     }
+}
 
-    /// Reads one node's monitor without advancing (daemon sampling after
-    /// an explicit [`NodeBank::advance_all`]).
-    pub fn snapshot(&self, node: usize) -> CounterSnapshot {
-        self.batch.snapshot(node)
+/// One node's step to `t`: its clock moves to `t`, and the result is the
+/// `(dt, steps)` to add — the node's own elapsed `t − last` once, or the
+/// steady run's `dt` `steps` times. `None` when no time has passed.
+///
+/// # Panics
+/// Panics when `t` is earlier than the node's clock.
+fn step_of(last: &mut f64, t: f64, steady: Option<(f64, u64)>) -> Option<(f64, u64)> {
+    assert!(t >= *last - 1e-9, "time went backwards: {t} < {last}");
+    let step = steady.unwrap_or((t - *last, 1));
+    if step.0 <= 0.0 {
+        return None;
     }
-
-    /// [`NodeBank::snapshot`] into an existing snapshot, reusing its
-    /// buffers — the sweep loop's allocation-free read.
-    pub fn snapshot_into(&self, node: usize, out: &mut CounterSnapshot) {
-        self.batch.snapshot_into(node, out);
-    }
-
-    /// [`NodeBank::snapshot_into`] over a node list in one pass over the
-    /// lane buffer — `outs[i]` receives `nodes[i]`'s reading. Pair with
-    /// [`NodeBank::advance_many`] for the job prologue/epilogue path.
-    pub fn snapshot_many_into(&self, nodes: &[usize], outs: &mut [CounterSnapshot]) {
-        self.batch.snapshot_many_into(nodes, outs);
-    }
+    *last = t;
+    Some(step)
 }
 
 #[cfg(test)]
@@ -564,8 +413,15 @@ mod tests {
         )
     }
 
+    /// One reference node's counters as lanes.
+    fn reference_lanes(r: &NodeState) -> Vec<u64> {
+        let mut lanes = vec![0; r.hpm().selection().lanes_per_node()];
+        r.hpm().read_lanes(&mut lanes);
+        lanes
+    }
+
     /// Drives a NodeBank and a Vec<NodeState> through the same scripted
-    /// history and asserts bit-identical snapshots throughout.
+    /// history and asserts bit-identical counters throughout.
     #[test]
     fn bank_matches_reference_nodes_through_a_scripted_history() {
         let sel = nas_selection();
@@ -590,7 +446,9 @@ mod tests {
         bank.advance_all(1_800.0);
         refs.iter_mut().for_each(|r| r.advance(1_800.0));
         for (i, r) in refs.iter_mut().enumerate().take(4) {
-            assert_eq!(bank.snapshot_at(i, 2_345.25), r.snapshot_at(2_345.25));
+            bank.advance_node(i, 2_345.25);
+            r.advance(2_345.25);
+            assert_eq!(sel.node_lanes(bank.lanes(), i), reference_lanes(r));
             bank.set_activity(i, 2_345.25, Some(idle.clone()));
             r.set_activity(2_345.25, Some(idle.clone()));
         }
@@ -606,7 +464,11 @@ mod tests {
         refs.iter_mut().for_each(|r| r.advance(3_600.0));
 
         for (i, r) in refs.iter().enumerate() {
-            assert_eq!(bank.snapshot(i), r.hpm().snapshot(), "node {i}");
+            assert_eq!(
+                sel.node_lanes(bank.lanes(), i),
+                reference_lanes(r),
+                "node {i}"
+            );
         }
     }
 
@@ -652,7 +514,7 @@ mod tests {
         let sel = nas_selection();
         let n = 6;
         let mut stepped = NodeBank::new(sel.clone(), n);
-        let mut jumped = NodeBank::new(sel, n);
+        let mut jumped = NodeBank::new(sel.clone(), n);
         let idle = idle_plan();
         let job = job_plan(11);
         for i in 0..n {
@@ -679,9 +541,7 @@ mod tests {
             stepped.advance_all(t);
         }
         jumped.advance_steady(900.0, 40, t);
-        for i in 0..n {
-            assert_eq!(jumped.snapshot(i), stepped.snapshot(i), "node {i}");
-        }
+        assert_eq!(jumped.lanes(), stepped.lanes());
     }
 
     #[test]

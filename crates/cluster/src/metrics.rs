@@ -33,7 +33,9 @@ pub static ADVANCE: Timer = Timer::new("cluster.phase.advance");
 /// against `cluster.phase.advance` wall × worker count).
 pub static ADVANCE_BUSY_NS: Counter = Counter::new("cluster.advance_busy_ns");
 
-/// Wall time of snapshot assembly + daemon folding per sampling pass.
+/// Wall time of the daemon's sweep over the engine's counter lanes per
+/// sampling pass (the reference engine's copy into its lane buffer
+/// included).
 pub static SAMPLE: Timer = Timer::new("cluster.phase.sample");
 
 /// Wall time of PBS scheduling passes (job starts).

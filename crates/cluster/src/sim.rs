@@ -14,13 +14,11 @@ use crate::paging::PagingModel;
 use crate::result::{CampaignResult, FaultSummary};
 use crate::state::NodeState;
 use rayon::prelude::*;
-use sp2_hpm::{nas_selection, CounterSelection, CounterSnapshot};
+use sp2_hpm::{nas_selection, CounterSelection};
 use sp2_pbs::{JobId, JobOutcome, JobRecord, JobSpec, Pbs, PbsError};
 use sp2_power2::handler::{daemon_sample_signature, page_fault_signature};
-use sp2_power2::{KernelSignature, MachineConfig};
-use sp2_rs2hpm::{
-    BottleneckSplit, CounterSource, Daemon, JobCounterReport, SampleSink, SAMPLE_INTERVAL_S,
-};
+use sp2_power2::{CounterBatch, KernelSignature, MachineConfig};
+use sp2_rs2hpm::{BottleneckSplit, Daemon, JobCounterReport, SampleSink, SAMPLE_INTERVAL_S};
 use sp2_switch::SwitchConfig;
 use sp2_workload::{CampaignSpec, JobMix, SubmittedJob, WorkloadLibrary};
 use std::cmp::Reverse;
@@ -280,58 +278,44 @@ struct RunningJob {
     nodes: Vec<usize>,
     start: f64,
     attempt: u32,
-    prologue: Vec<CounterSnapshot>,
-}
-
-/// Per-campaign scratch for the job prologue/epilogue path. Retired
-/// snapshot buffers and emptied prologue vectors cycle through these
-/// pools instead of being dropped, so after warm-up a job start or
-/// finish performs no heap allocation: prologues are drawn from
-/// `prologues` + `snaps`, the epilogue batch is `epilogue` reused
-/// across every Finish event, and a completed (or killed) job's buffers
-/// all return here.
-#[derive(Default)]
-struct JobScratch {
-    /// Retired [`CounterSnapshot`] buffers, ready to be overwritten.
-    snaps: Vec<CounterSnapshot>,
-    /// Retired prologue vectors (emptied, capacity kept).
-    prologues: Vec<Vec<CounterSnapshot>>,
-    /// The epilogue batch, drained back into `snaps` after each report.
-    epilogue: Vec<CounterSnapshot>,
+    /// The job's nodes' counter lanes at job start, node after node in
+    /// `nodes` order; the epilogue diffs the live lanes against it.
+    prologue: Vec<u64>,
 }
 
 /// The node-state engine behind the event loop: same operations, same
-/// results, two implementations (see the module docs).
+/// results, two implementations (see the module docs). Both hand their
+/// counters to the daemon and the job reports as one lane buffer (layout
+/// on [`CounterSelection::lanes_per_node`]).
 // One Engine exists per campaign and lives on the stack of the event
 // loop, so the size gap between the variants costs nothing.
 #[allow(clippy::large_enum_variant)]
 enum Engine {
-    Reference(Vec<NodeState>),
+    /// The per-node loop, plus a lane buffer its monitors are copied
+    /// into whenever the counters are read.
+    Reference {
+        nodes: Vec<NodeState>,
+        lanes: CounterBatch,
+    },
     Batch(NodeBank),
 }
 
 impl Engine {
     fn new(kind: EngineKind, selection: &CounterSelection, nodes: usize) -> Self {
         match kind {
-            EngineKind::Reference => Engine::Reference(
-                (0..nodes)
+            EngineKind::Reference => Engine::Reference {
+                nodes: (0..nodes)
                     .map(|_| NodeState::new(selection.clone()))
                     .collect(),
-            ),
+                lanes: CounterBatch::new(selection.clone(), nodes),
+            },
             EngineKind::Batch => Engine::Batch(NodeBank::new(selection.clone(), nodes)),
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        match self {
-            Engine::Reference(nodes) => nodes.len(),
-            Engine::Batch(bank) => bank.node_count(),
         }
     }
 
     fn set_activity(&mut self, node: usize, t: f64, plan: Option<ActivityPlan>) {
         match self {
-            Engine::Reference(nodes) => nodes[node].set_activity(t, plan),
+            Engine::Reference { nodes, .. } => nodes[node].set_activity(t, plan),
             Engine::Batch(bank) => bank.set_activity(node, t, plan),
         }
     }
@@ -342,7 +326,7 @@ impl Engine {
     /// bumps instead of a deep plan comparison each.
     fn set_activity_many(&mut self, targets: &[usize], t: f64, plan: ActivityPlan) {
         match self {
-            Engine::Reference(nodes) => {
+            Engine::Reference { nodes, .. } => {
                 for &n in targets {
                     nodes[n].set_activity(t, Some(plan.clone()));
                 }
@@ -351,67 +335,45 @@ impl Engine {
         }
     }
 
-    fn snapshot(&self, node: usize) -> CounterSnapshot {
+    /// Every node's counters as of its last advance — the daemon sweep's
+    /// input. The batch engine lends its bank's lanes; the reference
+    /// engine copies every monitor into its lane buffer first.
+    fn lanes(&mut self) -> &[u64] {
         match self {
-            Engine::Reference(nodes) => nodes[node].hpm().snapshot(),
-            Engine::Batch(bank) => bank.snapshot(node),
+            Engine::Reference { nodes, lanes } => {
+                for (n, node) in nodes.iter().enumerate() {
+                    node.hpm().read_lanes(lanes.node_lanes_mut(n));
+                }
+                lanes.lanes()
+            }
+            Engine::Batch(bank) => bank.lanes(),
         }
     }
 
-    /// [`Engine::snapshot`] into an existing snapshot, reusing its
-    /// buffers (the sweep loop recycles retired daemon baselines).
-    fn snapshot_into(&self, node: usize, out: &mut CounterSnapshot) {
+    /// Advances every listed node to `t` and returns the lane buffer, in
+    /// which those nodes' lanes are current — the job prologue/epilogue
+    /// path.
+    fn lanes_at(&mut self, targets: &[usize], t: f64) -> &[u64] {
         match self {
-            Engine::Reference(nodes) => nodes[node].hpm().snapshot_into(out),
-            Engine::Batch(bank) => bank.snapshot_into(node, out),
-        }
-    }
-
-    /// Advances every listed node to `t`, then snapshots them all into
-    /// `out` — the job prologue/epilogue path, equivalent to
-    /// [`Engine::snapshot_at`] per node. The batch engine resolves the
-    /// distinct `(plan, dt)` deltas once for the whole allocation and
-    /// reads every node's lanes in one pass; snapshot buffers are drawn
-    /// from `pool` (retired ones go back via the caller), so the path
-    /// allocates nothing once the pool is warm.
-    fn snapshot_many_at(
-        &mut self,
-        targets: &[usize],
-        t: f64,
-        out: &mut Vec<CounterSnapshot>,
-        pool: &mut Vec<CounterSnapshot>,
-    ) {
-        debug_assert!(out.is_empty(), "callers drain the batch back to the pool");
-        out.clear();
-        match self {
-            Engine::Reference(nodes) => {
+            Engine::Reference { nodes, lanes } => {
                 for &n in targets {
                     nodes[n].advance(t);
-                    match pool.pop() {
-                        Some(mut s) => {
-                            nodes[n].hpm().snapshot_into(&mut s);
-                            out.push(s);
-                        }
-                        None => out.push(nodes[n].hpm().snapshot()),
-                    }
+                    nodes[n].hpm().read_lanes(lanes.node_lanes_mut(n));
                 }
+                lanes.lanes()
             }
             Engine::Batch(bank) => {
-                bank.advance_many(targets, t);
                 for &n in targets {
-                    match pool.pop() {
-                        Some(s) => out.push(s),
-                        None => out.push(bank.snapshot(n)),
-                    }
+                    bank.advance_node(n, t);
                 }
-                bank.snapshot_many_into(targets, out);
+                bank.lanes()
             }
         }
     }
 
     fn reboot(&mut self, node: usize, t: f64) {
         match self {
-            Engine::Reference(nodes) => nodes[node].reboot(t),
+            Engine::Reference { nodes, .. } => nodes[node].reboot(t),
             Engine::Batch(bank) => bank.reboot(node, t),
         }
     }
@@ -419,7 +381,7 @@ impl Engine {
     /// Advances every node to `t` — the sampling pass's hot path.
     fn advance_all(&mut self, t: f64, chunk: usize) {
         match self {
-            Engine::Reference(nodes) => {
+            Engine::Reference { nodes, .. } => {
                 if sp2_trace::enabled() {
                     // Worker-busy time is clocked per worker chunk, not
                     // per node: one Instant pair per chunk keeps the
@@ -448,24 +410,6 @@ impl Engine {
                 }
             }
         }
-    }
-}
-
-/// Daemon adaptor over the advanced engine.
-struct EngineSource<'a> {
-    engine: &'a Engine,
-    down: &'a [bool],
-}
-
-impl CounterSource for EngineSource<'_> {
-    fn node_count(&self) -> usize {
-        self.engine.node_count()
-    }
-    fn node_available(&self, node: usize) -> bool {
-        !self.down[node]
-    }
-    fn snapshot(&self, node: usize) -> CounterSnapshot {
-        self.engine.snapshot(node)
     }
 }
 
@@ -657,16 +601,13 @@ fn run_campaign_inner(
 
     // Baseline daemon pass at t=0 (flight-recorder sweep 0 only
     // baselines the interval series, exactly like the daemon itself).
-    daemon.collect(
-        &EngineSource {
-            engine: &engine,
-            down: &down,
-        },
-        0.0,
-    );
+    daemon.sweep(engine.lanes(), &down, &[], 0.0);
     sp2_trace::recorder::on_sweep(0, 0.0);
 
-    let mut scratch = JobScratch::default();
+    // Prologue buffers of finished or killed jobs, reused by the next
+    // job starts so the prologue/epilogue path allocates nothing once
+    // warm.
+    let mut spare_prologues: Vec<Vec<u64>> = Vec::new();
 
     // Start any jobs PBS can place at `now`.
     let start_jobs = |now: f64,
@@ -677,7 +618,7 @@ fn run_campaign_inner(
                       seq: &mut u64,
                       attempts: &[u32],
                       trace: &[SubmittedJob],
-                      scratch: &mut JobScratch| {
+                      spare_prologues: &mut Vec<Vec<u64>>| {
         let _sched_span = crate::metrics::SCHEDULE.span();
         let _sched_ev = sp2_trace::events::span("schedule", "phase");
         for started in pbs.schedule(now) {
@@ -705,8 +646,12 @@ fn run_campaign_inner(
                 config.machine.memory_bytes,
                 started.spec.nodes,
             );
-            let mut prologue = scratch.prologues.pop().unwrap_or_default();
-            engine.snapshot_many_at(&started.nodes, now, &mut prologue, &mut scratch.snaps);
+            let mut prologue = spare_prologues.pop().unwrap_or_default();
+            prologue.clear();
+            let lanes = engine.lanes_at(&started.nodes, now);
+            for &n in &started.nodes {
+                prologue.extend_from_slice(selection.node_lanes(lanes, n));
+            }
             engine.set_activity_many(&started.nodes, now, plan);
             // PBS enforces the walltime limit: a job that would run past
             // its request is killed at the limit (no checkpointing on
@@ -735,11 +680,8 @@ fn run_campaign_inner(
         .div_ceil(rayon::current_num_threads().max(1))
         .max(1);
 
-    // The sweep batch, reused across samples: `collect_batch` moves each
-    // fresh snapshot in as a node's new baseline and leaves the retired
-    // one behind, so after the first two sweeps the sampling pass
-    // recycles the same buffers and allocates nothing.
-    let mut sweep_batch: Vec<Option<CounterSnapshot>> = vec![None; config.nodes];
+    // The gathered run of Sample events, reused across samples.
+    let mut run: Vec<(u64, f64)> = Vec::new();
 
     // Cluster-interval fast-forward: the batch engine may elide runs of
     // steady sweeps (see the Sample arm). The reference engine never
@@ -779,7 +721,7 @@ fn run_campaign_inner(
                     &mut seq,
                     &attempts,
                     trace,
-                    &mut scratch,
+                    &mut spare_prologues,
                 );
             }
             Ev::Finish(id, attempt) => {
@@ -787,23 +729,20 @@ fn run_campaign_inner(
                     // Stale: this attempt was killed by a node failure.
                     continue;
                 }
-                let Some(mut job) = running.remove(&id) else {
+                let Some(job) = running.remove(&id) else {
                     continue;
                 };
-                engine.snapshot_many_at(&job.nodes, t, &mut scratch.epilogue, &mut scratch.snaps);
-                engine.set_activity_many(&job.nodes, t, idle_plan.clone());
-                job_reports.push(JobCounterReport::from_snapshots(
+                let lanes = engine.lanes_at(&job.nodes, t);
+                job_reports.push(JobCounterReport::from_lanes(
                     &selection,
                     job.spec.id.0,
                     job.start,
                     t,
                     &job.prologue,
-                    &scratch.epilogue,
+                    job.nodes.iter().map(|&n| selection.node_lanes(lanes, n)),
                 ));
-                scratch.snaps.append(&mut job.prologue);
-                scratch.prologues.push(job.prologue);
-                let epilogue_drain = scratch.epilogue.drain(..);
-                scratch.snaps.extend(epilogue_drain);
+                engine.set_activity_many(&job.nodes, t, idle_plan.clone());
+                spare_prologues.push(job.prologue);
                 pbs.finish(id, t)?;
                 if sp2_trace::recording() {
                     sp2_trace::events::sim_span(format!("job {} run", id.0), "pbs", job.start, t);
@@ -825,7 +764,7 @@ fn run_campaign_inner(
                     &mut seq,
                     &attempts,
                     trace,
-                    &mut scratch,
+                    &mut spare_prologues,
                 );
             }
             Ev::Sample(k) => {
@@ -859,7 +798,8 @@ fn run_campaign_inner(
                 // deferred to after the gathered window is applied —
                 // the gathered sweeps all precede it in heap order, so
                 // this reproduces the reference event order exactly.
-                let mut run: Vec<(u64, f64)> = vec![(k, t)];
+                run.clear();
+                run.push((k, t));
                 let max_run = if spill.is_some() {
                     engine_cfg.spill_max_run
                 } else {
@@ -937,7 +877,7 @@ fn run_campaign_inner(
                                     &mut seq,
                                     &attempts,
                                     trace,
-                                    &mut scratch,
+                                    &mut spare_prologues,
                                 );
                             }
                         }
@@ -986,21 +926,8 @@ fn run_campaign_inner(
                         crate::metrics::SWEEPS_ELIDED.add(steps);
                         let t_final = run[run.len() - 1].1;
                         bank.advance_steady(SAMPLE_INTERVAL_S, steps, t_final);
-                        for (n, slot) in sweep_batch.iter_mut().enumerate() {
-                            if down[n] {
-                                *slot = None;
-                                continue;
-                            }
-                            match slot.take() {
-                                Some(mut s) => {
-                                    bank.snapshot_into(n, &mut s);
-                                    *slot = Some(s);
-                                }
-                                None => *slot = Some(bank.snapshot(n)),
-                            }
-                        }
-                        let times: Vec<f64> = run[i..].iter().map(|&(_, t2)| t2).collect();
-                        daemon.fast_forward_steady(&times, &mut sweep_batch);
+                        let times = run[i..].iter().map(|&(_, t2)| t2);
+                        daemon.fast_forward_steady(times, bank.lanes(), &down);
                         // Replayed sweeps share one steady-state delta,
                         // so a single gauge update covers the whole run.
                         publish_toplev_gauges(&selection, &daemon);
@@ -1011,13 +938,13 @@ fn run_campaign_inner(
                     }
                     // Batched sampling pass: advance every node's
                     // counters to `tt` (the engine parallelizes over its
-                    // pool when the bank is big enough), then snapshot
-                    // serially in index order. Down nodes are skipped
-                    // exactly as the real cron script skipped
-                    // unavailable nodes; glitched nodes return their
-                    // raw 32-bit registers. The daemon folds the batch
-                    // in index order, so the sample is bit-identical at
-                    // any thread count and under either engine.
+                    // pool when the bank is big enough), then the daemon
+                    // sweeps the engine's lanes in index order. Down
+                    // nodes are skipped exactly as the real cron script
+                    // skipped unavailable nodes; glitched nodes return
+                    // their raw 32-bit registers. The sample is
+                    // bit-identical at any thread count and under either
+                    // engine.
                     {
                         let advance_span = crate::metrics::ADVANCE.span();
                         let _advance_ev = sp2_trace::events::span("advance", "phase");
@@ -1027,25 +954,8 @@ fn run_campaign_inner(
                     let _sample_span = crate::metrics::SAMPLE.span();
                     let _sample_ev = sp2_trace::events::span("sample", "phase");
                     let glitched = faults.glitched_nodes(kk);
-                    for (n, slot) in sweep_batch.iter_mut().enumerate() {
-                        if down[n] {
-                            *slot = None;
-                            continue;
-                        }
-                        let mut snap = match slot.take() {
-                            Some(mut s) => {
-                                engine.snapshot_into(n, &mut s);
-                                s
-                            }
-                            None => engine.snapshot(n),
-                        };
-                        if glitched.contains(&n) {
-                            snap = snap.truncate_to_hardware();
-                        }
-                        *slot = Some(snap);
-                    }
                     summary.glitches += glitched.iter().filter(|&&g| !down[g]).count();
-                    daemon.collect_batch(&mut sweep_batch, tt);
+                    daemon.sweep(engine.lanes(), &down, glitched, tt);
                     crate::metrics::SWEEPS.inc();
                     publish_toplev_gauges(&selection, &daemon);
                     sp2_trace::recorder::on_sweep(kk, tt);
@@ -1075,7 +985,7 @@ fn run_campaign_inner(
                         &mut seq,
                         &attempts,
                         trace,
-                        &mut scratch,
+                        &mut spare_prologues,
                     );
                 }
             }
@@ -1095,12 +1005,11 @@ fn run_campaign_inner(
                 let victim = pbs.take_node_offline(node);
                 if let Some(id) = victim {
                     let killed = pbs.kill(id, t)?;
-                    if let Some(mut job) = running.remove(&id) {
+                    if let Some(job) = running.remove(&id) {
                         // Surviving siblings drop back to idle; no
                         // epilogue runs for a killed job — its prologue
-                        // buffers go straight back to the scratch pool.
-                        scratch.snaps.append(&mut job.prologue);
-                        scratch.prologues.push(job.prologue);
+                        // buffer goes straight back for reuse.
+                        spare_prologues.push(job.prologue);
                         for &n in &job.nodes {
                             if n != node && !down[n] {
                                 engine.set_activity(n, t, Some(idle_plan.clone()));
@@ -1147,7 +1056,7 @@ fn run_campaign_inner(
                     &mut seq,
                     &attempts,
                     trace,
-                    &mut scratch,
+                    &mut spare_prologues,
                 );
             }
             Ev::NodeUp(node) => {
@@ -1176,7 +1085,7 @@ fn run_campaign_inner(
                     &mut seq,
                     &attempts,
                     trace,
-                    &mut scratch,
+                    &mut spare_prologues,
                 );
             }
         }
@@ -1216,7 +1125,7 @@ fn run_campaign_inner(
                 .map_err(|e| CampaignError::Spill(e.to_string()))?;
             Vec::new()
         }
-        None => daemon.samples().to_vec(),
+        None => daemon.into_samples(),
     };
     Ok(CampaignResult {
         days,
@@ -1234,11 +1143,11 @@ fn run_campaign_inner(
 /// (`0` means one thread per available core).
 ///
 /// The event loop itself is inherently serial — events are causally
-/// ordered. Each 15-minute sampling pass may advance the nodes across
-/// the pool: the reference engine always does, the default batch engine
-/// only for banks of at least 16384 counter lanes (the paper's 144-node
-/// machine, 3168 lanes, advances serially). The result is bit-identical
-/// to [`run_campaign`] at any thread count.
+/// ordered. The reference engine advances the nodes of each 15-minute
+/// sampling pass across the pool; the default batch engine advances its
+/// bank serially (the paper's 144-node machine is 144 × 44 = 6336 lanes
+/// on the NAS selection, too few adds for a pool dispatch to pay). The
+/// result is bit-identical to [`run_campaign`] at any thread count.
 pub fn run_campaign_with_threads(
     config: &ClusterConfig,
     library: &WorkloadLibrary,

@@ -40,17 +40,6 @@ pub struct CounterSnapshot {
 }
 
 impl CounterSnapshot {
-    /// Overwrites this snapshot with the given per-slot values, reusing
-    /// its buffers. The allocation-free path for collection loops that
-    /// recycle retired snapshots instead of building fresh ones every
-    /// sweep.
-    pub fn copy_from_slices(&mut self, user: &[u64], system: &[u64]) {
-        self.user.clear();
-        self.user.extend_from_slice(user);
-        self.system.clear();
-        self.system.extend_from_slice(system);
-    }
-
     /// The reading a glitched collection pass would return: every counter
     /// truncated to its 32-bit hardware register, as if the kernel
     /// extension's 64-bit virtualization were bypassed for one read.
@@ -83,31 +72,21 @@ impl CounterDelta {
     /// Panics if the two snapshots have different slot counts (they came
     /// from different selections — meaningless to diff).
     pub fn between(before: &CounterSnapshot, after: &CounterSnapshot) -> CounterDelta {
-        let mut d = CounterDelta {
-            user: Vec::new(),
-            system: Vec::new(),
-        };
-        CounterDelta::between_into(before, after, &mut d);
-        d
-    }
-
-    /// [`CounterDelta::between`] into an existing delta, reusing its
-    /// buffers — the allocation-free path for per-node collection loops.
-    ///
-    /// # Panics
-    /// Panics if the two snapshots have different slot counts.
-    pub fn between_into(before: &CounterSnapshot, after: &CounterSnapshot, out: &mut CounterDelta) {
         assert_eq!(
             before.user.len(),
             after.user.len(),
             "snapshots from different counter selections"
         );
-        let diff = |b: &[u64], a: &[u64], out: &mut Vec<u64>| {
-            out.clear();
-            out.extend(a.iter().zip(b.iter()).map(|(&av, &bv)| av.wrapping_sub(bv)));
+        let diff = |b: &[u64], a: &[u64]| -> Vec<u64> {
+            a.iter()
+                .zip(b)
+                .map(|(&av, &bv)| av.wrapping_sub(bv))
+                .collect()
         };
-        diff(&before.user, &after.user, &mut out.user);
-        diff(&before.system, &after.system, &mut out.system);
+        CounterDelta {
+            user: diff(&before.user, &after.user),
+            system: diff(&before.system, &after.system),
+        }
     }
 
     /// Combined user + system count for a slot.
@@ -214,9 +193,15 @@ impl Hpm {
         }
     }
 
-    /// [`Hpm::snapshot`] into an existing snapshot, reusing its buffers.
-    pub fn snapshot_into(&self, out: &mut CounterSnapshot) {
-        out.copy_from_slices(&self.user, &self.system);
+    /// Copies every counter into one node's lanes of a lane buffer (see
+    /// [`CounterSelection::lanes_per_node`]).
+    ///
+    /// # Panics
+    /// Panics unless `lanes` is exactly one node's lanes.
+    pub fn read_lanes(&self, lanes: &mut [u64]) {
+        let (user, system) = self.selection.split_lanes_mut(lanes);
+        user.copy_from_slice(&self.user);
+        system.copy_from_slice(&self.system);
     }
 
     /// The raw 32-bit hardware register behind a slot: the low half of
@@ -383,5 +368,19 @@ mod tests {
         h.absorb(&e, Mode::User);
         h.reset();
         assert!(h.snapshot().user.iter().all(|&c| c == 0));
+    }
+
+    #[test]
+    fn read_lanes_is_user_then_system() {
+        let mut h = monitor();
+        let mut e = EventSet::new();
+        e.bump(Signal::Fxu0Exec, 5);
+        h.absorb(&e, Mode::User);
+        e.bump(Signal::Fxu0Exec, 2);
+        h.absorb(&e, Mode::System);
+        let mut lanes = vec![u64::MAX; 2 * h.selection().len()];
+        h.read_lanes(&mut lanes);
+        let snap = h.snapshot();
+        assert_eq!(lanes, [snap.user, snap.system].concat());
     }
 }

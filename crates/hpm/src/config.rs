@@ -95,6 +95,63 @@ impl CounterSelection {
     pub fn watches(&self, signal: Signal) -> bool {
         self.slot_of(signal).is_some()
     }
+
+    /// Lanes one node occupies in a lane buffer.
+    ///
+    /// A lane buffer holds a whole machine's counters as one `u64` run:
+    /// node `i` owns lanes `[i·n, (i+1)·n)` for `n = lanes_per_node()`,
+    /// first its user-mode counter per slot, then its system-mode counter
+    /// per slot. The batch engine's counter bank, the collection daemon
+    /// and the job reports all share this layout.
+    pub fn lanes_per_node(&self) -> usize {
+        2 * self.len()
+    }
+
+    /// Node `node`'s lanes in a lane buffer (layout on
+    /// [`CounterSelection::lanes_per_node`]).
+    ///
+    /// # Panics
+    /// Panics when the buffer ends before the node's last lane.
+    pub fn node_lanes<'a>(&self, lanes: &'a [u64], node: usize) -> &'a [u64] {
+        let n = self.lanes_per_node();
+        &lanes[node * n..(node + 1) * n]
+    }
+
+    /// [`CounterSelection::node_lanes`], mutable.
+    ///
+    /// # Panics
+    /// Panics when the buffer ends before the node's last lane.
+    pub fn node_lanes_mut<'a>(&self, lanes: &'a mut [u64], node: usize) -> &'a mut [u64] {
+        let n = self.lanes_per_node();
+        &mut lanes[node * n..(node + 1) * n]
+    }
+
+    /// Splits one node's lanes into its user-mode and its system-mode
+    /// counters.
+    ///
+    /// # Panics
+    /// Panics unless `node_lanes` is exactly one node's lanes.
+    pub fn split_lanes<'a>(&self, node_lanes: &'a [u64]) -> (&'a [u64], &'a [u64]) {
+        assert_eq!(
+            node_lanes.len(),
+            self.lanes_per_node(),
+            "not one node's lanes"
+        );
+        node_lanes.split_at(self.len())
+    }
+
+    /// [`CounterSelection::split_lanes`], mutable.
+    ///
+    /// # Panics
+    /// Panics unless `node_lanes` is exactly one node's lanes.
+    pub fn split_lanes_mut<'a>(&self, node_lanes: &'a mut [u64]) -> (&'a mut [u64], &'a mut [u64]) {
+        assert_eq!(
+            node_lanes.len(),
+            self.lanes_per_node(),
+            "not one node's lanes"
+        );
+        node_lanes.split_at_mut(self.len())
+    }
 }
 
 /// The NAS counter selection of Table 1: 22 slots giving "a broad overview

@@ -5,44 +5,38 @@
 //! (`user`/`system` vectors), so the advance loop pointer-chases and the
 //! per-event `absorb` re-walks the selection — branching on the divide
 //! erratum — once per node per sweep. [`CounterBatch`] flattens every
-//! node's counters into one contiguous `u64` buffer (per node: `slots`
-//! user lanes then `slots` system lanes), and [`BatchDelta`] pre-folds an
+//! node's counters into one lane buffer (the layout of
+//! [`CounterSelection::lanes_per_node`]: per node, its user lanes then its
+//! system lanes), and [`BatchDelta`] pre-folds an
 //! advance interval's event sets through the selection *once*. Applying a
 //! delta is then a branch-free wrapping add over the node's lanes —
 //! bit-identical to the two `Hpm::absorb` calls it replaces, because
 //! `absorb` is itself a per-slot `wrapping_add` of `events.get(signal)`
 //! with divide-erratum slots skipped (≡ adding a pre-zeroed lane).
 //!
-//! The flat layout also hands the work-stealing pool clean parallelism:
-//! `lanes_mut()` splits on node boundaries (`stride()` lanes each) with
-//! no per-node locks or pointer indirection.
+//! The collection daemon and the job prologue/epilogue read the same
+//! buffer as it is, so sampling copies no counter out of it.
 
-use sp2_hpm::{CounterSelection, CounterSnapshot, EventSet};
+use sp2_hpm::{CounterSelection, EventSet};
 
-/// Counter state for a batch of nodes in struct-of-arrays layout.
+/// Counter state for a batch of nodes: one lane buffer in the layout of
+/// [`CounterSelection::lanes_per_node`].
 ///
-/// Node `i` owns lanes `[i * stride, (i + 1) * stride)`: first the
-/// user-mode counter per selection slot, then the system-mode counter.
 /// All counters are the kernel extension's 64-bit virtualized view, as
 /// in [`sp2_hpm::Hpm`]; the divide erratum is honored at delta-fold time
 /// ([`BatchDelta::fold`]), so erratum slots simply never accumulate.
 #[derive(Debug, Clone)]
 pub struct CounterBatch {
     selection: CounterSelection,
-    slots: usize,
-    nodes: usize,
     lanes: Vec<u64>,
 }
 
 impl CounterBatch {
     /// A batch of `nodes` nodes, all counters zero (fresh monitors).
     pub fn new(selection: CounterSelection, nodes: usize) -> Self {
-        let slots = selection.len();
         CounterBatch {
+            lanes: vec![0; nodes * selection.lanes_per_node()],
             selection,
-            slots,
-            nodes,
-            lanes: vec![0; 2 * slots * nodes],
         }
     }
 
@@ -51,80 +45,30 @@ impl CounterBatch {
         &self.selection
     }
 
-    /// Lanes per node: user slots followed by system slots.
-    pub fn stride(&self) -> usize {
-        2 * self.slots
-    }
-
-    /// Number of nodes in the batch.
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
-    /// One node's lanes.
-    pub fn node_lanes(&self, node: usize) -> &[u64] {
-        let s = self.stride();
-        &self.lanes[node * s..(node + 1) * s]
-    }
-
     /// One node's lanes, mutable.
     pub fn node_lanes_mut(&mut self, node: usize) -> &mut [u64] {
-        let s = self.stride();
-        &mut self.lanes[node * s..(node + 1) * s]
+        self.selection.node_lanes_mut(&mut self.lanes, node)
     }
 
-    /// The whole buffer, for chunked parallel application (split on
-    /// `stride()` boundaries).
+    /// The whole buffer, node after node: what the collection daemon
+    /// sweeps and the job prologue/epilogue read.
+    pub fn lanes(&self) -> &[u64] {
+        &self.lanes
+    }
+
+    /// The whole buffer, mutable.
     pub fn lanes_mut(&mut self) -> &mut [u64] {
         &mut self.lanes
-    }
-
-    /// The reading the kernel extension would return for `node` —
-    /// identical to [`sp2_hpm::Hpm::snapshot`] on an equivalently-fed
-    /// monitor.
-    pub fn snapshot(&self, node: usize) -> CounterSnapshot {
-        let lanes = self.node_lanes(node);
-        CounterSnapshot {
-            user: lanes[..self.slots].to_vec(),
-            system: lanes[self.slots..].to_vec(),
-        }
-    }
-
-    /// [`CounterBatch::snapshot`] into an existing snapshot, reusing its
-    /// buffers — the allocation-free path for the sweep loop.
-    pub fn snapshot_into(&self, node: usize, out: &mut CounterSnapshot) {
-        let lanes = self.node_lanes(node);
-        out.copy_from_slices(&lanes[..self.slots], &lanes[self.slots..]);
     }
 
     /// Zeroes one node's counters (reboot / job-prologue reset).
     pub fn reset(&mut self, node: usize) {
         self.node_lanes_mut(node).fill(0);
     }
-
-    /// [`CounterBatch::snapshot_into`] over a node list in one pass —
-    /// the job prologue/epilogue path, where every node of a wide job is
-    /// read at once. `outs[i]` receives `nodes[i]`'s reading; each
-    /// snapshot's buffers are reused, so the call allocates nothing once
-    /// the snapshots are sized (a fresh `CounterSnapshot::default()`
-    /// grows on first use).
-    ///
-    /// # Panics
-    /// Panics when `outs` is shorter than `nodes`.
-    pub fn snapshot_many_into(&self, nodes: &[usize], outs: &mut [CounterSnapshot]) {
-        assert!(
-            outs.len() >= nodes.len(),
-            "snapshot batch needs one slot per node"
-        );
-        for (&node, out) in nodes.iter().zip(outs.iter_mut()) {
-            let lanes = self.node_lanes(node);
-            out.copy_from_slices(&lanes[..self.slots], &lanes[self.slots..]);
-        }
-    }
 }
 
 /// One advance interval's counter increments, pre-folded through the
-/// selection: a lane vector in [`CounterBatch`] layout whose
+/// selection: one node's lanes ([`CounterSelection::lanes_per_node`]) whose
 /// divide-erratum slots are already zero.
 ///
 /// Folding once and applying many times is what makes batched advance
@@ -147,14 +91,14 @@ impl BatchDelta {
         system: &EventSet,
         div_erratum: bool,
     ) -> Self {
-        let slots = selection.slots();
-        let mut lanes = vec![0u64; 2 * slots.len()];
-        for (i, slot) in slots.iter().enumerate() {
+        let mut lanes = vec![0u64; selection.lanes_per_node()];
+        let (user_lanes, system_lanes) = selection.split_lanes_mut(&mut lanes);
+        for (i, slot) in selection.slots().iter().enumerate() {
             if div_erratum && slot.signal.has_div_erratum() {
                 continue;
             }
-            lanes[i] = user.get(slot.signal);
-            lanes[slots.len() + i] = system.get(slot.signal);
+            user_lanes[i] = user.get(slot.signal);
+            system_lanes[i] = system.get(slot.signal);
         }
         BatchDelta { lanes }
     }
@@ -192,6 +136,12 @@ mod tests {
     use super::*;
     use sp2_hpm::{nas_selection, Hpm, Mode, Signal};
 
+    /// The monitor's counters as one node's lanes: user, then system.
+    fn lanes_of(hpm: &Hpm) -> Vec<u64> {
+        let s = hpm.snapshot();
+        [s.user, s.system].concat()
+    }
+
     fn event_set(pairs: &[(Signal, u64)]) -> EventSet {
         let mut e = EventSet::new();
         for &(s, n) in pairs {
@@ -221,10 +171,10 @@ mod tests {
         let delta = BatchDelta::fold(&sel, &user, &system, true);
         delta.apply_to(batch.node_lanes_mut(1));
 
-        assert_eq!(batch.snapshot(1), hpm.snapshot());
+        assert_eq!(sel.node_lanes(batch.lanes(), 1), lanes_of(&hpm));
         // Untouched neighbours stay zero.
-        assert!(batch.snapshot(0).user.iter().all(|&c| c == 0));
-        assert!(batch.snapshot(2).system.iter().all(|&c| c == 0));
+        assert!(sel.node_lanes(batch.lanes(), 0).iter().all(|&c| c == 0));
+        assert!(sel.node_lanes(batch.lanes(), 2).iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -241,7 +191,7 @@ mod tests {
             hpm.absorb(&system, Mode::System);
             delta.apply_to(batch.node_lanes_mut(0));
         }
-        assert_eq!(batch.snapshot(0), hpm.snapshot());
+        assert_eq!(batch.lanes(), lanes_of(&hpm));
     }
 
     #[test]
@@ -260,7 +210,7 @@ mod tests {
                 delta.apply_to(stepped.node_lanes_mut(0));
             }
             delta.apply_scaled(scaled.node_lanes_mut(0), steps);
-            assert_eq!(scaled.snapshot(0), stepped.snapshot(0), "steps={steps}");
+            assert_eq!(scaled.lanes(), stepped.lanes(), "steps={steps}");
         }
     }
 
@@ -278,7 +228,7 @@ mod tests {
         hpm.absorb(&user, Mode::User);
         let mut batch = CounterBatch::new(sel, 1);
         kept.apply_to(batch.node_lanes_mut(0));
-        assert_eq!(batch.snapshot(0), hpm.snapshot());
+        assert_eq!(batch.lanes(), lanes_of(&hpm));
     }
 
     #[test]
@@ -295,7 +245,7 @@ mod tests {
         hpm.absorb(&user, Mode::User);
         hpm.absorb(&user, Mode::User);
         let slot = sel.slot_of(Signal::Cycles).unwrap();
-        assert_eq!(batch.snapshot(0).user[slot], hpm.snapshot().user[slot]);
+        assert_eq!(batch.lanes()[slot], hpm.snapshot().user[slot]);
     }
 
     #[test]
@@ -309,47 +259,23 @@ mod tests {
         delta.apply_to(batch.node_lanes_mut(1));
         batch.reset(0);
         let slot = sel.slot_of(Signal::Fxu0Exec).unwrap();
-        assert_eq!(batch.snapshot(0).user[slot], 0);
-        assert_eq!(batch.snapshot(1).user[slot], 10);
-    }
-
-    #[test]
-    fn snapshot_many_matches_one_at_a_time() {
-        let sel = nas_selection();
-        let user = event_set(&[(Signal::Fxu0Exec, 3), (Signal::Cycles, 10)]);
-        let none = EventSet::new();
-        let delta = BatchDelta::fold(&sel, &user, &none, true);
-        let mut batch = CounterBatch::new(sel, 5);
-        for n in [0usize, 2, 4] {
-            delta.apply_to(batch.node_lanes_mut(n));
-        }
-        let nodes = [4usize, 0, 3];
-        // Stale, differently-sized buffers must be fully overwritten.
-        let mut outs: Vec<CounterSnapshot> = nodes.iter().map(|_| batch.snapshot(1)).collect();
-        outs[0].user.push(777);
-        batch.snapshot_many_into(&nodes, &mut outs);
-        for (&n, out) in nodes.iter().zip(&outs) {
-            assert_eq!(*out, batch.snapshot(n), "node {n}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one slot per node")]
-    fn snapshot_many_rejects_short_batch() {
-        let batch = CounterBatch::new(nas_selection(), 2);
-        let mut outs = vec![batch.snapshot(0)];
-        batch.snapshot_many_into(&[0, 1], &mut outs);
+        assert_eq!(sel.node_lanes(batch.lanes(), 0)[slot], 0);
+        assert_eq!(sel.node_lanes(batch.lanes(), 1)[slot], 10);
     }
 
     #[test]
     fn layout_is_contiguous_user_then_system() {
         let sel = nas_selection();
         let mut batch = CounterBatch::new(sel.clone(), 2);
-        let stride = batch.stride();
-        assert_eq!(stride, 2 * sel.len());
-        assert_eq!(batch.lanes_mut().len(), 2 * stride);
+        let per_node = sel.lanes_per_node();
+        assert_eq!(per_node, 2 * sel.len());
+        assert_eq!(batch.lanes().len(), 2 * per_node);
         batch.node_lanes_mut(1)[0] = 42; // node 1, user slot 0
-        assert_eq!(batch.snapshot(1).user[0], 42);
-        assert_eq!(batch.snapshot(0).user[0], 0);
+        batch.node_lanes_mut(1)[sel.len()] = 7; // node 1, system slot 0
+        assert_eq!(batch.lanes()[per_node], 42);
+        assert_eq!(batch.lanes()[per_node + sel.len()], 7);
+        assert!(batch.lanes()[..per_node].iter().all(|&c| c == 0));
+        let (user, system) = sel.split_lanes(sel.node_lanes(batch.lanes(), 1));
+        assert_eq!((user[0], system[0]), (42, 7));
     }
 }

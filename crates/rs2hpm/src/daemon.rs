@@ -9,7 +9,7 @@
 //! its per-sample maximum.
 
 use crate::rates::RateReport;
-use sp2_hpm::{CounterDelta, CounterSelection, CounterSnapshot};
+use sp2_hpm::{CounterDelta, CounterSelection};
 
 /// The cron cadence: 15 minutes.
 pub const SAMPLE_INTERVAL_S: f64 = 900.0;
@@ -17,7 +17,7 @@ pub const SAMPLE_INTERVAL_S: f64 = 900.0;
 /// Largest per-interval count a 66 MHz node could plausibly produce.
 ///
 /// A POWER2 node generates well under 2^35 events in 15 minutes; a delta
-/// above 2^48 can only come from a corrupted read (e.g. a snapshot
+/// above 2^48 can only come from a corrupted read (e.g. a reading
 /// truncated to the 32-bit hardware registers, whose wrap-corrected delta
 /// lands near 2^64). The real collection scripts applied the same kind of
 /// sanity filter before archiving.
@@ -41,17 +41,6 @@ impl SampleSink for Vec<SystemSample> {
         self.extend_from_slice(samples);
         Ok(())
     }
-}
-
-/// Where the daemon reads counters from (the cluster implements this).
-pub trait CounterSource {
-    /// Number of nodes in the machine.
-    fn node_count(&self) -> usize;
-    /// Whether a node is currently available for sampling (powered,
-    /// reachable). Unavailable nodes are skipped, as on the real system.
-    fn node_available(&self, node: usize) -> bool;
-    /// Snapshot of a node's monitor.
-    fn snapshot(&self, node: usize) -> CounterSnapshot;
 }
 
 /// One 15-minute, machine-wide sample.
@@ -90,97 +79,131 @@ impl SystemSample {
     }
 }
 
-/// The collection daemon: holds the previous snapshot per node.
+/// The collection daemon: holds every node's previous reading.
+///
+/// Readings arrive as one lane buffer for the whole machine, in the
+/// layout of [`CounterSelection::lanes_per_node`] that the batch
+/// engine's counter bank keeps.
 #[derive(Debug, Clone)]
 pub struct Daemon {
     selection: CounterSelection,
-    prev: Vec<Option<CounterSnapshot>>,
+    /// Previous readings, in the input's lane layout. A node's lanes
+    /// mean something only while its `has_baseline` flag is set.
+    baselines: Vec<u64>,
+    has_baseline: Vec<bool>,
     samples: Vec<SystemSample>,
-    /// Per-node delta scratch, reused across nodes and passes so the
-    /// collection loop never allocates.
-    scratch: CounterDelta,
+    /// One node's delta, reused across nodes and sweeps.
+    delta: Vec<u64>,
+    /// The sweep's running machine-wide sum, reused across sweeps.
+    sum: Vec<u64>,
 }
 
 impl Daemon {
     /// Creates the daemon for a machine of `nodes` nodes.
     pub fn new(selection: CounterSelection, nodes: usize) -> Self {
-        let slots = selection.len();
+        let per_node = selection.lanes_per_node();
         Daemon {
             selection,
-            prev: vec![None; nodes],
+            baselines: vec![0; nodes * per_node],
+            has_baseline: vec![false; nodes],
             samples: Vec::new(),
-            scratch: CounterDelta::zero(slots),
+            delta: vec![0; per_node],
+            sum: vec![0; per_node],
         }
     }
 
-    /// Runs one collection pass at time `t`, appending a [`SystemSample`].
-    ///
-    /// Nodes seen for the first time only establish a baseline (no delta
-    /// can be formed), matching how the real script behaved after node
-    /// reboots.
-    pub fn collect<S: CounterSource>(&mut self, source: &S, t: f64) -> &SystemSample {
-        let mut snapshots: Vec<Option<CounterSnapshot>> = (0..source.node_count())
-            .map(|node| source.node_available(node).then(|| source.snapshot(node)))
-            .collect();
-        self.collect_batch(&mut snapshots, t)
+    fn check_input(&self, lanes: &[u64], down: &[bool]) {
+        assert_eq!(
+            lanes.len(),
+            self.baselines.len(),
+            "lanes must cover every node of the machine"
+        );
+        assert_eq!(
+            down.len(),
+            self.has_baseline.len(),
+            "availability must cover every node of the machine"
+        );
     }
 
-    /// Ingests one machine-wide batch of snapshots taken at time `t`
-    /// (`None` marks a node that was unavailable this pass).
+    /// Runs one collection pass at time `t` over every node's counters
+    /// (`lanes`, in the layout described on [`Daemon`]) and appends a
+    /// [`SystemSample`].
     ///
-    /// This is the bulk entry point for callers that already snapshot
-    /// every node in a single pass — the cluster simulator advances all
-    /// nodes (possibly in parallel) and hands the whole batch over. The
-    /// delta/baseline bookkeeping is identical to [`Daemon::collect`];
-    /// nodes are always folded in index order, so the resulting sample is
-    /// bit-identical however the snapshots were produced.
+    /// Nodes marked in `down` are skipped, as the real cron script
+    /// skipped unavailable nodes, and lose their baseline. The read of
+    /// every node listed in `glitched` returns its raw 32-bit hardware
+    /// registers instead of the virtualized 64-bit counters. A node seen
+    /// for the first time, back from an outage or after a discarded
+    /// delta only establishes a baseline (no delta can be formed),
+    /// matching how the real script behaved after node reboots.
     ///
-    /// The batch is taken by `&mut`: snapshots that become the new
-    /// per-node baselines are *moved* into the daemon, and each retired
-    /// baseline is left behind in the corresponding slot. A sweep loop
-    /// that re-fills the same batch every pass therefore recycles the
-    /// retired buffers and allocates nothing in steady state.
-    pub fn collect_batch(
+    /// Each available node costs one pass over its lanes: form the
+    /// wrapping delta against the baseline while copying the new
+    /// baseline, then check it against [`PLAUSIBLE_DELTA_MAX`] and add it
+    /// to the sample total. A node with any implausible lane contributes
+    /// nothing and re-baselines next pass. Nodes fold in index order.
+    ///
+    /// # Panics
+    /// Panics unless `lanes` and `down` cover every node of the machine.
+    pub fn sweep(
         &mut self,
-        snapshots: &mut [Option<CounterSnapshot>],
+        lanes: &[u64],
+        down: &[bool],
+        glitched: &[usize],
         t: f64,
     ) -> &SystemSample {
-        assert_eq!(
-            snapshots.len(),
-            self.prev.len(),
-            "batch must cover every node of the machine"
-        );
+        self.check_input(lanes, down);
         let _sweep = crate::metrics::SWEEP.span();
         let _sweep_ev = sp2_trace::events::span("daemon sweep", "rs2hpm");
-        let n_slots = self.selection.len();
-        let mut total = CounterDelta::zero(n_slots);
+        let per_node = self.selection.lanes_per_node();
+        self.sum.fill(0);
         let mut nodes_sampled = 0;
         let mut anomalies = 0;
         let mut baselines = 0u64;
-        for (node, slot) in snapshots.iter_mut().enumerate() {
-            let Some(snap) = slot.as_ref() else {
-                self.prev[node] = None;
+        let nodes = lanes
+            .chunks_exact(per_node)
+            .zip(self.baselines.chunks_exact_mut(per_node))
+            .zip(&mut self.has_baseline);
+        for (node, ((reading, baseline), has_baseline)) in nodes.enumerate() {
+            if down[node] {
+                *has_baseline = false;
                 continue;
-            };
-            if let Some(prev) = &self.prev[node] {
-                CounterDelta::between_into(prev, snap, &mut self.scratch);
-                if delta_plausible(&self.scratch) {
-                    total.accumulate(&self.scratch);
-                    nodes_sampled += 1;
-                    // The fresh snapshot becomes the baseline; the
-                    // retired one stays in the batch slot for the caller
-                    // to reuse as a buffer.
-                    std::mem::swap(&mut self.prev[node], slot);
-                } else {
-                    // A corrupted read: drop the delta, count the anomaly,
-                    // and discard the baseline so the node re-baselines
-                    // from a clean snapshot next pass.
-                    anomalies += 1;
-                    self.prev[node] = None;
-                }
+            }
+            // A glitched read sees only the low 32 bits of each counter.
+            let mask = if glitched.contains(&node) {
+                u64::from(u32::MAX)
             } else {
+                u64::MAX
+            };
+            if !*has_baseline {
                 baselines += 1;
-                self.prev[node] = slot.take();
+                *has_baseline = true;
+                for (b, &r) in baseline.iter_mut().zip(reading) {
+                    *b = r & mask;
+                }
+                continue;
+            }
+            // The new baseline is written even when the delta turns out
+            // implausible: the flag, not the lanes, then marks it void.
+            let mut high = 0u64;
+            for ((d, b), &r) in self.delta.iter_mut().zip(baseline.iter_mut()).zip(reading) {
+                let r = r & mask;
+                *d = r.wrapping_sub(*b);
+                *b = r;
+                high |= *d;
+            }
+            // No lane reaches the bound when their OR stays below it;
+            // otherwise check each lane, since the bound itself passes.
+            if high < PLAUSIBLE_DELTA_MAX || self.delta.iter().all(|&d| d <= PLAUSIBLE_DELTA_MAX) {
+                for (sum, &d) in self.sum.iter_mut().zip(&self.delta) {
+                    *sum += d;
+                }
+                nodes_sampled += 1;
+            } else {
+                // A corrupted read: drop the delta, count the anomaly,
+                // and re-baseline from a clean reading next pass.
+                anomalies += 1;
+                *has_baseline = false;
             }
         }
         crate::metrics::NODES_SAMPLED.add(nodes_sampled as u64);
@@ -192,12 +215,17 @@ impl Daemon {
             .map(|s| t - s.t)
             .unwrap_or(SAMPLE_INTERVAL_S)
             .max(1e-9);
+        let (user, system) = self.selection.split_lanes(&self.sum);
+        let total = CounterDelta {
+            user: user.to_vec(),
+            system: system.to_vec(),
+        };
         let rates = RateReport::from_delta(&self.selection, &total, interval);
         let idx = self.samples.len();
         self.samples.push(SystemSample {
             t,
             nodes_sampled,
-            nodes_total: self.prev.len(),
+            nodes_total: self.has_baseline.len(),
             anomalies,
             total,
             rates,
@@ -228,38 +256,36 @@ impl Daemon {
     /// classification). Whether the window was empty or merely
     /// non-mutating is invisible here — only node state matters.
     ///
-    /// `snapshots` must hold every node's counters as of the *last* time
-    /// (`None` for unavailable nodes); they replace the per-node
-    /// baselines exactly as stepping would have left them. Like
-    /// [`Daemon::collect_batch`], the batch is taken by `&mut` and
-    /// retired baselines are left in the slots for buffer reuse.
+    /// `lanes` must hold every node's counters as of the *last* time,
+    /// and `down` the nodes unavailable then; they become the per-node
+    /// baselines exactly as stepping would have left them.
+    ///
+    /// # Panics
+    /// Panics unless `lanes` and `down` cover every node of the machine,
+    /// or when there is no sample to replay.
     pub fn fast_forward_steady(
         &mut self,
-        times: &[f64],
-        snapshots: &mut [Option<CounterSnapshot>],
+        times: impl IntoIterator<Item = f64>,
+        lanes: &[u64],
+        down: &[bool],
     ) {
-        assert_eq!(
-            snapshots.len(),
-            self.prev.len(),
-            "batch must cover every node of the machine"
-        );
+        self.check_input(lanes, down);
+        let _sweep_ev = sp2_trace::events::span("daemon fast-forward", "rs2hpm");
         assert!(
             !self.samples.is_empty(),
             "fast-forward requires a preceding sample to replay"
         );
-        let _sweep_ev = sp2_trace::events::span("daemon fast-forward", "rs2hpm");
         let template = self.samples[self.samples.len() - 1].clone();
-        for &t in times {
-            let mut s = template.clone();
-            s.t = t;
-            self.samples.push(s);
-        }
-        crate::metrics::NODES_SAMPLED.add(template.nodes_sampled as u64 * times.len() as u64);
-        for (node, slot) in snapshots.iter_mut().enumerate() {
-            match slot.take() {
-                Some(snap) => *slot = self.prev[node].replace(snap),
-                None => self.prev[node] = None,
-            }
+        let before = self.samples.len();
+        self.samples.extend(times.into_iter().map(|t| SystemSample {
+            t,
+            ..template.clone()
+        }));
+        let replayed = (self.samples.len() - before) as u64;
+        crate::metrics::NODES_SAMPLED.add(template.nodes_sampled as u64 * replayed);
+        self.baselines.copy_from_slice(lanes);
+        for (has_baseline, &d) in self.has_baseline.iter_mut().zip(down) {
+            *has_baseline = !d;
         }
     }
 
@@ -268,14 +294,18 @@ impl Daemon {
     /// like the first pass after boot.
     pub fn restart(&mut self) {
         sp2_trace::events::instant("daemon restart", "rs2hpm");
-        for p in &mut self.prev {
-            *p = None;
-        }
+        self.has_baseline.fill(false);
     }
 
     /// All samples collected so far and not yet drained to a sink.
     pub fn samples(&self) -> &[SystemSample] {
         &self.samples
+    }
+
+    /// Consumes the daemon, handing over every sample not yet drained
+    /// to a sink.
+    pub fn into_samples(self) -> Vec<SystemSample> {
+        self.samples
     }
 
     /// Hands all but the last `keep_last` resident samples to `sink`
@@ -284,11 +314,10 @@ impl Daemon {
     ///
     /// Callers that keep collecting must pass `keep_last >= 1`: the
     /// most recent sample is the interval reference for the next
-    /// [`Daemon::collect_batch`] and the template
-    /// [`Daemon::fast_forward_steady`] clones, so it has to stay
-    /// resident until the campaign ends. Samples already handed over
-    /// are never re-sent; if the sink fails, nothing is dropped and the
-    /// drain can be retried.
+    /// [`Daemon::sweep`] and the template [`Daemon::fast_forward_steady`]
+    /// clones, so it has to stay resident until the campaign ends.
+    /// Samples already handed over are never re-sent; if the sink fails,
+    /// nothing is dropped and the drain can be retried.
     pub fn drain_samples(
         &mut self,
         sink: &mut dyn SampleSink,
@@ -318,22 +347,13 @@ impl Daemon {
     }
 }
 
-/// Whether every slot of a wrap-corrected delta is below the plausibility
-/// bound. Clean campaigns sit many orders of magnitude under the limit,
-/// so this filter is behavior-neutral for fault-free data.
-fn delta_plausible(d: &CounterDelta) -> bool {
-    d.user
-        .iter()
-        .chain(d.system.iter())
-        .all(|&v| v <= PLAUSIBLE_DELTA_MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sp2_hpm::{nas_selection, EventSet, Hpm, Mode, Signal};
 
     /// A toy 3-node machine.
+    #[derive(Clone)]
     struct Toy {
         hpms: Vec<Hpm>,
         down: Vec<bool>,
@@ -351,18 +371,25 @@ mod tests {
             e.bump(Signal::Fxu0Exec, fxu0);
             self.hpms[node].absorb(&e, Mode::User);
         }
+        /// Every node's counters in the daemon's lane layout.
+        fn lanes(&self) -> Vec<u64> {
+            let sel = nas_selection();
+            let mut lanes = vec![0; sel.lanes_per_node() * self.hpms.len()];
+            for (n, hpm) in self.hpms.iter().enumerate() {
+                hpm.read_lanes(sel.node_lanes_mut(&mut lanes, n));
+            }
+            lanes
+        }
+        fn sweep(&self, d: &mut Daemon, t: f64) -> SystemSample {
+            self.sweep_glitched(d, &[], t)
+        }
+        fn sweep_glitched(&self, d: &mut Daemon, glitched: &[usize], t: f64) -> SystemSample {
+            d.sweep(&self.lanes(), &self.down, glitched, t).clone()
+        }
     }
 
-    impl CounterSource for Toy {
-        fn node_count(&self) -> usize {
-            3
-        }
-        fn node_available(&self, node: usize) -> bool {
-            !self.down[node]
-        }
-        fn snapshot(&self, node: usize) -> CounterSnapshot {
-            self.hpms[node].snapshot()
-        }
+    fn fxu0_slot() -> usize {
+        nas_selection().slot_of(Signal::Fxu0Exec).unwrap()
     }
 
     #[test]
@@ -370,68 +397,56 @@ mod tests {
         let mut toy = Toy::new();
         toy.work(0, 100);
         let mut d = Daemon::new(nas_selection(), 3);
-        let s = d.collect(&toy, 0.0);
-        assert_eq!(s.nodes_sampled, 0, "no prior snapshot, no delta");
+        let s = toy.sweep(&mut d, 0.0);
+        assert_eq!(s.nodes_sampled, 0, "no prior reading, no delta");
     }
 
     #[test]
     fn second_pass_sums_all_nodes() {
         let mut toy = Toy::new();
         let mut d = Daemon::new(nas_selection(), 3);
-        d.collect(&toy, 0.0);
+        toy.sweep(&mut d, 0.0);
         toy.work(0, 1_000);
         toy.work(1, 500);
-        let s = d.collect(&toy, 900.0);
+        let s = toy.sweep(&mut d, 900.0);
         assert_eq!(s.nodes_sampled, 3);
-        let slot = nas_selection().slot_of(Signal::Fxu0Exec).unwrap();
-        assert_eq!(s.total.user[slot], 1_500);
+        assert_eq!(s.total.user[fxu0_slot()], 1_500);
     }
 
     #[test]
     fn unavailable_node_skipped_and_rebaselined() {
         let mut toy = Toy::new();
         let mut d = Daemon::new(nas_selection(), 3);
-        d.collect(&toy, 0.0);
+        toy.sweep(&mut d, 0.0);
         toy.down[2] = true;
         toy.work(2, 999);
-        let s = d.collect(&toy, 900.0);
+        let s = toy.sweep(&mut d, 900.0);
         assert_eq!(s.nodes_sampled, 2, "down node skipped");
         // Node comes back: first pass after return only baselines it.
         toy.down[2] = false;
-        let s = d.collect(&toy, 1800.0);
+        let s = toy.sweep(&mut d, 1800.0);
         assert_eq!(s.nodes_sampled, 2);
-        let slot = nas_selection().slot_of(Signal::Fxu0Exec).unwrap();
-        assert_eq!(s.total.user[slot], 0);
+        assert_eq!(s.total.user[fxu0_slot()], 0);
         // Next pass it contributes again.
         toy.work(2, 10);
-        let s = d.collect(&toy, 2700.0);
+        let s = toy.sweep(&mut d, 2700.0);
         assert_eq!(s.nodes_sampled, 3);
-        assert_eq!(s.total.user[slot], 10);
-    }
-
-    #[test]
-    fn collect_batch_matches_per_node_collect() {
-        let mut toy = Toy::new();
-        let mut a = Daemon::new(nas_selection(), 3);
-        let mut b = Daemon::new(nas_selection(), 3);
-        for (t, down2) in [(0.0, false), (900.0, true), (1800.0, false)] {
-            toy.down[2] = down2;
-            toy.work(0, 250);
-            toy.work(2, 40);
-            let sa = a.collect(&toy, t).clone();
-            let mut snaps: Vec<_> = (0..3)
-                .map(|n| toy.node_available(n).then(|| toy.snapshot(n)))
-                .collect();
-            let sb = b.collect_batch(&mut snaps, t).clone();
-            assert_eq!(sa, sb);
-        }
+        assert_eq!(s.total.user[fxu0_slot()], 10);
     }
 
     #[test]
     #[should_panic(expected = "every node")]
-    fn collect_batch_rejects_short_batches() {
+    fn sweep_rejects_short_lane_buffers() {
         let mut d = Daemon::new(nas_selection(), 3);
-        d.collect_batch(&mut [None], 0.0);
+        d.sweep(&[0; 2], &[false; 3], &[], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "every node")]
+    fn sweep_rejects_short_availability() {
+        let mut d = Daemon::new(nas_selection(), 3);
+        let lanes = Toy::new().lanes();
+        d.sweep(&lanes, &[false; 2], &[], 0.0);
     }
 
     #[test]
@@ -451,141 +466,147 @@ mod tests {
         // contributed (the steadiness precondition).
         for t in [0.0, 900.0] {
             step(&mut toy);
-            stepped.collect(&toy, t);
-            jumped.collect(&toy, t);
+            toy.sweep(&mut stepped, t);
+            toy.sweep(&mut jumped, t);
         }
         let times: Vec<f64> = (2..7).map(|k| 900.0 * k as f64).collect();
-        let mut toy2 = Toy {
-            hpms: toy.hpms.clone(),
-            down: toy.down.clone(),
-        };
+        let mut toy2 = toy.clone();
         for &t in &times {
             step(&mut toy2);
-            stepped.collect(&toy2, t);
+            toy2.sweep(&mut stepped, t);
         }
-        // The fast-forwarded daemon sees only the final snapshots.
+        // The fast-forwarded daemon sees only the final readings.
         for _ in &times {
             step(&mut toy);
         }
-        let mut finals: Vec<_> = (0..3)
-            .map(|n| toy.node_available(n).then(|| toy.snapshot(n)))
-            .collect();
-        jumped.fast_forward_steady(&times, &mut finals);
+        jumped.fast_forward_steady(times.iter().copied(), &toy.lanes(), &toy.down);
         assert_eq!(stepped.samples(), jumped.samples());
         // Baselines advanced identically: the next real sweep agrees.
         toy.work(0, 77);
-        let sa = stepped.collect(&toy, 6_300.0).clone();
-        let sb = jumped.collect(&toy, 6_300.0).clone();
-        assert_eq!(sa, sb);
+        assert_eq!(
+            toy.sweep(&mut stepped, 6_300.0),
+            toy.sweep(&mut jumped, 6_300.0)
+        );
     }
 
     #[test]
     fn coverage_and_gap_flags() {
         let mut toy = Toy::new();
         let mut d = Daemon::new(nas_selection(), 3);
-        d.collect(&toy, 0.0);
-        let s = d.collect(&toy, 900.0).clone();
+        toy.sweep(&mut d, 0.0);
+        let s = toy.sweep(&mut d, 900.0);
         assert_eq!(s.nodes_total, 3);
         assert_eq!(s.coverage(), 1.0);
         assert!(!s.has_gap());
         toy.down[1] = true;
-        let s = d.collect(&toy, 1800.0).clone();
+        let s = toy.sweep(&mut d, 1800.0);
         assert_eq!(s.nodes_sampled, 2);
         assert!(s.has_gap());
         assert!((s.coverage() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn glitched_snapshot_detected_and_rebaselined() {
+    fn glitched_read_detected_and_rebaselined() {
         let mut toy = Toy::new();
         // Push node 0 past u32::MAX so truncation wraps the delta.
         toy.work(0, 5_000_000_000);
         let mut d = Daemon::new(nas_selection(), 3);
-        d.collect(&toy, 0.0);
-        // Glitch: node 0's snapshot loses its high 32 bits this pass.
-        let mut snaps: Vec<Option<CounterSnapshot>> = (0..3)
-            .map(|n| {
-                let s = toy.snapshot(n);
-                Some(if n == 0 { s.truncate_to_hardware() } else { s })
-            })
-            .collect();
-        let s = d.collect_batch(&mut snaps, 900.0).clone();
+        toy.sweep(&mut d, 0.0);
+        // Glitch: node 0's read loses its high 32 bits this pass.
+        let s = toy.sweep_glitched(&mut d, &[0], 900.0);
         assert_eq!(s.anomalies, 1, "wrapped delta discarded");
         assert_eq!(s.nodes_sampled, 2, "glitched node does not contribute");
-        let slot = nas_selection().slot_of(Signal::Fxu0Exec).unwrap();
-        assert_eq!(s.total.user[slot], 0, "garbage never reaches the total");
+        assert_eq!(
+            s.total.user[fxu0_slot()],
+            0,
+            "garbage never reaches the total"
+        );
         // Recovery: one clean pass re-baselines, the next contributes.
-        let s = d.collect(&toy, 1800.0).clone();
+        let s = toy.sweep(&mut d, 1800.0);
         assert_eq!(s.nodes_sampled, 2);
         toy.work(0, 25);
-        let s = d.collect(&toy, 2700.0).clone();
+        let s = toy.sweep(&mut d, 2700.0);
         assert_eq!(s.nodes_sampled, 3);
-        assert_eq!(s.total.user[slot], 25);
+        assert_eq!(s.total.user[fxu0_slot()], 25);
         assert_eq!(d.total_anomalies(), 1);
+    }
+
+    #[test]
+    fn glitched_first_read_keeps_the_truncated_baseline() {
+        // A node first seen through a glitched read baselines on its
+        // 32-bit registers; the next clean read diffs against those.
+        let mut toy = Toy::new();
+        toy.work(0, (1 << 32) + 7);
+        let mut d = Daemon::new(nas_selection(), 3);
+        toy.sweep_glitched(&mut d, &[0], 0.0);
+        let s = toy.sweep(&mut d, 900.0);
+        assert_eq!(s.anomalies, 0);
+        assert_eq!(s.total.user[fxu0_slot()], 1 << 32);
     }
 
     #[test]
     fn plausibility_boundary_at_exactly_max_is_kept() {
         let mut toy = Toy::new();
         let mut d = Daemon::new(nas_selection(), 3);
-        d.collect(&toy, 0.0);
+        toy.sweep(&mut d, 0.0);
         toy.work(0, PLAUSIBLE_DELTA_MAX);
-        let s = d.collect(&toy, 900.0).clone();
+        let s = toy.sweep(&mut d, 900.0);
         assert_eq!(s.anomalies, 0, "a delta of exactly the bound is plausible");
         assert_eq!(s.nodes_sampled, 3);
-        let slot = nas_selection().slot_of(Signal::Fxu0Exec).unwrap();
-        assert_eq!(s.total.user[slot], PLAUSIBLE_DELTA_MAX);
+        assert_eq!(s.total.user[fxu0_slot()], PLAUSIBLE_DELTA_MAX);
     }
 
     #[test]
     fn plausibility_boundary_just_below_is_kept() {
         let mut toy = Toy::new();
         let mut d = Daemon::new(nas_selection(), 3);
-        d.collect(&toy, 0.0);
+        toy.sweep(&mut d, 0.0);
         toy.work(0, PLAUSIBLE_DELTA_MAX - 1);
-        let s = d.collect(&toy, 900.0).clone();
+        let s = toy.sweep(&mut d, 900.0);
         assert_eq!(s.anomalies, 0);
         assert_eq!(s.nodes_sampled, 3);
-        let slot = nas_selection().slot_of(Signal::Fxu0Exec).unwrap();
-        assert_eq!(s.total.user[slot], PLAUSIBLE_DELTA_MAX - 1);
+        assert_eq!(s.total.user[fxu0_slot()], PLAUSIBLE_DELTA_MAX - 1);
     }
 
     #[test]
     fn plausibility_boundary_just_above_is_discarded() {
         let mut toy = Toy::new();
         let mut d = Daemon::new(nas_selection(), 3);
-        d.collect(&toy, 0.0);
+        toy.sweep(&mut d, 0.0);
         toy.work(0, PLAUSIBLE_DELTA_MAX + 1);
-        let s = d.collect(&toy, 900.0).clone();
+        let s = toy.sweep(&mut d, 900.0);
         assert_eq!(s.anomalies, 1, "one past the bound must be discarded");
         assert_eq!(s.nodes_sampled, 2);
-        let slot = nas_selection().slot_of(Signal::Fxu0Exec).unwrap();
-        assert_eq!(s.total.user[slot], 0, "the implausible delta never lands");
+        assert_eq!(
+            s.total.user[fxu0_slot()],
+            0,
+            "the implausible delta never lands"
+        );
     }
 
     #[test]
     fn discarded_sample_rebaselines_without_double_counting() {
         let mut toy = Toy::new();
         let mut d = Daemon::new(nas_selection(), 3);
-        d.collect(&toy, 0.0);
+        toy.sweep(&mut d, 0.0);
         // Interval 1: an implausible burst is discarded and the node's
         // baseline is dropped.
         toy.work(0, PLAUSIBLE_DELTA_MAX + 1);
-        let s = d.collect(&toy, 900.0).clone();
+        let s = toy.sweep(&mut d, 900.0);
         assert_eq!((s.anomalies, s.nodes_sampled), (1, 2));
-        // Interval 2: the node re-baselines from a snapshot that already
+        // Interval 2: the node re-baselines from a reading that already
         // contains the burst — it contributes no delta this pass.
-        let s = d.collect(&toy, 1800.0).clone();
+        let s = toy.sweep(&mut d, 1800.0);
         assert_eq!(s.anomalies, 0);
         assert_eq!(s.nodes_sampled, 2, "re-baselining node contributes nothing");
         // Interval 3: only work done *after* the re-baseline counts; the
         // burst absorbed before it must never reappear.
         toy.work(0, 10);
-        let s = d.collect(&toy, 2700.0).clone();
+        let s = toy.sweep(&mut d, 2700.0);
         assert_eq!(s.nodes_sampled, 3);
-        let slot = nas_selection().slot_of(Signal::Fxu0Exec).unwrap();
         assert_eq!(
-            s.total.user[slot], 10,
+            s.total.user[fxu0_slot()],
+            10,
             "pre-baseline burst must not be double-counted"
         );
         assert_eq!(d.total_anomalies(), 1);
@@ -595,16 +616,19 @@ mod tests {
     fn restart_loses_all_baselines() {
         let mut toy = Toy::new();
         let mut d = Daemon::new(nas_selection(), 3);
-        d.collect(&toy, 0.0);
+        toy.sweep(&mut d, 0.0);
         d.restart();
         toy.work(0, 50);
-        let s = d.collect(&toy, 900.0).clone();
+        let s = toy.sweep(&mut d, 900.0);
         assert_eq!(s.nodes_sampled, 0, "restart lost every baseline");
         toy.work(1, 30);
-        let s = d.collect(&toy, 1800.0).clone();
+        let s = toy.sweep(&mut d, 1800.0);
         assert_eq!(s.nodes_sampled, 3);
-        let slot = nas_selection().slot_of(Signal::Fxu0Exec).unwrap();
-        assert_eq!(s.total.user[slot], 30, "pre-restart work on node 0 lost");
+        assert_eq!(
+            s.total.user[fxu0_slot()],
+            30,
+            "pre-restart work on node 0 lost"
+        );
     }
 
     #[test]
@@ -616,8 +640,8 @@ mod tests {
         for k in 0..6 {
             toy.work(0, 100);
             let t = 900.0 * k as f64;
-            stepped.collect(&toy, t);
-            drained.collect(&toy, t);
+            toy.sweep(&mut stepped, t);
+            toy.sweep(&mut drained, t);
             // Drain after every sweep: at most one sample stays resident.
             drained.drain_samples(&mut sink, 1).unwrap();
             assert!(drained.samples().len() <= 1);
@@ -630,21 +654,22 @@ mod tests {
         assert_eq!(sink, stepped.samples());
         // Draining an empty daemon is a no-op.
         assert_eq!(drained.drain_samples(&mut sink, 1).unwrap(), 0);
+        assert_eq!(stepped.clone().into_samples(), stepped.samples());
     }
 
     #[test]
     fn max_sample_mflops_tracks_peak_interval() {
         let mut toy = Toy::new();
         let mut d = Daemon::new(nas_selection(), 3);
-        d.collect(&toy, 0.0);
+        toy.sweep(&mut d, 0.0);
         // Interval 1: one node does fma work.
         let mut e = EventSet::new();
         e.bump(Signal::Fpu0Fma, 900_000_000);
         e.bump(Signal::Fpu0Add, 900_000_000);
         toy.hpms[0].absorb(&e, Mode::User);
-        d.collect(&toy, 900.0);
+        toy.sweep(&mut d, 900.0);
         // Interval 2: idle.
-        d.collect(&toy, 1800.0);
+        toy.sweep(&mut d, 1800.0);
         // Peak: 1.8e9 flops / 900 s = 2 Mflops machine-wide.
         assert!((d.max_sample_mflops() - 2.0).abs() < 1e-9);
         assert_eq!(d.samples().len(), 3);

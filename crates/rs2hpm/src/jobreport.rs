@@ -29,12 +29,11 @@ pub struct JobCounterReport {
 impl JobCounterReport {
     /// Builds the report from prologue/epilogue snapshot batches:
     /// `before[i]` and `after[i]` are the same node's counters at job
-    /// start and finish. Parallel slices rather than pairs so the event
-    /// loop can hand over its pooled batch buffers without re-pairing.
+    /// start and finish.
     ///
     /// # Panics
-    /// Panics on an empty node list, mismatched batch lengths, or a
-    /// non-positive window.
+    /// Panics on an empty node list, mismatched batch lengths, a
+    /// non-positive window, or snapshots of another selection.
     pub fn from_snapshots(
         selection: &CounterSelection,
         job_id: u64,
@@ -49,15 +48,71 @@ impl JobCounterReport {
             after.len(),
             "prologue and epilogue must cover the same nodes"
         );
-        assert!(end > start, "job window must be positive");
         let mut total = CounterDelta::zero(selection.len());
         for (b, a) in before.iter().zip(after) {
-            total.accumulate(&CounterDelta::between(b, a));
+            add_delta(&mut total.user, &b.user, &a.user);
+            add_delta(&mut total.system, &b.system, &a.system);
         }
+        Self::from_total(selection, job_id, start, end, before.len(), total)
+    }
+
+    /// Builds the report from counter lanes (layout on
+    /// [`CounterSelection::lanes_per_node`]). `prologue` holds the job's
+    /// nodes' lanes at job start, one node after another; `epilogue`
+    /// yields the same nodes' lanes at job finish, in the same order.
+    /// Each node's delta is formed and summed straight from the lanes,
+    /// exactly as [`Self::from_snapshots`] sums the same readings.
+    ///
+    /// # Panics
+    /// Panics on an empty prologue, an epilogue covering a different
+    /// number of nodes, a non-positive window, or lanes of another
+    /// selection.
+    pub fn from_lanes<'a>(
+        selection: &CounterSelection,
+        job_id: u64,
+        start: f64,
+        end: f64,
+        prologue: &[u64],
+        epilogue: impl IntoIterator<Item = &'a [u64]>,
+    ) -> Self {
+        let per_node = selection.lanes_per_node();
+        assert!(!prologue.is_empty(), "a job runs on at least one node");
+        assert_eq!(
+            prologue.len() % per_node,
+            0,
+            "prologue lanes from a different counter selection"
+        );
+        let nodes = prologue.len() / per_node;
+        let mut total = CounterDelta::zero(selection.len());
+        let mut epilogue = epilogue.into_iter();
+        let mut covered = 0;
+        for (before, after) in prologue.chunks_exact(per_node).zip(&mut epilogue) {
+            let (before_user, before_system) = selection.split_lanes(before);
+            let (after_user, after_system) = selection.split_lanes(after);
+            add_delta(&mut total.user, before_user, after_user);
+            add_delta(&mut total.system, before_system, after_system);
+            covered += 1;
+        }
+        assert!(
+            covered == nodes && epilogue.next().is_none(),
+            "prologue and epilogue must cover the same nodes"
+        );
+        Self::from_total(selection, job_id, start, end, nodes, total)
+    }
+
+    fn from_total(
+        selection: &CounterSelection,
+        job_id: u64,
+        start: f64,
+        end: f64,
+        nodes: usize,
+        total: CounterDelta,
+    ) -> Self {
+        assert!(end > start, "job window must be positive");
         let rates = RateReport::from_delta(selection, &total, end - start);
         JobCounterReport {
             job_id,
-            nodes: before.len() as u32,
+            nodes: nodes as u32,
             start,
             end,
             total,
@@ -84,6 +139,21 @@ impl JobCounterReport {
     /// instructions exceed user-mode (the §6 diagnostic).
     pub fn paging_suspected(&self) -> bool {
         self.rates.system_user_fxu_ratio > 1.0
+    }
+}
+
+/// Adds `after − before` onto `total`, slot by slot: the counters'
+/// wrapping difference, summed with `+=` so overflow checks still apply.
+///
+/// # Panics
+/// Panics unless all three slices have the same length.
+fn add_delta(total: &mut [u64], before: &[u64], after: &[u64]) {
+    assert!(
+        before.len() == total.len() && after.len() == total.len(),
+        "readings from different counter selections"
+    );
+    for ((sum, &b), &a) in total.iter_mut().zip(before).zip(after) {
+        *sum += a.wrapping_sub(b);
     }
 }
 
@@ -115,6 +185,62 @@ mod tests {
             after.push(hpm.snapshot());
         }
         JobCounterReport::from_snapshots(&sel, 7, 100.0, 100.0 + seconds, &before, &after)
+    }
+
+    #[test]
+    fn lanes_and_snapshots_give_the_same_report() {
+        let sel = nas_selection();
+        let mut before = Vec::new();
+        let mut after = Vec::new();
+        let mut prologue = Vec::new();
+        let mut epilogue = Vec::new();
+        for n in 0..3u64 {
+            let mut hpm = Hpm::new(sel.clone());
+            let mut e = EventSet::new();
+            e.bump(Signal::Fpu0Fma, u64::MAX - n); // wraps across the job
+            hpm.absorb(&e, Mode::User);
+            before.push(hpm.snapshot());
+            let mut lanes = vec![0; sel.lanes_per_node()];
+            hpm.read_lanes(&mut lanes);
+            prologue.extend_from_slice(&lanes);
+            let mut e = EventSet::new();
+            e.bump(Signal::Fpu0Fma, 1_000 + n);
+            e.bump(Signal::Fxu1Exec, 17 * n);
+            hpm.absorb(&e, Mode::User);
+            hpm.absorb(&e, Mode::System);
+            after.push(hpm.snapshot());
+            hpm.read_lanes(&mut lanes);
+            epilogue.push(lanes);
+        }
+        let from_lanes = JobCounterReport::from_lanes(
+            &sel,
+            9,
+            0.0,
+            60.0,
+            &prologue,
+            epilogue.iter().map(Vec::as_slice),
+        );
+        let from_snaps = JobCounterReport::from_snapshots(&sel, 9, 0.0, 60.0, &before, &after);
+        assert_eq!(from_lanes, from_snaps);
+        let slot = sel.slot_of(Signal::Fpu0Fma).unwrap();
+        assert_eq!(from_lanes.total.user[slot], 3_003);
+        assert_eq!(from_lanes.nodes, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "same nodes")]
+    fn lanes_with_an_extra_epilogue_node_rejected() {
+        let sel = nas_selection();
+        let lanes = vec![0; sel.lanes_per_node()];
+        JobCounterReport::from_lanes(&sel, 1, 0.0, 1.0, &lanes, [&lanes[..], &lanes[..]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "same nodes")]
+    fn lanes_with_a_missing_epilogue_node_rejected() {
+        let sel = nas_selection();
+        let lanes = vec![0; 2 * sel.lanes_per_node()];
+        JobCounterReport::from_lanes(&sel, 1, 0.0, 1.0, &lanes, [sel.node_lanes(&lanes, 0)]);
     }
 
     #[test]

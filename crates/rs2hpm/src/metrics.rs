@@ -8,8 +8,8 @@
 
 use sp2_trace::{Counter, MetricValue, MetricsSnapshot, Timer};
 
-/// Wall time of [`crate::Daemon::collect_batch`] passes (one span per
-/// sweep).
+/// Wall time of [`crate::Daemon::sweep`] passes (one span per stepped
+/// sweep; fast-forwarded sweeps are replayed, not swept).
 pub static SWEEP: Timer = Timer::new("rs2hpm.sweep");
 
 /// Per-node deltas folded into machine-wide samples.

@@ -336,8 +336,8 @@ fn bounds_from_neighbors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::{CounterSource, Daemon};
-    use sp2_hpm::{CounterSnapshot, EventSet, Hpm, Mode};
+    use crate::daemon::Daemon;
+    use sp2_hpm::{EventSet, Hpm, Mode};
 
     /// A 2-node machine whose per-interval work we script exactly.
     struct Rig {
@@ -355,17 +355,13 @@ mod tests {
                 h.absorb(e, Mode::User);
             }
         }
-    }
-
-    impl CounterSource for Rig {
-        fn node_count(&self) -> usize {
-            self.hpms.len()
-        }
-        fn node_available(&self, _node: usize) -> bool {
-            true
-        }
-        fn snapshot(&self, node: usize) -> CounterSnapshot {
-            self.hpms[node].snapshot()
+        fn sweep(&self, d: &mut Daemon, t: f64) {
+            let sel = self.hpms[0].selection();
+            let mut lanes = vec![0; sel.lanes_per_node() * self.hpms.len()];
+            for (n, h) in self.hpms.iter().enumerate() {
+                h.read_lanes(sel.node_lanes_mut(&mut lanes, n));
+            }
+            d.sweep(&lanes, &vec![false; self.hpms.len()], &[], t);
         }
     }
 
@@ -381,12 +377,12 @@ mod tests {
             .map(|sel| {
                 let mut rig = Rig::new(sel);
                 let mut d = Daemon::new(sel.clone(), 2);
-                d.collect(&rig, 0.0);
+                rig.sweep(&mut d, 0.0);
                 for k in 1..=intervals {
                     rig.work(&work[(k - 1) % work.len()]);
-                    d.collect(&rig, 900.0 * k as f64);
+                    rig.sweep(&mut d, 900.0 * k as f64);
                 }
-                d.samples().to_vec()
+                d.into_samples()
             })
             .collect()
     }

@@ -4,13 +4,15 @@ use proptest::prelude::*;
 use sp2_repro::cluster::{run_campaign, CampaignResult, ClusterConfig, FaultPlan, FaultSummary};
 use sp2_repro::core::archive::columnar::rate_report_fields;
 use sp2_repro::hpm::{
-    nas_selection, CounterDelta, CounterSelection, EventSet, Hpm, Mode, SchedulePlan, Signal,
-    SignalGroup,
+    io_aware_selection, nas_selection, CounterDelta, CounterSelection, CounterSnapshot, EventSet,
+    Hpm, Mode, SchedulePlan, Signal, SignalGroup,
 };
 use sp2_repro::isa::{AddrGen, AddrPattern};
 use sp2_repro::pbs::{utilization, JobOutcome, JobRecord};
 use sp2_repro::power2::{Cache, CacheConfig, MachineConfig};
-use sp2_repro::rs2hpm::{RateReport, SystemSample};
+use sp2_repro::rs2hpm::{
+    Daemon, JobCounterReport, RateReport, SystemSample, PLAUSIBLE_DELTA_MAX, SAMPLE_INTERVAL_S,
+};
 use sp2_repro::stats::{
     centered_moving_average, trailing_moving_average, Coverage, Histogram, Summary,
 };
@@ -600,4 +602,322 @@ fn per_day_helpers_keep_zero_signs_and_empty_horizons() {
     let empty = per_day_campaign(0, 144, vec![per_day_sample(900.0, 144, 1)], vec![far]);
     assert_per_day_bit_identical(&empty);
     assert!(empty.daily_coverage().is_empty() && empty.daily_utilization().is_empty());
+}
+
+// ---------------------------------------------------------------------
+// Daemon sweeps and job reports: the lane paths against the per-node
+// snapshot code they replaced
+// ---------------------------------------------------------------------
+
+/// Reference for `Daemon::sweep`: the per-node snapshot daemon it
+/// replaced, its `collect_batch` body copied (metrics and trace spans
+/// left out). Each node keeps an optional baseline snapshot; `None` in
+/// the batch marks a down node.
+struct SnapshotDaemon {
+    selection: CounterSelection,
+    prev: Vec<Option<CounterSnapshot>>,
+    samples: Vec<SystemSample>,
+}
+
+impl SnapshotDaemon {
+    fn new(selection: CounterSelection, nodes: usize) -> Self {
+        SnapshotDaemon {
+            selection,
+            prev: vec![None; nodes],
+            samples: Vec::new(),
+        }
+    }
+
+    fn restart(&mut self) {
+        for p in &mut self.prev {
+            *p = None;
+        }
+    }
+
+    fn collect_batch(&mut self, snapshots: &mut [Option<CounterSnapshot>], t: f64) {
+        let n_slots = self.selection.len();
+        let mut total = CounterDelta::zero(n_slots);
+        let mut nodes_sampled = 0;
+        let mut anomalies = 0;
+        for (node, slot) in snapshots.iter_mut().enumerate() {
+            let Some(snap) = slot.as_ref() else {
+                self.prev[node] = None;
+                continue;
+            };
+            if let Some(prev) = &self.prev[node] {
+                let delta = CounterDelta::between(prev, snap);
+                if snapshot_delta_plausible(&delta) {
+                    total.accumulate(&delta);
+                    nodes_sampled += 1;
+                    std::mem::swap(&mut self.prev[node], slot);
+                } else {
+                    anomalies += 1;
+                    self.prev[node] = None;
+                }
+            } else {
+                self.prev[node] = slot.take();
+            }
+        }
+        let interval = self
+            .samples
+            .last()
+            .map(|s| t - s.t)
+            .unwrap_or(SAMPLE_INTERVAL_S)
+            .max(1e-9);
+        let rates = RateReport::from_delta(&self.selection, &total, interval);
+        self.samples.push(SystemSample {
+            t,
+            nodes_sampled,
+            nodes_total: self.prev.len(),
+            anomalies,
+            total,
+            rates,
+        });
+    }
+}
+
+fn snapshot_delta_plausible(d: &CounterDelta) -> bool {
+    d.user
+        .iter()
+        .chain(d.system.iter())
+        .all(|&v| v <= PLAUSIBLE_DELTA_MAX)
+}
+
+/// Reference for `JobCounterReport::from_lanes`: the per-node snapshot
+/// sum `from_snapshots` used before it shared the lane helper.
+fn snapshot_job_report(
+    selection: &CounterSelection,
+    job_id: u64,
+    start: f64,
+    end: f64,
+    before: &[CounterSnapshot],
+    after: &[CounterSnapshot],
+) -> JobCounterReport {
+    let mut total = CounterDelta::zero(selection.len());
+    for (b, a) in before.iter().zip(after) {
+        total.accumulate(&CounterDelta::between(b, a));
+    }
+    let rates = RateReport::from_delta(selection, &total, end - start);
+    JobCounterReport {
+        job_id,
+        nodes: before.len() as u32,
+        start,
+        end,
+        total,
+        rates,
+    }
+}
+
+/// SplitMix64, for drawing a lane history from one proptest seed.
+struct HistoryRng(u64);
+
+impl HistoryRng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn one_in(&mut self, n: u64) -> bool {
+        self.below(n) == 0
+    }
+}
+
+/// One node's reading as a snapshot, as the daemon saw it: its raw
+/// 32-bit registers when the read is glitched.
+fn lane_snapshot(node_lanes: &[u64], glitched: bool) -> CounterSnapshot {
+    let slots = node_lanes.len() / 2;
+    let snap = CounterSnapshot {
+        user: node_lanes[..slots].to_vec(),
+        system: node_lanes[slots..].to_vec(),
+    };
+    if glitched {
+        snap.truncate_to_hardware()
+    } else {
+        snap
+    }
+}
+
+fn assert_samples_bit_identical(got: &SystemSample, want: &SystemSample, sweep: usize) {
+    let bits = |r: &RateReport| rate_report_fields(r).map(f64::to_bits);
+    assert_eq!(got.t.to_bits(), want.t.to_bits(), "sweep {sweep}: t");
+    assert_eq!(
+        got.nodes_sampled, want.nodes_sampled,
+        "sweep {sweep}: nodes_sampled"
+    );
+    assert_eq!(
+        got.nodes_total, want.nodes_total,
+        "sweep {sweep}: nodes_total"
+    );
+    assert_eq!(got.anomalies, want.anomalies, "sweep {sweep}: anomalies");
+    assert_eq!(got.total, want.total, "sweep {sweep}: total");
+    assert_eq!(bits(&got.rates), bits(&want.rates), "sweep {sweep}: rates");
+}
+
+fn assert_job_reports_bit_identical(got: &JobCounterReport, want: &JobCounterReport) {
+    let bits = |r: &RateReport| rate_report_fields(r).map(f64::to_bits);
+    assert_eq!(
+        (
+            got.job_id,
+            got.nodes,
+            got.start.to_bits(),
+            got.end.to_bits()
+        ),
+        (
+            want.job_id,
+            want.nodes,
+            want.start.to_bits(),
+            want.end.to_bits()
+        )
+    );
+    assert_eq!(got.total, want.total, "job total");
+    assert_eq!(bits(&got.rates), bits(&want.rates), "job rates");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `Daemon::sweep` over a machine's lane buffer produces exactly the
+    /// samples the per-node snapshot daemon did, on random lane
+    /// histories: the baseline sweep, nodes going down and coming back,
+    /// reboots whose zeroed counters wrap the delta, glitched reads of
+    /// counters below and above 2^32, daemon restarts, missed and
+    /// off-cadence sweeps, and deltas of exactly `PLAUSIBLE_DELTA_MAX`
+    /// and one above it.
+    #[test]
+    fn daemon_sweep_matches_per_node_snapshot_daemon(
+        seed in 0u64..u64::MAX,
+        nodes in 1usize..7,
+        sweeps in 1usize..48,
+        io_aware in 0u8..2,
+    ) {
+        let selection = if io_aware == 1 { io_aware_selection() } else { nas_selection() };
+        let stride = 2 * selection.len();
+        let mut rng = HistoryRng(seed);
+        // Start some counters above 2^32, so glitched reads truncate.
+        let mut lanes: Vec<u64> = (0..nodes * stride)
+            .map(|_| {
+                let bits = 20 + rng.below(24);
+                rng.below(1 << bits)
+            })
+            .collect();
+        let mut down = vec![false; nodes];
+        let mut daemon = Daemon::new(selection.clone(), nodes);
+        let mut reference = SnapshotDaemon::new(selection.clone(), nodes);
+        let mut t = 0.0;
+        for sweep in 0..sweeps {
+            if sweep > 0 {
+                t += match rng.below(6) {
+                    0 => SAMPLE_INTERVAL_S * (2 + rng.below(3)) as f64, // missed sweeps
+                    1 => 1.0 + rng.below(1_000_000) as f64 / 1024.0,
+                    _ => SAMPLE_INTERVAL_S,
+                };
+                if rng.one_in(10) {
+                    daemon.restart();
+                    reference.restart();
+                }
+            }
+            let mut glitched = Vec::new();
+            for node in 0..nodes {
+                let node_lanes = &mut lanes[node * stride..(node + 1) * stride];
+                if rng.one_in(8) {
+                    down[node] = !down[node];
+                }
+                if rng.one_in(12) {
+                    node_lanes.fill(0); // reboot
+                }
+                let lane = rng.below(stride as u64) as usize;
+                match rng.below(10) {
+                    0 => node_lanes[lane] = node_lanes[lane].wrapping_add(PLAUSIBLE_DELTA_MAX),
+                    1 => {
+                        node_lanes[lane] = node_lanes[lane].wrapping_add(PLAUSIBLE_DELTA_MAX + 1)
+                    }
+                    2 => node_lanes[lane] = node_lanes[lane].wrapping_add(1 << 33),
+                    _ => {
+                        for c in node_lanes.iter_mut() {
+                            *c = c.wrapping_add(rng.below(1 << 24));
+                        }
+                    }
+                }
+                if rng.one_in(6) {
+                    glitched.push(node);
+                }
+            }
+            // Unsorted and repeated glitch lists are legal input too.
+            if glitched.len() > 1 && rng.one_in(2) {
+                glitched.reverse();
+                glitched.push(glitched[0]);
+            }
+            let mut batch: Vec<Option<CounterSnapshot>> = (0..nodes)
+                .map(|node| {
+                    (!down[node]).then(|| {
+                        lane_snapshot(
+                            &lanes[node * stride..(node + 1) * stride],
+                            glitched.contains(&node),
+                        )
+                    })
+                })
+                .collect();
+            reference.collect_batch(&mut batch, t);
+            let got = daemon.sweep(&lanes, &down, &glitched, t).clone();
+            assert_samples_bit_identical(&got, &reference.samples[sweep], sweep);
+        }
+        prop_assert_eq!(daemon.into_samples(), reference.samples);
+    }
+
+    /// A job's report built from its prologue lanes and the machine's
+    /// live lanes equals the per-node snapshot sum, whatever the nodes'
+    /// order and wherever their counters wrap; `from_snapshots` agrees.
+    #[test]
+    fn job_reports_from_lanes_match_per_node_snapshot_sums(
+        seed in 0u64..u64::MAX,
+        machine in 1usize..20,
+        io_aware in 0u8..2,
+    ) {
+        let selection = if io_aware == 1 { io_aware_selection() } else { nas_selection() };
+        let stride = 2 * selection.len();
+        let mut rng = HistoryRng(seed);
+        let mut lanes: Vec<u64> = (0..machine * stride).map(|_| rng.next()).collect();
+        // A job on a random subset of the machine, in scheduler order.
+        let mut job_nodes: Vec<usize> = (0..machine).filter(|_| !rng.one_in(3)).collect();
+        prop_assume!(!job_nodes.is_empty());
+        for i in (1..job_nodes.len()).rev() {
+            job_nodes.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let node_lanes = |lanes: &[u64], n: usize| lanes[n * stride..(n + 1) * stride].to_vec();
+        let prologue: Vec<u64> = job_nodes.iter().flat_map(|&n| node_lanes(&lanes, n)).collect();
+        let before: Vec<CounterSnapshot> = job_nodes
+            .iter()
+            .map(|&n| lane_snapshot(&node_lanes(&lanes, n), false))
+            .collect();
+        for c in &mut lanes {
+            let bits = 1 + rng.below(50);
+            *c = c.wrapping_add(rng.below(1 << bits));
+        }
+        let after: Vec<CounterSnapshot> = job_nodes
+            .iter()
+            .map(|&n| lane_snapshot(&node_lanes(&lanes, n), false))
+            .collect();
+        let start = rng.below(1 << 30) as f64 / 8.0;
+        let end = start + 1.0 + rng.below(1 << 30) as f64 / 16.0;
+        let want = snapshot_job_report(&selection, seed, start, end, &before, &after);
+        let got = JobCounterReport::from_lanes(
+            &selection,
+            seed,
+            start,
+            end,
+            &prologue,
+            job_nodes.iter().map(|&n| &lanes[n * stride..(n + 1) * stride]),
+        );
+        assert_job_reports_bit_identical(&got, &want);
+        let from_snapshots =
+            JobCounterReport::from_snapshots(&selection, seed, start, end, &before, &after);
+        assert_job_reports_bit_identical(&from_snapshots, &want);
+    }
 }
