@@ -14,12 +14,11 @@
 //! underlying simulation path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rayon::prelude::*;
 use sp2_cluster::{run_campaign, ClusterConfig, FaultPlan, PagingModel};
 use sp2_core::experiments::{experiment, ExperimentInput};
 use sp2_core::Json;
 use sp2_hpm::{nas_selection, EventSet, Hpm, Mode, Signal};
-use sp2_power2::{FpuDispatch, MachineConfig, Node, WritePolicy};
+use sp2_power2::{workers, FpuDispatch, MachineConfig, Node, WritePolicy};
 use sp2_workload::{
     blocked_matmul_kernel, cfd_kernel, naive_matmul_kernel, trace, CampaignSpec, CfdKernelParams,
     JobMix, WorkloadLibrary,
@@ -118,7 +117,7 @@ fn print_cluster_ablations() {
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
 
     // 6. Paging on/off and 7. drain threshold — run the three campaign
-    // variants in parallel.
+    // variants side by side, one per core.
     let no_paging = ClusterConfig {
         paging: PagingModel {
             sys_slope: 0.0,
@@ -133,13 +132,10 @@ fn print_cluster_ablations() {
     };
 
     let configs = [ClusterConfig::default(), no_paging, no_drain];
-    let results: Vec<_> = configs
-        .par_iter()
-        .map(|cfg| {
-            run_campaign(cfg, &library, &jobs, spec.days, &FaultPlan::none())
-                .expect("campaign runs")
-        })
-        .collect();
+    let results = workers::map_indexed(configs.len(), workers::available(), |i| {
+        run_campaign(&configs[i], &library, &jobs, spec.days, &FaultPlan::none())
+            .expect("campaign runs")
+    });
 
     let stat = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
     let fig5 = experiment("fig5").expect("registered");

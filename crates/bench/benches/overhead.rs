@@ -13,7 +13,7 @@
 //! alike instead of charging one variant for a slow stretch, and the
 //! per-variant minimum is the cost floor the budget actually bounds.
 
-use sp2_cluster::{run_campaign_with_threads, ClusterConfig, FaultPlan};
+use sp2_cluster::{run_campaign, ClusterConfig, FaultPlan};
 use sp2_core::Json;
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 use std::time::Instant;
@@ -76,7 +76,7 @@ fn main() {
         sp2_trace::recorder::reset();
         mode.arm();
         let t0 = Instant::now();
-        let r = run_campaign_with_threads(&config, &library, &jobs, DAYS, 1, &FaultPlan::none())
+        let r = run_campaign(&config, &library, &jobs, DAYS, &FaultPlan::none())
             .expect("campaign runs");
         let s = t0.elapsed().as_secs_f64();
         assert!(!r.job_reports.is_empty(), "campaign must do real work");

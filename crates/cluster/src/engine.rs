@@ -31,10 +31,10 @@
 //!   sampling path builds no per-node snapshot.
 //!
 //! [`EngineConfig`] is the explicit configuration the engine runs under:
-//! which engine, how many worker threads, and the switches that used to
-//! be reachable only as process globals (sweep elision, metrics capture,
-//! flight-recorder cadence). `None` fields inherit whatever the process
-//! globals currently say, so a default config changes nothing.
+//! which engine, and the switches that used to be reachable only as
+//! process globals (sweep elision, metrics capture, flight-recorder
+//! cadence). `None` fields inherit whatever the process globals
+//! currently say, so a default config changes nothing.
 
 use crate::activity::ActivityPlan;
 use sp2_hpm::CounterSelection;
@@ -46,7 +46,7 @@ pub enum EngineKind {
     /// The struct-of-arrays batch engine ([`NodeBank`]): interned plans,
     /// cached `(plan, dt)` deltas, contiguous counter lanes. The
     /// default; bit-identical to [`EngineKind::Reference`] (the
-    /// equivalence suite proves it at every thread count).
+    /// equivalence suite proves it).
     #[default]
     Batch,
     /// The original per-node loop over `Vec<NodeState>` — the reference
@@ -65,10 +65,6 @@ pub enum EngineKind {
 pub struct EngineConfig {
     /// Node engine to run campaigns on.
     pub engine: EngineKind,
-    /// Dedicated worker-pool size for the campaign: `None` inherits the
-    /// caller's current pool; `Some(0)` builds one thread per core;
-    /// `Some(n)` builds an `n`-thread pool.
-    pub threads: Option<usize>,
     /// The batch engine's cluster-interval fast-forward: eliding runs of
     /// steady sampling sweeps (`--no-fast-forward` sets `Some(false)`).
     /// Results are bit-identical either way.
@@ -99,7 +95,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             engine: EngineKind::default(),
-            threads: None,
             fast_forward: None,
             metrics: None,
             recording_cadence: None,
@@ -115,9 +110,12 @@ impl EngineConfig {
         self
     }
 
-    /// Requests a dedicated worker pool (see the field docs).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+    /// Returns `self` unchanged: a campaign runs on the thread that
+    /// calls it, so there is no pool to size. Its one caller is the
+    /// end-to-end benchmark in `perfbench/`, which `BENCHMARK.json`
+    /// freezes; nothing in the workspace calls it, and the next change
+    /// to that benchmark should drop the call and then this method.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -569,7 +567,6 @@ mod tests {
     fn default_engine_config_is_inert() {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.engine, EngineKind::Batch);
-        assert!(cfg.threads.is_none());
         assert!(cfg.fast_forward.is_none());
         assert!(cfg.metrics.is_none());
         assert!(cfg.recording_cadence.is_none());

@@ -2,11 +2,8 @@
 //!
 //! The event loop is where campaign minutes go, so it is split into the
 //! phases the engine actually alternates between: advancing node
-//! counters (the rayon-parallel part), folding daemon samples,
-//! scheduling jobs, and handling fault events. `advance_busy_ns`
-//! accumulates per-node work inside the parallel region, so
-//! `advance_busy_ns / (advance wall × workers)` reads as rayon worker
-//! utilization.
+//! counters, folding daemon samples, scheduling jobs, and handling fault
+//! events.
 
 use sp2_trace::{Counter, Gauge, MetricValue, MetricsSnapshot, Timer};
 
@@ -26,12 +23,9 @@ pub static SWEEPS: Counter = Counter::new("cluster.sweeps");
 /// stepping (`sweeps_elided / sweeps` is the campaign's elision rate).
 pub static SWEEPS_ELIDED: Counter = Counter::new("cluster.sweeps_elided");
 
-/// Wall time of the parallel per-node advance in each sampling pass.
+/// Wall time of advancing every node's counters in each sampling pass
+/// (stepped or fast-forwarded).
 pub static ADVANCE: Timer = Timer::new("cluster.phase.advance");
-
-/// Summed per-node busy time inside the parallel advance (compare
-/// against `cluster.phase.advance` wall × worker count).
-pub static ADVANCE_BUSY_NS: Counter = Counter::new("cluster.advance_busy_ns");
 
 /// Wall time of the daemon's sweep over the engine's counter lanes per
 /// sampling pass (the reference engine's copy into its lane buffer
@@ -43,9 +37,6 @@ pub static SCHEDULE: Timer = Timer::new("cluster.phase.schedule");
 
 /// Wall time of fault handling (node-down/node-up events).
 pub static FAULT_SWEEP: Timer = Timer::new("cluster.phase.faults");
-
-/// Rayon workers available to the engine when the campaign started.
-pub static RAYON_THREADS: Gauge = Gauge::new("cluster.rayon_threads");
 
 /// Wall time spent planning counter-group pass sequences.
 pub static PLAN: Timer = Timer::new("cluster.phase.plan");
@@ -71,8 +62,8 @@ pub static TOPLEV_ICACHE: Gauge = Gauge::new("cluster.toplev.icache");
 /// Latest sweep's I/O-wait fraction of cycles, in percent.
 pub static TOPLEV_IO_WAIT: Gauge = Gauge::new("cluster.toplev.io_wait");
 
-/// Appends the engine's readings — including derived worker utilization
-/// and simulated-seconds-per-wall-second throughput — to `snap`.
+/// Appends the engine's readings — including the derived
+/// simulated-seconds-per-wall-second throughput — to `snap`.
 pub fn collect(snap: &mut MetricsSnapshot) {
     CAMPAIGN.observe(snap);
     EVENTS.observe(snap);
@@ -80,11 +71,9 @@ pub fn collect(snap: &mut MetricsSnapshot) {
     SWEEPS.observe(snap);
     SWEEPS_ELIDED.observe(snap);
     ADVANCE.observe(snap);
-    ADVANCE_BUSY_NS.observe(snap);
     SAMPLE.observe(snap);
     SCHEDULE.observe(snap);
     FAULT_SWEEP.observe(snap);
-    RAYON_THREADS.observe(snap);
     PLAN.observe(snap);
     ROTATE.observe(snap);
     ROTATE_PASSES.observe(snap);
@@ -93,16 +82,6 @@ pub fn collect(snap: &mut MetricsSnapshot) {
     TOPLEV_DCACHE_TLB.observe(snap);
     TOPLEV_ICACHE.observe(snap);
     TOPLEV_IO_WAIT.observe(snap);
-    let workers = RAYON_THREADS.get().max(1.0);
-    let advance_wall = ADVANCE.total_ns() as f64;
-    snap.append(
-        "cluster.worker_utilization",
-        MetricValue::Value(if advance_wall > 0.0 {
-            (ADVANCE_BUSY_NS.get() as f64 / (advance_wall * workers)).min(1.0)
-        } else {
-            0.0
-        }),
-    );
     let campaign_wall_s = CAMPAIGN.total_ns() as f64 / 1e9;
     snap.append(
         "cluster.sim_seconds_per_wall_second",
@@ -122,11 +101,9 @@ pub fn reset() {
     SWEEPS.reset();
     SWEEPS_ELIDED.reset();
     ADVANCE.reset();
-    ADVANCE_BUSY_NS.reset();
     SAMPLE.reset();
     SCHEDULE.reset();
     FAULT_SWEEP.reset();
-    RAYON_THREADS.reset();
     PLAN.reset();
     ROTATE.reset();
     ROTATE_PASSES.reset();
@@ -162,7 +139,6 @@ mod tests {
             "cluster.toplev.dcache_tlb",
             "cluster.toplev.icache",
             "cluster.toplev.io_wait",
-            "cluster.worker_utilization",
             "cluster.sim_seconds_per_wall_second",
         ] {
             assert!(snap.get(key).is_some(), "missing {key}");

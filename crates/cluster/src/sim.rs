@@ -3,9 +3,12 @@
 //! The loop itself is engine-agnostic: node state lives behind
 //! [`Engine`], which is either the reference `Vec<NodeState>` walk or
 //! the struct-of-arrays [`NodeBank`] batch engine. Both produce
-//! bit-identical campaigns (the equivalence suite proves it at every
-//! thread count); [`run_campaign`] pins the reference engine,
-//! [`run_campaign_cfg`] selects per an explicit [`EngineConfig`].
+//! bit-identical campaigns (the equivalence suite proves it);
+//! [`run_campaign`] pins the reference engine, [`run_campaign_cfg`]
+//! selects per an explicit [`EngineConfig`]. A campaign runs on the
+//! thread that calls it: the events are causally ordered, and the
+//! paper's 144-node machine is too small a bank for splitting a sweep's
+//! advance across threads to pay.
 
 use crate::activity::ActivityPlan;
 use crate::engine::{EngineConfig, EngineKind, NodeBank};
@@ -13,7 +16,6 @@ use crate::faults::FaultPlan;
 use crate::paging::PagingModel;
 use crate::result::{CampaignResult, FaultSummary};
 use crate::state::NodeState;
-use rayon::prelude::*;
 use sp2_hpm::{nas_selection, CounterSelection};
 use sp2_pbs::{JobId, JobOutcome, JobRecord, JobSpec, Pbs, PbsError};
 use sp2_power2::handler::{daemon_sample_signature, page_fault_signature};
@@ -169,8 +171,6 @@ impl ClusterConfigBuilder {
 /// A campaign that could not run to completion.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignError {
-    /// The dedicated worker pool could not be built.
-    ThreadPool(String),
     /// PBS rejected a request the simulation issued (e.g. a trace job
     /// requesting more nodes than the configured machine has).
     Pbs(PbsError),
@@ -188,7 +188,6 @@ pub enum CampaignError {
 impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CampaignError::ThreadPool(e) => write!(f, "building the worker pool failed: {e}"),
             CampaignError::Pbs(e) => write!(f, "batch system rejected a request: {e}"),
             CampaignError::Cancelled => write!(f, "campaign cancelled"),
             CampaignError::Spill(e) => write!(f, "spilling samples failed: {e}"),
@@ -379,36 +378,14 @@ impl Engine {
     }
 
     /// Advances every node to `t` — the sampling pass's hot path.
-    fn advance_all(&mut self, t: f64, chunk: usize) {
+    fn advance_all(&mut self, t: f64) {
         match self {
             Engine::Reference { nodes, .. } => {
-                if sp2_trace::enabled() {
-                    // Worker-busy time is clocked per worker chunk, not
-                    // per node: one Instant pair per chunk keeps the
-                    // traced path inside the overhead budget while still
-                    // summing all on-worker time. Chunking never changes
-                    // results — nodes are independent and each advances
-                    // exactly once.
-                    nodes.par_chunks_mut(chunk).for_each(|chunk| {
-                        let t0 = std::time::Instant::now();
-                        for n in chunk.iter_mut() {
-                            n.advance(t);
-                        }
-                        crate::metrics::ADVANCE_BUSY_NS.add(t0.elapsed().as_nanos() as u64);
-                    });
-                } else {
-                    nodes.par_iter_mut().for_each(|n| n.advance(t));
+                for node in nodes.iter_mut() {
+                    node.advance(t);
                 }
             }
-            Engine::Batch(bank) => {
-                if sp2_trace::enabled() {
-                    let t0 = std::time::Instant::now();
-                    bank.advance_all(t);
-                    crate::metrics::ADVANCE_BUSY_NS.add(t0.elapsed().as_nanos() as u64);
-                } else {
-                    bank.advance_all(t);
-                }
-            }
+            Engine::Batch(bank) => bank.advance_all(t),
         }
     }
 }
@@ -418,8 +395,8 @@ impl Engine {
 /// the paper's evaluation uses.
 ///
 /// With [`FaultPlan::none`] the result is bit-identical to a fault-free
-/// engine at any thread count; with a generated plan the result is fully
-/// determined by the trace seed and the fault seed.
+/// engine; with a generated plan the result is fully determined by the
+/// trace seed and the fault seed.
 ///
 /// Runs on the reference per-node engine — the baseline the batch
 /// engine's equivalence suite is proven against. Production callers go
@@ -432,23 +409,19 @@ pub fn run_campaign(
     days: u32,
     faults: &FaultPlan,
 ) -> Result<CampaignResult, CampaignError> {
-    run_campaign_inner(
+    run_campaign_cfg(
         config,
         library,
         trace,
         days,
         faults,
         &EngineConfig::default().engine(EngineKind::Reference),
-        None,
-        None,
     )
 }
 
 /// Runs the campaign under an explicit [`EngineConfig`]: applies its
-/// switches, builds a dedicated worker pool if `threads` is set
-/// (inheriting the caller's pool otherwise), and selects the node
-/// engine. Campaign results are bit-identical under every engine,
-/// thread count, and switch setting.
+/// switches and selects the node engine. Campaign results are
+/// bit-identical under every engine and switch setting.
 pub fn run_campaign_cfg(
     config: &ClusterConfig,
     library: &WorkloadLibrary,
@@ -464,7 +437,7 @@ pub fn run_campaign_cfg(
 /// loop polls it at every event boundary and returns
 /// [`CampaignError::Cancelled`] once it is raised. `None` behaves
 /// exactly like [`run_campaign_cfg`]. The campaign service uses this so
-/// a `cancel` request can reclaim the shared pool mid-campaign instead
+/// a `cancel` request can free its campaign worker mid-campaign instead
 /// of waiting out a multi-month simulation.
 pub fn run_campaign_cfg_cancellable(
     config: &ClusterConfig,
@@ -476,41 +449,6 @@ pub fn run_campaign_cfg_cancellable(
     cancel: Option<&CancelToken>,
 ) -> Result<CampaignResult, CampaignError> {
     run_campaign_cfg_spill(config, library, trace, days, faults, engine, cancel, None)
-}
-
-/// [`run_campaign_cfg_cancellable`] with an out-of-core sample path:
-/// when `spill` is given, every finalized [`SystemSample`] is drained
-/// into the sink as the campaign runs (the interval reference stays
-/// resident) and the returned [`CampaignResult::samples`] is empty —
-/// the sink holds the series. Year-scale campaigns thus aggregate in
-/// bounded memory; an [`crate::result::CampaignResult`]-sized history
-/// never exists. Sink failures abort the run with
-/// [`CampaignError::Spill`]. `None` behaves exactly like
-/// [`run_campaign_cfg_cancellable`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_cfg_spill(
-    config: &ClusterConfig,
-    library: &WorkloadLibrary,
-    trace: &[SubmittedJob],
-    days: u32,
-    faults: &FaultPlan,
-    engine: &EngineConfig,
-    cancel: Option<&CancelToken>,
-    spill: Option<&mut dyn SampleSink>,
-) -> Result<CampaignResult, CampaignError> {
-    engine.apply();
-    match engine.threads {
-        Some(threads) => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .map_err(|e| CampaignError::ThreadPool(e.to_string()))?;
-            pool.install(|| {
-                run_campaign_inner(config, library, trace, days, faults, engine, cancel, spill)
-            })
-        }
-        None => run_campaign_inner(config, library, trace, days, faults, engine, cancel, spill),
-    }
 }
 
 /// Publishes the newest sweep's top-down bottleneck split as live
@@ -534,8 +472,17 @@ fn publish_toplev_gauges(selection: &CounterSelection, daemon: &Daemon) {
     crate::metrics::TOPLEV_IO_WAIT.set(split.io_wait * 100.0);
 }
 
+/// [`run_campaign_cfg_cancellable`] with an out-of-core sample path:
+/// when `spill` is given, every finalized [`SystemSample`] is drained
+/// into the sink as the campaign runs (the interval reference stays
+/// resident) and the returned [`CampaignResult::samples`] is empty —
+/// the sink holds the series. Year-scale campaigns thus aggregate in
+/// bounded memory; an [`crate::result::CampaignResult`]-sized history
+/// never exists. Sink failures abort the run with
+/// [`CampaignError::Spill`]. `None` behaves exactly like
+/// [`run_campaign_cfg_cancellable`].
 #[allow(clippy::too_many_arguments)]
-fn run_campaign_inner(
+pub fn run_campaign_cfg_spill(
     config: &ClusterConfig,
     library: &WorkloadLibrary,
     trace: &[SubmittedJob],
@@ -545,9 +492,9 @@ fn run_campaign_inner(
     cancel: Option<&CancelToken>,
     mut spill: Option<&mut dyn SampleSink>,
 ) -> Result<CampaignResult, CampaignError> {
+    engine_cfg.apply();
     let _campaign_span = crate::metrics::CAMPAIGN.span();
     let _campaign_ev = sp2_trace::events::span("campaign", "phase");
-    crate::metrics::RAYON_THREADS.set(rayon::current_num_threads() as f64);
     let horizon = days as f64 * 86_400.0;
     let selection = config.selection.clone();
     let handler: KernelSignature = page_fault_signature(&config.machine);
@@ -671,14 +618,6 @@ fn run_campaign_inner(
             );
         }
     };
-
-    // Advance-tick chunk size, hoisted out of the event loop: the node
-    // count is fixed for the whole campaign, so deriving it (and
-    // allocating a chunk list) on every sample tick was pure waste.
-    let advance_chunk = config
-        .nodes
-        .div_ceil(rayon::current_num_threads().max(1))
-        .max(1);
 
     // The gathered run of Sample events, reused across samples.
     let mut run: Vec<(u64, f64)> = Vec::new();
@@ -936,19 +875,17 @@ fn run_campaign_inner(
                         }
                         break;
                     }
-                    // Batched sampling pass: advance every node's
-                    // counters to `tt` (the engine parallelizes over its
-                    // pool when the bank is big enough), then the daemon
-                    // sweeps the engine's lanes in index order. Down
-                    // nodes are skipped exactly as the real cron script
-                    // skipped unavailable nodes; glitched nodes return
-                    // their raw 32-bit registers. The sample is
-                    // bit-identical at any thread count and under either
-                    // engine.
+                    // Stepped sampling pass: advance every node's
+                    // counters to `tt`, then the daemon sweeps the
+                    // engine's lanes in index order. Down nodes are
+                    // skipped exactly as the real cron script skipped
+                    // unavailable nodes; glitched nodes return their raw
+                    // 32-bit registers. The sample is bit-identical under
+                    // either engine.
                     {
                         let advance_span = crate::metrics::ADVANCE.span();
                         let _advance_ev = sp2_trace::events::span("advance", "phase");
-                        engine.advance_all(tt, advance_chunk);
+                        engine.advance_all(tt);
                         drop(advance_span);
                     }
                     let _sample_span = crate::metrics::SAMPLE.span();
@@ -1139,41 +1076,17 @@ fn run_campaign_inner(
     })
 }
 
-/// Runs the campaign on a dedicated pool of `threads` worker threads
-/// (`0` means one thread per available core).
-///
-/// The event loop itself is inherently serial — events are causally
-/// ordered. The reference engine advances the nodes of each 15-minute
-/// sampling pass across the pool; the default batch engine advances its
-/// bank serially (the paper's 144-node machine is 144 × 44 = 6336 lanes
-/// on the NAS selection, too few adds for a pool dispatch to pay). The
-/// result is bit-identical to [`run_campaign`] at any thread count.
-pub fn run_campaign_with_threads(
-    config: &ClusterConfig,
-    library: &WorkloadLibrary,
-    trace: &[SubmittedJob],
-    days: u32,
-    threads: usize,
-    faults: &FaultPlan,
-) -> Result<CampaignResult, CampaignError> {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .map_err(|e| CampaignError::ThreadPool(e.to_string()))?;
-    pool.install(|| run_campaign(config, library, trace, days, faults))
-}
-
 /// Runs `replications` independent campaigns whose traces derive from
-/// `base_spec` with per-replication seeds (`seed + index`), sharded
-/// across the rayon pool. Every replication replays the same `faults`
-/// plan, so replication spread isolates workload variance from fault
-/// variance.
+/// `base_spec` with per-replication seeds (`seed + index`), one per
+/// worker thread at a time on up to one worker per core
+/// ([`sp2_power2::workers::map_indexed`]). Every replication replays the
+/// same `faults` plan, so replication spread isolates workload variance
+/// from fault variance.
 ///
 /// Replications are embarrassingly parallel: each generates its own
-/// submission trace and replays it on its own simulated machine. The
-/// merge is deterministic — results come back ordered by replication
-/// index regardless of how the shards were scheduled — so serial and
-/// parallel runs produce bit-identical result vectors.
+/// submission trace and replays it on its own simulated machine. Results
+/// come back ordered by replication index whichever worker ran them, so
+/// the vector is bit-identical to running the campaigns one by one.
 pub fn run_replications(
     config: &ClusterConfig,
     library: &WorkloadLibrary,
@@ -1182,31 +1095,26 @@ pub fn run_replications(
     replications: usize,
     faults: &FaultPlan,
 ) -> Result<Vec<CampaignResult>, CampaignError> {
-    (0..replications as u64)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|rep| {
-            let spec = CampaignSpec {
-                seed: base_spec.seed.wrapping_add(rep),
-                ..*base_spec
-            };
-            let jobs = sp2_workload::trace::generate(&spec, mix, library);
-            // The default (batch) engine: bit-identical to the reference
-            // and much faster, which compounds across replications.
-            run_campaign_inner(
-                config,
-                library,
-                &jobs,
-                spec.days,
-                faults,
-                &EngineConfig::default(),
-                None,
-                None,
-            )
-        })
-        .collect::<Vec<Result<CampaignResult, CampaignError>>>()
-        .into_iter()
-        .collect()
+    let workers = sp2_power2::workers::available();
+    sp2_power2::workers::map_indexed(replications, workers, |rep| {
+        let spec = CampaignSpec {
+            seed: base_spec.seed.wrapping_add(rep as u64),
+            ..*base_spec
+        };
+        let jobs = sp2_workload::trace::generate(&spec, mix, library);
+        // The default (batch) engine: bit-identical to the reference and
+        // much faster, which compounds across replications.
+        run_campaign_cfg(
+            config,
+            library,
+            &jobs,
+            spec.days,
+            faults,
+            &EngineConfig::default(),
+        )
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -1343,7 +1251,7 @@ mod tests {
     #[test]
     fn batch_engine_matches_reference_bitwise() {
         // The full equivalence suite (tests/engine_equivalence.rs) runs
-        // larger campaigns across thread counts; this is the fast smoke
+        // larger campaigns and adversarial traces; this is the fast smoke
         // version: one small faulted campaign, both engines, every
         // dataset compared with `==` (u64 counters and exact f64s).
         let config = ClusterConfig::builder()

@@ -17,7 +17,8 @@ pub enum Sp2Error {
     Config(ClusterConfigError),
     /// The campaign spec failed validation.
     Spec(CampaignSpecError),
-    /// The campaign engine failed (thread pool, scheduler invariant).
+    /// The campaign engine failed (scheduler invariant, cancellation,
+    /// sample spill).
     Campaign(CampaignError),
     /// No experiment with this id is registered.
     UnknownExperiment(String),
@@ -97,7 +98,7 @@ mod tests {
 
     #[test]
     fn conversions_preserve_variants() {
-        let e: Sp2Error = CampaignError::ThreadPool("boom".to_string()).into();
+        let e: Sp2Error = CampaignError::Spill("boom".to_string()).into();
         assert!(matches!(e, Sp2Error::Campaign(_)));
         assert!(e.to_string().contains("boom"));
     }

@@ -2,10 +2,10 @@
 //!
 //! [`Sp2System`] wires the substrates together — the POWER2 node model,
 //! the HPM, the RS2HPM tool chain, PBS, the switch, the synthetic NAS
-//! workload, and the seeded fault layer — and runs campaigns on the
-//! parallel engine. The public API is fallible: campaign and experiment
-//! entry points return [`Result`] with the unified [`Sp2Error`], so
-//! callers decide how a bad configuration or a failed engine run exits.
+//! workload, and the seeded fault layer — and runs its campaigns. The
+//! public API is fallible: campaign and experiment entry points return
+//! [`Result`] with the unified [`Sp2Error`], so callers decide how a bad
+//! configuration or a failed engine run exits.
 //! Every table and figure of the paper's evaluation is an
 //! [`experiments::Experiment`] registered in
 //! [`experiments::all_experiments`], and every rendered exhibit ends in
@@ -33,7 +33,7 @@
 //! use sp2_core::{experiments, Sp2Error, Sp2System};
 //!
 //! fn main() -> Result<(), Sp2Error> {
-//!     let mut system = Sp2System::builder().days(30).threads(0).faults(0.05).build();
+//!     let mut system = Sp2System::builder().days(30).faults(0.05).build();
 //!     let fig1 = system.dataset(experiments::experiment_or_err("fig1")?)?;
 //!     println!("{}", fig1.rendered);
 //!     Ok(())

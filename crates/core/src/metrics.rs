@@ -126,12 +126,9 @@ pub fn profile_report(snap: &MetricsSnapshot) -> String {
     let (campaign_ms, campaigns) = duration_of(snap, "cluster.campaign");
     line(format!(
         "campaign engine   {campaigns} campaign(s), {} events, {:.1} ms wall, \
-         {:.0} worker(s), {:.0} % advance utilization, \
          {:.0} simulated s / wall s",
         count_of(snap, "cluster.events"),
         campaign_ms,
-        value_of(snap, "cluster.rayon_threads"),
-        value_of(snap, "cluster.worker_utilization") * 100.0,
         value_of(snap, "cluster.sim_seconds_per_wall_second"),
     ));
     for phase in ["advance", "sample", "schedule", "faults"] {

@@ -4,7 +4,7 @@
 //! continuous collection over 144 nodes, not a one-shot analysis run.
 //! This module is that shape for the reproduction — a daemon that
 //! accepts campaign submissions over a plain TCP socket, multiplexes
-//! many campaigns concurrently over the process-wide worker pool,
+//! many campaigns concurrently, one per campaign worker thread,
 //! streams results incrementally as NDJSON, and keeps every completed
 //! result in a digest-keyed on-disk [`store::Store`].
 //!
@@ -45,11 +45,11 @@
 //! ## Determinism and the store
 //!
 //! The `dataset` lines are a pure function of the submission: campaign
-//! results are bit-identical across engines, thread counts, and
-//! instrumentation (the engine-equivalence suites prove it), and every
-//! JSON number renders through one writer. So the service can treat the
-//! rendered lines as *the* result: they are what subscribers stream,
-//! what the store persists, and what a digest-hit replays — byte-equal
+//! results are bit-identical across engines and instrumentation (the
+//! engine-equivalence suites prove it), and every JSON number renders
+//! through one writer. So the service can treat the rendered lines as
+//! *the* result: they are what subscribers stream, what the store
+//! persists, and what a digest-hit replays — byte-equal
 //! no matter which path produced them or what else was in flight. The
 //! `metrics`/`timeline` events are deliberately outside that contract
 //! (they carry wall-clock readings of this process) and are never
@@ -59,11 +59,9 @@
 //!
 //! Submissions dedup on their content digest (single-flight: concurrent
 //! identical submissions attach to one run), queue FIFO, and execute on
-//! `campaigns` worker threads. Each campaign runs with the engine
-//! configuration the daemon was started with; the vendored rayon pool
-//! is virtual — helper threads are process-wide and work-steal across
-//! whatever campaigns are in flight — so K concurrent campaigns share
-//! the machine instead of oversubscribing it K-fold.
+//! `campaigns` worker threads. Each campaign runs on its worker thread
+//! with the engine configuration the daemon was started with, so K
+//! concurrent campaigns occupy exactly K threads.
 
 pub mod store;
 
@@ -1052,7 +1050,7 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             store_dir: temp_dir(tag),
             campaigns: 2,
-            engine: EngineConfig::default().threads(1),
+            engine: EngineConfig::default(),
         })
         .expect("server spawns")
     }
@@ -1217,7 +1215,7 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             store_dir: dir.clone(),
             campaigns: 1,
-            engine: EngineConfig::default().threads(1),
+            engine: EngineConfig::default(),
         };
         let sub = cheap_submission();
 

@@ -14,8 +14,8 @@
 //! [`sp2_power2::Fnv128`] primitive the signature cache keys on —
 //! stable across processes and platforms, unlike `DefaultHasher`) over
 //! a canonical little-endian byte encoding of exactly the
-//! result-determining fields. Engine kind, thread count, fast-forward,
-//! and instrumentation switches are deliberately **excluded**: the
+//! result-determining fields. Engine kind, fast-forward, and
+//! instrumentation switches are deliberately **excluded**: the
 //! engine-equivalence and recorder-bit-identity test suites prove
 //! results are bit-identical under every such configuration, so two
 //! submissions that differ only there *are the same request*. That
@@ -40,7 +40,7 @@ pub const SCHEMA: &str = "sp2-submission/v1";
 const MAX_JSON_SAFE_INT: u64 = 1 << 53;
 
 /// A validated campaign request: what to simulate and which experiments
-/// to evaluate — nothing about *how* to run it (engine, threads,
+/// to evaluate — nothing about *how* to run it (engine,
 /// instrumentation), because results are bit-identical under every
 /// engine configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -444,7 +444,7 @@ mod tests {
         // The digest covers the request, not the execution strategy —
         // there is simply no way to feed an engine config into it.
         let sub = demo();
-        let sys = sub.system(EngineConfig::default().threads(2));
+        let sys = sub.system(EngineConfig::default());
         assert_eq!(sys.spec().days, 2);
         assert_eq!(sys.fault_rate(), 0.5);
         assert_eq!(sys.fault_seed(), 11);

@@ -23,18 +23,17 @@ pub const DEFAULT_FAULT_SEED: u64 = 4_096;
 /// Owns the cluster configuration, the measured workload library, the
 /// job-mix model, the campaign spec, and the fault configuration;
 /// lazily runs and caches one campaign per `(counter selection,
-/// faulted)` pair so all thirteen experiments — including the
+/// faulted)` pair so all fourteen experiments — including the
 /// `availability` report, which needs a fault-free twin — can share
-/// simulations. Campaigns run on the parallel engine — `threads`
-/// controls the worker count, and results are bit-identical at any
-/// thread count.
+/// simulations. Each campaign runs on the calling thread under the
+/// system's [`EngineConfig`], and results are bit-identical under every
+/// engine configuration.
 pub struct Sp2System {
     config: ClusterConfig,
     library: WorkloadLibrary,
     mix: JobMix,
     spec: CampaignSpec,
     engine: EngineConfig,
-    threads: usize,
     fault_rate: f64,
     fault_seed: u64,
     cancel: Option<Arc<CancelToken>>,
@@ -50,7 +49,6 @@ pub struct Sp2SystemBuilder {
     mix: JobMix,
     spec: CampaignSpec,
     engine: EngineConfig,
-    threads: usize,
     fault_rate: f64,
     fault_seed: u64,
     cancel: Option<Arc<CancelToken>>,
@@ -65,7 +63,6 @@ impl Default for Sp2SystemBuilder {
             mix: JobMix::nas(),
             spec: CampaignSpec::default(),
             engine: EngineConfig::default(),
-            threads: 1,
             fault_rate: 0.0,
             fault_seed: DEFAULT_FAULT_SEED,
             cancel: None,
@@ -117,17 +114,8 @@ impl Sp2SystemBuilder {
         self
     }
 
-    /// Worker threads for the campaign engine (0 = one per core,
-    /// default 1). Results are identical at any setting. Shorthand for
-    /// the same field on [`Sp2SystemBuilder::engine`]'s config, which
-    /// wins when it sets threads explicitly.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Replaces the engine configuration: engine kind, worker threads,
-    /// and the measurement switches (fast-forward, metrics, recording).
+    /// Replaces the engine configuration: engine kind and the
+    /// measurement switches (fast-forward, metrics, recording).
     /// Results are bit-identical under every engine configuration — only
     /// speed and instrumentation differ.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
@@ -152,8 +140,8 @@ impl Sp2SystemBuilder {
     /// Attaches a cooperative cancellation token: campaign runs poll it
     /// at every event boundary and fail with
     /// [`sp2_cluster::CampaignError::Cancelled`] once raised. The serve
-    /// scheduler uses this so a `cancel` request reclaims the pool
-    /// mid-campaign.
+    /// scheduler uses this so a `cancel` request frees its campaign
+    /// worker mid-campaign.
     pub fn cancel_token(mut self, cancel: Arc<CancelToken>) -> Self {
         self.cancel = Some(cancel);
         self
@@ -173,7 +161,6 @@ impl Sp2SystemBuilder {
             mix: self.mix,
             spec: self.spec,
             engine: self.engine,
-            threads: self.threads,
             fault_rate: self.fault_rate,
             fault_seed: self.fault_seed,
             cancel: self.cancel,
@@ -210,19 +197,9 @@ impl Sp2System {
         &self.spec
     }
 
-    /// Campaign-engine worker threads (0 = one per core).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The engine configuration campaigns run under.
     pub fn engine(&self) -> &EngineConfig {
         &self.engine
-    }
-
-    /// Sets the worker-thread count for subsequent campaign runs.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     /// The configured fault-injection rate (0.0 = fault-free).
@@ -322,19 +299,13 @@ impl Sp2System {
         } else {
             FaultPlan::none()
         };
-        // The explicit engine config wins; the legacy `threads` knob
-        // fills in when it leaves the pool size unset.
-        let engine = EngineConfig {
-            threads: Some(self.engine.threads.unwrap_or(self.threads)),
-            ..self.engine
-        };
         let result = run_campaign_cfg_cancellable(
             &config,
             &self.library,
             &jobs,
             self.spec.days,
             &faults,
-            &engine,
+            &self.engine,
             self.cancel.as_deref(),
         )?;
         self.campaigns.insert((kind, faulted), result);
@@ -353,17 +324,13 @@ impl Sp2System {
         } else {
             FaultPlan::none()
         };
-        let engine = EngineConfig {
-            threads: Some(self.engine.threads.unwrap_or(self.threads)),
-            ..self.engine
-        };
         Ok(run_campaign_rotated(
             &self.config,
             &self.library,
             &jobs,
             self.spec.days,
             &faults,
-            &engine,
+            &self.engine,
             plan,
             self.cancel.as_deref(),
         )?)
@@ -487,13 +454,11 @@ mod tests {
         let mut sys = Sp2System::builder()
             .days(1)
             .seed(11)
-            .threads(2)
             .faults(0.5)
             .fault_seed(9)
             .build();
         assert_eq!(sys.spec().days, 1);
         assert_eq!(sys.spec().seed, 11);
-        assert_eq!(sys.threads(), 2);
         assert_eq!(sys.fault_rate(), 0.5);
         assert_eq!(sys.fault_seed(), 9);
         assert!(sys.faulted());

@@ -172,9 +172,9 @@ fn sparkline(values: &[f64]) -> String {
 
 /// The metrics the terminal history plots, in display order: the four
 /// campaign phases (per-interval milliseconds), then throughput and
-/// utilization readings. Everything here exists in every aggregate
+/// bottleneck readings. Everything here exists in every aggregate
 /// snapshot, so the render never depends on workload specifics.
-const TIMELINE_ROWS: [(&str, &str); 15] = [
+const TIMELINE_ROWS: [(&str, &str); 14] = [
     ("cluster.phase.advance", "phase advance (ms)"),
     ("cluster.phase.sample", "phase sample (ms)"),
     ("cluster.phase.schedule", "phase schedule (ms)"),
@@ -184,7 +184,6 @@ const TIMELINE_ROWS: [(&str, &str); 15] = [
     ("rs2hpm.nodes_sampled", "node deltas"),
     ("pbs.jobs_started", "jobs started"),
     ("pbs.queue_depth", "queue depth"),
-    ("cluster.worker_utilization", "worker utilization"),
     ("cluster.toplev.dispatch", "toplev dispatch (%)"),
     ("cluster.toplev.fpu", "toplev fpu (%)"),
     ("cluster.toplev.dcache_tlb", "toplev dcache+tlb (%)"),
@@ -357,7 +356,7 @@ mod tests {
             "sparklines span the range: {text}"
         );
         // Rows with no recorded metric are skipped, not rendered empty.
-        assert!(!text.contains("worker utilization"), "{text}");
+        assert!(!text.contains("queue depth"), "{text}");
     }
 
     #[test]

@@ -47,6 +47,7 @@ pub mod node;
 pub mod sigcache;
 pub mod signature;
 pub mod tlb;
+pub mod workers;
 
 pub use batch::{BatchDelta, CounterBatch};
 pub use cache::{AccessOutcome, Cache, CacheConfig, WritePolicy};

@@ -34,8 +34,7 @@ use crate::signature::KernelSignature;
 use sp2_isa::Kernel;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 const SHARDS: usize = 16;
@@ -225,18 +224,17 @@ impl SignatureCache {
     /// the same hit/miss/coalesced tallies.
     ///
     /// Hits resolve on the calling thread. The first occurrence of each
-    /// missing key is simulated on one of
-    /// [`std::thread::available_parallelism`] threads, the caller
-    /// included; no thread is spawned when fewer than two jobs miss.
-    /// Repeats of a key within the batch are answered from its published
-    /// entry afterwards, so each key is simulated once.
+    /// missing key is simulated on one of [`crate::workers::available`]
+    /// threads, the caller included ([`crate::workers::map_indexed`]);
+    /// no thread is spawned when fewer than two jobs miss. Repeats of a
+    /// key within the batch are answered from its published entry
+    /// afterwards, so each key is simulated once.
     pub fn measure_all(
         &self,
         jobs: &[(Kernel, u64)],
         config: &MachineConfig,
     ) -> Vec<KernelSignature> {
-        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        self.measure_all_on(jobs, config, workers)
+        self.measure_all_on(jobs, config, crate::workers::available())
     }
 
     /// [`SignatureCache::measure_all`] on at most `workers` threads.
@@ -268,35 +266,14 @@ impl SignatureCache {
             }
         }
 
-        let next = AtomicUsize::new(0);
-        let work = || {
-            let mut done = Vec::new();
-            while let Some(&i) = firsts.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let (kernel, seed) = &jobs[i];
-                let sig = self.measure_keyed(hashes[i], kernel, config, *seed);
-                done.push((i, sig));
-            }
-            done
-        };
         let threads = workers.clamp(1, firsts.len().max(1));
         crate::metrics::MEASURE_THREADS.record(threads as u64);
-        let measured = if threads < 2 {
-            work()
-        } else {
-            std::thread::scope(|s| {
-                let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
-                let mut done = work();
-                for helper in helpers {
-                    done.extend(
-                        helper
-                            .join()
-                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                    );
-                }
-                done
-            })
-        };
-        for (i, sig) in measured {
+        let measured = crate::workers::map_indexed(firsts.len(), threads, |k| {
+            let i = firsts[k];
+            let (kernel, seed) = &jobs[i];
+            self.measure_keyed(hashes[i], kernel, config, *seed)
+        });
+        for (&i, sig) in firsts.iter().zip(measured) {
             sigs[i] = Some(sig);
         }
 

@@ -14,12 +14,12 @@
 //!   separate trace processes so their clocks never mix.
 //!
 //! Events land in a lock-sharded bounded buffer (shard picked by thread
-//! id, so concurrent rayon workers rarely contend). When a shard is
-//! full the oldest event in it is dropped and a process-wide counter
-//! incremented — bounded memory, never silent truncation. Every record
-//! path first checks the process-global [`crate::recording`] flag; when
-//! it is clear a span guard is one relaxed load and an event is never
-//! allocated.
+//! id, so concurrent measurement and campaign threads rarely contend).
+//! When a shard is full the oldest event in it is dropped and a
+//! process-wide counter incremented — bounded memory, never silent
+//! truncation. Every record path first checks the process-global
+//! [`crate::recording`] flag; when it is clear a span guard is one
+//! relaxed load and an event is never allocated.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;

@@ -1,6 +1,6 @@
 //! The full measurement campaign: replays the paper's nine-month study
 //! and regenerates every table and figure through the experiment
-//! registry, on the parallel campaign engine.
+//! registry.
 //!
 //! ```sh
 //! cargo run --release --example campaign            # full 270 days
@@ -47,12 +47,7 @@ fn main() {
         .unwrap_or(0.0);
 
     println!("building workload library and running a {days}-day campaign…");
-    // threads(0): one worker per core; results are identical to -j 1.
-    let mut system = Sp2System::builder()
-        .days(days)
-        .threads(0)
-        .faults(faults)
-        .build();
+    let mut system = Sp2System::builder().days(days).faults(faults).build();
     let datasets = match system.run_all() {
         Ok(d) => d,
         Err(e) => {

@@ -15,7 +15,7 @@
 //! sp2 toplev --passes 2 --days 30  # rotate all 28 signals over 2 passes
 //! sp2 availability --faults 0.05   # fault impact vs a fault-free twin
 //! sp2 probe matmul                 # run one kernel under the HPM
-//! sp2 campaign --days 270 -j 0     # everything, in parallel, with artifacts
+//! sp2 campaign --days 270          # everything, with artifacts
 //! sp2 profile --days 30            # self-measurement report of the run
 //! sp2 table2 --metrics m.json      # any command + metrics dump afterwards
 //! sp2 timeline --days 60           # the simulator's own Figure 1
@@ -91,12 +91,9 @@ COMMANDS:
                                          verdict (see below)
 
 OPTIONS:
-    --days N        campaign length in days (default 60; the paper used 270)
-    --threads N     campaign worker threads (default 1). `-j 0` means one
-                    worker per core; values above the machine's available
-                    parallelism are rejected. Sets campaign workers only:
-                    kernel measurement always uses every core, with
-                    identical results at any core count
+    --days N        campaign length in days (default 60; the paper used 270).
+                    A campaign runs on one thread; kernel measurement uses
+                    every core, with identical results at any core count
     --faults RATE   fault-injection rate (default 0 = fault-free; 1.0 is
                     roughly a troubled production month)
     --fault-seed N  seed for the fault plan (default 4096)
@@ -202,7 +199,6 @@ struct Args {
     arg: Option<String>,
     arg2: Option<String>,
     days: u32,
-    threads: usize,
     faults: f64,
     fault_seed: u64,
     json: bool,
@@ -245,10 +241,6 @@ struct Args {
     live: bool,
 }
 
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
 fn parse_args() -> Result<Args, String> {
     parse_args_from(std::env::args().skip(1))
 }
@@ -268,7 +260,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
         arg: None,
         arg2: None,
         days: 60,
-        threads: 1,
         faults: 0.0,
         fault_seed: 4_096,
         json: false,
@@ -299,18 +290,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
                 args.days = v.parse().map_err(|_| format!("bad --days value: {v}"))?;
                 if args.days == 0 {
                     return Err("--days must be at least 1".into());
-                }
-            }
-            "--threads" | "-j" => {
-                let v = argv.next().ok_or("--threads needs a value")?;
-                args.threads = v.parse().map_err(|_| format!("bad --threads value: {v}"))?;
-                let avail = available_parallelism();
-                if args.threads > avail {
-                    return Err(format!(
-                        "--threads {} exceeds the available parallelism ({avail}); \
-                         use `-j 0` for one worker per core",
-                        args.threads
-                    ));
                 }
             }
             "--faults" => {
@@ -563,9 +542,7 @@ fn dump_trace(path: &str) -> Result<(), CliError> {
 /// run executes under. No process state changes here — the switches take
 /// effect when the config is applied.
 fn engine_config(args: &Args) -> EngineConfig {
-    let mut engine = EngineConfig::default()
-        .engine(args.engine)
-        .threads(args.threads);
+    let mut engine = EngineConfig::default().engine(args.engine);
     // The trace layer stays off (one relaxed atomic load per record site)
     // unless this invocation actually wants measurements.
     if args.metrics.is_some() || args.command == "profile" {
@@ -700,13 +677,8 @@ fn dispatch(args: &Args, engine: EngineConfig) -> Result<ExitCode, CliError> {
 
     if cmd == "campaign" || cmd == "profile" {
         eprintln!(
-            "running a {}-day campaign on {} thread(s){}…",
+            "running a {}-day campaign{}…",
             args.days,
-            if args.threads == 0 {
-                "all".to_string()
-            } else {
-                args.threads.to_string()
-            },
             if args.faults > 0.0 {
                 format!(" with faults at rate {}", args.faults)
             } else {
@@ -1168,7 +1140,6 @@ mod tests {
         let args = parse(&["timeline"]).expect("parses");
         assert_eq!(args.command, "timeline");
         assert_eq!(args.days, 60);
-        assert_eq!(args.threads, 1);
         assert_eq!(args.cadence, 1);
         assert_eq!(args.engine, EngineKind::Batch);
         assert!(args.fast_forward);
@@ -1212,10 +1183,9 @@ mod tests {
 
     #[test]
     fn flags_translate_to_engine_config() {
-        // Defaults: only the pool size is pinned; every switch stays
-        // None so process-wide settings are left alone.
+        // Defaults: every switch stays None so process-wide settings
+        // are left alone.
         let e = engine_config(&parse(&["table2"]).expect("parses"));
-        assert_eq!(e.threads, Some(1));
         assert!(e.fast_forward.is_none());
         assert!(e.metrics.is_none());
         assert!(e.recording_cadence.is_none());
@@ -1246,6 +1216,9 @@ mod tests {
         let args = parse(&["probe", "matmul"]).expect("parses");
         assert_eq!(args.arg.as_deref(), Some("matmul"));
         assert!(parse(&["table1", "--bogus"]).is_err());
+        // Campaigns run on the calling thread; there is no thread knob.
+        assert!(parse(&["table1", "--threads", "2"]).is_err());
+        assert!(parse(&["table1", "-j", "0"]).is_err());
         assert!(parse(&[]).is_err(), "no command prints usage");
     }
 
@@ -1254,8 +1227,6 @@ mod tests {
         let before = parse(&[
             "--engine",
             "reference",
-            "-j",
-            "1",
             "--days",
             "30",
             "--trace-out",
@@ -1269,8 +1240,6 @@ mod tests {
             "table2",
             "--engine",
             "reference",
-            "-j",
-            "1",
             "--days",
             "30",
             "--trace-out",
@@ -1281,7 +1250,6 @@ mod tests {
             assert_eq!(args.command, "submit");
             assert_eq!(args.arg.as_deref(), Some("table2"));
             assert_eq!(args.engine, EngineKind::Reference);
-            assert_eq!(args.threads, 1);
             assert_eq!(args.days, 30);
             assert_eq!(args.trace_out.as_deref(), Some("t.json"));
         }

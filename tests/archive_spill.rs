@@ -39,7 +39,7 @@ fn multi_month_campaign_aggregates_in_bounded_memory() {
         .build()
         .expect("valid config");
     let library = WorkloadLibrary::build(&config.machine, 42);
-    let engine = EngineConfig::default().threads(1);
+    let engine = EngineConfig::default();
 
     let meta = CampaignMeta {
         kind: SelectionKind::Nas,
@@ -108,7 +108,7 @@ fn spill_max_run_tunes_residency_without_changing_results() {
     let library = WorkloadLibrary::build(&config.machine, 42);
 
     let run = |cap: Option<usize>| {
-        let mut engine = EngineConfig::default().threads(1);
+        let mut engine = EngineConfig::default();
         if let Some(cap) = cap {
             engine = engine.spill_max_run(cap);
         }

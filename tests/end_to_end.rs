@@ -254,7 +254,7 @@ fn every_dataset_carries_a_quality_footer() {
 
 #[test]
 fn faulted_campaign_degrades_every_dataset_visibly() {
-    // A separate short campaign with heavy faults: all thirteen
+    // A separate short campaign with heavy faults: all fourteen
     // experiments must still run and must flag the degradation.
     let mut sys = Sp2System::builder()
         .days(3)

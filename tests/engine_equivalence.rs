@@ -4,15 +4,12 @@
 //! its campaigns are *bit-identical* to the reference per-node engine:
 //! every daemon sample, per-job counter report, PBS accounting record,
 //! and fault summary — u64 counters compared exactly, f64 rates compared
-//! to the bit. The contract must hold at every worker-pool size (the
-//! work-stealing pool may execute lane adds in any order) and under the
-//! workloads that stress its plan interning and delta caching hardest:
-//! skewed job mixes full of wide jobs and churn, and fault plans that
-//! crash, reboot, and glitch nodes mid-campaign.
+//! to the bit. The contract must hold under the workloads that stress
+//! its plan interning and delta caching hardest: skewed job mixes full
+//! of wide jobs and churn, and fault plans that crash, reboot, and
+//! glitch nodes mid-campaign.
 
-use sp2_repro::cluster::{
-    run_campaign, run_campaign_cfg, ClusterConfig, EngineConfig, EngineKind, FaultPlan,
-};
+use sp2_repro::cluster::{run_campaign, run_campaign_cfg, ClusterConfig, EngineConfig, FaultPlan};
 use sp2_repro::workload::{trace, CampaignSpec, JobMix, SubmittedJob, WorkloadLibrary};
 
 /// A mix deliberately unlike the NAS production mix: dominated by wide
@@ -30,9 +27,7 @@ fn skewed_mix() -> JobMix {
 }
 
 /// Runs one campaign on the reference engine, then re-runs it on the
-/// batch engine at 1, 2, and 8 worker threads (and the reference engine
-/// on an 8-thread pool as a control) and asserts every dataset is
-/// bit-identical.
+/// batch engine and asserts every dataset is bit-identical.
 fn assert_engines_equivalent(mix: &JobMix, days: u32, seed: u64, faults: &FaultPlan) {
     let config = ClusterConfig::default();
     let library = WorkloadLibrary::build(&config.machine, 42);
@@ -43,45 +38,35 @@ fn assert_engines_equivalent(mix: &JobMix, days: u32, seed: u64, faults: &FaultP
     };
     let jobs = trace::generate(&spec, mix, &library);
     let reference = run_campaign(&config, &library, &jobs, days, faults).expect("reference runs");
-
-    let mut runs = vec![(
-        "reference/8",
-        EngineConfig::default()
-            .engine(EngineKind::Reference)
-            .threads(8),
-    )];
-    for threads in [1usize, 2, 8] {
-        runs.push(("batch", EngineConfig::default().threads(threads)));
-    }
-    for (label, engine) in runs {
-        let other = run_campaign_cfg(&config, &library, &jobs, days, faults, &engine)
-            .expect("campaign runs");
-        let tag = format!("{label} threads={:?}", engine.threads);
-        assert_eq!(reference.samples, other.samples, "{tag}: samples");
-        assert_eq!(reference.job_reports, other.job_reports, "{tag}: jobs");
-        assert_eq!(reference.pbs_records, other.pbs_records, "{tag}: pbs");
-        assert_eq!(reference.faults, other.faults, "{tag}: faults");
-        // `==` on f64 admits -0.0 == +0.0; the contract is stronger, so
-        // spot-check the derived rates to the bit as well.
-        for (a, b) in reference.samples.iter().zip(&other.samples) {
-            assert_eq!(
-                a.rates.mflops.to_bits(),
-                b.rates.mflops.to_bits(),
-                "{tag}: mflops bits"
-            );
-            assert_eq!(
-                a.rates.mips.to_bits(),
-                b.rates.mips.to_bits(),
-                "{tag}: mips bits"
-            );
-        }
+    let batch = run_campaign_cfg(
+        &config,
+        &library,
+        &jobs,
+        days,
+        faults,
+        &EngineConfig::default(),
+    )
+    .expect("batch runs");
+    assert_eq!(reference.samples, batch.samples, "samples");
+    assert_eq!(reference.job_reports, batch.job_reports, "jobs");
+    assert_eq!(reference.pbs_records, batch.pbs_records, "pbs");
+    assert_eq!(reference.faults, batch.faults, "faults");
+    // `==` on f64 admits -0.0 == +0.0; the contract is stronger, so
+    // spot-check the derived rates to the bit as well.
+    for (a, b) in reference.samples.iter().zip(&batch.samples) {
+        assert_eq!(
+            a.rates.mflops.to_bits(),
+            b.rates.mflops.to_bits(),
+            "mflops bits"
+        );
+        assert_eq!(a.rates.mips.to_bits(), b.rates.mips.to_bits(), "mips bits");
     }
 }
 
 /// Runs a hand-crafted trace on the reference engine, then on the batch
 /// engine with elision forced off (`--no-fast-forward`) and forced on,
-/// each at 1 and 8 worker threads, and asserts every dataset is
-/// bit-identical. This is the event-transparency proof harness: the
+/// and asserts every dataset is bit-identical. This is the
+/// event-transparency proof harness: the
 /// traces below are built so specific event classes pop *inside*
 /// otherwise-steady sweep runs.
 fn assert_adversarial_equivalent(
@@ -94,19 +79,11 @@ fn assert_adversarial_equivalent(
     let jobs = build(&library);
     let reference = run_campaign(&config, &library, &jobs, days, faults).expect("reference runs");
 
-    let mut runs = Vec::new();
-    for threads in [1usize, 8] {
-        for ff in [false, true] {
-            runs.push(EngineConfig::default().threads(threads).fast_forward(ff));
-        }
-    }
-    for engine in runs {
+    for ff in [false, true] {
+        let engine = EngineConfig::default().fast_forward(ff);
         let other =
             run_campaign_cfg(&config, &library, &jobs, days, faults, &engine).expect("runs");
-        let tag = format!(
-            "threads={:?} fast_forward={:?}",
-            engine.threads, engine.fast_forward
-        );
+        let tag = format!("fast_forward={ff}");
         assert_eq!(reference.samples, other.samples, "{tag}: samples");
         assert_eq!(reference.job_reports, other.job_reports, "{tag}: jobs");
         assert_eq!(reference.pbs_records, other.pbs_records, "{tag}: pbs");

@@ -13,7 +13,6 @@ use sp2_repro::trace::{self, MetricValue};
 fn run_all_experiments() -> Vec<Dataset> {
     let mut sys = Sp2System::builder()
         .days(1)
-        .threads(1)
         .faults(0.5)
         .fault_seed(4_096)
         .build();

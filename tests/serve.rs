@@ -59,7 +59,7 @@ fn campaign_submission(days: u32, seed: u64) -> Submission {
 #[test]
 fn concurrent_duplicates_match_each_other_and_the_one_shot_path() {
     let _serial = lock();
-    let server = spawn_server("duplicates", 2, EngineConfig::default().threads(1));
+    let server = spawn_server("duplicates", 2, EngineConfig::default());
     let addr = server.addr();
 
     // Unrelated traffic on the same daemon: a different-seed campaign
@@ -101,8 +101,7 @@ fn concurrent_duplicates_match_each_other_and_the_one_shot_path() {
     );
     // At least one of the two rode the other's run (single-flight) or
     // the store — both are dedup paths; what matters is the bytes.
-    let local =
-        serve::run_local(&sub, EngineConfig::default().threads(1)).expect("one-shot path runs");
+    let local = serve::run_local(&sub, EngineConfig::default()).expect("one-shot path runs");
     assert_eq!(
         outcomes[0].dataset_lines, local,
         "service bytes must equal the one-shot (`sp2 submit --local`) bytes"
@@ -122,7 +121,6 @@ fn cancellation_mid_campaign_leaves_the_store_consistent() {
         store_dir: store_dir.clone(),
         campaigns: 1,
         engine: EngineConfig::default()
-            .threads(1)
             .engine(EngineKind::Reference)
             .fast_forward(false),
     })
@@ -206,7 +204,7 @@ fn digest_hit_replays_without_rerunning() {
         addr: "127.0.0.1:0".into(),
         store_dir: dir.clone(),
         campaigns: 1,
-        engine: EngineConfig::default().threads(1),
+        engine: EngineConfig::default(),
     };
     let sub = campaign_submission(2, 1_998);
 

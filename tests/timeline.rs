@@ -1,11 +1,11 @@
 //! The flight recorder's contract, end to end: recording observes the
 //! campaign without perturbing it (results bit-identical with the
-//! recorder on or off, across thread counts), the interval time series
+//! recorder on or off), the interval time series
 //! covers a month-scale campaign without ring drops, and the Chrome
 //! trace export round-trips through the JSON parser with every phase and
 //! job span intact and zero silently-dropped events.
 
-use sp2_repro::cluster::{run_campaign_with_threads, CampaignResult, ClusterConfig, FaultPlan};
+use sp2_repro::cluster::{run_campaign, CampaignResult, ClusterConfig, FaultPlan};
 use sp2_repro::core::{metrics, timeline, Json};
 use sp2_repro::trace::{self, events, recorder};
 use sp2_repro::workload::{CampaignSpec, JobMix, WorkloadLibrary};
@@ -20,7 +20,7 @@ fn small_mix() -> JobMix {
 
 /// A faulted campaign on a small machine (tests run unoptimized; eight
 /// nodes keep a month of simulated time affordable).
-fn small_campaign(days: u32, threads: usize) -> CampaignResult {
+fn small_campaign(days: u32) -> CampaignResult {
     let config = ClusterConfig::builder()
         .nodes(8)
         .drain_threshold(4)
@@ -34,8 +34,7 @@ fn small_campaign(days: u32, threads: usize) -> CampaignResult {
     };
     let jobs = sp2_repro::workload::trace::generate(&spec, &small_mix(), &library);
     let faults = FaultPlan::generate(8, days, 1.0, 1996);
-    run_campaign_with_threads(&config, &library, &jobs, days, threads, &faults)
-        .expect("campaign runs")
+    run_campaign(&config, &library, &jobs, days, &faults).expect("campaign runs")
 }
 
 fn assert_same_campaign(a: &CampaignResult, b: &CampaignResult) {
@@ -52,23 +51,23 @@ fn assert_same_campaign(a: &CampaignResult, b: &CampaignResult) {
 /// and the test harness runs functions in parallel.
 #[test]
 fn recorder_is_invisible_bounded_and_exportable() {
-    // --- Baseline: recording off, serial. -------------------------
+    // --- Baseline: recording off. ---------------------------------
     trace::set_enabled(false);
     trace::set_recording(false);
-    let baseline = small_campaign(31, 1);
+    let baseline = small_campaign(31);
 
-    // --- Recorded: recorder on, two workers. ----------------------
+    // --- Recorded: recorder on. -----------------------------------
     events::reset();
     recorder::reset();
     metrics::reset();
     timeline::enable_recording(1);
-    let recorded = small_campaign(31, 2);
+    let recorded = small_campaign(31);
     let series = recorder::series();
     timeline::disable_recording();
     trace::set_enabled(false);
 
     // Recording never feeds back into the engine: the campaign is
-    // bit-identical with the recorder on or off, across thread counts.
+    // bit-identical with the recorder on or off.
     assert_same_campaign(&baseline, &recorded);
 
     // The interval series holds a month of sweeps without recycling.
@@ -122,7 +121,7 @@ fn recorder_is_invisible_bounded_and_exportable() {
     events::reset();
     recorder::reset();
     timeline::enable_recording(1);
-    let traced = small_campaign(7, 1);
+    let traced = small_campaign(7);
     timeline::disable_recording();
     trace::set_enabled(false);
     assert!(traced.faults.enabled);
