@@ -14,7 +14,7 @@
 //! underlying simulation path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sp2_cluster::{run_campaign, ClusterConfig, FaultPlan, PagingModel};
+use sp2_cluster::{Campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan, PagingModel};
 use sp2_core::experiments::{experiment, ExperimentInput};
 use sp2_core::Json;
 use sp2_hpm::{nas_selection, EventSet, Hpm, Mode, Signal};
@@ -132,8 +132,12 @@ fn print_cluster_ablations() {
     };
 
     let configs = [ClusterConfig::default(), no_paging, no_drain];
+    let none = FaultPlan::none();
+    let reference = EngineConfig::default().engine(EngineKind::Reference);
     let results = workers::map_indexed(configs.len(), workers::available(), |i| {
-        run_campaign(&configs[i], &library, &jobs, spec.days, &FaultPlan::none())
+        Campaign::new(&configs[i], &library, &jobs, spec.days, &none)
+            .engine(reference)
+            .run()
             .expect("campaign runs")
     });
 

@@ -6,7 +6,7 @@
 //! exists for.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sp2_cluster::{run_campaign, ClusterConfig, FaultPlan};
+use sp2_cluster::{Campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan};
 use sp2_core::archive::{self, ArchiveCodec, ColumnarCodec, TextCodec};
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 
@@ -19,7 +19,9 @@ fn bench(c: &mut Criterion) {
         ..Default::default()
     };
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-    let campaign = run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
+    let campaign = Campaign::new(&config, &library, &jobs, spec.days, &FaultPlan::none())
+        .engine(EngineConfig::default().engine(EngineKind::Reference))
+        .run()
         .expect("campaign runs");
     let selection = &campaign.selection;
     let reports = &campaign.job_reports;

@@ -6,15 +6,18 @@
 //! It replays one skewed-mix campaign — wide jobs for plan sharing,
 //! single-node stragglers for churn — on both engines, asserts the batch
 //! engine's datasets are bit-identical to the reference, and writes the
-//! readings to `BENCH_throughput.json` at the workspace root. Two
-//! untimed passes ride along: an instrumented run that measures the
+//! readings to `BENCH_throughput.json` at the workspace root. Two more
+//! passes ride along: an untimed instrumented run that measures the
 //! cluster-interval fast-forward's elision rate (elided sweeps / total
-//! sweeps), and a long-horizon spilling campaign (fault plan on) proving
-//! the spill + fast-forward interaction is results-neutral at scale. CI
-//! re-runs it at full length with the in-bench floor disabled
-//! (`SP2_BENCH_MIN_SPEEDUP=0`) and gates on the committed baseline
-//! instead: the batch-over-reference speedup must stay within 10 % of
-//! the committed value and >= 5x, and the elision rate >= 0.5.
+//! sweeps), and a long-horizon spilling campaign (fault plan on), timed
+//! elided and stepped in [`LONG_ROUNDS`] interleaved rounds. Every round
+//! proves the spill + fast-forward interaction results-neutral at scale,
+//! and the ledger keeps the median per-round speedup over stepping with
+//! its interquartile range. CI re-runs it at full length with the
+//! in-bench floor disabled (`SP2_BENCH_MIN_SPEEDUP=0`) and gates on the
+//! committed baseline instead: the batch-over-reference speedup must
+//! stay within 10 % of the committed value and >= 5x, and the elision
+//! rate >= 0.5.
 //!
 //! Environment knobs:
 //! - `SP2_BENCH_DAYS` — campaign length in days (default 8).
@@ -23,12 +26,27 @@
 //!   speedup (default 5.0; the acceptance floor).
 
 use sp2_cluster::{
-    metrics as cluster_metrics, run_campaign_cfg, run_campaign_cfg_spill, CampaignResult,
-    ClusterConfig, EngineConfig, EngineKind, FaultPlan, SystemSample,
+    metrics as cluster_metrics, Campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind,
+    FaultPlan, SystemSample,
 };
 use sp2_core::Json;
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 use std::time::Instant;
+
+/// Interleaved elided/stepped rounds of the long-horizon campaign. One
+/// round is a sub-second sample, so a single one says little; the ledger
+/// keeps the median ratio and its quartiles over this many.
+const LONG_ROUNDS: usize = 9;
+
+/// The `i`-th quartile (1, 2 or 3) of ascending `v` by the "exclusive"
+/// method of Python's `statistics.quantiles(v, n=4)`; `i = 2` is the
+/// median. `v` must hold at least two values.
+fn quartile(v: &[f64], i: usize) -> f64 {
+    let (n, m) = (v.len(), v.len() + 1);
+    let j = (i * m / 4).clamp(1, n - 1);
+    let delta = (i * m) as f64 - (j * 4) as f64;
+    (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
+}
 
 /// The equivalence suite's adversarial mix: dominated by wide jobs
 /// (maximum plan sharing and drain pressure) and single-node stragglers
@@ -72,27 +90,24 @@ fn main() {
     let mut readings: Vec<(&str, f64)> = Vec::new();
     let mut variants_json: Vec<Json> = Vec::new();
     let mut baseline: Option<CampaignResult> = None;
+    let none = FaultPlan::none();
     // Warm-up: one short campaign per engine kind so page-cache, lazy
     // statics, and the signature cache are hot before anything is timed.
     // Without it the first timed variant (the reference) pays the
     // cold-start cost alone and the speedup ratios skew.
     for kind in [EngineKind::Reference, EngineKind::Batch] {
-        let warm = EngineConfig::default().engine(kind);
-        run_campaign_cfg(
-            &config,
-            &library,
-            &jobs,
-            days.min(2),
-            &FaultPlan::none(),
-            &warm,
-        )
-        .expect("warm-up campaign runs");
+        Campaign::new(&config, &library, &jobs, days.min(2), &none)
+            .engine(EngineConfig::default().engine(kind))
+            .run()
+            .expect("warm-up campaign runs");
     }
 
     for (name, kind) in variants {
         let engine = EngineConfig::default().engine(kind);
         let t0 = Instant::now();
-        let result = run_campaign_cfg(&config, &library, &jobs, days, &FaultPlan::none(), &engine)
+        let result = Campaign::new(&config, &library, &jobs, days, &none)
+            .engine(engine)
+            .run()
             .expect("campaign runs");
         let seconds = t0.elapsed().as_secs_f64();
         let days_per_s = days as f64 / seconds.max(1e-9);
@@ -132,10 +147,13 @@ fn main() {
 
     // Elision-rate probe: one untimed instrumented batch run. The
     // sweep counters only record while metric capture is on, so this
-    // stays out of the timed variants above (spans cost a little).
+    // stays out of the timed variants above (spans cost a little). A
+    // campaign never switches capture on itself; this bench is the
+    // process here, so it does.
     cluster_metrics::reset();
-    let probe = EngineConfig::default().metrics(true);
-    run_campaign_cfg(&config, &library, &jobs, days, &FaultPlan::none(), &probe)
+    sp2_trace::set_enabled(true);
+    Campaign::new(&config, &library, &jobs, days, &none)
+        .run()
         .expect("probe campaign runs");
     sp2_trace::set_enabled(false);
     let sweeps = cluster_metrics::SWEEPS.get();
@@ -150,8 +168,9 @@ fn main() {
     // Long-horizon variant: a spilling multi-month campaign with a
     // fault plan, so the gate exercises the spill cap + event-
     // transparent fast-forward interaction, not just the resident
-    // 8-day mix. The stepped re-run proves the spilled series is
-    // bit-identical with elision on.
+    // 8-day mix. Each round times it elided and stepped, alternating
+    // which goes first so host drift charges both alike, and proves the
+    // spilled series bit-identical with elision on.
     let lh_spec = CampaignSpec {
         days: long_days,
         seed: 1998,
@@ -159,34 +178,50 @@ fn main() {
     };
     let lh_jobs = trace::generate(&lh_spec, &mix, &library);
     let lh_faults = FaultPlan::generate(config.nodes, long_days, 0.5, 1998);
-    let run_spill = |engine: &EngineConfig| {
+    let run_spill = |fast_forward: bool| {
         let mut sink: Vec<SystemSample> = Vec::new();
         let t0 = Instant::now();
-        run_campaign_cfg_spill(
-            &config,
-            &library,
-            &lh_jobs,
-            long_days,
-            &lh_faults,
-            engine,
-            None,
-            Some(&mut sink),
-        )
-        .expect("long-horizon campaign runs");
+        Campaign::new(&config, &library, &lh_jobs, long_days, &lh_faults)
+            .engine(EngineConfig::default().fast_forward(fast_forward))
+            .spill(&mut sink)
+            .run()
+            .expect("long-horizon campaign runs");
         (t0.elapsed().as_secs_f64(), sink)
     };
-    let (lh_seconds, lh_sink) = run_spill(&EngineConfig::default());
-    let (lh_stepped_s, stepped_sink) = run_spill(&EngineConfig::default().fast_forward(false));
-    sp2_power2::set_fast_forward_enabled(true);
-    assert_eq!(
-        lh_sink, stepped_sink,
-        "long-horizon: spilled series must be bit-identical with elision on"
-    );
+    let mut lh_elided_s = Vec::with_capacity(LONG_ROUNDS);
+    let mut lh_ratios = Vec::with_capacity(LONG_ROUNDS);
+    let mut lh_samples = 0;
+    for round in 0..LONG_ROUNDS {
+        let ((elided_s, elided), (stepped_s, stepped)) = if round % 2 == 0 {
+            let elided = run_spill(true);
+            (elided, run_spill(false))
+        } else {
+            let stepped = run_spill(false);
+            (run_spill(true), stepped)
+        };
+        assert_eq!(
+            elided, stepped,
+            "long-horizon round {round}: spilled series must be bit-identical with elision on"
+        );
+        let ratio = stepped_s / elided_s.max(1e-9);
+        println!(
+            "long-horizon round {} elided {elided_s:.3}s stepped {stepped_s:.3}s ({ratio:.2}x)",
+            round + 1
+        );
+        lh_elided_s.push(elided_s);
+        lh_ratios.push(ratio);
+        lh_samples = elided.len();
+    }
+    lh_elided_s.sort_by(f64::total_cmp);
+    lh_ratios.sort_by(f64::total_cmp);
+    let lh_seconds = quartile(&lh_elided_s, 2);
     let lh_days_per_s = long_days as f64 / lh_seconds.max(1e-9);
-    let lh_speedup = lh_stepped_s / lh_seconds.max(1e-9);
+    let lh_speedup = quartile(&lh_ratios, 2);
+    let (lh_q1, lh_q3) = (quartile(&lh_ratios, 1), quartile(&lh_ratios, 3));
     println!(
-        "long-horizon ({long_days} days, faults, spill): {lh_seconds:.3}s, \
-         {lh_days_per_s:.2} days/s, {lh_speedup:.2}x over stepping"
+        "long-horizon ({long_days} days, faults, spill): median {lh_seconds:.3}s, \
+         {lh_days_per_s:.2} days/s, {lh_speedup:.2}x over stepping \
+         (IQR {lh_q1:.2}-{lh_q3:.2}x, {LONG_ROUNDS} rounds)"
     );
 
     let doc = Json::obj()
@@ -205,7 +240,9 @@ fn main() {
                 .field("seconds", lh_seconds)
                 .field("days_per_s", lh_days_per_s)
                 .field("speedup_vs_stepping", lh_speedup)
-                .field("samples", lh_sink.len() as u64),
+                .field("speedup_iqr", vec![lh_q1, lh_q3])
+                .field("rounds", LONG_ROUNDS as u64)
+                .field("samples", lh_samples as u64),
         );
     // Land the artifact at the workspace root regardless of the CWD
     // cargo bench hands us (it differs between cargo versions).

@@ -13,7 +13,7 @@
 //! alike instead of charging one variant for a slow stretch, and the
 //! per-variant minimum is the cost floor the budget actually bounds.
 
-use sp2_cluster::{run_campaign, ClusterConfig, FaultPlan};
+use sp2_cluster::{Campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan};
 use sp2_core::Json;
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 use std::time::Instant;
@@ -67,6 +67,8 @@ fn main() {
         ..Default::default()
     };
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
+    let none = FaultPlan::none();
+    let reference = EngineConfig::default().engine(EngineKind::Reference);
 
     let run_once = |mode: Mode| -> f64 {
         // Clear the buffers so every pass records the same volume
@@ -76,7 +78,9 @@ fn main() {
         sp2_trace::recorder::reset();
         mode.arm();
         let t0 = Instant::now();
-        let r = run_campaign(&config, &library, &jobs, DAYS, &FaultPlan::none())
+        let r = Campaign::new(&config, &library, &jobs, DAYS, &none)
+            .engine(reference)
+            .run()
             .expect("campaign runs");
         let s = t0.elapsed().as_secs_f64();
         assert!(!r.job_reports.is_empty(), "campaign must do real work");

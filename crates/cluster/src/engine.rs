@@ -31,10 +31,10 @@
 //!   sampling path builds no per-node snapshot.
 //!
 //! [`EngineConfig`] is the explicit configuration the engine runs under:
-//! which engine, and the switches that used to be reachable only as
-//! process globals (sweep elision, metrics capture, flight-recorder
-//! cadence). `None` fields inherit whatever the process globals
-//! currently say, so a default config changes nothing.
+//! which engine, whether the batch engine elides steady sweeps, and the
+//! instrumentation a process entry point switches on (metrics capture,
+//! flight-recorder cadence). A campaign reads the engine kind and sweep
+//! elision from it once per run and writes no process global.
 
 use crate::activity::ActivityPlan;
 use sp2_hpm::CounterSelection;
@@ -54,21 +54,25 @@ pub enum EngineKind {
     Reference,
 }
 
-/// Explicit engine configuration, replacing scattered process-global
-/// switches.
+/// Explicit engine configuration.
 ///
-/// Every `Option` field means "`None` = leave the process-wide setting
-/// alone", so `EngineConfig::default()` is behavior-preserving. CLI
-/// flags translate into one of these; [`EngineConfig::apply`] pushes the
-/// explicit choices into the globals the lower layers consult.
+/// `engine` and `fast_forward` belong to the campaign that runs under
+/// the config: each run reads them once and nothing else sees them.
+/// Results are bit-identical under every setting. The two `Option`
+/// fields are instrumentation switches that stay process-wide (metric
+/// capture and the flight recorder observe the whole process); `None`
+/// leaves them as they are, and only a process entry point (the `sp2`
+/// CLI, `sp2 serve`) applies them, through [`EngineConfig::apply`] and
+/// `sp2-core`'s `timeline::apply_engine_config`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Node engine to run campaigns on.
     pub engine: EngineKind,
     /// The batch engine's cluster-interval fast-forward: eliding runs of
-    /// steady sampling sweeps (`--no-fast-forward` sets `Some(false)`).
-    /// Results are bit-identical either way.
-    pub fast_forward: Option<bool>,
+    /// steady sampling sweeps. On by default; `--no-fast-forward` turns
+    /// it off for the run's campaigns. Results are bit-identical either
+    /// way, and the reference engine never elides.
+    pub fast_forward: bool,
     /// Self-metering metric capture (`--metrics` / `profile`).
     pub metrics: Option<bool>,
     /// Flight-recorder cadence in daemon sweeps (`--trace-out` /
@@ -95,7 +99,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             engine: EngineKind::default(),
-            fast_forward: None,
+            fast_forward: true,
             metrics: None,
             recording_cadence: None,
             spill_max_run: 96,
@@ -119,9 +123,9 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the fast-forward switch explicitly.
+    /// Turns the batch engine's sweep elision on or off.
     pub fn fast_forward(mut self, on: bool) -> Self {
-        self.fast_forward = Some(on);
+        self.fast_forward = on;
         self
     }
 
@@ -149,14 +153,11 @@ impl EngineConfig {
         self
     }
 
-    /// Pushes the explicit switches into the process-wide settings the
-    /// measurement layers consult. `None` fields are untouched;
-    /// `recording_cadence` is applied by `sp2-core` (the recorder's
-    /// collector lives there).
+    /// Pushes an explicit metric-capture switch into the process-wide
+    /// trace layer; `None` leaves it untouched. `recording_cadence` is
+    /// applied by `sp2-core` (the recorder's collector lives there).
+    /// Process entry points call this; a campaign never does.
     pub fn apply(&self) {
-        if let Some(on) = self.fast_forward {
-            sp2_power2::set_fast_forward_enabled(on);
-        }
         if let Some(on) = self.metrics {
             sp2_trace::set_enabled(on);
         }
@@ -567,14 +568,12 @@ mod tests {
     fn default_engine_config_is_inert() {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.engine, EngineKind::Batch);
-        assert!(cfg.fast_forward.is_none());
+        assert!(cfg.fast_forward, "sweep elision is on by default");
         assert!(cfg.metrics.is_none());
         assert!(cfg.recording_cadence.is_none());
         // apply() must not disturb process globals.
-        let ff = sp2_power2::fast_forward_enabled();
         let tr = sp2_trace::enabled();
         cfg.apply();
-        assert_eq!(sp2_power2::fast_forward_enabled(), ff);
         assert_eq!(sp2_trace::enabled(), tr);
     }
 }

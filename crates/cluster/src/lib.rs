@@ -43,9 +43,8 @@ pub use paging::PagingModel;
 pub use result::{CampaignResult, FaultSummary};
 pub use rotate::{plan_signals, plan_signals_with_passes, run_campaign_rotated, RotatedCampaign};
 pub use sim::{
-    run_campaign, run_campaign_cfg, run_campaign_cfg_cancellable, run_campaign_cfg_spill,
-    run_replications, CampaignError, CancelToken, ClusterConfig, ClusterConfigBuilder,
-    ClusterConfigError,
+    run_campaign_cfg_cancellable, Campaign, CampaignError, CancelToken, ClusterConfig,
+    ClusterConfigBuilder, ClusterConfigError,
 };
 pub use sp2_rs2hpm::{SampleSink, SystemSample};
 pub use state::NodeState;

@@ -7,7 +7,7 @@
 
 use sp2_trace::{Counter, Gauge, MetricValue, MetricsSnapshot, Timer};
 
-/// Whole [`crate::run_campaign`] invocations, wall time per campaign.
+/// Whole [`crate::Campaign::run`] invocations, wall time per campaign.
 pub static CAMPAIGN: Timer = Timer::new("cluster.campaign");
 
 /// Events popped off the simulation heap.

@@ -18,15 +18,15 @@
 //! signal's observed coverage back to the full interval with per-signal
 //! error bounds.
 //!
-//! A single-pass plan degenerates to [`run_campaign_cfg`]
-//! (`crate::run_campaign_cfg`) by construction, so its reconstruction is
-//! bit-identical to the direct campaign with multiplexing error exactly
-//! zero — the property `tests/toplev.rs` pins down.
+//! A single-pass plan degenerates to one [`Campaign::run`] by
+//! construction, so its reconstruction is bit-identical to the direct
+//! campaign with multiplexing error exactly zero — the property
+//! `tests/toplev.rs` pins down.
 
 use crate::engine::EngineConfig;
 use crate::faults::FaultPlan;
 use crate::result::CampaignResult;
-use crate::sim::{run_campaign_cfg_cancellable, CampaignError, CancelToken, ClusterConfig};
+use crate::sim::{Campaign, CampaignError, CancelToken, ClusterConfig};
 use sp2_hpm::{PlanError, SchedulePlan, Signal};
 use sp2_rs2hpm::{reconstruct, ReconstructError, Reconstruction, SystemSample};
 use sp2_workload::{SubmittedJob, WorkloadLibrary};
@@ -76,8 +76,9 @@ impl RotatedCampaign {
 
 /// Runs one lockstep campaign per planned pass and bundles the results.
 ///
-/// Every pass sees the identical workload trace, fault plan, and engine
-/// configuration; only `config.selection` differs. Passes run under the
+/// Every pass is one [`Campaign::run`] over the identical workload
+/// trace, fault plan, engine configuration and cancel token; only
+/// `config.selection` differs. Passes run under the
 /// `cluster.phase.rotate` timer with one `rotate pass N` trace span
 /// each. An empty plan (an empty signal request) is a typed error.
 #[allow(clippy::too_many_arguments)]
@@ -101,9 +102,12 @@ pub fn run_campaign_rotated(
         let _ev = sp2_trace::events::span(format!("rotate pass {p}"), "phase");
         let mut cfg = config.clone();
         cfg.selection = sel.clone();
-        passes.push(run_campaign_cfg_cancellable(
-            &cfg, library, trace, days, faults, engine, cancel,
-        )?);
+        passes.push(
+            Campaign::new(&cfg, library, trace, days, faults)
+                .engine(*engine)
+                .cancel(cancel)
+                .run()?,
+        );
     }
     Ok(RotatedCampaign {
         plan: plan.clone(),
@@ -114,7 +118,6 @@ pub fn run_campaign_rotated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_campaign_cfg;
     use sp2_hpm::nas_selection;
     use sp2_workload::{trace, CampaignSpec, JobMix};
 
@@ -143,7 +146,7 @@ mod tests {
         let (config, library, jobs, faults) = small_setup();
         // A request listing nas_selection's signals in slot order plans
         // a single pass equal to nas_selection itself, so the rotated
-        // path must literally be run_campaign_cfg.
+        // path must literally be one Campaign::run.
         let wanted: Vec<Signal> = nas_selection().slots().iter().map(|s| s.signal).collect();
         let plan = plan_signals(&wanted);
         assert!(plan.is_single_pass());
@@ -159,15 +162,9 @@ mod tests {
             None,
         )
         .expect("rotated runs");
-        let direct = run_campaign_cfg(
-            &config,
-            &library,
-            &jobs,
-            2,
-            &faults,
-            &EngineConfig::default(),
-        )
-        .expect("direct runs");
+        let direct = Campaign::new(&config, &library, &jobs, 2, &faults)
+            .run()
+            .expect("direct runs");
         assert_eq!(rotated.passes.len(), 1);
         assert_eq!(rotated.passes[0].samples, direct.samples);
         assert_eq!(rotated.passes[0].job_reports, direct.job_reports);

@@ -1,14 +1,14 @@
 //! The campaign event loop.
 //!
-//! The loop itself is engine-agnostic: node state lives behind
-//! [`Engine`], which is either the reference `Vec<NodeState>` walk or
-//! the struct-of-arrays [`NodeBank`] batch engine. Both produce
-//! bit-identical campaigns (the equivalence suite proves it);
-//! [`run_campaign`] pins the reference engine, [`run_campaign_cfg`]
-//! selects per an explicit [`EngineConfig`]. A campaign runs on the
-//! thread that calls it: the events are causally ordered, and the
-//! paper's 144-node machine is too small a bank for splitting a sweep's
-//! advance across threads to pay.
+//! [`Campaign`] is the one way to run a campaign: five inputs decide its
+//! result, and [`Campaign::run`] runs it. The loop itself is
+//! engine-agnostic: node state lives behind [`Engine`], which is either
+//! the reference `Vec<NodeState>` walk or the struct-of-arrays
+//! [`NodeBank`] batch engine, as the campaign's [`EngineConfig`]
+//! selects. Both produce bit-identical campaigns (the equivalence suite
+//! proves it). A campaign runs on the thread that calls it: the events
+//! are causally ordered, and the paper's 144-node machine is too small a
+//! bank for splitting a sweep's advance across threads to pay.
 
 use crate::activity::ActivityPlan;
 use crate::engine::{EngineConfig, EngineKind, NodeBank};
@@ -22,7 +22,7 @@ use sp2_power2::handler::{daemon_sample_signature, page_fault_signature};
 use sp2_power2::{CounterBatch, KernelSignature, MachineConfig};
 use sp2_rs2hpm::{BottleneckSplit, Daemon, JobCounterReport, SampleSink, SAMPLE_INTERVAL_S};
 use sp2_switch::SwitchConfig;
-use sp2_workload::{CampaignSpec, JobMix, SubmittedJob, WorkloadLibrary};
+use sp2_workload::{SubmittedJob, WorkloadLibrary};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -390,67 +390,6 @@ impl Engine {
     }
 }
 
-/// Runs the full campaign: replays `trace` through PBS on the simulated
-/// machine for `days` days, injecting `faults`, and returns every dataset
-/// the paper's evaluation uses.
-///
-/// With [`FaultPlan::none`] the result is bit-identical to a fault-free
-/// engine; with a generated plan the result is fully determined by the
-/// trace seed and the fault seed.
-///
-/// Runs on the reference per-node engine — the baseline the batch
-/// engine's equivalence suite is proven against. Production callers go
-/// through [`run_campaign_cfg`], which defaults to the (bit-identical,
-/// faster) batch engine.
-pub fn run_campaign(
-    config: &ClusterConfig,
-    library: &WorkloadLibrary,
-    trace: &[SubmittedJob],
-    days: u32,
-    faults: &FaultPlan,
-) -> Result<CampaignResult, CampaignError> {
-    run_campaign_cfg(
-        config,
-        library,
-        trace,
-        days,
-        faults,
-        &EngineConfig::default().engine(EngineKind::Reference),
-    )
-}
-
-/// Runs the campaign under an explicit [`EngineConfig`]: applies its
-/// switches and selects the node engine. Campaign results are
-/// bit-identical under every engine and switch setting.
-pub fn run_campaign_cfg(
-    config: &ClusterConfig,
-    library: &WorkloadLibrary,
-    trace: &[SubmittedJob],
-    days: u32,
-    faults: &FaultPlan,
-    engine: &EngineConfig,
-) -> Result<CampaignResult, CampaignError> {
-    run_campaign_cfg_cancellable(config, library, trace, days, faults, engine, None)
-}
-
-/// [`run_campaign_cfg`] with a cooperative [`CancelToken`]: the event
-/// loop polls it at every event boundary and returns
-/// [`CampaignError::Cancelled`] once it is raised. `None` behaves
-/// exactly like [`run_campaign_cfg`]. The campaign service uses this so
-/// a `cancel` request can free its campaign worker mid-campaign instead
-/// of waiting out a multi-month simulation.
-pub fn run_campaign_cfg_cancellable(
-    config: &ClusterConfig,
-    library: &WorkloadLibrary,
-    trace: &[SubmittedJob],
-    days: u32,
-    faults: &FaultPlan,
-    engine: &EngineConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<CampaignResult, CampaignError> {
-    run_campaign_cfg_spill(config, library, trace, days, faults, engine, cancel, None)
-}
-
 /// Publishes the newest sweep's top-down bottleneck split as live
 /// gauges (percent of cycles per category). Gated on recording so the
 /// hot loop pays nothing when tracing is off; gauges never feed back
@@ -472,449 +411,620 @@ fn publish_toplev_gauges(selection: &CounterSelection, daemon: &Daemon) {
     crate::metrics::TOPLEV_IO_WAIT.set(split.io_wait * 100.0);
 }
 
-/// [`run_campaign_cfg_cancellable`] with an out-of-core sample path:
-/// when `spill` is given, every finalized [`SystemSample`] is drained
-/// into the sink as the campaign runs (the interval reference stays
-/// resident) and the returned [`CampaignResult::samples`] is empty —
-/// the sink holds the series. Year-scale campaigns thus aggregate in
-/// bounded memory; an [`crate::result::CampaignResult`]-sized history
-/// never exists. Sink failures abort the run with
-/// [`CampaignError::Spill`]. `None` behaves exactly like
-/// [`run_campaign_cfg_cancellable`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_cfg_spill(
-    config: &ClusterConfig,
-    library: &WorkloadLibrary,
-    trace: &[SubmittedJob],
+/// One campaign: the five inputs that decide its result, plus settings
+/// that decide only how it runs.
+///
+/// [`Campaign::new`] takes the inputs: the machine, the measured workload
+/// library, the submission trace, the horizon in days and the fault
+/// plan. With [`FaultPlan::none`] the result is bit-identical to a
+/// fault-free engine; with a generated plan it is fully determined by the
+/// trace seed and the fault seed. The settings never change the result:
+///
+/// - [`Campaign::engine`]: the node engine and its sweep elision
+///   (default: the batch engine, eliding);
+/// - [`Campaign::cancel`]: a [`CancelToken`] the event loop polls;
+/// - [`Campaign::spill`]: a [`SampleSink`] that takes the sample series
+///   out of core as the campaign runs.
+///
+/// [`Campaign::run`] runs the campaign on the calling thread and writes
+/// no process global: two campaigns in one process cannot change each
+/// other's configuration.
+pub struct Campaign<'a> {
+    config: &'a ClusterConfig,
+    library: &'a WorkloadLibrary,
+    trace: &'a [SubmittedJob],
     days: u32,
-    faults: &FaultPlan,
-    engine_cfg: &EngineConfig,
-    cancel: Option<&CancelToken>,
-    mut spill: Option<&mut dyn SampleSink>,
-) -> Result<CampaignResult, CampaignError> {
-    engine_cfg.apply();
-    let _campaign_span = crate::metrics::CAMPAIGN.span();
-    let _campaign_ev = sp2_trace::events::span("campaign", "phase");
-    let horizon = days as f64 * 86_400.0;
-    let selection = config.selection.clone();
-    let handler: KernelSignature = page_fault_signature(&config.machine);
-    let daemon_sig = daemon_sample_signature(&config.machine);
-    let idle_plan = ActivityPlan::idle(&daemon_sig, &config.paging);
+    faults: &'a FaultPlan,
+    engine: EngineConfig,
+    cancel: Option<&'a CancelToken>,
+    spill: Option<&'a mut dyn SampleSink>,
+}
 
-    let mut engine = Engine::new(engine_cfg.engine, &selection, config.nodes);
-    for n in 0..config.nodes {
-        engine.set_activity(n, 0.0, Some(idle_plan.clone()));
-    }
-
-    let mut pbs = Pbs::new(config.nodes).with_drain_threshold(config.drain_threshold);
-    let mut daemon = Daemon::new(selection.clone(), config.nodes);
-    let mut running: HashMap<JobId, RunningJob> = HashMap::new();
-    let mut job_reports: Vec<JobCounterReport> = Vec::new();
-    let mut pbs_records: Vec<JobRecord> = Vec::new();
-    let mut down = vec![false; config.nodes];
-    let mut attempts: Vec<u32> = vec![0; trace.len()];
-    let mut summary = FaultSummary {
-        enabled: !faults.is_empty(),
-        ..FaultSummary::default()
-    };
-
-    let mut heap: BinaryHeap<Reverse<Scheduled>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<Reverse<Scheduled>>, seq: &mut u64, t: f64, ev: Ev| {
-        *seq += 1;
-        heap.push(Reverse(Scheduled { t, seq: *seq, ev }));
-    };
-
-    for (i, job) in trace.iter().enumerate() {
-        if job.submit_s < horizon {
-            push(&mut heap, &mut seq, job.submit_s, Ev::Submit(i));
+impl<'a> Campaign<'a> {
+    /// A campaign that replays `trace` through PBS on the machine
+    /// `config` describes for `days` days, injecting `faults`.
+    pub fn new(
+        config: &'a ClusterConfig,
+        library: &'a WorkloadLibrary,
+        trace: &'a [SubmittedJob],
+        days: u32,
+        faults: &'a FaultPlan,
+    ) -> Self {
+        Campaign {
+            config,
+            library,
+            trace,
+            days,
+            faults,
+            engine: EngineConfig::default(),
+            cancel: None,
+            spill: None,
         }
     }
-    let mut sweep = 0u64;
-    let mut t_sample = SAMPLE_INTERVAL_S;
-    while t_sample <= horizon {
-        sweep += 1;
-        push(&mut heap, &mut seq, t_sample, Ev::Sample(sweep));
-        t_sample += SAMPLE_INTERVAL_S;
+
+    /// Runs under `engine`: which node engine, and whether the batch
+    /// engine elides steady sweeps.
+    pub fn engine(mut self, engine: EngineConfig) -> Self {
+        self.engine = engine;
+        self
     }
-    for outage in faults.outages() {
-        if outage.start < horizon {
-            push(&mut heap, &mut seq, outage.start, Ev::NodeDown(outage.node));
-            push(&mut heap, &mut seq, outage.end, Ev::NodeUp(outage.node));
-            summary.outages += 1;
+
+    /// Polls `cancel` at every event boundary; once it is raised,
+    /// [`Campaign::run`] returns [`CampaignError::Cancelled`]. `None`
+    /// never cancels. The campaign service uses this so a `cancel`
+    /// request frees its campaign worker mid-campaign instead of waiting
+    /// out a multi-month simulation.
+    pub fn cancel(mut self, cancel: Option<&'a CancelToken>) -> Self {
+        self.cancel = cancel;
+        self
+    }
+
+    /// Drains every finalized [`sp2_rs2hpm::SystemSample`] into `sink`
+    /// as the campaign runs (the interval reference stays resident), so
+    /// the returned [`CampaignResult::samples`] is empty and the sink
+    /// holds the series. Year-scale campaigns thus aggregate in bounded
+    /// memory; while spilling, a steady run elides at most
+    /// [`EngineConfig::spill_max_run`] sweeps. Sink failures abort the
+    /// run with [`CampaignError::Spill`].
+    pub fn spill(mut self, sink: &'a mut dyn SampleSink) -> Self {
+        self.spill = Some(sink);
+        self
+    }
+
+    /// Runs the campaign on the calling thread and returns every dataset
+    /// the paper's evaluation uses.
+    pub fn run(self) -> Result<CampaignResult, CampaignError> {
+        let Campaign {
+            config,
+            library,
+            trace,
+            days,
+            faults,
+            engine: engine_cfg,
+            cancel,
+            mut spill,
+        } = self;
+        let _campaign_span = crate::metrics::CAMPAIGN.span();
+        let _campaign_ev = sp2_trace::events::span("campaign", "phase");
+        let horizon = days as f64 * 86_400.0;
+        let selection = config.selection.clone();
+        let handler: KernelSignature = page_fault_signature(&config.machine);
+        let daemon_sig = daemon_sample_signature(&config.machine);
+        let idle_plan = ActivityPlan::idle(&daemon_sig, &config.paging);
+
+        let mut engine = Engine::new(engine_cfg.engine, &selection, config.nodes);
+        for n in 0..config.nodes {
+            engine.set_activity(n, 0.0, Some(idle_plan.clone()));
         }
-    }
-    summary.node_downtime_s = faults.node_downtime_s(horizon);
 
-    // Baseline daemon pass at t=0 (flight-recorder sweep 0 only
-    // baselines the interval series, exactly like the daemon itself).
-    daemon.sweep(engine.lanes(), &down, &[], 0.0);
-    sp2_trace::recorder::on_sweep(0, 0.0);
+        let mut pbs = Pbs::new(config.nodes).with_drain_threshold(config.drain_threshold);
+        let mut daemon = Daemon::new(selection.clone(), config.nodes);
+        let mut running: HashMap<JobId, RunningJob> = HashMap::new();
+        let mut job_reports: Vec<JobCounterReport> = Vec::new();
+        let mut pbs_records: Vec<JobRecord> = Vec::new();
+        let mut down = vec![false; config.nodes];
+        let mut attempts: Vec<u32> = vec![0; trace.len()];
+        let mut summary = FaultSummary {
+            enabled: !faults.is_empty(),
+            ..FaultSummary::default()
+        };
 
-    // Prologue buffers of finished or killed jobs, reused by the next
-    // job starts so the prologue/epilogue path allocates nothing once
-    // warm.
-    let mut spare_prologues: Vec<Vec<u64>> = Vec::new();
+        let mut heap: BinaryHeap<Reverse<Scheduled>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let push = |heap: &mut BinaryHeap<Reverse<Scheduled>>, seq: &mut u64, t: f64, ev: Ev| {
+            *seq += 1;
+            heap.push(Reverse(Scheduled { t, seq: *seq, ev }));
+        };
 
-    // Start any jobs PBS can place at `now`.
-    let start_jobs = |now: f64,
-                      pbs: &mut Pbs,
-                      engine: &mut Engine,
-                      running: &mut HashMap<JobId, RunningJob>,
-                      heap: &mut BinaryHeap<Reverse<Scheduled>>,
-                      seq: &mut u64,
-                      attempts: &[u32],
-                      trace: &[SubmittedJob],
-                      spare_prologues: &mut Vec<Vec<u64>>| {
-        let _sched_span = crate::metrics::SCHEDULE.span();
-        let _sched_ev = sp2_trace::events::span("schedule", "phase");
-        for started in pbs.schedule(now) {
-            let submitted = &trace[started.spec.payload as usize];
-            if sp2_trace::recording() {
-                // Queue wait in simulated time; a requeued attempt's wait
-                // began at the kill, which the kill site records instead.
+        for (i, job) in trace.iter().enumerate() {
+            if job.submit_s < horizon {
+                push(&mut heap, &mut seq, job.submit_s, Ev::Submit(i));
+            }
+        }
+        let mut sweep = 0u64;
+        let mut t_sample = SAMPLE_INTERVAL_S;
+        while t_sample <= horizon {
+            sweep += 1;
+            push(&mut heap, &mut seq, t_sample, Ev::Sample(sweep));
+            t_sample += SAMPLE_INTERVAL_S;
+        }
+        for outage in faults.outages() {
+            if outage.start < horizon {
+                push(&mut heap, &mut seq, outage.start, Ev::NodeDown(outage.node));
+                push(&mut heap, &mut seq, outage.end, Ev::NodeUp(outage.node));
+                summary.outages += 1;
+            }
+        }
+        summary.node_downtime_s = faults.node_downtime_s(horizon);
+
+        // Baseline daemon pass at t=0 (flight-recorder sweep 0 only
+        // baselines the interval series, exactly like the daemon itself).
+        daemon.sweep(engine.lanes(), &down, &[], 0.0);
+        sp2_trace::recorder::on_sweep(0, 0.0);
+
+        // Prologue buffers of finished or killed jobs, reused by the next
+        // job starts so the prologue/epilogue path allocates nothing once
+        // warm.
+        let mut spare_prologues: Vec<Vec<u64>> = Vec::new();
+
+        // Start any jobs PBS can place at `now`.
+        let start_jobs = |now: f64,
+                          pbs: &mut Pbs,
+                          engine: &mut Engine,
+                          running: &mut HashMap<JobId, RunningJob>,
+                          heap: &mut BinaryHeap<Reverse<Scheduled>>,
+                          seq: &mut u64,
+                          attempts: &[u32],
+                          trace: &[SubmittedJob],
+                          spare_prologues: &mut Vec<Vec<u64>>| {
+            let _sched_span = crate::metrics::SCHEDULE.span();
+            let _sched_ev = sp2_trace::events::span("schedule", "phase");
+            for started in pbs.schedule(now) {
+                let submitted = &trace[started.spec.payload as usize];
+                if sp2_trace::recording() {
+                    // Queue wait in simulated time; a requeued attempt's wait
+                    // began at the kill, which the kill site records instead.
+                    let attempt = attempts[started.spec.payload as usize];
+                    if attempt == 0 {
+                        sp2_trace::events::sim_span(
+                            format!("job {} wait", started.spec.id.0),
+                            "pbs",
+                            submitted.submit_s,
+                            now,
+                        );
+                    }
+                }
+                let program = library.program(submitted.program);
+                let plan = ActivityPlan::for_job(
+                    program,
+                    library.signature_of(submitted.program),
+                    &handler,
+                    &config.switch,
+                    &config.paging,
+                    config.machine.memory_bytes,
+                    started.spec.nodes,
+                );
+                let mut prologue = spare_prologues.pop().unwrap_or_default();
+                prologue.clear();
+                let lanes = engine.lanes_at(&started.nodes, now);
+                for &n in &started.nodes {
+                    prologue.extend_from_slice(selection.node_lanes(lanes, n));
+                }
+                engine.set_activity_many(&started.nodes, now, plan);
+                // PBS enforces the walltime limit: a job that would run past
+                // its request is killed at the limit (no checkpointing on
+                // the SP2, so killed means gone).
                 let attempt = attempts[started.spec.payload as usize];
-                if attempt == 0 {
-                    sp2_trace::events::sim_span(
-                        format!("job {} wait", started.spec.id.0),
-                        "pbs",
-                        submitted.submit_s,
-                        now,
+                let finish_t = now + submitted.residency_s();
+                push(heap, seq, finish_t, Ev::Finish(started.spec.id, attempt));
+                running.insert(
+                    started.spec.id,
+                    RunningJob {
+                        spec: started.spec,
+                        nodes: started.nodes,
+                        start: now,
+                        attempt,
+                        prologue,
+                    },
+                );
+            }
+        };
+
+        // The gathered run of Sample events, reused across samples.
+        let mut run: Vec<(u64, f64)> = Vec::new();
+
+        // Cluster-interval fast-forward: the batch engine may elide runs of
+        // steady sweeps (see the Sample arm). The reference engine never
+        // does — it is the baseline the elision is proven against — and
+        // `--no-fast-forward` forces full stepping for A/B runs.
+        let steady_ff = engine_cfg.engine == EngineKind::Batch && engine_cfg.fast_forward;
+
+        while let Some(Reverse(Scheduled { t, ev, .. })) = heap.pop() {
+            if t > horizon {
+                break;
+            }
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return Err(CampaignError::Cancelled);
+            }
+            crate::metrics::EVENTS.inc();
+            match ev {
+                Ev::Submit(i) => {
+                    let job = &trace[i];
+                    pbs.submit(JobSpec {
+                        id: JobId(i as u64),
+                        nodes: job.nodes,
+                        requested_walltime_s: job.requested_walltime_s,
+                        payload: i as u64,
+                    })?;
+                    start_jobs(
+                        t,
+                        &mut pbs,
+                        &mut engine,
+                        &mut running,
+                        &mut heap,
+                        &mut seq,
+                        &attempts,
+                        trace,
+                        &mut spare_prologues,
                     );
                 }
-            }
-            let program = library.program(submitted.program);
-            let plan = ActivityPlan::for_job(
-                program,
-                library.signature_of(submitted.program),
-                &handler,
-                &config.switch,
-                &config.paging,
-                config.machine.memory_bytes,
-                started.spec.nodes,
-            );
-            let mut prologue = spare_prologues.pop().unwrap_or_default();
-            prologue.clear();
-            let lanes = engine.lanes_at(&started.nodes, now);
-            for &n in &started.nodes {
-                prologue.extend_from_slice(selection.node_lanes(lanes, n));
-            }
-            engine.set_activity_many(&started.nodes, now, plan);
-            // PBS enforces the walltime limit: a job that would run past
-            // its request is killed at the limit (no checkpointing on
-            // the SP2, so killed means gone).
-            let attempt = attempts[started.spec.payload as usize];
-            let finish_t = now + submitted.residency_s();
-            push(heap, seq, finish_t, Ev::Finish(started.spec.id, attempt));
-            running.insert(
-                started.spec.id,
-                RunningJob {
-                    spec: started.spec,
-                    nodes: started.nodes,
-                    start: now,
-                    attempt,
-                    prologue,
-                },
-            );
-        }
-    };
-
-    // The gathered run of Sample events, reused across samples.
-    let mut run: Vec<(u64, f64)> = Vec::new();
-
-    // Cluster-interval fast-forward: the batch engine may elide runs of
-    // steady sweeps (see the Sample arm). The reference engine never
-    // does — it is the baseline the elision is proven against — and
-    // `--no-fast-forward` forces full stepping for A/B runs. The switch
-    // is read from the config when set (one read per campaign, immune to
-    // other threads flipping the process global mid-run) and from the
-    // global otherwise.
-    let steady_ff = engine_cfg.engine == EngineKind::Batch
-        && engine_cfg
-            .fast_forward
-            .unwrap_or_else(sp2_power2::fast_forward_enabled);
-
-    while let Some(Reverse(Scheduled { t, ev, .. })) = heap.pop() {
-        if t > horizon {
-            break;
-        }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(CampaignError::Cancelled);
-        }
-        crate::metrics::EVENTS.inc();
-        match ev {
-            Ev::Submit(i) => {
-                let job = &trace[i];
-                pbs.submit(JobSpec {
-                    id: JobId(i as u64),
-                    nodes: job.nodes,
-                    requested_walltime_s: job.requested_walltime_s,
-                    payload: i as u64,
-                })?;
-                start_jobs(
-                    t,
-                    &mut pbs,
-                    &mut engine,
-                    &mut running,
-                    &mut heap,
-                    &mut seq,
-                    &attempts,
-                    trace,
-                    &mut spare_prologues,
-                );
-            }
-            Ev::Finish(id, attempt) => {
-                if running.get(&id).map(|j| j.attempt) != Some(attempt) {
-                    // Stale: this attempt was killed by a node failure.
-                    continue;
+                Ev::Finish(id, attempt) => {
+                    if running.get(&id).map(|j| j.attempt) != Some(attempt) {
+                        // Stale: this attempt was killed by a node failure.
+                        continue;
+                    }
+                    let Some(job) = running.remove(&id) else {
+                        continue;
+                    };
+                    let lanes = engine.lanes_at(&job.nodes, t);
+                    job_reports.push(JobCounterReport::from_lanes(
+                        &selection,
+                        job.spec.id.0,
+                        job.start,
+                        t,
+                        &job.prologue,
+                        job.nodes.iter().map(|&n| selection.node_lanes(lanes, n)),
+                    ));
+                    engine.set_activity_many(&job.nodes, t, idle_plan.clone());
+                    spare_prologues.push(job.prologue);
+                    pbs.finish(id, t)?;
+                    if sp2_trace::recording() {
+                        sp2_trace::events::sim_span(
+                            format!("job {} run", id.0),
+                            "pbs",
+                            job.start,
+                            t,
+                        );
+                        sp2_trace::events::sim_instant(format!("job {} epilogue", id.0), "pbs", t);
+                    }
+                    pbs_records.push(JobRecord {
+                        id: job.spec.id.0,
+                        nodes: job.spec.nodes,
+                        start: job.start,
+                        end: t,
+                        outcome: JobOutcome::Completed,
+                    });
+                    start_jobs(
+                        t,
+                        &mut pbs,
+                        &mut engine,
+                        &mut running,
+                        &mut heap,
+                        &mut seq,
+                        &attempts,
+                        trace,
+                        &mut spare_prologues,
+                    );
                 }
-                let Some(job) = running.remove(&id) else {
-                    continue;
-                };
-                let lanes = engine.lanes_at(&job.nodes, t);
-                job_reports.push(JobCounterReport::from_lanes(
-                    &selection,
-                    job.spec.id.0,
-                    job.start,
-                    t,
-                    &job.prologue,
-                    job.nodes.iter().map(|&n| selection.node_lanes(lanes, n)),
-                ));
-                engine.set_activity_many(&job.nodes, t, idle_plan.clone());
-                spare_prologues.push(job.prologue);
-                pbs.finish(id, t)?;
-                if sp2_trace::recording() {
-                    sp2_trace::events::sim_span(format!("job {} run", id.0), "pbs", job.start, t);
-                    sp2_trace::events::sim_instant(format!("job {} epilogue", id.0), "pbs", t);
-                }
-                pbs_records.push(JobRecord {
-                    id: job.spec.id.0,
-                    nodes: job.spec.nodes,
-                    start: job.start,
-                    end: t,
-                    outcome: JobOutcome::Completed,
-                });
-                start_jobs(
-                    t,
-                    &mut pbs,
-                    &mut engine,
-                    &mut running,
-                    &mut heap,
-                    &mut seq,
-                    &attempts,
-                    trace,
-                    &mut spare_prologues,
-                );
-            }
-            Ev::Sample(k) => {
-                if faults.sweep_missed(k) {
-                    summary.missed_sweeps += 1;
-                    continue;
-                }
-                if faults.restart_before_sweep(k) {
-                    daemon.restart();
-                    summary.daemon_restarts += 1;
-                }
-                // Gather the steady run: this sweep plus every Sample
-                // event ahead of it on the heap that keeps the cadence
-                // (next index, no fault interaction of its own), peeking
-                // *past* events that provably leave node state alone.
-                // Non-mutating events are executed here at their correct
-                // timestamps — PBS bookkeeping, metrics, fault
-                // accounting all happen exactly as they would stepping —
-                // so between two gathered sweeps no job, outage, or
-                // glitch touches any node, which is the precondition for
-                // the cluster-interval fast-forward below. The
-                // classification (see DESIGN §4c):
-                //   - Submit that only queues (`Pbs::would_start` is
-                //     false): submitted here; starts nothing.
-                //   - Finish for a superseded attempt: dropped here,
-                //     exactly as the stale check in the Finish arm would.
-                //   - NodeDown for an already-down node / NodeUp for an
-                //     already-up node: dropped, as their arms would.
-                // A Submit that *would* start a job still ends the run,
-                // but the submit itself is absorbed and the schedule
-                // deferred to after the gathered window is applied —
-                // the gathered sweeps all precede it in heap order, so
-                // this reproduces the reference event order exactly.
-                run.clear();
-                run.push((k, t));
-                let max_run = if spill.is_some() {
-                    engine_cfg.spill_max_run
-                } else {
-                    usize::MAX
-                };
-                let mut deferred_submit: Option<f64> = None;
-                if steady_ff {
-                    while run.len() < max_run {
-                        let Some(&Reverse(next)) = heap.peek() else {
-                            break;
-                        };
-                        if next.t > horizon {
+                Ev::Sample(k) => {
+                    if faults.sweep_missed(k) {
+                        summary.missed_sweeps += 1;
+                        continue;
+                    }
+                    if faults.restart_before_sweep(k) {
+                        daemon.restart();
+                        summary.daemon_restarts += 1;
+                    }
+                    // Gather the steady run: this sweep plus every Sample
+                    // event ahead of it on the heap that keeps the cadence
+                    // (next index, no fault interaction of its own), peeking
+                    // *past* events that provably leave node state alone.
+                    // Non-mutating events are executed here at their correct
+                    // timestamps — PBS bookkeeping, metrics, fault
+                    // accounting all happen exactly as they would stepping —
+                    // so between two gathered sweeps no job, outage, or
+                    // glitch touches any node, which is the precondition for
+                    // the cluster-interval fast-forward below. The
+                    // classification (see DESIGN §4c):
+                    //   - Submit that only queues (`Pbs::would_start` is
+                    //     false): submitted here; starts nothing.
+                    //   - Finish for a superseded attempt: dropped here,
+                    //     exactly as the stale check in the Finish arm would.
+                    //   - NodeDown for an already-down node / NodeUp for an
+                    //     already-up node: dropped, as their arms would.
+                    // A Submit that *would* start a job still ends the run,
+                    // but the submit itself is absorbed and the schedule
+                    // deferred to after the gathered window is applied —
+                    // the gathered sweeps all precede it in heap order, so
+                    // this reproduces the reference event order exactly.
+                    run.clear();
+                    run.push((k, t));
+                    let max_run = if spill.is_some() {
+                        engine_cfg.spill_max_run
+                    } else {
+                        usize::MAX
+                    };
+                    let mut deferred_submit: Option<f64> = None;
+                    if steady_ff {
+                        while run.len() < max_run {
+                            let Some(&Reverse(next)) = heap.peek() else {
+                                break;
+                            };
+                            if next.t > horizon {
+                                break;
+                            }
+                            match next.ev {
+                                Ev::Sample(kk) => {
+                                    let prev_k = run[run.len() - 1].0;
+                                    if kk != prev_k + 1
+                                        || faults.sweep_missed(kk)
+                                        || faults.restart_before_sweep(kk)
+                                        || !faults.glitched_nodes(kk).is_empty()
+                                    {
+                                        break;
+                                    }
+                                    crate::metrics::EVENTS.inc();
+                                    run.push((kk, next.t));
+                                    heap.pop();
+                                }
+                                Ev::Finish(id, attempt) => {
+                                    if running.get(&id).map(|j| j.attempt) == Some(attempt) {
+                                        break; // live finish: real node-state mutation
+                                    }
+                                    crate::metrics::EVENTS.inc();
+                                    heap.pop();
+                                }
+                                Ev::NodeDown(node) => {
+                                    if !down[node] {
+                                        break; // real outage
+                                    }
+                                    crate::metrics::EVENTS.inc();
+                                    heap.pop();
+                                }
+                                Ev::NodeUp(node) => {
+                                    if down[node] {
+                                        break; // real recovery
+                                    }
+                                    crate::metrics::EVENTS.inc();
+                                    heap.pop();
+                                }
+                                Ev::Submit(i) => {
+                                    crate::metrics::EVENTS.inc();
+                                    heap.pop();
+                                    let job = &trace[i];
+                                    pbs.submit(JobSpec {
+                                        id: JobId(i as u64),
+                                        nodes: job.nodes,
+                                        requested_walltime_s: job.requested_walltime_s,
+                                        payload: i as u64,
+                                    })?;
+                                    if pbs.would_start() {
+                                        // Starting now would advance nodes
+                                        // past the gathered sweep times;
+                                        // apply the window first, then
+                                        // schedule at the submit's own
+                                        // timestamp.
+                                        deferred_submit = Some(next.t);
+                                        break;
+                                    }
+                                    start_jobs(
+                                        next.t,
+                                        &mut pbs,
+                                        &mut engine,
+                                        &mut running,
+                                        &mut heap,
+                                        &mut seq,
+                                        &attempts,
+                                        trace,
+                                        &mut spare_prologues,
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    let active = down.iter().filter(|&&d| !d).count();
+                    // A glitched first sweep may leave truncated baselines
+                    // behind without tripping the plausibility check (early
+                    // in a campaign the truncated delta can still be under
+                    // PLAUSIBLE_DELTA_MAX), which would poison the template
+                    // below — push the clone point one sweep further out so
+                    // the template's baselines come from an untruncated
+                    // snapshot.
+                    let min_template = if faults.glitched_nodes(k).is_empty() {
+                        2
+                    } else {
+                        3
+                    };
+                    let mut i = 0;
+                    while i < run.len() {
+                        let (kk, tt) = run[i];
+                        // A run sweep at i >= 2 can clone run[i-1]'s sample:
+                        // run[i-1] sits one clean, exactly-900 s interval
+                        // after run[i-2], which advanced every node — so its
+                        // per-node deltas are pure one-interval deltas, and
+                        // every later sweep in the run repeats them exactly.
+                        // Full coverage (no anomalies, no re-baselining
+                        // nodes) makes the daemon side a pure replay too.
+                        // Scale-apply the lane deltas, replay the sample
+                        // with only the timestamp changed: bit-identical to
+                        // stepping (the equivalence suite runs with this
+                        // path on).
+                        let steady = i >= min_template
+                            && daemon
+                                .samples()
+                                .last()
+                                .is_some_and(|s| s.anomalies == 0 && s.nodes_sampled == active);
+                        if steady && run.len() - i >= 2 {
+                            let Engine::Batch(bank) = &mut engine else {
+                                break; // unreachable: runs are only gathered for the batch engine
+                            };
+                            let _ff_span = crate::metrics::ADVANCE.span();
+                            let _ff_ev = sp2_trace::events::span("cluster fast-forward", "phase");
+                            let steps = (run.len() - i) as u64;
+                            crate::metrics::SWEEPS.add(steps);
+                            crate::metrics::SWEEPS_ELIDED.add(steps);
+                            let t_final = run[run.len() - 1].1;
+                            bank.advance_steady(SAMPLE_INTERVAL_S, steps, t_final);
+                            let times = run[i..].iter().map(|&(_, t2)| t2);
+                            daemon.fast_forward_steady(times, bank.lanes(), &down);
+                            // Replayed sweeps share one steady-state delta,
+                            // so a single gauge update covers the whole run.
+                            publish_toplev_gauges(&selection, &daemon);
+                            for &(k2, t2) in &run[i..] {
+                                sp2_trace::recorder::on_sweep(k2, t2);
+                            }
                             break;
                         }
-                        match next.ev {
-                            Ev::Sample(kk) => {
-                                let prev_k = run[run.len() - 1].0;
-                                if kk != prev_k + 1
-                                    || faults.sweep_missed(kk)
-                                    || faults.restart_before_sweep(kk)
-                                    || !faults.glitched_nodes(kk).is_empty()
-                                {
-                                    break;
+                        // Stepped sampling pass: advance every node's
+                        // counters to `tt`, then the daemon sweeps the
+                        // engine's lanes in index order. Down nodes are
+                        // skipped exactly as the real cron script skipped
+                        // unavailable nodes; glitched nodes return their raw
+                        // 32-bit registers. The sample is bit-identical under
+                        // either engine.
+                        {
+                            let advance_span = crate::metrics::ADVANCE.span();
+                            let _advance_ev = sp2_trace::events::span("advance", "phase");
+                            engine.advance_all(tt);
+                            drop(advance_span);
+                        }
+                        let _sample_span = crate::metrics::SAMPLE.span();
+                        let _sample_ev = sp2_trace::events::span("sample", "phase");
+                        let glitched = faults.glitched_nodes(kk);
+                        summary.glitches += glitched.iter().filter(|&&g| !down[g]).count();
+                        daemon.sweep(engine.lanes(), &down, glitched, tt);
+                        crate::metrics::SWEEPS.inc();
+                        publish_toplev_gauges(&selection, &daemon);
+                        sp2_trace::recorder::on_sweep(kk, tt);
+                        i += 1;
+                    }
+                    // Out-of-core path: everything before the newest sample
+                    // is final (samples only ever append), so it can leave
+                    // the process now. The newest one stays — it is the
+                    // interval reference for the next sweep and the
+                    // fast-forward's replay template.
+                    if let Some(sink) = spill.as_mut() {
+                        daemon
+                            .drain_samples(&mut **sink, 1)
+                            .map_err(|e| CampaignError::Spill(e.to_string()))?;
+                    }
+                    // A gather-absorbed Submit whose job fits runs its
+                    // schedule pass now, after the window it trailed on the
+                    // heap has been applied — same order the reference loop
+                    // would process it in.
+                    if let Some(t_sub) = deferred_submit {
+                        start_jobs(
+                            t_sub,
+                            &mut pbs,
+                            &mut engine,
+                            &mut running,
+                            &mut heap,
+                            &mut seq,
+                            &attempts,
+                            trace,
+                            &mut spare_prologues,
+                        );
+                    }
+                }
+                Ev::NodeDown(node) => {
+                    if down[node] {
+                        continue;
+                    }
+                    let fault_span = crate::metrics::FAULT_SWEEP.span();
+                    let fault_ev = sp2_trace::events::span("fault", "phase");
+                    if sp2_trace::recording() {
+                        sp2_trace::events::sim_instant(format!("node {node} down"), "fault", t);
+                    }
+                    down[node] = true;
+                    // The node crashes: counters freeze at `t` (they advanced
+                    // while the job computed up to the crash).
+                    engine.set_activity(node, t, None);
+                    let victim = pbs.take_node_offline(node);
+                    if let Some(id) = victim {
+                        let killed = pbs.kill(id, t)?;
+                        if let Some(job) = running.remove(&id) {
+                            // Surviving siblings drop back to idle; no
+                            // epilogue runs for a killed job — its prologue
+                            // buffer goes straight back for reuse.
+                            spare_prologues.push(job.prologue);
+                            for &n in &job.nodes {
+                                if n != node && !down[n] {
+                                    engine.set_activity(n, t, Some(idle_plan.clone()));
                                 }
-                                crate::metrics::EVENTS.inc();
-                                run.push((kk, next.t));
-                                heap.pop();
                             }
-                            Ev::Finish(id, attempt) => {
-                                if running.get(&id).map(|j| j.attempt) == Some(attempt) {
-                                    break; // live finish: real node-state mutation
-                                }
-                                crate::metrics::EVENTS.inc();
-                                heap.pop();
-                            }
-                            Ev::NodeDown(node) => {
-                                if !down[node] {
-                                    break; // real outage
-                                }
-                                crate::metrics::EVENTS.inc();
-                                heap.pop();
-                            }
-                            Ev::NodeUp(node) => {
-                                if down[node] {
-                                    break; // real recovery
-                                }
-                                crate::metrics::EVENTS.inc();
-                                heap.pop();
-                            }
-                            Ev::Submit(i) => {
-                                crate::metrics::EVENTS.inc();
-                                heap.pop();
-                                let job = &trace[i];
-                                pbs.submit(JobSpec {
-                                    id: JobId(i as u64),
-                                    nodes: job.nodes,
-                                    requested_walltime_s: job.requested_walltime_s,
-                                    payload: i as u64,
-                                })?;
-                                if pbs.would_start() {
-                                    // Starting now would advance nodes
-                                    // past the gathered sweep times;
-                                    // apply the window first, then
-                                    // schedule at the submit's own
-                                    // timestamp.
-                                    deferred_submit = Some(next.t);
-                                    break;
-                                }
-                                start_jobs(
-                                    next.t,
-                                    &mut pbs,
-                                    &mut engine,
-                                    &mut running,
-                                    &mut heap,
-                                    &mut seq,
-                                    &attempts,
-                                    trace,
-                                    &mut spare_prologues,
+                            let requeued = job.attempt + 1 < MAX_JOB_ATTEMPTS;
+                            if sp2_trace::recording() {
+                                sp2_trace::events::sim_span(
+                                    format!("job {} run", id.0),
+                                    "pbs",
+                                    job.start,
+                                    t,
+                                );
+                                let marker = if requeued { "requeue" } else { "kill" };
+                                sp2_trace::events::sim_instant(
+                                    format!("job {} {marker}", id.0),
+                                    "pbs",
+                                    t,
                                 );
                             }
+                            summary.jobs_killed += 1;
+                            pbs_records.push(JobRecord {
+                                id: job.spec.id.0,
+                                nodes: job.spec.nodes,
+                                start: job.start,
+                                end: t,
+                                outcome: JobOutcome::NodeFailure { requeued },
+                            });
+                            if requeued {
+                                attempts[id.0 as usize] += 1;
+                                summary.jobs_requeued += 1;
+                                pbs.requeue(killed.spec);
+                            }
                         }
                     }
-                }
-                let active = down.iter().filter(|&&d| !d).count();
-                // A glitched first sweep may leave truncated baselines
-                // behind without tripping the plausibility check (early
-                // in a campaign the truncated delta can still be under
-                // PLAUSIBLE_DELTA_MAX), which would poison the template
-                // below — push the clone point one sweep further out so
-                // the template's baselines come from an untruncated
-                // snapshot.
-                let min_template = if faults.glitched_nodes(k).is_empty() {
-                    2
-                } else {
-                    3
-                };
-                let mut i = 0;
-                while i < run.len() {
-                    let (kk, tt) = run[i];
-                    // A run sweep at i >= 2 can clone run[i-1]'s sample:
-                    // run[i-1] sits one clean, exactly-900 s interval
-                    // after run[i-2], which advanced every node — so its
-                    // per-node deltas are pure one-interval deltas, and
-                    // every later sweep in the run repeats them exactly.
-                    // Full coverage (no anomalies, no re-baselining
-                    // nodes) makes the daemon side a pure replay too.
-                    // Scale-apply the lane deltas, replay the sample
-                    // with only the timestamp changed: bit-identical to
-                    // stepping (the equivalence suite runs with this
-                    // path on).
-                    let steady = i >= min_template
-                        && daemon
-                            .samples()
-                            .last()
-                            .is_some_and(|s| s.anomalies == 0 && s.nodes_sampled == active);
-                    if steady && run.len() - i >= 2 {
-                        let Engine::Batch(bank) = &mut engine else {
-                            break; // unreachable: runs are only gathered for the batch engine
-                        };
-                        let _ff_span = crate::metrics::ADVANCE.span();
-                        let _ff_ev = sp2_trace::events::span("cluster fast-forward", "phase");
-                        let steps = (run.len() - i) as u64;
-                        crate::metrics::SWEEPS.add(steps);
-                        crate::metrics::SWEEPS_ELIDED.add(steps);
-                        let t_final = run[run.len() - 1].1;
-                        bank.advance_steady(SAMPLE_INTERVAL_S, steps, t_final);
-                        let times = run[i..].iter().map(|&(_, t2)| t2);
-                        daemon.fast_forward_steady(times, bank.lanes(), &down);
-                        // Replayed sweeps share one steady-state delta,
-                        // so a single gauge update covers the whole run.
-                        publish_toplev_gauges(&selection, &daemon);
-                        for &(k2, t2) in &run[i..] {
-                            sp2_trace::recorder::on_sweep(k2, t2);
-                        }
-                        break;
-                    }
-                    // Stepped sampling pass: advance every node's
-                    // counters to `tt`, then the daemon sweeps the
-                    // engine's lanes in index order. Down nodes are
-                    // skipped exactly as the real cron script skipped
-                    // unavailable nodes; glitched nodes return their raw
-                    // 32-bit registers. The sample is bit-identical under
-                    // either engine.
-                    {
-                        let advance_span = crate::metrics::ADVANCE.span();
-                        let _advance_ev = sp2_trace::events::span("advance", "phase");
-                        engine.advance_all(tt);
-                        drop(advance_span);
-                    }
-                    let _sample_span = crate::metrics::SAMPLE.span();
-                    let _sample_ev = sp2_trace::events::span("sample", "phase");
-                    let glitched = faults.glitched_nodes(kk);
-                    summary.glitches += glitched.iter().filter(|&&g| !down[g]).count();
-                    daemon.sweep(engine.lanes(), &down, glitched, tt);
-                    crate::metrics::SWEEPS.inc();
-                    publish_toplev_gauges(&selection, &daemon);
-                    sp2_trace::recorder::on_sweep(kk, tt);
-                    i += 1;
-                }
-                // Out-of-core path: everything before the newest sample
-                // is final (samples only ever append), so it can leave
-                // the process now. The newest one stays — it is the
-                // interval reference for the next sweep and the
-                // fast-forward's replay template.
-                if let Some(sink) = spill.as_mut() {
-                    daemon
-                        .drain_samples(&mut **sink, 1)
-                        .map_err(|e| CampaignError::Spill(e.to_string()))?;
-                }
-                // A gather-absorbed Submit whose job fits runs its
-                // schedule pass now, after the window it trailed on the
-                // heap has been applied — same order the reference loop
-                // would process it in.
-                if let Some(t_sub) = deferred_submit {
+                    drop(fault_ev);
+                    drop(fault_span);
                     start_jobs(
-                        t_sub,
+                        t,
+                        &mut pbs,
+                        &mut engine,
+                        &mut running,
+                        &mut heap,
+                        &mut seq,
+                        &attempts,
+                        trace,
+                        &mut spare_prologues,
+                    );
+                }
+                Ev::NodeUp(node) => {
+                    if !down[node] {
+                        continue;
+                    }
+                    let fault_span = crate::metrics::FAULT_SWEEP.span();
+                    let fault_ev = sp2_trace::events::span("fault", "phase");
+                    if sp2_trace::recording() {
+                        sp2_trace::events::sim_instant(format!("node {node} up"), "fault", t);
+                    }
+                    down[node] = false;
+                    // Repair and reboot: the monitor state did not survive,
+                    // so the daemon will re-baseline this node.
+                    engine.reboot(node, t);
+                    engine.set_activity(node, t, Some(idle_plan.clone()));
+                    pbs.bring_node_online(node);
+                    drop(fault_ev);
+                    drop(fault_span);
+                    start_jobs(
+                        t,
                         &mut pbs,
                         &mut engine,
                         &mut running,
@@ -926,195 +1036,75 @@ pub fn run_campaign_cfg_spill(
                     );
                 }
             }
-            Ev::NodeDown(node) => {
-                if down[node] {
-                    continue;
-                }
-                let fault_span = crate::metrics::FAULT_SWEEP.span();
-                let fault_ev = sp2_trace::events::span("fault", "phase");
-                if sp2_trace::recording() {
-                    sp2_trace::events::sim_instant(format!("node {node} down"), "fault", t);
-                }
-                down[node] = true;
-                // The node crashes: counters freeze at `t` (they advanced
-                // while the job computed up to the crash).
-                engine.set_activity(node, t, None);
-                let victim = pbs.take_node_offline(node);
-                if let Some(id) = victim {
-                    let killed = pbs.kill(id, t)?;
-                    if let Some(job) = running.remove(&id) {
-                        // Surviving siblings drop back to idle; no
-                        // epilogue runs for a killed job — its prologue
-                        // buffer goes straight back for reuse.
-                        spare_prologues.push(job.prologue);
-                        for &n in &job.nodes {
-                            if n != node && !down[n] {
-                                engine.set_activity(n, t, Some(idle_plan.clone()));
-                            }
-                        }
-                        let requeued = job.attempt + 1 < MAX_JOB_ATTEMPTS;
-                        if sp2_trace::recording() {
-                            sp2_trace::events::sim_span(
-                                format!("job {} run", id.0),
-                                "pbs",
-                                job.start,
-                                t,
-                            );
-                            let marker = if requeued { "requeue" } else { "kill" };
-                            sp2_trace::events::sim_instant(
-                                format!("job {} {marker}", id.0),
-                                "pbs",
-                                t,
-                            );
-                        }
-                        summary.jobs_killed += 1;
-                        pbs_records.push(JobRecord {
-                            id: job.spec.id.0,
-                            nodes: job.spec.nodes,
-                            start: job.start,
-                            end: t,
-                            outcome: JobOutcome::NodeFailure { requeued },
-                        });
-                        if requeued {
-                            attempts[id.0 as usize] += 1;
-                            summary.jobs_requeued += 1;
-                            pbs.requeue(killed.spec);
-                        }
-                    }
-                }
-                drop(fault_ev);
-                drop(fault_span);
-                start_jobs(
-                    t,
-                    &mut pbs,
-                    &mut engine,
-                    &mut running,
-                    &mut heap,
-                    &mut seq,
-                    &attempts,
-                    trace,
-                    &mut spare_prologues,
-                );
-            }
-            Ev::NodeUp(node) => {
-                if !down[node] {
-                    continue;
-                }
-                let fault_span = crate::metrics::FAULT_SWEEP.span();
-                let fault_ev = sp2_trace::events::span("fault", "phase");
-                if sp2_trace::recording() {
-                    sp2_trace::events::sim_instant(format!("node {node} up"), "fault", t);
-                }
-                down[node] = false;
-                // Repair and reboot: the monitor state did not survive,
-                // so the daemon will re-baseline this node.
-                engine.reboot(node, t);
-                engine.set_activity(node, t, Some(idle_plan.clone()));
-                pbs.bring_node_online(node);
-                drop(fault_ev);
-                drop(fault_span);
-                start_jobs(
-                    t,
-                    &mut pbs,
-                    &mut engine,
-                    &mut running,
-                    &mut heap,
-                    &mut seq,
-                    &attempts,
-                    trace,
-                    &mut spare_prologues,
-                );
-            }
         }
-    }
 
-    // Close out still-running jobs at the horizon (partial records for
-    // utilization accounting; no epilogue report — the epilogue never
-    // ran, exactly as on a machine powered down mid-job).
-    let mut ids: Vec<JobId> = running.keys().copied().collect();
-    ids.sort(); // HashMap iteration order is nondeterministic
-    for id in ids {
-        let Some(job) = running.remove(&id) else {
-            continue;
+        // Close out still-running jobs at the horizon (partial records for
+        // utilization accounting; no epilogue report — the epilogue never
+        // ran, exactly as on a machine powered down mid-job).
+        let mut ids: Vec<JobId> = running.keys().copied().collect();
+        ids.sort(); // HashMap iteration order is nondeterministic
+        for id in ids {
+            let Some(job) = running.remove(&id) else {
+                continue;
+            };
+            pbs.finish(id, horizon)?;
+            if sp2_trace::recording() {
+                sp2_trace::events::sim_span(format!("job {} run", id.0), "pbs", job.start, horizon);
+                sp2_trace::events::sim_instant(format!("job {} horizon", id.0), "pbs", horizon);
+            }
+            pbs_records.push(JobRecord {
+                id: job.spec.id.0,
+                nodes: job.spec.nodes,
+                start: job.start,
+                end: horizon,
+                outcome: JobOutcome::Horizon,
+            });
+        }
+
+        crate::metrics::SIMULATED_S.add(horizon as u64);
+        let samples = match spill {
+            Some(sink) => {
+                // Flush the tail (including the resident interval
+                // reference); the sink holds the whole series, the result
+                // carries none of it.
+                daemon
+                    .drain_samples(sink, 0)
+                    .map_err(|e| CampaignError::Spill(e.to_string()))?;
+                Vec::new()
+            }
+            None => daemon.into_samples(),
         };
-        pbs.finish(id, horizon)?;
-        if sp2_trace::recording() {
-            sp2_trace::events::sim_span(format!("job {} run", id.0), "pbs", job.start, horizon);
-            sp2_trace::events::sim_instant(format!("job {} horizon", id.0), "pbs", horizon);
-        }
-        pbs_records.push(JobRecord {
-            id: job.spec.id.0,
-            nodes: job.spec.nodes,
-            start: job.start,
-            end: horizon,
-            outcome: JobOutcome::Horizon,
-        });
+        Ok(CampaignResult {
+            days,
+            node_count: config.nodes,
+            machine: config.machine,
+            selection,
+            samples,
+            job_reports,
+            pbs_records,
+            faults: summary,
+        })
     }
-
-    crate::metrics::SIMULATED_S.add(horizon as u64);
-    let samples = match spill {
-        Some(sink) => {
-            // Flush the tail (including the resident interval
-            // reference); the sink holds the whole series, the result
-            // carries none of it.
-            daemon
-                .drain_samples(sink, 0)
-                .map_err(|e| CampaignError::Spill(e.to_string()))?;
-            Vec::new()
-        }
-        None => daemon.into_samples(),
-    };
-    Ok(CampaignResult {
-        days,
-        node_count: config.nodes,
-        machine: config.machine,
-        selection,
-        samples,
-        job_reports,
-        pbs_records,
-        faults: summary,
-    })
 }
 
-/// Runs `replications` independent campaigns whose traces derive from
-/// `base_spec` with per-replication seeds (`seed + index`), one per
-/// worker thread at a time on up to one worker per core
-/// ([`sp2_power2::workers::map_indexed`]). Every replication replays the
-/// same `faults` plan, so replication spread isolates workload variance
-/// from fault variance.
-///
-/// Replications are embarrassingly parallel: each generates its own
-/// submission trace and replays it on its own simulated machine. Results
-/// come back ordered by replication index whichever worker ran them, so
-/// the vector is bit-identical to running the campaigns one by one.
-pub fn run_replications(
+/// Runs one campaign, with an optional cancel token, under `engine`: a
+/// forwarding shim for [`Campaign::run`]. Its one caller is the
+/// end-to-end benchmark in `perfbench/`, which `BENCHMARK.json` freezes;
+/// the next change to that benchmark should call [`Campaign::run`] and
+/// then delete this function.
+pub fn run_campaign_cfg_cancellable(
     config: &ClusterConfig,
     library: &WorkloadLibrary,
-    mix: &JobMix,
-    base_spec: &CampaignSpec,
-    replications: usize,
+    trace: &[SubmittedJob],
+    days: u32,
     faults: &FaultPlan,
-) -> Result<Vec<CampaignResult>, CampaignError> {
-    let workers = sp2_power2::workers::available();
-    sp2_power2::workers::map_indexed(replications, workers, |rep| {
-        let spec = CampaignSpec {
-            seed: base_spec.seed.wrapping_add(rep as u64),
-            ..*base_spec
-        };
-        let jobs = sp2_workload::trace::generate(&spec, mix, library);
-        // The default (batch) engine: bit-identical to the reference and
-        // much faster, which compounds across replications.
-        run_campaign_cfg(
-            config,
-            library,
-            &jobs,
-            spec.days,
-            faults,
-            &EngineConfig::default(),
-        )
-    })
-    .into_iter()
-    .collect()
+    engine: &EngineConfig,
+    cancel: Option<&CancelToken>,
+) -> Result<CampaignResult, CampaignError> {
+    Campaign::new(config, library, trace, days, faults)
+        .engine(*engine)
+        .cancel(cancel)
+        .run()
 }
 
 #[cfg(test)]
@@ -1136,7 +1126,10 @@ mod tests {
             ..Default::default()
         };
         let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-        run_campaign(&config, &library, &jobs, spec.days, faults).expect("campaign runs")
+        Campaign::new(&config, &library, &jobs, spec.days, faults)
+            .engine(EngineConfig::default().engine(EngineKind::Reference))
+            .run()
+            .expect("campaign runs")
     }
 
     #[test]
@@ -1272,17 +1265,13 @@ mod tests {
             .filter(|j| j.nodes as usize <= 24)
             .collect();
         let plan = FaultPlan::generate(24, 2, 1.5, 9);
-        let reference =
-            run_campaign(&config, &library, &jobs, spec.days, &plan).expect("reference runs");
-        let batch = run_campaign_cfg(
-            &config,
-            &library,
-            &jobs,
-            spec.days,
-            &plan,
-            &EngineConfig::default(),
-        )
-        .expect("batch runs");
+        let reference = Campaign::new(&config, &library, &jobs, spec.days, &plan)
+            .engine(EngineConfig::default().engine(EngineKind::Reference))
+            .run()
+            .expect("reference runs");
+        let batch = Campaign::new(&config, &library, &jobs, spec.days, &plan)
+            .run()
+            .expect("batch runs");
         assert_eq!(reference.samples, batch.samples);
         assert_eq!(reference.job_reports, batch.job_reports);
         assert_eq!(reference.pbs_records, batch.pbs_records);
@@ -1306,27 +1295,15 @@ mod tests {
             .into_iter()
             .filter(|j| j.nodes as usize <= 16)
             .collect();
-        let resident = run_campaign_cfg(
-            &config,
-            &library,
-            &jobs,
-            spec.days,
-            &FaultPlan::none(),
-            &EngineConfig::default(),
-        )
-        .expect("resident runs");
+        let none = FaultPlan::none();
+        let resident = Campaign::new(&config, &library, &jobs, spec.days, &none)
+            .run()
+            .expect("resident runs");
         let mut spilled: Vec<sp2_rs2hpm::SystemSample> = Vec::new();
-        let r = run_campaign_cfg_spill(
-            &config,
-            &library,
-            &jobs,
-            spec.days,
-            &FaultPlan::none(),
-            &EngineConfig::default(),
-            None,
-            Some(&mut spilled),
-        )
-        .expect("spilling run succeeds");
+        let r = Campaign::new(&config, &library, &jobs, spec.days, &none)
+            .spill(&mut spilled)
+            .run()
+            .expect("spilling run succeeds");
         assert!(r.samples.is_empty(), "the sink holds the series");
         assert_eq!(spilled, resident.samples, "spill is bit-identical");
         assert_eq!(r.job_reports, resident.job_reports);

@@ -352,7 +352,8 @@ fn parse_header(payload: &[u8]) -> Result<Option<CampaignMeta>, Sp2Error> {
 /// Streaming archive writer. Interval samples are buffered only up to
 /// [`SAMPLES_PER_BLOCK`] before being encoded and flushed, so a
 /// campaign of any length archives in bounded memory. Implements the
-/// daemon's [`SampleSink`], which is how `run_campaign` spills.
+/// daemon's [`SampleSink`], which is what [`sp2_cluster::Campaign::spill`]
+/// takes.
 pub struct ArchiveWriter<W: Write> {
     out: W,
     slots: Option<usize>,

@@ -319,22 +319,6 @@ impl Submission {
             .fault_seed(self.fault_seed)
             .build()
     }
-
-    /// [`Submission::system`] with a cancellation token attached, for
-    /// schedulers that may need to abort the campaign mid-run.
-    pub fn system_with_cancel(
-        &self,
-        engine: EngineConfig,
-        cancel: std::sync::Arc<sp2_cluster::CancelToken>,
-    ) -> Sp2System {
-        Sp2System::builder()
-            .spec(self.spec)
-            .engine(engine)
-            .faults(self.fault_rate)
-            .fault_seed(self.fault_seed)
-            .cancel_token(cancel)
-            .build()
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput, SelectionKind};
 use sp2_cluster::{
-    run_campaign_cfg_cancellable, run_campaign_rotated, run_replications, CampaignResult,
-    CancelToken, ClusterConfig, EngineConfig, FaultPlan, RotatedCampaign,
+    run_campaign_rotated, Campaign, CampaignResult, CancelToken, ClusterConfig, EngineConfig,
+    FaultPlan, RotatedCampaign,
 };
 use sp2_hpm::SchedulePlan;
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
@@ -114,10 +114,11 @@ impl Sp2SystemBuilder {
         self
     }
 
-    /// Replaces the engine configuration: engine kind and the
-    /// measurement switches (fast-forward, metrics, recording).
-    /// Results are bit-identical under every engine configuration — only
-    /// speed and instrumentation differ.
+    /// Replaces the engine configuration every campaign of the system
+    /// runs under: engine kind and sweep elision. Results are
+    /// bit-identical under every engine configuration; only speed
+    /// differs. Its instrumentation switches are the process entry
+    /// point's to apply, not the system's.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
         self
@@ -147,11 +148,9 @@ impl Sp2SystemBuilder {
         self
     }
 
-    /// Assembles the system, applying the engine configuration's
-    /// switches (so kernel measurement during library construction
-    /// already honors them) and building the workload library.
+    /// Assembles the system, building the workload library unless one
+    /// was given.
     pub fn build(self) -> Sp2System {
-        crate::timeline::apply_engine_config(&self.engine);
         let library = self
             .library
             .unwrap_or_else(|| WorkloadLibrary::build(&self.config.machine, self.library_seed));
@@ -210,13 +209,6 @@ impl Sp2System {
     /// The fault-plan seed.
     pub fn fault_seed(&self) -> u64 {
         self.fault_seed
-    }
-
-    /// Reconfigures fault injection and discards cached campaigns.
-    pub fn set_faults(&mut self, rate: f64, seed: u64) {
-        self.fault_rate = rate;
-        self.fault_seed = seed;
-        self.invalidate();
     }
 
     /// Whether campaigns run with fault injection.
@@ -299,15 +291,10 @@ impl Sp2System {
         } else {
             FaultPlan::none()
         };
-        let result = run_campaign_cfg_cancellable(
-            &config,
-            &self.library,
-            &jobs,
-            self.spec.days,
-            &faults,
-            &self.engine,
-            self.cancel.as_deref(),
-        )?;
+        let result = Campaign::new(&config, &self.library, &jobs, self.spec.days, &faults)
+            .engine(self.engine)
+            .cancel(self.cancel.as_deref())
+            .run()?;
         self.campaigns.insert((kind, faulted), result);
         Ok(())
     }
@@ -392,24 +379,6 @@ impl Sp2System {
             .iter()
             .map(|e| self.dataset(*e))
             .collect()
-    }
-
-    /// Runs `replications` seed-sharded copies of the campaign in
-    /// parallel (seeds `spec.seed + 0..replications`), each with the
-    /// configured fault plan, returning them in replication order
-    /// regardless of scheduling.
-    pub fn replicated_campaigns(
-        &self,
-        replications: usize,
-    ) -> Result<Vec<CampaignResult>, Sp2Error> {
-        Ok(run_replications(
-            &self.config,
-            &self.library,
-            &self.mix,
-            &self.spec,
-            replications,
-            &self.fault_plan(),
-        )?)
     }
 
     /// Discards the cached campaigns (after changing the spec).

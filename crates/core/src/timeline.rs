@@ -45,11 +45,13 @@ pub fn disable_recording() {
     sp2_trace::set_recording(false);
 }
 
-/// Applies every switch an [`sp2_cluster::EngineConfig`] carries,
-/// including the flight-recorder cadence that the cluster layer cannot
-/// apply itself (the recorder's collector is this crate's aggregate
-/// metrics snapshot). `None` fields leave the process-wide settings
-/// untouched, so applying a default config changes nothing.
+/// Applies an [`sp2_cluster::EngineConfig`]'s instrumentation switches
+/// process-wide: metric capture, and the flight-recorder cadence that
+/// the cluster layer cannot apply itself (the recorder's collector is
+/// this crate's aggregate metrics snapshot). `None` fields leave the
+/// process-wide settings untouched, so applying a default config changes
+/// nothing. Only process entry points call this — the `sp2` CLI and
+/// [`crate::serve::Server::bind`]; a campaign never does.
 pub fn apply_engine_config(engine: &sp2_cluster::EngineConfig) {
     engine.apply();
     if let Some(cadence) = engine.recording_cadence {

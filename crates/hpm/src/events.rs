@@ -39,11 +39,6 @@ impl EventSet {
         self.counts[signal as usize] = n;
     }
 
-    /// Sum over every signal (sanity metric only — signals overlap).
-    pub fn grand_total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// True when no signal has fired.
     pub fn is_zero(&self) -> bool {
         self.counts.iter().all(|&c| c == 0)

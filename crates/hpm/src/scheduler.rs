@@ -168,12 +168,6 @@ impl SchedulePlan {
             ((sweep.saturating_sub(1)) % self.passes.len() as u64) as usize
         }
     }
-
-    /// Total slots configured across all passes (diagnostic: how much of
-    /// the 22-slot budget each rotation step uses).
-    pub fn slots_used(&self) -> usize {
-        self.passes.iter().map(CounterSelection::len).sum()
-    }
 }
 
 /// Partitions `wanted` by group in canonical order, deduplicating while

@@ -57,8 +57,6 @@ pub use sigcache::{Fnv128, SignatureCache};
 pub use signature::{measure_on_fresh_node, KernelSignature};
 pub use tlb::Tlb;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 /// The argument `WorkloadLibrary::build_with` still takes. Every kernel
 /// run is cycle-exact; the type remains only because the end-to-end
 /// benchmark in `perfbench/` names it.
@@ -68,22 +66,11 @@ pub enum FastForward {
     Auto,
 }
 
-/// Process-global switch for the batch campaign engine's
-/// cluster-interval sweep elision (the `--no-fast-forward` escape
-/// hatch). On by default; results are bit-identical either way, so the
-/// switch exists for A/B timing and for distrust.
-static FAST_FORWARD: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables sweep elision for subsequent campaigns
-/// process-wide.
-pub fn set_fast_forward_enabled(enabled: bool) {
-    FAST_FORWARD.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether campaigns that leave `EngineConfig::fast_forward` unset
-/// elide steady sweeps. The switch lives here rather than in
-/// `sp2-cluster`, which reads it, because the end-to-end benchmark in
-/// `perfbench/` checks it through this crate.
+/// Always `true`: sweep elision is configured per campaign by
+/// `sp2_cluster::EngineConfig::fast_forward`, and no process-wide switch
+/// exists. Its one caller is the end-to-end benchmark in `perfbench/`,
+/// which `BENCHMARK.json` freezes; the next change to that benchmark
+/// should drop the call and then this function.
 pub fn fast_forward_enabled() -> bool {
-    FAST_FORWARD.load(Ordering::Relaxed)
+    true
 }

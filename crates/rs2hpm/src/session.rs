@@ -25,11 +25,6 @@ impl CounterSession {
         }
     }
 
-    /// Start time of the session, seconds.
-    pub fn start_time(&self) -> f64 {
-        self.start_time_s
-    }
-
     /// Reads the events since open without closing the session.
     pub fn read(&self, hpm: &Hpm) -> CounterDelta {
         CounterDelta::between(&self.start_snapshot, &hpm.snapshot())

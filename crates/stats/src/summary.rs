@@ -111,15 +111,6 @@ impl Summary {
         }
     }
 
-    /// Population variance; 0 for an empty summary.
-    pub fn variance_population(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Smallest observation; `None` if empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)

@@ -77,11 +77,6 @@ impl TimeSeries {
             })
             .collect()
     }
-
-    /// Whether any sample flagged a discontinuity.
-    pub fn has_discontinuity(&self) -> bool {
-        self.samples.iter().any(|s| s.discontinuity)
-    }
 }
 
 /// Differences two snapshots into interval readings. Returns the deltas

@@ -158,11 +158,6 @@ impl SubmittedJob {
     pub fn residency_s(&self) -> f64 {
         self.duration_s.min(self.requested_walltime_s)
     }
-
-    /// Whether PBS will kill this job at its limit.
-    pub fn will_be_killed(&self) -> bool {
-        self.duration_s > self.requested_walltime_s
-    }
 }
 
 /// Generates the campaign's submission trace, sorted by submit time.

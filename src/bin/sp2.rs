@@ -103,10 +103,11 @@ OPTIONS:
                     batch engine is proven against). Results are
                     bit-identical either way
     --no-fast-forward
-                    disable the batch engine's cluster-interval
-                    fast-forward (sweep elision) and step every sampling
-                    sweep (A/B escape hatch; results are bit-identical
-                    either way, this only trades speed for paranoia)
+                    step every sampling sweep of this run's campaigns
+                    instead of eliding steady runs of them (the batch
+                    engine's cluster-interval fast-forward; A/B escape
+                    hatch: results are bit-identical either way, this
+                    only trades speed for paranoia)
     --json          print the dataset (or profile metrics) as JSON
     --metrics [PATH] enable the trace layer for any command; after it
                     finishes, write the metrics JSON to PATH, or print the
@@ -539,10 +540,13 @@ fn dump_trace(path: &str) -> Result<(), CliError> {
 }
 
 /// Pure translation from parsed flags to the engine configuration the
-/// run executes under. No process state changes here — the switches take
-/// effect when the config is applied.
+/// run executes under. No process state changes here: `run` applies the
+/// instrumentation switches, and every campaign reads the engine kind
+/// and sweep elision from the config it is handed.
 fn engine_config(args: &Args) -> EngineConfig {
-    let mut engine = EngineConfig::default().engine(args.engine);
+    let mut engine = EngineConfig::default()
+        .engine(args.engine)
+        .fast_forward(args.fast_forward);
     // The trace layer stays off (one relaxed atomic load per record site)
     // unless this invocation actually wants measurements.
     if args.metrics.is_some() || args.command == "profile" {
@@ -552,9 +556,6 @@ fn engine_config(args: &Args) -> EngineConfig {
     // pay for span events and interval sampling.
     if args.trace_out.is_some() || args.command == "timeline" {
         engine = engine.recording_cadence(args.cadence);
-    }
-    if !args.fast_forward {
-        engine = engine.fast_forward(false);
     }
     engine
 }
@@ -1183,10 +1184,10 @@ mod tests {
 
     #[test]
     fn flags_translate_to_engine_config() {
-        // Defaults: every switch stays None so process-wide settings
-        // are left alone.
+        // Defaults: sweep elision on, and both instrumentation switches
+        // None so process-wide settings are left alone.
         let e = engine_config(&parse(&["table2"]).expect("parses"));
-        assert!(e.fast_forward.is_none());
+        assert!(e.fast_forward);
         assert!(e.metrics.is_none());
         assert!(e.recording_cadence.is_none());
 
@@ -1201,7 +1202,7 @@ mod tests {
             .expect("parses"),
         );
         assert_eq!(e.recording_cadence, Some(4));
-        assert_eq!(e.fast_forward, Some(false));
+        assert!(!e.fast_forward);
         assert_eq!(e.metrics, Some(true));
 
         // `profile` implies metrics; `--trace-out` implies recording.

@@ -6,7 +6,9 @@
 //! property the paper's own later analysis of its nine-month archive
 //! depended on.
 
-use sp2_repro::cluster::{run_campaign, CampaignResult, ClusterConfig, FaultPlan};
+use sp2_repro::cluster::{
+    Campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind, FaultPlan,
+};
 use sp2_repro::core::archive::{self, rate_report_fields, ArchiveCodec, ColumnarCodec, TextCodec};
 use sp2_repro::rs2hpm::JobCounterReport;
 use sp2_repro::workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
@@ -20,7 +22,10 @@ fn five_day_campaign() -> CampaignResult {
         ..Default::default()
     };
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-    run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none()).expect("campaign runs")
+    Campaign::new(&config, &library, &jobs, spec.days, &FaultPlan::none())
+        .engine(EngineConfig::default().engine(EngineKind::Reference))
+        .run()
+        .expect("campaign runs")
 }
 
 /// Every f64 must come back with the identical bit pattern — not merely

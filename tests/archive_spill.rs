@@ -4,9 +4,7 @@
 //! the archive on disk is the record and the daemon holds only the
 //! current interval.
 
-use sp2_repro::cluster::{
-    run_campaign_cfg, run_campaign_cfg_spill, ClusterConfig, EngineConfig, FaultPlan, SampleSink,
-};
+use sp2_repro::cluster::{Campaign, ClusterConfig, EngineConfig, FaultPlan, SampleSink};
 use sp2_repro::core::archive::{read_archive, ArchiveWriter, CampaignMeta};
 use sp2_repro::core::experiments::SelectionKind;
 use sp2_repro::rs2hpm::SystemSample;
@@ -39,7 +37,7 @@ fn multi_month_campaign_aggregates_in_bounded_memory() {
         .build()
         .expect("valid config");
     let library = WorkloadLibrary::build(&config.machine, 42);
-    let engine = EngineConfig::default();
+    let none = FaultPlan::none();
 
     let meta = CampaignMeta {
         kind: SelectionKind::Nas,
@@ -59,17 +57,10 @@ fn multi_month_campaign_aggregates_in_bounded_memory() {
     // An idle machine (empty trace) is the worst case for residency:
     // every sweep is steady, so without the spill cap the fast-forward
     // would gather the whole campaign as one run.
-    let result = run_campaign_cfg_spill(
-        &config,
-        &library,
-        &[],
-        DAYS,
-        &FaultPlan::none(),
-        &engine,
-        None,
-        Some(&mut meter),
-    )
-    .expect("spilling campaign runs");
+    let result = Campaign::new(&config, &library, &[], DAYS, &none)
+        .spill(&mut meter)
+        .run()
+        .expect("spilling campaign runs");
 
     let expected = DAYS as usize * 96 + 1; // 15-minute sweeps + baseline
     assert!(result.samples.is_empty(), "the archive holds the series");
@@ -89,7 +80,8 @@ fn multi_month_campaign_aggregates_in_bounded_memory() {
     let loaded = read_archive(&bytes[..]).expect("archive decodes");
     let replay = loaded.campaign.expect("campaign present");
     assert_eq!(replay.samples.len(), expected);
-    let resident = run_campaign_cfg(&config, &library, &[], DAYS, &FaultPlan::none(), &engine)
+    let resident = Campaign::new(&config, &library, &[], DAYS, &none)
+        .run()
         .expect("resident campaign runs");
     assert_eq!(
         replay.samples, resident.samples,
@@ -106,6 +98,7 @@ fn spill_max_run_tunes_residency_without_changing_results() {
         .build()
         .expect("valid config");
     let library = WorkloadLibrary::build(&config.machine, 42);
+    let none = FaultPlan::none();
 
     let run = |cap: Option<usize>| {
         let mut engine = EngineConfig::default();
@@ -118,17 +111,11 @@ fn spill_max_run_tunes_residency_without_changing_results() {
             max_batch: 0,
             drains: 0,
         };
-        run_campaign_cfg_spill(
-            &config,
-            &library,
-            &[],
-            DAYS,
-            &FaultPlan::none(),
-            &engine,
-            None,
-            Some(&mut meter),
-        )
-        .expect("spilling campaign runs");
+        Campaign::new(&config, &library, &[], DAYS, &none)
+            .engine(engine)
+            .spill(&mut meter)
+            .run()
+            .expect("spilling campaign runs");
         meter
     };
 

@@ -6,7 +6,7 @@
 //! totals must dominate the job-report totals (job windows are a subset
 //! of node-time; idle/system background adds more on top).
 
-use sp2_repro::cluster::{run_campaign, ClusterConfig, FaultPlan};
+use sp2_repro::cluster::{Campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan};
 use sp2_repro::hpm::{nas_selection, Signal};
 use sp2_repro::workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 
@@ -20,7 +20,9 @@ fn daemon_totals_dominate_job_totals() {
         ..Default::default()
     };
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-    let r = run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
+    let r = Campaign::new(&config, &library, &jobs, spec.days, &FaultPlan::none())
+        .engine(EngineConfig::default().engine(EngineKind::Reference))
+        .run()
         .expect("campaign runs");
 
     let sel = nas_selection();
@@ -52,7 +54,9 @@ fn system_mode_events_come_from_paging_and_background_only() {
         ..Default::default()
     };
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-    let r = run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
+    let r = Campaign::new(&config, &library, &jobs, spec.days, &FaultPlan::none())
+        .engine(EngineConfig::default().engine(EngineKind::Reference))
+        .run()
         .expect("campaign runs");
 
     let sel = nas_selection();
@@ -78,7 +82,9 @@ fn job_walltime_never_exceeds_pbs_accounting() {
         ..Default::default()
     };
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-    let r = run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
+    let r = Campaign::new(&config, &library, &jobs, spec.days, &FaultPlan::none())
+        .engine(EngineConfig::default().engine(EngineKind::Reference))
+        .run()
         .expect("campaign runs");
 
     let total_job_node_seconds: f64 = r

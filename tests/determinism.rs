@@ -4,8 +4,11 @@
 //! regeneration rely on), and replications run side by side on worker
 //! threads match the same campaigns run one at a time.
 
-use sp2_repro::cluster::{run_campaign, CampaignResult, ClusterConfig, FaultPlan};
-use sp2_repro::workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
+use sp2_repro::cluster::{
+    Campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind, FaultPlan,
+};
+use sp2_repro::power2::workers;
+use sp2_repro::workload::{trace, CampaignSpec, JobMix, SubmittedJob, WorkloadLibrary};
 
 fn fixture(days: u32, seed: u64) -> (ClusterConfig, WorkloadLibrary, CampaignSpec) {
     let config = ClusterConfig::default();
@@ -18,13 +21,27 @@ fn fixture(days: u32, seed: u64) -> (ClusterConfig, WorkloadLibrary, CampaignSpe
     (config, library, spec)
 }
 
+/// One campaign on the reference engine, the baseline every other path
+/// is proven against.
+fn reference_campaign(
+    config: &ClusterConfig,
+    library: &WorkloadLibrary,
+    jobs: &[SubmittedJob],
+    days: u32,
+    faults: &FaultPlan,
+) -> CampaignResult {
+    Campaign::new(config, library, jobs, days, faults)
+        .engine(EngineConfig::default().engine(EngineKind::Reference))
+        .run()
+        .expect("campaign runs")
+}
+
 #[test]
 fn identical_seeds_identical_campaigns() {
     let run = || {
         let (config, library, spec) = fixture(3, 45);
         let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-        run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
-            .expect("campaign runs")
+        reference_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
     };
     let a = run();
     let b = run();
@@ -46,8 +63,7 @@ fn different_seeds_different_campaigns() {
     let run = |seed: u64| {
         let (config, library, spec) = fixture(3, seed);
         let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-        run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
-            .expect("campaign runs")
+        reference_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
     };
     let a = run(1);
     let b = run(2);
@@ -94,14 +110,14 @@ fn faulted_campaigns_bit_identical_per_fault_seed() {
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
     let plan = FaultPlan::generate(config.nodes, spec.days, 1.5, 77);
     assert!(!plan.is_empty());
-    let a = run_campaign(&config, &library, &jobs, spec.days, &plan).expect("campaign runs");
-    let b = run_campaign(&config, &library, &jobs, spec.days, &plan).expect("campaign runs");
+    let a = reference_campaign(&config, &library, &jobs, spec.days, &plan);
+    let b = reference_campaign(&config, &library, &jobs, spec.days, &plan);
     assert!(a.faults.enabled);
     assert_campaigns_identical(&a, &b);
 
     // A different fault seed must perturb the run.
     let other = FaultPlan::generate(config.nodes, spec.days, 1.5, 78);
-    let c = run_campaign(&config, &library, &jobs, spec.days, &other).expect("campaign runs");
+    let c = reference_campaign(&config, &library, &jobs, spec.days, &other);
     assert_ne!(
         (a.faults.outages, a.faults.missed_sweeps, a.samples.len()),
         (c.faults.outages, c.faults.missed_sweeps, c.samples.len()),
@@ -109,22 +125,29 @@ fn faulted_campaigns_bit_identical_per_fault_seed() {
     );
 }
 
+/// Three seed-shifted campaigns run side by side on worker threads, on
+/// the default (batch) engine, must each equal the same campaign run
+/// alone on the reference engine: running campaigns concurrently in one
+/// process changes nothing about any of them.
 #[test]
 fn replications_match_individually_run_campaigns() {
-    use sp2_repro::cluster::run_replications;
     let (config, library, base) = fixture(1, 90);
     let mix = JobMix::nas();
-    let reps =
-        run_replications(&config, &library, &mix, &base, 3, &FaultPlan::none()).expect("reps run");
-    assert_eq!(reps.len(), 3);
-    for (i, rep) in reps.iter().enumerate() {
+    let none = FaultPlan::none();
+    let trace_of = |rep: usize| {
         let spec = CampaignSpec {
-            seed: base.seed + i as u64,
+            seed: base.seed + rep as u64,
             ..base
         };
-        let jobs = trace::generate(&spec, &mix, &library);
-        let solo = run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
-            .expect("campaign runs");
-        assert_campaigns_identical(rep, &solo);
+        trace::generate(&spec, &mix, &library)
+    };
+    let reps = workers::map_indexed(3, workers::available(), |rep| {
+        let jobs = trace_of(rep);
+        Campaign::new(&config, &library, &jobs, base.days, &none).run()
+    });
+    assert_eq!(reps.len(), 3);
+    for (rep, result) in reps.into_iter().enumerate() {
+        let solo = reference_campaign(&config, &library, &trace_of(rep), base.days, &none);
+        assert_campaigns_identical(&result.expect("replication runs"), &solo);
     }
 }

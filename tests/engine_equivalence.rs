@@ -9,7 +9,7 @@
 //! of wide jobs and churn, and fault plans that crash, reboot, and
 //! glitch nodes mid-campaign.
 
-use sp2_repro::cluster::{run_campaign, run_campaign_cfg, ClusterConfig, EngineConfig, FaultPlan};
+use sp2_repro::cluster::{Campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan};
 use sp2_repro::workload::{trace, CampaignSpec, JobMix, SubmittedJob, WorkloadLibrary};
 
 /// A mix deliberately unlike the NAS production mix: dominated by wide
@@ -37,16 +37,13 @@ fn assert_engines_equivalent(mix: &JobMix, days: u32, seed: u64, faults: &FaultP
         ..Default::default()
     };
     let jobs = trace::generate(&spec, mix, &library);
-    let reference = run_campaign(&config, &library, &jobs, days, faults).expect("reference runs");
-    let batch = run_campaign_cfg(
-        &config,
-        &library,
-        &jobs,
-        days,
-        faults,
-        &EngineConfig::default(),
-    )
-    .expect("batch runs");
+    let reference = Campaign::new(&config, &library, &jobs, days, faults)
+        .engine(EngineConfig::default().engine(EngineKind::Reference))
+        .run()
+        .expect("reference runs");
+    let batch = Campaign::new(&config, &library, &jobs, days, faults)
+        .run()
+        .expect("batch runs");
     assert_eq!(reference.samples, batch.samples, "samples");
     assert_eq!(reference.job_reports, batch.job_reports, "jobs");
     assert_eq!(reference.pbs_records, batch.pbs_records, "pbs");
@@ -77,12 +74,16 @@ fn assert_adversarial_equivalent(
     let config = ClusterConfig::default();
     let library = WorkloadLibrary::build(&config.machine, 42);
     let jobs = build(&library);
-    let reference = run_campaign(&config, &library, &jobs, days, faults).expect("reference runs");
+    let reference = Campaign::new(&config, &library, &jobs, days, faults)
+        .engine(EngineConfig::default().engine(EngineKind::Reference))
+        .run()
+        .expect("reference runs");
 
     for ff in [false, true] {
-        let engine = EngineConfig::default().fast_forward(ff);
-        let other =
-            run_campaign_cfg(&config, &library, &jobs, days, faults, &engine).expect("runs");
+        let other = Campaign::new(&config, &library, &jobs, days, faults)
+            .engine(EngineConfig::default().fast_forward(ff))
+            .run()
+            .expect("runs");
         let tag = format!("fast_forward={ff}");
         assert_eq!(reference.samples, other.samples, "{tag}: samples");
         assert_eq!(reference.job_reports, other.job_reports, "{tag}: jobs");
@@ -96,9 +97,6 @@ fn assert_adversarial_equivalent(
             );
         }
     }
-    // `run_campaign_cfg` pushed the explicit fast-forward switch into
-    // the process global; put the default back for neighboring tests.
-    sp2_repro::power2::set_fast_forward_enabled(true);
 }
 
 /// A machine-filling job plus a storm of wide submits that can only

@@ -4,8 +4,11 @@
 //! trees compare equal under `Json::bits_eq` (so even a `-0.0` flip
 //! would fail) — while the snapshot itself covers every subsystem the
 //! profile report promises: cache hit rate, per-phase campaign timing,
-//! and daemon sweep statistics.
+//! and daemon sweep statistics. And a campaign writes no process global:
+//! one run with sweep elision off leaves the next default-config
+//! campaign eliding.
 
+use sp2_repro::cluster::EngineConfig;
 use sp2_repro::core::experiments::Dataset;
 use sp2_repro::core::{metrics, Sp2System};
 use sp2_repro::trace::{self, MetricValue};
@@ -95,4 +98,30 @@ fn instrumented_run_is_bit_identical_and_snapshot_is_complete() {
         Some(metrics::SCHEMA)
     );
     assert!(parsed.get("metrics").is_some());
+
+    // A campaign with sweep elision off must not switch it off for the
+    // campaigns after it in the same process.
+    trace::set_enabled(true);
+    let stepped = EngineConfig::default().fast_forward(false);
+    Sp2System::builder()
+        .days(2)
+        .engine(stepped)
+        .build()
+        .campaign()
+        .expect("stepped campaign runs");
+    metrics::reset();
+    Sp2System::builder()
+        .days(2)
+        .build()
+        .campaign()
+        .expect("default campaign runs");
+    let elided = metrics::snapshot()
+        .get("cluster.sweeps_elided")
+        .and_then(MetricValue::as_count)
+        .expect("sweeps_elided present");
+    trace::set_enabled(false);
+    assert!(
+        elided > 0,
+        "a default-config campaign after a stepped one elided no sweep"
+    );
 }

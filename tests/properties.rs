@@ -1,7 +1,9 @@
 //! Property-based tests on the core data structures and invariants.
 
 use proptest::prelude::*;
-use sp2_repro::cluster::{run_campaign, CampaignResult, ClusterConfig, FaultPlan, FaultSummary};
+use sp2_repro::cluster::{
+    Campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind, FaultPlan, FaultSummary,
+};
 use sp2_repro::core::archive::columnar::rate_report_fields;
 use sp2_repro::hpm::{
     io_aware_selection, nas_selection, CounterDelta, CounterSelection, CounterSnapshot, EventSet,
@@ -309,7 +311,9 @@ proptest! {
                 plan.add_outage(node, 0.0, horizon + 1.0);
             }
         }
-        let r = run_campaign(config, library, jobs, *days, &plan)
+        let r = Campaign::new(config, library, jobs, *days, &plan)
+            .engine(EngineConfig::default().engine(EngineKind::Reference))
+            .run()
             .expect("campaign survives any fault plan");
         for s in &r.samples {
             prop_assert!(s.nodes_sampled <= s.nodes_total,

@@ -11,24 +11,14 @@
 //! 3. **Digest-hit replay** — a completed digest is served from the
 //!    store (`stored:true`) byte-for-byte, without re-running.
 //!
-//! The tests share one process (the workload library and the
-//! fast-forward switch are process-global), so they serialize on a
-//! file-level mutex rather than racing each other's engine settings.
+//! The tests share one process and run concurrently: each daemon keeps
+//! its engine configuration to its own campaigns, and each test has its
+//! own store directory.
 
 use sp2_repro::cluster::{EngineConfig, EngineKind};
 use sp2_repro::core::serve::{self, Client, ServeConfig, Server, ServerHandle, Store};
 use sp2_repro::core::{Json, Submission};
 use std::path::PathBuf;
-use std::sync::Mutex;
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    match SERIAL.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sp2-serve-it-{tag}-{}", std::process::id()));
@@ -58,7 +48,6 @@ fn campaign_submission(days: u32, seed: u64) -> Submission {
 
 #[test]
 fn concurrent_duplicates_match_each_other_and_the_one_shot_path() {
-    let _serial = lock();
     let server = spawn_server("duplicates", 2, EngineConfig::default());
     let addr = server.addr();
 
@@ -112,7 +101,6 @@ fn concurrent_duplicates_match_each_other_and_the_one_shot_path() {
 
 #[test]
 fn cancellation_mid_campaign_leaves_the_store_consistent() {
-    let _serial = lock();
     // Reference engine with fast-forward off: the campaign steps every
     // interval of every node, slow enough that a cancel lands mid-run.
     let store_dir = temp_dir("cancel");
@@ -191,14 +179,10 @@ fn cancellation_mid_campaign_leaves_the_store_consistent() {
     assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
 
     server.shutdown().expect("clean shutdown");
-    // The daemon applied `fast_forward(false)` process-wide; restore the
-    // default so later tests in this binary run at full speed.
-    sp2_repro::power2::set_fast_forward_enabled(true);
 }
 
 #[test]
 fn digest_hit_replays_without_rerunning() {
-    let _serial = lock();
     let dir = temp_dir("replay");
     let config = ServeConfig {
         addr: "127.0.0.1:0".into(),

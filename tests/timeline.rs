@@ -5,7 +5,9 @@
 //! trace export round-trips through the JSON parser with every phase and
 //! job span intact and zero silently-dropped events.
 
-use sp2_repro::cluster::{run_campaign, CampaignResult, ClusterConfig, FaultPlan};
+use sp2_repro::cluster::{
+    Campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind, FaultPlan,
+};
 use sp2_repro::core::{metrics, timeline, Json};
 use sp2_repro::trace::{self, events, recorder};
 use sp2_repro::workload::{CampaignSpec, JobMix, WorkloadLibrary};
@@ -34,7 +36,10 @@ fn small_campaign(days: u32) -> CampaignResult {
     };
     let jobs = sp2_repro::workload::trace::generate(&spec, &small_mix(), &library);
     let faults = FaultPlan::generate(8, days, 1.0, 1996);
-    run_campaign(&config, &library, &jobs, days, &faults).expect("campaign runs")
+    Campaign::new(&config, &library, &jobs, days, &faults)
+        .engine(EngineConfig::default().engine(EngineKind::Reference))
+        .run()
+        .expect("campaign runs")
 }
 
 fn assert_same_campaign(a: &CampaignResult, b: &CampaignResult) {

@@ -18,7 +18,7 @@
 use std::sync::OnceLock;
 
 use sp2_repro::cluster::{
-    plan_signals, run_campaign_cfg, run_campaign_rotated, ClusterConfig, EngineConfig, FaultPlan,
+    plan_signals, run_campaign_rotated, Campaign, ClusterConfig, EngineConfig, FaultPlan,
     RotatedCampaign,
 };
 use sp2_repro::core::toplev::{bottleneck_tree, TreeNode};
@@ -100,7 +100,8 @@ fn single_pass_rotation_is_bit_identical_with_error_exactly_zero() {
         None,
     )
     .expect("rotated campaign runs");
-    let direct = run_campaign_cfg(&cfg, library, jobs, 2, faults, &EngineConfig::default())
+    let direct = Campaign::new(&cfg, library, jobs, 2, faults)
+        .run()
         .expect("direct campaign runs");
     assert_eq!(rotated.passes.len(), 1);
     assert_eq!(rotated.passes[0].samples, direct.samples);
