@@ -9,11 +9,12 @@
 //! readings to `BENCH_throughput.json` at the workspace root. Two more
 //! passes ride along: an untimed instrumented run that measures the
 //! cluster-interval fast-forward's elision rate (elided sweeps / total
-//! sweeps), and a long-horizon spilling campaign (fault plan on), timed
-//! elided and stepped in [`LONG_ROUNDS`] interleaved rounds. Every round
-//! proves the spill + fast-forward interaction results-neutral at scale,
-//! and the ledger keeps the median per-round speedup over stepping with
-//! its interquartile range. CI re-runs it at full length with the
+//! sweeps), and a long-horizon campaign (fault plan on), timed elided
+//! and stepped in [`LONG_ROUNDS`] interleaved rounds. Every round proves
+//! the fast-forward results-neutral at scale by comparing the two
+//! campaigns' sample series, and the ledger keeps the median per-round
+//! speedup over stepping with its interquartile range. CI re-runs it at
+//! full length with the
 //! in-bench floor disabled (`SP2_BENCH_MIN_SPEEDUP=0`) and gates on the
 //! committed baseline instead: the batch-over-reference speedup must
 //! stay within 10 % of the committed value and >= 5x, and the elision
@@ -25,9 +26,10 @@
 //! - `SP2_BENCH_MIN_SPEEDUP` — minimum accepted batch-over-reference
 //!   speedup (default 5.0; the acceptance floor).
 
+use sp2_bench::quartile;
 use sp2_cluster::{
     metrics as cluster_metrics, Campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind,
-    FaultPlan, SystemSample,
+    FaultPlan,
 };
 use sp2_core::Json;
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
@@ -37,16 +39,6 @@ use std::time::Instant;
 /// round is a sub-second sample, so a single one says little; the ledger
 /// keeps the median ratio and its quartiles over this many.
 const LONG_ROUNDS: usize = 9;
-
-/// The `i`-th quartile (1, 2 or 3) of ascending `v` by the "exclusive"
-/// method of Python's `statistics.quantiles(v, n=4)`; `i = 2` is the
-/// median. `v` must hold at least two values.
-fn quartile(v: &[f64], i: usize) -> f64 {
-    let (n, m) = (v.len(), v.len() + 1);
-    let j = (i * m / 4).clamp(1, n - 1);
-    let delta = (i * m) as f64 - (j * 4) as f64;
-    (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
-}
 
 /// The equivalence suite's adversarial mix: dominated by wide jobs
 /// (maximum plan sharing and drain pressure) and single-node stragglers
@@ -165,12 +157,11 @@ fn main() {
     };
     println!("elision rate: {elision_rate:.3} ({elided} of {sweeps} sweeps fast-forwarded)");
 
-    // Long-horizon variant: a spilling multi-month campaign with a
-    // fault plan, so the gate exercises the spill cap + event-
-    // transparent fast-forward interaction, not just the resident
-    // 8-day mix. Each round times it elided and stepped, alternating
-    // which goes first so host drift charges both alike, and proves the
-    // spilled series bit-identical with elision on.
+    // Long-horizon variant: a multi-month campaign with a fault plan, so
+    // the gate exercises the event-transparent fast-forward over long
+    // steady stretches, not just the 8-day mix. Each round times it
+    // elided and stepped, alternating which goes first so host drift
+    // charges both alike, and proves the two sample series bit-identical.
     let lh_spec = CampaignSpec {
         days: long_days,
         seed: 1998,
@@ -178,30 +169,28 @@ fn main() {
     };
     let lh_jobs = trace::generate(&lh_spec, &mix, &library);
     let lh_faults = FaultPlan::generate(config.nodes, long_days, 0.5, 1998);
-    let run_spill = |fast_forward: bool| {
-        let mut sink: Vec<SystemSample> = Vec::new();
+    let run_long = |fast_forward: bool| {
         let t0 = Instant::now();
-        Campaign::new(&config, &library, &lh_jobs, long_days, &lh_faults)
+        let result = Campaign::new(&config, &library, &lh_jobs, long_days, &lh_faults)
             .engine(EngineConfig::default().fast_forward(fast_forward))
-            .spill(&mut sink)
             .run()
             .expect("long-horizon campaign runs");
-        (t0.elapsed().as_secs_f64(), sink)
+        (t0.elapsed().as_secs_f64(), result.samples)
     };
     let mut lh_elided_s = Vec::with_capacity(LONG_ROUNDS);
     let mut lh_ratios = Vec::with_capacity(LONG_ROUNDS);
     let mut lh_samples = 0;
     for round in 0..LONG_ROUNDS {
         let ((elided_s, elided), (stepped_s, stepped)) = if round % 2 == 0 {
-            let elided = run_spill(true);
-            (elided, run_spill(false))
+            let elided = run_long(true);
+            (elided, run_long(false))
         } else {
-            let stepped = run_spill(false);
-            (run_spill(true), stepped)
+            let stepped = run_long(false);
+            (run_long(true), stepped)
         };
         assert_eq!(
             elided, stepped,
-            "long-horizon round {round}: spilled series must be bit-identical with elision on"
+            "long-horizon round {round}: samples must be bit-identical with elision on"
         );
         let ratio = stepped_s / elided_s.max(1e-9);
         println!(
@@ -219,7 +208,7 @@ fn main() {
     let lh_speedup = quartile(&lh_ratios, 2);
     let (lh_q1, lh_q3) = (quartile(&lh_ratios, 1), quartile(&lh_ratios, 3));
     println!(
-        "long-horizon ({long_days} days, faults, spill): median {lh_seconds:.3}s, \
+        "long-horizon ({long_days} days, faults): median {lh_seconds:.3}s, \
          {lh_days_per_s:.2} days/s, {lh_speedup:.2}x over stepping \
          (IQR {lh_q1:.2}-{lh_q3:.2}x, {LONG_ROUNDS} rounds)"
     );

@@ -32,3 +32,13 @@ pub fn bench_system() -> Sp2System {
     let _ = sys.campaign();
     sys
 }
+
+/// The `i`-th quartile (1, 2 or 3) of ascending `v` by the "exclusive"
+/// method of Python's `statistics.quantiles(v, n=4)`; `i = 2` is the
+/// median. `v` must hold at least two values.
+pub fn quartile(v: &[f64], i: usize) -> f64 {
+    let (n, m) = (v.len(), v.len() + 1);
+    let j = (i * m / 4).clamp(1, n - 1);
+    let delta = (i * m) as f64 - (j * 4) as f64;
+    (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
+}

@@ -80,19 +80,6 @@ pub struct EngineConfig {
     /// collector (`sp2-core`'s timeline module), not by
     /// [`EngineConfig::apply`].
     pub recording_cadence: Option<u64>,
-    /// Longest steady-sweep run the cluster-interval fast-forward may
-    /// gather when samples spill to a `SampleSink` (out-of-core
-    /// campaigns). The cap is what bounds sample residency between sink
-    /// drains: an idle multi-month campaign would otherwise gather its
-    /// whole history as one run before anything could leave the
-    /// process. Without a sink the run is unbounded (the samples are
-    /// resident anyway) and this field is ignored. Splitting a steady
-    /// run never changes results — the first sweeps of the next run are
-    /// stepped, and stepping is bit-identical to fast-forwarding — so
-    /// this knob trades residency against elision length only. Default
-    /// 96 (one day of 15-minute sweeps); must be at least 2 (a run of
-    /// one can never elide).
-    pub spill_max_run: usize,
 }
 
 impl Default for EngineConfig {
@@ -102,7 +89,6 @@ impl Default for EngineConfig {
             fast_forward: true,
             metrics: None,
             recording_cadence: None,
-            spill_max_run: 96,
         }
     }
 }
@@ -138,18 +124,6 @@ impl EngineConfig {
     /// Sets the flight-recorder cadence explicitly.
     pub fn recording_cadence(mut self, cadence: u64) -> Self {
         self.recording_cadence = Some(cadence);
-        self
-    }
-
-    /// Sets the spill-mode steady-run cap (see the field docs).
-    ///
-    /// # Panics
-    /// Panics when `cap < 2`: a cap of 1 would forbid gathering even a
-    /// template sweep and silently disable the fast-forward, which is
-    /// what [`EngineConfig::fast_forward`] is for.
-    pub fn spill_max_run(mut self, cap: usize) -> Self {
-        assert!(cap >= 2, "spill_max_run must be at least 2, got {cap}");
-        self.spill_max_run = cap;
         self
     }
 

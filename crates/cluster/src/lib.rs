@@ -46,5 +46,5 @@ pub use sim::{
     run_campaign_cfg_cancellable, Campaign, CampaignError, CancelToken, ClusterConfig,
     ClusterConfigBuilder, ClusterConfigError,
 };
-pub use sp2_rs2hpm::{SampleSink, SystemSample};
+pub use sp2_rs2hpm::SystemSample;
 pub use state::NodeState;

@@ -20,7 +20,7 @@ use sp2_hpm::{nas_selection, CounterSelection};
 use sp2_pbs::{JobId, JobOutcome, JobRecord, JobSpec, Pbs, PbsError};
 use sp2_power2::handler::{daemon_sample_signature, page_fault_signature};
 use sp2_power2::{CounterBatch, KernelSignature, MachineConfig};
-use sp2_rs2hpm::{BottleneckSplit, Daemon, JobCounterReport, SampleSink, SAMPLE_INTERVAL_S};
+use sp2_rs2hpm::{BottleneckSplit, Daemon, JobCounterReport, SAMPLE_INTERVAL_S};
 use sp2_switch::SwitchConfig;
 use sp2_workload::{SubmittedJob, WorkloadLibrary};
 use std::cmp::Reverse;
@@ -177,9 +177,6 @@ pub enum CampaignError {
     /// The campaign's [`CancelToken`] was raised mid-run. Partial state
     /// is discarded; the campaign produced no result.
     Cancelled,
-    /// The caller's [`SampleSink`] failed while samples were being
-    /// spilled out of core (e.g. the archive's disk filled up).
-    Spill(String),
     /// A rotated campaign was given a plan with no passes (an empty
     /// signal request plans nothing to rotate through).
     EmptyPlan,
@@ -190,7 +187,6 @@ impl fmt::Display for CampaignError {
         match self {
             CampaignError::Pbs(e) => write!(f, "batch system rejected a request: {e}"),
             CampaignError::Cancelled => write!(f, "campaign cancelled"),
-            CampaignError::Spill(e) => write!(f, "spilling samples failed: {e}"),
             CampaignError::EmptyPlan => write!(f, "rotation plan has no passes"),
         }
     }
@@ -422,9 +418,7 @@ fn publish_toplev_gauges(selection: &CounterSelection, daemon: &Daemon) {
 ///
 /// - [`Campaign::engine`]: the node engine and its sweep elision
 ///   (default: the batch engine, eliding);
-/// - [`Campaign::cancel`]: a [`CancelToken`] the event loop polls;
-/// - [`Campaign::spill`]: a [`SampleSink`] that takes the sample series
-///   out of core as the campaign runs.
+/// - [`Campaign::cancel`]: a [`CancelToken`] the event loop polls.
 ///
 /// [`Campaign::run`] runs the campaign on the calling thread and writes
 /// no process global: two campaigns in one process cannot change each
@@ -437,7 +431,6 @@ pub struct Campaign<'a> {
     faults: &'a FaultPlan,
     engine: EngineConfig,
     cancel: Option<&'a CancelToken>,
-    spill: Option<&'a mut dyn SampleSink>,
 }
 
 impl<'a> Campaign<'a> {
@@ -458,7 +451,6 @@ impl<'a> Campaign<'a> {
             faults,
             engine: EngineConfig::default(),
             cancel: None,
-            spill: None,
         }
     }
 
@@ -479,580 +471,533 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Drains every finalized [`sp2_rs2hpm::SystemSample`] into `sink`
-    /// as the campaign runs (the interval reference stays resident), so
-    /// the returned [`CampaignResult::samples`] is empty and the sink
-    /// holds the series. Year-scale campaigns thus aggregate in bounded
-    /// memory; while spilling, a steady run elides at most
-    /// [`EngineConfig::spill_max_run`] sweeps. Sink failures abort the
-    /// run with [`CampaignError::Spill`].
-    pub fn spill(mut self, sink: &'a mut dyn SampleSink) -> Self {
-        self.spill = Some(sink);
-        self
-    }
-
     /// Runs the campaign on the calling thread and returns every dataset
     /// the paper's evaluation uses.
     pub fn run(self) -> Result<CampaignResult, CampaignError> {
-        let Campaign {
-            config,
-            library,
-            trace,
-            days,
-            faults,
-            engine: engine_cfg,
-            cancel,
-            mut spill,
-        } = self;
         let _campaign_span = crate::metrics::CAMPAIGN.span();
         let _campaign_ev = sp2_trace::events::span("campaign", "phase");
-        let horizon = days as f64 * 86_400.0;
+        let mut run = CampaignRun::new(&self);
+        while let Some(Reverse(Scheduled { t, ev, .. })) = run.heap.pop() {
+            if t > run.horizon {
+                break;
+            }
+            if self.cancel.is_some_and(CancelToken::is_cancelled) {
+                return Err(CampaignError::Cancelled);
+            }
+            crate::metrics::EVENTS.inc();
+            if run.is_stale(ev) {
+                continue;
+            }
+            match ev {
+                Ev::Submit(i) => run.on_submit(i, t)?,
+                Ev::Finish(id, _) => run.on_finish(id, t)?,
+                Ev::Sample(k) => run.on_sample(k, t)?,
+                Ev::NodeDown(node) => run.on_node_down(node, t)?,
+                Ev::NodeUp(node) => run.on_node_up(node, t)?,
+            }
+        }
+        run.close()
+    }
+}
+
+/// The state of one running campaign. [`Campaign::run`] pops each event
+/// off `heap` and hands it to its handler; every handler works on this
+/// state alone.
+struct CampaignRun<'a> {
+    config: &'a ClusterConfig,
+    library: &'a WorkloadLibrary,
+    trace: &'a [SubmittedJob],
+    faults: &'a FaultPlan,
+    days: u32,
+    horizon: f64,
+    selection: CounterSelection,
+    /// The measured page-fault handler every job's plan pages through.
+    handler: KernelSignature,
+    /// What a node runs between jobs.
+    idle_plan: ActivityPlan,
+    engine: Engine,
+    /// Cluster-interval fast-forward: the batch engine may elide runs of
+    /// steady sweeps (see [`CampaignRun::on_sample`]). The reference
+    /// engine never does — it is the baseline the elision is proven
+    /// against — and `--no-fast-forward` forces full stepping for A/B
+    /// runs.
+    steady_ff: bool,
+    pbs: Pbs,
+    daemon: Daemon,
+    running: HashMap<JobId, RunningJob>,
+    job_reports: Vec<JobCounterReport>,
+    pbs_records: Vec<JobRecord>,
+    down: Vec<bool>,
+    /// Attempts so far per trace job (requeues after node failures).
+    attempts: Vec<u32>,
+    summary: FaultSummary,
+    heap: BinaryHeap<Reverse<Scheduled>>,
+    /// Push counter: events at equal times pop in push order.
+    seq: u64,
+    /// Prologue buffers of finished or killed jobs, reused by the next
+    /// job starts so the prologue/epilogue path allocates nothing once
+    /// warm.
+    spare_prologues: Vec<Vec<u64>>,
+    /// The gathered run of Sample events, reused across samples.
+    gathered: Vec<(u64, f64)>,
+}
+
+impl<'a> CampaignRun<'a> {
+    /// Puts every node on the idle plan, queues every event the inputs
+    /// fix up front (submits, sweeps, outages, in that order) and takes
+    /// the daemon's baseline pass at t = 0.
+    fn new(c: &Campaign<'a>) -> Self {
+        let config = c.config;
+        let horizon = c.days as f64 * 86_400.0;
         let selection = config.selection.clone();
-        let handler: KernelSignature = page_fault_signature(&config.machine);
+        let handler = page_fault_signature(&config.machine);
         let daemon_sig = daemon_sample_signature(&config.machine);
         let idle_plan = ActivityPlan::idle(&daemon_sig, &config.paging);
 
-        let mut engine = Engine::new(engine_cfg.engine, &selection, config.nodes);
+        let mut engine = Engine::new(c.engine.engine, &selection, config.nodes);
         for n in 0..config.nodes {
             engine.set_activity(n, 0.0, Some(idle_plan.clone()));
         }
-
-        let mut pbs = Pbs::new(config.nodes).with_drain_threshold(config.drain_threshold);
-        let mut daemon = Daemon::new(selection.clone(), config.nodes);
-        let mut running: HashMap<JobId, RunningJob> = HashMap::new();
-        let mut job_reports: Vec<JobCounterReport> = Vec::new();
-        let mut pbs_records: Vec<JobRecord> = Vec::new();
-        let mut down = vec![false; config.nodes];
-        let mut attempts: Vec<u32> = vec![0; trace.len()];
-        let mut summary = FaultSummary {
-            enabled: !faults.is_empty(),
-            ..FaultSummary::default()
+        let pbs = Pbs::new(config.nodes).with_drain_threshold(config.drain_threshold);
+        let daemon = Daemon::new(selection.clone(), config.nodes);
+        let mut run = CampaignRun {
+            config,
+            library: c.library,
+            trace: c.trace,
+            faults: c.faults,
+            days: c.days,
+            horizon,
+            selection,
+            handler,
+            idle_plan,
+            engine,
+            steady_ff: c.engine.engine == EngineKind::Batch && c.engine.fast_forward,
+            pbs,
+            daemon,
+            running: HashMap::new(),
+            job_reports: Vec::new(),
+            pbs_records: Vec::new(),
+            down: vec![false; config.nodes],
+            attempts: vec![0; c.trace.len()],
+            summary: FaultSummary {
+                enabled: !c.faults.is_empty(),
+                ..FaultSummary::default()
+            },
+            heap: BinaryHeap::new(),
+            seq: 0,
+            spare_prologues: Vec::new(),
+            gathered: Vec::new(),
         };
 
-        let mut heap: BinaryHeap<Reverse<Scheduled>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let push = |heap: &mut BinaryHeap<Reverse<Scheduled>>, seq: &mut u64, t: f64, ev: Ev| {
-            *seq += 1;
-            heap.push(Reverse(Scheduled { t, seq: *seq, ev }));
-        };
-
-        for (i, job) in trace.iter().enumerate() {
+        for (i, job) in c.trace.iter().enumerate() {
             if job.submit_s < horizon {
-                push(&mut heap, &mut seq, job.submit_s, Ev::Submit(i));
+                run.push(job.submit_s, Ev::Submit(i));
             }
         }
         let mut sweep = 0u64;
         let mut t_sample = SAMPLE_INTERVAL_S;
         while t_sample <= horizon {
             sweep += 1;
-            push(&mut heap, &mut seq, t_sample, Ev::Sample(sweep));
+            run.push(t_sample, Ev::Sample(sweep));
             t_sample += SAMPLE_INTERVAL_S;
         }
-        for outage in faults.outages() {
+        for outage in c.faults.outages() {
             if outage.start < horizon {
-                push(&mut heap, &mut seq, outage.start, Ev::NodeDown(outage.node));
-                push(&mut heap, &mut seq, outage.end, Ev::NodeUp(outage.node));
-                summary.outages += 1;
+                run.push(outage.start, Ev::NodeDown(outage.node));
+                run.push(outage.end, Ev::NodeUp(outage.node));
+                run.summary.outages += 1;
             }
         }
-        summary.node_downtime_s = faults.node_downtime_s(horizon);
+        run.summary.node_downtime_s = c.faults.node_downtime_s(horizon);
 
         // Baseline daemon pass at t=0 (flight-recorder sweep 0 only
         // baselines the interval series, exactly like the daemon itself).
-        daemon.sweep(engine.lanes(), &down, &[], 0.0);
+        run.daemon.sweep(run.engine.lanes(), &run.down, &[], 0.0);
         sp2_trace::recorder::on_sweep(0, 0.0);
+        run
+    }
 
-        // Prologue buffers of finished or killed jobs, reused by the next
-        // job starts so the prologue/epilogue path allocates nothing once
-        // warm.
-        let mut spare_prologues: Vec<Vec<u64>> = Vec::new();
+    fn push(&mut self, t: f64, ev: Ev) {
+        self.seq += 1;
+        self.heap.push(Reverse(Scheduled {
+            t,
+            seq: self.seq,
+            ev,
+        }));
+    }
 
-        // Start any jobs PBS can place at `now`.
-        let start_jobs = |now: f64,
-                          pbs: &mut Pbs,
-                          engine: &mut Engine,
-                          running: &mut HashMap<JobId, RunningJob>,
-                          heap: &mut BinaryHeap<Reverse<Scheduled>>,
-                          seq: &mut u64,
-                          attempts: &[u32],
-                          trace: &[SubmittedJob],
-                          spare_prologues: &mut Vec<Vec<u64>>| {
-            let _sched_span = crate::metrics::SCHEDULE.span();
-            let _sched_ev = sp2_trace::events::span("schedule", "phase");
-            for started in pbs.schedule(now) {
-                let submitted = &trace[started.spec.payload as usize];
-                if sp2_trace::recording() {
-                    // Queue wait in simulated time; a requeued attempt's wait
-                    // began at the kill, which the kill site records instead.
-                    let attempt = attempts[started.spec.payload as usize];
-                    if attempt == 0 {
-                        sp2_trace::events::sim_span(
-                            format!("job {} wait", started.spec.id.0),
-                            "pbs",
-                            submitted.submit_s,
-                            now,
-                        );
-                    }
-                }
-                let program = library.program(submitted.program);
-                let plan = ActivityPlan::for_job(
-                    program,
-                    library.signature_of(submitted.program),
-                    &handler,
-                    &config.switch,
-                    &config.paging,
-                    config.machine.memory_bytes,
-                    started.spec.nodes,
-                );
-                let mut prologue = spare_prologues.pop().unwrap_or_default();
-                prologue.clear();
-                let lanes = engine.lanes_at(&started.nodes, now);
-                for &n in &started.nodes {
-                    prologue.extend_from_slice(selection.node_lanes(lanes, n));
-                }
-                engine.set_activity_many(&started.nodes, now, plan);
-                // PBS enforces the walltime limit: a job that would run past
-                // its request is killed at the limit (no checkpointing on
-                // the SP2, so killed means gone).
-                let attempt = attempts[started.spec.payload as usize];
-                let finish_t = now + submitted.residency_s();
-                push(heap, seq, finish_t, Ev::Finish(started.spec.id, attempt));
-                running.insert(
-                    started.spec.id,
-                    RunningJob {
-                        spec: started.spec,
-                        nodes: started.nodes,
-                        start: now,
-                        attempt,
-                        prologue,
-                    },
+    /// Whether handling `ev` now would change nothing: a Finish for an
+    /// attempt a node failure killed, a NodeDown for a node already down
+    /// (overlapping outage windows) or a NodeUp for a node already up.
+    /// The event loop drops such events on pop, and the steady-run
+    /// gatherer peeks past them.
+    fn is_stale(&self, ev: Ev) -> bool {
+        match ev {
+            Ev::Finish(id, attempt) => self.running.get(&id).map(|j| j.attempt) != Some(attempt),
+            Ev::NodeDown(node) => self.down[node],
+            Ev::NodeUp(node) => !self.down[node],
+            Ev::Submit(_) | Ev::Sample(_) => false,
+        }
+    }
+
+    /// The PBS request for trace job `i`.
+    fn job_spec(&self, i: usize) -> JobSpec {
+        let job = &self.trace[i];
+        JobSpec {
+            id: JobId(i as u64),
+            nodes: job.nodes,
+            requested_walltime_s: job.requested_walltime_s,
+            payload: i as u64,
+        }
+    }
+
+    /// Starts every job PBS can place at `now`: the job's nodes take
+    /// their prologue reading and switch to its plan, and its finish is
+    /// queued.
+    fn start_jobs(&mut self, now: f64) {
+        let _sched_span = crate::metrics::SCHEDULE.span();
+        let _sched_ev = sp2_trace::events::span("schedule", "phase");
+        let (config, library, trace) = (self.config, self.library, self.trace);
+        for started in self.pbs.schedule(now) {
+            let payload = started.spec.payload as usize;
+            let submitted = &trace[payload];
+            let attempt = self.attempts[payload];
+            if sp2_trace::recording() && attempt == 0 {
+                // Queue wait in simulated time; a requeued attempt's wait
+                // began at the kill, which the kill site records instead.
+                sp2_trace::events::sim_span(
+                    format!("job {} wait", started.spec.id.0),
+                    "pbs",
+                    submitted.submit_s,
+                    now,
                 );
             }
+            let plan = ActivityPlan::for_job(
+                library.program(submitted.program),
+                library.signature_of(submitted.program),
+                &self.handler,
+                &config.switch,
+                &config.paging,
+                config.machine.memory_bytes,
+                started.spec.nodes,
+            );
+            let mut prologue = self.spare_prologues.pop().unwrap_or_default();
+            prologue.clear();
+            let lanes = self.engine.lanes_at(&started.nodes, now);
+            for &n in &started.nodes {
+                prologue.extend_from_slice(self.selection.node_lanes(lanes, n));
+            }
+            self.engine.set_activity_many(&started.nodes, now, plan);
+            // PBS enforces the walltime limit: a job that would run past
+            // its request is killed at the limit (no checkpointing on
+            // the SP2, so killed means gone).
+            self.push(
+                now + submitted.residency_s(),
+                Ev::Finish(started.spec.id, attempt),
+            );
+            self.running.insert(
+                started.spec.id,
+                RunningJob {
+                    spec: started.spec,
+                    nodes: started.nodes,
+                    start: now,
+                    attempt,
+                    prologue,
+                },
+            );
+        }
+    }
+
+    fn on_submit(&mut self, i: usize, t: f64) -> Result<(), CampaignError> {
+        self.pbs.submit(self.job_spec(i))?;
+        self.start_jobs(t);
+        Ok(())
+    }
+
+    /// A live job's epilogue: its nodes' counters since the prologue
+    /// become its report, and the nodes go back to idle.
+    fn on_finish(&mut self, id: JobId, t: f64) -> Result<(), CampaignError> {
+        let Some(job) = self.running.remove(&id) else {
+            return Ok(());
         };
+        let lanes = self.engine.lanes_at(&job.nodes, t);
+        self.job_reports.push(JobCounterReport::from_lanes(
+            &self.selection,
+            job.spec.id.0,
+            job.start,
+            t,
+            &job.prologue,
+            job.nodes
+                .iter()
+                .map(|&n| self.selection.node_lanes(lanes, n)),
+        ));
+        self.engine
+            .set_activity_many(&job.nodes, t, self.idle_plan.clone());
+        self.spare_prologues.push(job.prologue);
+        self.pbs.finish(id, t)?;
+        if sp2_trace::recording() {
+            sp2_trace::events::sim_span(format!("job {} run", id.0), "pbs", job.start, t);
+            sp2_trace::events::sim_instant(format!("job {} epilogue", id.0), "pbs", t);
+        }
+        self.pbs_records.push(JobRecord {
+            id: job.spec.id.0,
+            nodes: job.spec.nodes,
+            start: job.start,
+            end: t,
+            outcome: JobOutcome::Completed,
+        });
+        self.start_jobs(t);
+        Ok(())
+    }
 
-        // The gathered run of Sample events, reused across samples.
-        let mut run: Vec<(u64, f64)> = Vec::new();
-
-        // Cluster-interval fast-forward: the batch engine may elide runs of
-        // steady sweeps (see the Sample arm). The reference engine never
-        // does — it is the baseline the elision is proven against — and
-        // `--no-fast-forward` forces full stepping for A/B runs.
-        let steady_ff = engine_cfg.engine == EngineKind::Batch && engine_cfg.fast_forward;
-
-        while let Some(Reverse(Scheduled { t, ev, .. })) = heap.pop() {
-            if t > horizon {
+    /// Daemon sweep `k`, plus the steady sweeps after it that the batch
+    /// engine elides in one jump.
+    fn on_sample(&mut self, k: u64, t: f64) -> Result<(), CampaignError> {
+        if self.faults.sweep_missed(k) {
+            self.summary.missed_sweeps += 1;
+            return Ok(());
+        }
+        if self.faults.restart_before_sweep(k) {
+            self.daemon.restart();
+            self.summary.daemon_restarts += 1;
+        }
+        self.gathered.clear();
+        self.gathered.push((k, t));
+        let deferred_submit = if self.steady_ff {
+            self.gather_steady_run()?
+        } else {
+            None
+        };
+        let active = self.down.iter().filter(|&&d| !d).count();
+        // A glitched first sweep may leave truncated baselines behind
+        // without tripping the plausibility check (early in a campaign
+        // the truncated delta can still be under PLAUSIBLE_DELTA_MAX),
+        // which would poison the template below — push the clone point
+        // one sweep further out so the template's baselines come from an
+        // untruncated snapshot.
+        let min_template = if self.faults.glitched_nodes(k).is_empty() {
+            2
+        } else {
+            3
+        };
+        let mut i = 0;
+        while i < self.gathered.len() {
+            let (kk, tt) = self.gathered[i];
+            // A run sweep at i >= 2 can clone run[i-1]'s sample: run[i-1]
+            // sits one clean, exactly-900 s interval after run[i-2], which
+            // advanced every node — so its per-node deltas are pure
+            // one-interval deltas, and every later sweep in the run
+            // repeats them exactly. Full coverage (no anomalies, no
+            // re-baselining nodes) makes the daemon side a pure replay
+            // too. Scale-apply the lane deltas, replay the sample with
+            // only the timestamp changed: bit-identical to stepping (the
+            // equivalence suite runs with this path on).
+            let steady = i >= min_template
+                && self
+                    .daemon
+                    .samples()
+                    .last()
+                    .is_some_and(|s| s.anomalies == 0 && s.nodes_sampled == active);
+            if steady && self.gathered.len() - i >= 2 {
+                let Engine::Batch(bank) = &mut self.engine else {
+                    break; // unreachable: runs are only gathered for the batch engine
+                };
+                let _ff_span = crate::metrics::ADVANCE.span();
+                let _ff_ev = sp2_trace::events::span("cluster fast-forward", "phase");
+                let run = &self.gathered[i..];
+                let steps = run.len() as u64;
+                crate::metrics::SWEEPS.add(steps);
+                crate::metrics::SWEEPS_ELIDED.add(steps);
+                bank.advance_steady(SAMPLE_INTERVAL_S, steps, run[run.len() - 1].1);
+                let times = run.iter().map(|&(_, t2)| t2);
+                self.daemon
+                    .fast_forward_steady(times, bank.lanes(), &self.down);
+                // Replayed sweeps share one steady-state delta, so a
+                // single gauge update covers the whole run.
+                publish_toplev_gauges(&self.selection, &self.daemon);
+                for &(k2, t2) in run {
+                    sp2_trace::recorder::on_sweep(k2, t2);
+                }
                 break;
             }
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(CampaignError::Cancelled);
+            // Stepped sampling pass: advance every node's counters to
+            // `tt`, then the daemon sweeps the engine's lanes in index
+            // order. Down nodes are skipped exactly as the real cron
+            // script skipped unavailable nodes; glitched nodes return
+            // their raw 32-bit registers. The sample is bit-identical
+            // under either engine.
+            {
+                let advance_span = crate::metrics::ADVANCE.span();
+                let _advance_ev = sp2_trace::events::span("advance", "phase");
+                self.engine.advance_all(tt);
+                drop(advance_span);
             }
-            crate::metrics::EVENTS.inc();
-            match ev {
-                Ev::Submit(i) => {
-                    let job = &trace[i];
-                    pbs.submit(JobSpec {
-                        id: JobId(i as u64),
-                        nodes: job.nodes,
-                        requested_walltime_s: job.requested_walltime_s,
-                        payload: i as u64,
-                    })?;
-                    start_jobs(
-                        t,
-                        &mut pbs,
-                        &mut engine,
-                        &mut running,
-                        &mut heap,
-                        &mut seq,
-                        &attempts,
-                        trace,
-                        &mut spare_prologues,
-                    );
-                }
-                Ev::Finish(id, attempt) => {
-                    if running.get(&id).map(|j| j.attempt) != Some(attempt) {
-                        // Stale: this attempt was killed by a node failure.
-                        continue;
-                    }
-                    let Some(job) = running.remove(&id) else {
-                        continue;
-                    };
-                    let lanes = engine.lanes_at(&job.nodes, t);
-                    job_reports.push(JobCounterReport::from_lanes(
-                        &selection,
-                        job.spec.id.0,
-                        job.start,
-                        t,
-                        &job.prologue,
-                        job.nodes.iter().map(|&n| selection.node_lanes(lanes, n)),
-                    ));
-                    engine.set_activity_many(&job.nodes, t, idle_plan.clone());
-                    spare_prologues.push(job.prologue);
-                    pbs.finish(id, t)?;
-                    if sp2_trace::recording() {
-                        sp2_trace::events::sim_span(
-                            format!("job {} run", id.0),
-                            "pbs",
-                            job.start,
-                            t,
-                        );
-                        sp2_trace::events::sim_instant(format!("job {} epilogue", id.0), "pbs", t);
-                    }
-                    pbs_records.push(JobRecord {
-                        id: job.spec.id.0,
-                        nodes: job.spec.nodes,
-                        start: job.start,
-                        end: t,
-                        outcome: JobOutcome::Completed,
-                    });
-                    start_jobs(
-                        t,
-                        &mut pbs,
-                        &mut engine,
-                        &mut running,
-                        &mut heap,
-                        &mut seq,
-                        &attempts,
-                        trace,
-                        &mut spare_prologues,
-                    );
-                }
+            let _sample_span = crate::metrics::SAMPLE.span();
+            let _sample_ev = sp2_trace::events::span("sample", "phase");
+            let glitched = self.faults.glitched_nodes(kk);
+            self.summary.glitches += glitched.iter().filter(|&&g| !self.down[g]).count();
+            self.daemon
+                .sweep(self.engine.lanes(), &self.down, glitched, tt);
+            crate::metrics::SWEEPS.inc();
+            publish_toplev_gauges(&self.selection, &self.daemon);
+            sp2_trace::recorder::on_sweep(kk, tt);
+            i += 1;
+        }
+        // A gather-absorbed Submit whose job fits runs its schedule pass
+        // now, after the window it trailed on the heap has been applied —
+        // same order the reference loop would process it in.
+        if let Some(t_sub) = deferred_submit {
+            self.start_jobs(t_sub);
+        }
+        Ok(())
+    }
+
+    /// Extends the run in `gathered` with every Sample event ahead of it
+    /// on the heap that keeps the cadence (next index, no fault
+    /// interaction of its own), peeking *past* events that provably leave
+    /// node state alone. Those are handled here at their own timestamps,
+    /// exactly as their handlers would, so between two gathered sweeps no
+    /// job, outage or glitch touches any node — the precondition for the
+    /// cluster-interval fast-forward. The classification (DESIGN §4c):
+    ///
+    /// - a stale event ([`CampaignRun::is_stale`]): dropped;
+    /// - a Submit that only queues (`Pbs::would_start` is false):
+    ///   submitted, with its (empty) schedule pass.
+    ///
+    /// A Submit that *would* start a job ends the run, but the submit
+    /// itself is absorbed and its time returned: its schedule pass runs
+    /// after the gathered window is applied. Every gathered sweep precedes
+    /// it in heap order, so this reproduces the reference event order.
+    fn gather_steady_run(&mut self) -> Result<Option<f64>, CampaignError> {
+        while let Some(&Reverse(next)) = self.heap.peek() {
+            if next.t > self.horizon {
+                break;
+            }
+            match next.ev {
                 Ev::Sample(k) => {
-                    if faults.sweep_missed(k) {
-                        summary.missed_sweeps += 1;
-                        continue;
+                    let prev_k = self.gathered[self.gathered.len() - 1].0;
+                    if k != prev_k + 1
+                        || self.faults.sweep_missed(k)
+                        || self.faults.restart_before_sweep(k)
+                        || !self.faults.glitched_nodes(k).is_empty()
+                    {
+                        break;
                     }
-                    if faults.restart_before_sweep(k) {
-                        daemon.restart();
-                        summary.daemon_restarts += 1;
+                    crate::metrics::EVENTS.inc();
+                    self.gathered.push((k, next.t));
+                    self.heap.pop();
+                }
+                Ev::Submit(i) => {
+                    crate::metrics::EVENTS.inc();
+                    self.heap.pop();
+                    self.pbs.submit(self.job_spec(i))?;
+                    if self.pbs.would_start() {
+                        // Starting now would advance nodes past the
+                        // gathered sweep times.
+                        return Ok(Some(next.t));
                     }
-                    // Gather the steady run: this sweep plus every Sample
-                    // event ahead of it on the heap that keeps the cadence
-                    // (next index, no fault interaction of its own), peeking
-                    // *past* events that provably leave node state alone.
-                    // Non-mutating events are executed here at their correct
-                    // timestamps — PBS bookkeeping, metrics, fault
-                    // accounting all happen exactly as they would stepping —
-                    // so between two gathered sweeps no job, outage, or
-                    // glitch touches any node, which is the precondition for
-                    // the cluster-interval fast-forward below. The
-                    // classification (see DESIGN §4c):
-                    //   - Submit that only queues (`Pbs::would_start` is
-                    //     false): submitted here; starts nothing.
-                    //   - Finish for a superseded attempt: dropped here,
-                    //     exactly as the stale check in the Finish arm would.
-                    //   - NodeDown for an already-down node / NodeUp for an
-                    //     already-up node: dropped, as their arms would.
-                    // A Submit that *would* start a job still ends the run,
-                    // but the submit itself is absorbed and the schedule
-                    // deferred to after the gathered window is applied —
-                    // the gathered sweeps all precede it in heap order, so
-                    // this reproduces the reference event order exactly.
-                    run.clear();
-                    run.push((k, t));
-                    let max_run = if spill.is_some() {
-                        engine_cfg.spill_max_run
-                    } else {
-                        usize::MAX
-                    };
-                    let mut deferred_submit: Option<f64> = None;
-                    if steady_ff {
-                        while run.len() < max_run {
-                            let Some(&Reverse(next)) = heap.peek() else {
-                                break;
-                            };
-                            if next.t > horizon {
-                                break;
-                            }
-                            match next.ev {
-                                Ev::Sample(kk) => {
-                                    let prev_k = run[run.len() - 1].0;
-                                    if kk != prev_k + 1
-                                        || faults.sweep_missed(kk)
-                                        || faults.restart_before_sweep(kk)
-                                        || !faults.glitched_nodes(kk).is_empty()
-                                    {
-                                        break;
-                                    }
-                                    crate::metrics::EVENTS.inc();
-                                    run.push((kk, next.t));
-                                    heap.pop();
-                                }
-                                Ev::Finish(id, attempt) => {
-                                    if running.get(&id).map(|j| j.attempt) == Some(attempt) {
-                                        break; // live finish: real node-state mutation
-                                    }
-                                    crate::metrics::EVENTS.inc();
-                                    heap.pop();
-                                }
-                                Ev::NodeDown(node) => {
-                                    if !down[node] {
-                                        break; // real outage
-                                    }
-                                    crate::metrics::EVENTS.inc();
-                                    heap.pop();
-                                }
-                                Ev::NodeUp(node) => {
-                                    if down[node] {
-                                        break; // real recovery
-                                    }
-                                    crate::metrics::EVENTS.inc();
-                                    heap.pop();
-                                }
-                                Ev::Submit(i) => {
-                                    crate::metrics::EVENTS.inc();
-                                    heap.pop();
-                                    let job = &trace[i];
-                                    pbs.submit(JobSpec {
-                                        id: JobId(i as u64),
-                                        nodes: job.nodes,
-                                        requested_walltime_s: job.requested_walltime_s,
-                                        payload: i as u64,
-                                    })?;
-                                    if pbs.would_start() {
-                                        // Starting now would advance nodes
-                                        // past the gathered sweep times;
-                                        // apply the window first, then
-                                        // schedule at the submit's own
-                                        // timestamp.
-                                        deferred_submit = Some(next.t);
-                                        break;
-                                    }
-                                    start_jobs(
-                                        next.t,
-                                        &mut pbs,
-                                        &mut engine,
-                                        &mut running,
-                                        &mut heap,
-                                        &mut seq,
-                                        &attempts,
-                                        trace,
-                                        &mut spare_prologues,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    let active = down.iter().filter(|&&d| !d).count();
-                    // A glitched first sweep may leave truncated baselines
-                    // behind without tripping the plausibility check (early
-                    // in a campaign the truncated delta can still be under
-                    // PLAUSIBLE_DELTA_MAX), which would poison the template
-                    // below — push the clone point one sweep further out so
-                    // the template's baselines come from an untruncated
-                    // snapshot.
-                    let min_template = if faults.glitched_nodes(k).is_empty() {
-                        2
-                    } else {
-                        3
-                    };
-                    let mut i = 0;
-                    while i < run.len() {
-                        let (kk, tt) = run[i];
-                        // A run sweep at i >= 2 can clone run[i-1]'s sample:
-                        // run[i-1] sits one clean, exactly-900 s interval
-                        // after run[i-2], which advanced every node — so its
-                        // per-node deltas are pure one-interval deltas, and
-                        // every later sweep in the run repeats them exactly.
-                        // Full coverage (no anomalies, no re-baselining
-                        // nodes) makes the daemon side a pure replay too.
-                        // Scale-apply the lane deltas, replay the sample
-                        // with only the timestamp changed: bit-identical to
-                        // stepping (the equivalence suite runs with this
-                        // path on).
-                        let steady = i >= min_template
-                            && daemon
-                                .samples()
-                                .last()
-                                .is_some_and(|s| s.anomalies == 0 && s.nodes_sampled == active);
-                        if steady && run.len() - i >= 2 {
-                            let Engine::Batch(bank) = &mut engine else {
-                                break; // unreachable: runs are only gathered for the batch engine
-                            };
-                            let _ff_span = crate::metrics::ADVANCE.span();
-                            let _ff_ev = sp2_trace::events::span("cluster fast-forward", "phase");
-                            let steps = (run.len() - i) as u64;
-                            crate::metrics::SWEEPS.add(steps);
-                            crate::metrics::SWEEPS_ELIDED.add(steps);
-                            let t_final = run[run.len() - 1].1;
-                            bank.advance_steady(SAMPLE_INTERVAL_S, steps, t_final);
-                            let times = run[i..].iter().map(|&(_, t2)| t2);
-                            daemon.fast_forward_steady(times, bank.lanes(), &down);
-                            // Replayed sweeps share one steady-state delta,
-                            // so a single gauge update covers the whole run.
-                            publish_toplev_gauges(&selection, &daemon);
-                            for &(k2, t2) in &run[i..] {
-                                sp2_trace::recorder::on_sweep(k2, t2);
-                            }
-                            break;
-                        }
-                        // Stepped sampling pass: advance every node's
-                        // counters to `tt`, then the daemon sweeps the
-                        // engine's lanes in index order. Down nodes are
-                        // skipped exactly as the real cron script skipped
-                        // unavailable nodes; glitched nodes return their raw
-                        // 32-bit registers. The sample is bit-identical under
-                        // either engine.
-                        {
-                            let advance_span = crate::metrics::ADVANCE.span();
-                            let _advance_ev = sp2_trace::events::span("advance", "phase");
-                            engine.advance_all(tt);
-                            drop(advance_span);
-                        }
-                        let _sample_span = crate::metrics::SAMPLE.span();
-                        let _sample_ev = sp2_trace::events::span("sample", "phase");
-                        let glitched = faults.glitched_nodes(kk);
-                        summary.glitches += glitched.iter().filter(|&&g| !down[g]).count();
-                        daemon.sweep(engine.lanes(), &down, glitched, tt);
-                        crate::metrics::SWEEPS.inc();
-                        publish_toplev_gauges(&selection, &daemon);
-                        sp2_trace::recorder::on_sweep(kk, tt);
-                        i += 1;
-                    }
-                    // Out-of-core path: everything before the newest sample
-                    // is final (samples only ever append), so it can leave
-                    // the process now. The newest one stays — it is the
-                    // interval reference for the next sweep and the
-                    // fast-forward's replay template.
-                    if let Some(sink) = spill.as_mut() {
-                        daemon
-                            .drain_samples(&mut **sink, 1)
-                            .map_err(|e| CampaignError::Spill(e.to_string()))?;
-                    }
-                    // A gather-absorbed Submit whose job fits runs its
-                    // schedule pass now, after the window it trailed on the
-                    // heap has been applied — same order the reference loop
-                    // would process it in.
-                    if let Some(t_sub) = deferred_submit {
-                        start_jobs(
-                            t_sub,
-                            &mut pbs,
-                            &mut engine,
-                            &mut running,
-                            &mut heap,
-                            &mut seq,
-                            &attempts,
-                            trace,
-                            &mut spare_prologues,
-                        );
+                    self.start_jobs(next.t);
+                }
+                ev if self.is_stale(ev) => {
+                    crate::metrics::EVENTS.inc();
+                    self.heap.pop();
+                }
+                // A live Finish, a real outage or a real recovery.
+                _ => break,
+            }
+        }
+        Ok(None)
+    }
+
+    /// Node `node` crashes: its counters freeze, and the job on it is
+    /// killed and, within its attempt budget, requeued.
+    fn on_node_down(&mut self, node: usize, t: f64) -> Result<(), CampaignError> {
+        let fault_span = crate::metrics::FAULT_SWEEP.span();
+        let fault_ev = sp2_trace::events::span("fault", "phase");
+        if sp2_trace::recording() {
+            sp2_trace::events::sim_instant(format!("node {node} down"), "fault", t);
+        }
+        self.down[node] = true;
+        // The node crashes: counters freeze at `t` (they advanced while
+        // the job computed up to the crash).
+        self.engine.set_activity(node, t, None);
+        if let Some(id) = self.pbs.take_node_offline(node) {
+            let killed = self.pbs.kill(id, t)?;
+            if let Some(job) = self.running.remove(&id) {
+                // Surviving siblings drop back to idle; no epilogue runs
+                // for a killed job — its prologue buffer goes straight
+                // back for reuse.
+                self.spare_prologues.push(job.prologue);
+                for &n in &job.nodes {
+                    if n != node && !self.down[n] {
+                        self.engine.set_activity(n, t, Some(self.idle_plan.clone()));
                     }
                 }
-                Ev::NodeDown(node) => {
-                    if down[node] {
-                        continue;
-                    }
-                    let fault_span = crate::metrics::FAULT_SWEEP.span();
-                    let fault_ev = sp2_trace::events::span("fault", "phase");
-                    if sp2_trace::recording() {
-                        sp2_trace::events::sim_instant(format!("node {node} down"), "fault", t);
-                    }
-                    down[node] = true;
-                    // The node crashes: counters freeze at `t` (they advanced
-                    // while the job computed up to the crash).
-                    engine.set_activity(node, t, None);
-                    let victim = pbs.take_node_offline(node);
-                    if let Some(id) = victim {
-                        let killed = pbs.kill(id, t)?;
-                        if let Some(job) = running.remove(&id) {
-                            // Surviving siblings drop back to idle; no
-                            // epilogue runs for a killed job — its prologue
-                            // buffer goes straight back for reuse.
-                            spare_prologues.push(job.prologue);
-                            for &n in &job.nodes {
-                                if n != node && !down[n] {
-                                    engine.set_activity(n, t, Some(idle_plan.clone()));
-                                }
-                            }
-                            let requeued = job.attempt + 1 < MAX_JOB_ATTEMPTS;
-                            if sp2_trace::recording() {
-                                sp2_trace::events::sim_span(
-                                    format!("job {} run", id.0),
-                                    "pbs",
-                                    job.start,
-                                    t,
-                                );
-                                let marker = if requeued { "requeue" } else { "kill" };
-                                sp2_trace::events::sim_instant(
-                                    format!("job {} {marker}", id.0),
-                                    "pbs",
-                                    t,
-                                );
-                            }
-                            summary.jobs_killed += 1;
-                            pbs_records.push(JobRecord {
-                                id: job.spec.id.0,
-                                nodes: job.spec.nodes,
-                                start: job.start,
-                                end: t,
-                                outcome: JobOutcome::NodeFailure { requeued },
-                            });
-                            if requeued {
-                                attempts[id.0 as usize] += 1;
-                                summary.jobs_requeued += 1;
-                                pbs.requeue(killed.spec);
-                            }
-                        }
-                    }
-                    drop(fault_ev);
-                    drop(fault_span);
-                    start_jobs(
-                        t,
-                        &mut pbs,
-                        &mut engine,
-                        &mut running,
-                        &mut heap,
-                        &mut seq,
-                        &attempts,
-                        trace,
-                        &mut spare_prologues,
-                    );
+                let requeued = job.attempt + 1 < MAX_JOB_ATTEMPTS;
+                if sp2_trace::recording() {
+                    sp2_trace::events::sim_span(format!("job {} run", id.0), "pbs", job.start, t);
+                    let marker = if requeued { "requeue" } else { "kill" };
+                    sp2_trace::events::sim_instant(format!("job {} {marker}", id.0), "pbs", t);
                 }
-                Ev::NodeUp(node) => {
-                    if !down[node] {
-                        continue;
-                    }
-                    let fault_span = crate::metrics::FAULT_SWEEP.span();
-                    let fault_ev = sp2_trace::events::span("fault", "phase");
-                    if sp2_trace::recording() {
-                        sp2_trace::events::sim_instant(format!("node {node} up"), "fault", t);
-                    }
-                    down[node] = false;
-                    // Repair and reboot: the monitor state did not survive,
-                    // so the daemon will re-baseline this node.
-                    engine.reboot(node, t);
-                    engine.set_activity(node, t, Some(idle_plan.clone()));
-                    pbs.bring_node_online(node);
-                    drop(fault_ev);
-                    drop(fault_span);
-                    start_jobs(
-                        t,
-                        &mut pbs,
-                        &mut engine,
-                        &mut running,
-                        &mut heap,
-                        &mut seq,
-                        &attempts,
-                        trace,
-                        &mut spare_prologues,
-                    );
+                self.summary.jobs_killed += 1;
+                self.pbs_records.push(JobRecord {
+                    id: job.spec.id.0,
+                    nodes: job.spec.nodes,
+                    start: job.start,
+                    end: t,
+                    outcome: JobOutcome::NodeFailure { requeued },
+                });
+                if requeued {
+                    self.attempts[id.0 as usize] += 1;
+                    self.summary.jobs_requeued += 1;
+                    self.pbs.requeue(killed.spec);
                 }
             }
         }
+        drop(fault_ev);
+        drop(fault_span);
+        self.start_jobs(t);
+        Ok(())
+    }
 
-        // Close out still-running jobs at the horizon (partial records for
-        // utilization accounting; no epilogue report — the epilogue never
-        // ran, exactly as on a machine powered down mid-job).
-        let mut ids: Vec<JobId> = running.keys().copied().collect();
+    /// Node `node` is repaired and rebooted.
+    fn on_node_up(&mut self, node: usize, t: f64) -> Result<(), CampaignError> {
+        let fault_span = crate::metrics::FAULT_SWEEP.span();
+        let fault_ev = sp2_trace::events::span("fault", "phase");
+        if sp2_trace::recording() {
+            sp2_trace::events::sim_instant(format!("node {node} up"), "fault", t);
+        }
+        self.down[node] = false;
+        // The monitor state did not survive, so the daemon will
+        // re-baseline this node.
+        self.engine.reboot(node, t);
+        self.engine
+            .set_activity(node, t, Some(self.idle_plan.clone()));
+        self.pbs.bring_node_online(node);
+        drop(fault_ev);
+        drop(fault_span);
+        self.start_jobs(t);
+        Ok(())
+    }
+
+    /// Closes out still-running jobs at the horizon (partial records for
+    /// utilization accounting; no epilogue report — the epilogue never
+    /// ran, exactly as on a machine powered down mid-job) and hands over
+    /// every dataset.
+    fn close(mut self) -> Result<CampaignResult, CampaignError> {
+        let horizon = self.horizon;
+        let mut ids: Vec<JobId> = self.running.keys().copied().collect();
         ids.sort(); // HashMap iteration order is nondeterministic
         for id in ids {
-            let Some(job) = running.remove(&id) else {
+            let Some(job) = self.running.remove(&id) else {
                 continue;
             };
-            pbs.finish(id, horizon)?;
+            self.pbs.finish(id, horizon)?;
             if sp2_trace::recording() {
                 sp2_trace::events::sim_span(format!("job {} run", id.0), "pbs", job.start, horizon);
                 sp2_trace::events::sim_instant(format!("job {} horizon", id.0), "pbs", horizon);
             }
-            pbs_records.push(JobRecord {
+            self.pbs_records.push(JobRecord {
                 id: job.spec.id.0,
                 nodes: job.spec.nodes,
                 start: job.start,
@@ -1060,29 +1005,16 @@ impl<'a> Campaign<'a> {
                 outcome: JobOutcome::Horizon,
             });
         }
-
         crate::metrics::SIMULATED_S.add(horizon as u64);
-        let samples = match spill {
-            Some(sink) => {
-                // Flush the tail (including the resident interval
-                // reference); the sink holds the whole series, the result
-                // carries none of it.
-                daemon
-                    .drain_samples(sink, 0)
-                    .map_err(|e| CampaignError::Spill(e.to_string()))?;
-                Vec::new()
-            }
-            None => daemon.into_samples(),
-        };
         Ok(CampaignResult {
-            days,
-            node_count: config.nodes,
-            machine: config.machine,
-            selection,
-            samples,
-            job_reports,
-            pbs_records,
-            faults: summary,
+            days: self.days,
+            node_count: self.config.nodes,
+            machine: self.config.machine,
+            selection: self.selection,
+            samples: self.daemon.into_samples(),
+            job_reports: self.job_reports,
+            pbs_records: self.pbs_records,
+            faults: self.summary,
         })
     }
 }
@@ -1276,38 +1208,6 @@ mod tests {
         assert_eq!(reference.job_reports, batch.job_reports);
         assert_eq!(reference.pbs_records, batch.pbs_records);
         assert_eq!(reference.faults, batch.faults);
-    }
-
-    #[test]
-    fn spilled_campaign_matches_resident_samples_bitwise() {
-        let config = ClusterConfig::builder()
-            .nodes(16)
-            .drain_threshold(8)
-            .build()
-            .expect("valid config");
-        let library = WorkloadLibrary::build(&config.machine, 42);
-        let spec = CampaignSpec {
-            days: 2,
-            seed: 3,
-            ..Default::default()
-        };
-        let jobs: Vec<_> = trace::generate(&spec, &JobMix::nas(), &library)
-            .into_iter()
-            .filter(|j| j.nodes as usize <= 16)
-            .collect();
-        let none = FaultPlan::none();
-        let resident = Campaign::new(&config, &library, &jobs, spec.days, &none)
-            .run()
-            .expect("resident runs");
-        let mut spilled: Vec<sp2_rs2hpm::SystemSample> = Vec::new();
-        let r = Campaign::new(&config, &library, &jobs, spec.days, &none)
-            .spill(&mut spilled)
-            .run()
-            .expect("spilling run succeeds");
-        assert!(r.samples.is_empty(), "the sink holds the series");
-        assert_eq!(spilled, resident.samples, "spill is bit-identical");
-        assert_eq!(r.job_reports, resident.job_reports);
-        assert_eq!(r.pbs_records, resident.pbs_records);
     }
 
     #[test]

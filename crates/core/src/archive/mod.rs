@@ -1,10 +1,9 @@
 //! `sp2-archive/v1`: the compact on-disk form of a campaign.
 //!
 //! The paper's dataset is nine months of 15-minute sweeps over 144
-//! nodes plus per-job epilogue reports — far more than the in-memory
-//! `Vec`s the engine accumulates can comfortably scale to. This module
-//! defines a binary columnar container those records stream into and
-//! back out of, bit-for-bit:
+//! nodes plus per-job epilogue reports. This module defines a binary
+//! columnar container, a fraction of the text form's size, that those
+//! records are written into and read back out of, bit-for-bit:
 //!
 //! ```text
 //! "SP2A"                                  4-byte magic
@@ -38,7 +37,7 @@ use sp2_cluster::{CampaignResult, FaultSummary};
 use sp2_hpm::CounterSelection;
 use sp2_pbs::JobRecord;
 use sp2_power2::{CacheConfig, FpuDispatch, MachineConfig, WritePolicy};
-use sp2_rs2hpm::{parse_job_report, write_job_report, JobCounterReport, SampleSink, SystemSample};
+use sp2_rs2hpm::{parse_job_report, write_job_report, JobCounterReport, SystemSample};
 
 use crate::error::Sp2Error;
 use crate::experiments::SelectionKind;
@@ -53,7 +52,7 @@ pub const SCHEMA: &str = "sp2-archive/v1";
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"SP2A";
 
-/// Interval samples per columnar block: the writer's spill granularity.
+/// Interval samples per columnar block: the writer's flush granularity.
 /// A block is ~0.25 MB; a year-long campaign is ~69 blocks.
 pub const SAMPLES_PER_BLOCK: usize = 512;
 
@@ -350,10 +349,10 @@ fn parse_header(payload: &[u8]) -> Result<Option<CampaignMeta>, Sp2Error> {
 // ---------------------------------------------------------------------
 
 /// Streaming archive writer. Interval samples are buffered only up to
-/// [`SAMPLES_PER_BLOCK`] before being encoded and flushed, so a
-/// campaign of any length archives in bounded memory. Implements the
-/// daemon's [`SampleSink`], which is what [`sp2_cluster::Campaign::spill`]
-/// takes.
+/// [`SAMPLES_PER_BLOCK`] before being encoded and flushed, so the writer
+/// holds at most one block beyond what its caller passes in.
+/// [`write_campaign_archive`] feeds it a finished, resident campaign
+/// (what `sp2 archive` writes); the serve store writes datasets only.
 pub struct ArchiveWriter<W: Write> {
     out: W,
     slots: Option<usize>,
@@ -469,12 +468,6 @@ impl<W: Write> ArchiveWriter<W> {
         self.write_block(K_END, footer.as_bytes())?;
         self.out.flush()?;
         Ok(self.out)
-    }
-}
-
-impl<W: Write> SampleSink for ArchiveWriter<W> {
-    fn append(&mut self, samples: &[SystemSample]) -> std::io::Result<()> {
-        self.push_samples(samples).map_err(std::io::Error::other)
     }
 }
 

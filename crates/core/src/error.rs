@@ -17,8 +17,8 @@ pub enum Sp2Error {
     Config(ClusterConfigError),
     /// The campaign spec failed validation.
     Spec(CampaignSpecError),
-    /// The campaign engine failed (scheduler invariant, cancellation,
-    /// sample spill).
+    /// The campaign engine failed (a request PBS rejected, cancellation,
+    /// a rotation plan with no passes).
     Campaign(CampaignError),
     /// No experiment with this id is registered.
     UnknownExperiment(String),
@@ -98,8 +98,8 @@ mod tests {
 
     #[test]
     fn conversions_preserve_variants() {
-        let e: Sp2Error = CampaignError::Spill("boom".to_string()).into();
+        let e: Sp2Error = CampaignError::Cancelled.into();
         assert!(matches!(e, Sp2Error::Campaign(_)));
-        assert!(e.to_string().contains("boom"));
+        assert!(e.to_string().contains("cancelled"));
     }
 }

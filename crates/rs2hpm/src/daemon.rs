@@ -23,26 +23,6 @@ pub const SAMPLE_INTERVAL_S: f64 = 900.0;
 /// sanity filter before archiving.
 pub const PLAUSIBLE_DELTA_MAX: u64 = 1 << 48;
 
-/// Where drained samples go when a campaign runs out-of-core.
-///
-/// The daemon normally accumulates every [`SystemSample`] in memory; a
-/// year-scale campaign instead registers a sink (an archive writer, a
-/// network stream) and periodically calls [`Daemon::drain_samples`],
-/// which hands finished samples over in collection order and frees
-/// them. Sinks see each sample exactly once.
-pub trait SampleSink {
-    /// Receives the next run of finished samples, in collection order.
-    fn append(&mut self, samples: &[SystemSample]) -> std::io::Result<()>;
-}
-
-/// A trivial sink: collects drained samples into a `Vec`.
-impl SampleSink for Vec<SystemSample> {
-    fn append(&mut self, samples: &[SystemSample]) -> std::io::Result<()> {
-        self.extend_from_slice(samples);
-        Ok(())
-    }
-}
-
 /// One 15-minute, machine-wide sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemSample {
@@ -297,53 +277,14 @@ impl Daemon {
         self.has_baseline.fill(false);
     }
 
-    /// All samples collected so far and not yet drained to a sink.
+    /// All samples collected so far.
     pub fn samples(&self) -> &[SystemSample] {
         &self.samples
     }
 
-    /// Consumes the daemon, handing over every sample not yet drained
-    /// to a sink.
+    /// Consumes the daemon, handing over every sample it collected.
     pub fn into_samples(self) -> Vec<SystemSample> {
         self.samples
-    }
-
-    /// Hands all but the last `keep_last` resident samples to `sink`
-    /// (in collection order) and drops them from memory. Returns how
-    /// many were drained.
-    ///
-    /// Callers that keep collecting must pass `keep_last >= 1`: the
-    /// most recent sample is the interval reference for the next
-    /// [`Daemon::sweep`] and the template [`Daemon::fast_forward_steady`]
-    /// clones, so it has to stay resident until the campaign ends.
-    /// Samples already handed over are never re-sent; if the sink fails,
-    /// nothing is dropped and the drain can be retried.
-    pub fn drain_samples(
-        &mut self,
-        sink: &mut dyn SampleSink,
-        keep_last: usize,
-    ) -> std::io::Result<usize> {
-        let cut = self.samples.len().saturating_sub(keep_last);
-        if cut == 0 {
-            return Ok(0);
-        }
-        sink.append(&self.samples[..cut])?;
-        self.samples.drain(..cut);
-        Ok(cut)
-    }
-
-    /// Total anomalous (discarded) per-node deltas across all samples.
-    pub fn total_anomalies(&self) -> usize {
-        self.samples.iter().map(|s| s.anomalies).sum()
-    }
-
-    /// The maximum per-sample machine Mflops — the paper's "maximum
-    /// 15-minute rate" (5.7 Gflops).
-    pub fn max_sample_mflops(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(|s| s.rates.mflops)
-            .fold(0.0, f64::max)
     }
 }
 
@@ -528,7 +469,7 @@ mod tests {
         let s = toy.sweep(&mut d, 2700.0);
         assert_eq!(s.nodes_sampled, 3);
         assert_eq!(s.total.user[fxu0_slot()], 25);
-        assert_eq!(d.total_anomalies(), 1);
+        assert_eq!(d.samples().iter().map(|s| s.anomalies).sum::<usize>(), 1);
     }
 
     #[test]
@@ -609,7 +550,7 @@ mod tests {
             10,
             "pre-baseline burst must not be double-counted"
         );
-        assert_eq!(d.total_anomalies(), 1);
+        assert_eq!(d.samples().iter().map(|s| s.anomalies).sum::<usize>(), 1);
     }
 
     #[test]
@@ -629,49 +570,5 @@ mod tests {
             30,
             "pre-restart work on node 0 lost"
         );
-    }
-
-    #[test]
-    fn drain_keeps_the_interval_reference_and_never_resends() {
-        let mut toy = Toy::new();
-        let mut stepped = Daemon::new(nas_selection(), 3);
-        let mut drained = Daemon::new(nas_selection(), 3);
-        let mut sink: Vec<SystemSample> = Vec::new();
-        for k in 0..6 {
-            toy.work(0, 100);
-            let t = 900.0 * k as f64;
-            toy.sweep(&mut stepped, t);
-            toy.sweep(&mut drained, t);
-            // Drain after every sweep: at most one sample stays resident.
-            drained.drain_samples(&mut sink, 1).unwrap();
-            assert!(drained.samples().len() <= 1);
-        }
-        let n = drained.drain_samples(&mut sink, 0).unwrap();
-        assert_eq!(n, 1);
-        assert!(drained.samples().is_empty());
-        // The sink saw every sample exactly once, bit-identical to the
-        // undrained daemon's record (same interval math throughout).
-        assert_eq!(sink, stepped.samples());
-        // Draining an empty daemon is a no-op.
-        assert_eq!(drained.drain_samples(&mut sink, 1).unwrap(), 0);
-        assert_eq!(stepped.clone().into_samples(), stepped.samples());
-    }
-
-    #[test]
-    fn max_sample_mflops_tracks_peak_interval() {
-        let mut toy = Toy::new();
-        let mut d = Daemon::new(nas_selection(), 3);
-        toy.sweep(&mut d, 0.0);
-        // Interval 1: one node does fma work.
-        let mut e = EventSet::new();
-        e.bump(Signal::Fpu0Fma, 900_000_000);
-        e.bump(Signal::Fpu0Add, 900_000_000);
-        toy.hpms[0].absorb(&e, Mode::User);
-        toy.sweep(&mut d, 900.0);
-        // Interval 2: idle.
-        toy.sweep(&mut d, 1800.0);
-        // Peak: 1.8e9 flops / 900 s = 2 Mflops machine-wide.
-        assert!((d.max_sample_mflops() - 2.0).abs() < 1e-9);
-        assert_eq!(d.samples().len(), 3);
     }
 }

@@ -34,7 +34,7 @@ pub mod rates;
 pub mod session;
 pub mod textfmt;
 
-pub use daemon::{Daemon, SampleSink, SystemSample, PLAUSIBLE_DELTA_MAX, SAMPLE_INTERVAL_S};
+pub use daemon::{Daemon, SystemSample, PLAUSIBLE_DELTA_MAX, SAMPLE_INTERVAL_S};
 pub use jobreport::JobCounterReport;
 pub use multiplex::{reconstruct, ReconstructError, Reconstruction, SignalEstimate};
 pub use rates::{BottleneckSplit, RateReport};

@@ -196,6 +196,15 @@ fn repeated_node_down_is_elision_transparent() {
 }
 
 #[test]
+fn idle_horizon_is_elision_transparent() {
+    // An empty trace with no faults: every sweep after the baseline is
+    // steady and nothing else is on the heap, so the gatherer takes the
+    // whole 75-day horizon (7,200 sweeps) as one run and elides all but
+    // the template sweeps in one jump.
+    assert_adversarial_equivalent(|_| Vec::new(), 75, &FaultPlan::none());
+}
+
+#[test]
 fn nas_mix_campaigns_are_bit_identical_across_engines_and_threads() {
     assert_engines_equivalent(&JobMix::nas(), 2, 7, &FaultPlan::none());
 }
