@@ -4,9 +4,13 @@
 //!
 //! Not a criterion bench: this is the perf-trajectory artifact CI tracks.
 //! It replays one skewed-mix campaign — wide jobs for plan sharing,
-//! single-node stragglers for churn — on both engines, asserts the batch
-//! engine's datasets are bit-identical to the reference, and writes the
-//! readings to `BENCH_throughput.json` at the workspace root. Two more
+//! single-node stragglers for churn — on both engines in
+//! [`SPEEDUP_ROUNDS`] interleaved rounds, alternating which engine goes
+//! first, and asserts in every round that the batch engine's datasets
+//! are bit-identical to the reference. One batch campaign takes about
+//! 10 ms, so a single pair says little: `batch_speedup_1t` is the median
+//! per-round ratio, committed with its interquartile range. The readings
+//! land in `BENCH_throughput.json` at the workspace root. Two more
 //! passes ride along: an untimed instrumented run that measures the
 //! cluster-interval fast-forward's elision rate (elided sweeps / total
 //! sweeps), and a long-horizon campaign (fault plan on), timed elided
@@ -28,12 +32,14 @@
 
 use sp2_bench::quartile;
 use sp2_cluster::{
-    metrics as cluster_metrics, Campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind,
-    FaultPlan,
+    metrics as cluster_metrics, Campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan,
 };
 use sp2_core::Json;
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 use std::time::Instant;
+
+/// Interleaved reference/batch rounds behind `batch_speedup_1t`.
+const SPEEDUP_ROUNDS: usize = 21;
 
 /// Interleaved elided/stepped rounds of the long-horizon campaign. One
 /// round is a sub-second sample, so a single one says little; the ledger
@@ -75,13 +81,6 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("campaign_throughput: {days}-day skewed-mix campaign, {cores} core(s) available");
 
-    let variants = [
-        ("reference", EngineKind::Reference),
-        ("batch", EngineKind::Batch),
-    ];
-    let mut readings: Vec<(&str, f64)> = Vec::new();
-    let mut variants_json: Vec<Json> = Vec::new();
-    let mut baseline: Option<CampaignResult> = None;
     let none = FaultPlan::none();
     // Warm-up: one short campaign per engine kind so page-cache, lazy
     // statics, and the signature cache are hot before anything is timed.
@@ -94,44 +93,59 @@ fn main() {
             .expect("warm-up campaign runs");
     }
 
-    for (name, kind) in variants {
-        let engine = EngineConfig::default().engine(kind);
+    let run = |kind: EngineKind| {
         let t0 = Instant::now();
         let result = Campaign::new(&config, &library, &jobs, days, &none)
-            .engine(engine)
+            .engine(EngineConfig::default().engine(kind))
             .run()
             .expect("campaign runs");
-        let seconds = t0.elapsed().as_secs_f64();
+        (t0.elapsed().as_secs_f64(), result)
+    };
+    let mut reference_s = Vec::with_capacity(SPEEDUP_ROUNDS);
+    let mut batch_s = Vec::with_capacity(SPEEDUP_ROUNDS);
+    let mut ratios = Vec::with_capacity(SPEEDUP_ROUNDS);
+    for round in 0..SPEEDUP_ROUNDS {
+        let ((ref_s, reference), (bat_s, result)) = if round % 2 == 0 {
+            let reference = run(EngineKind::Reference);
+            (reference, run(EngineKind::Batch))
+        } else {
+            let batch = run(EngineKind::Batch);
+            (run(EngineKind::Reference), batch)
+        };
+        // The engines' contract: bit-identical datasets under every
+        // engine kind.
+        assert_eq!(reference.samples, result.samples, "batch: samples");
+        assert_eq!(reference.job_reports, result.job_reports, "batch: jobs");
+        assert_eq!(reference.pbs_records, result.pbs_records, "batch: pbs");
+        let ratio = ref_s / bat_s.max(1e-9);
+        println!(
+            "round {:>2}  reference {ref_s:.4}s  batch {bat_s:.4}s  ({ratio:.2}x)",
+            round + 1
+        );
+        reference_s.push(ref_s);
+        batch_s.push(bat_s);
+        ratios.push(ratio);
+    }
+    let mut variants_json: Vec<Json> = Vec::new();
+    for (name, seconds) in [("reference", &mut reference_s), ("batch", &mut batch_s)] {
+        seconds.sort_by(f64::total_cmp);
+        let seconds = quartile(seconds, 2);
         let days_per_s = days as f64 / seconds.max(1e-9);
-        println!("{name:<14} {seconds:>8.3}s  {days_per_s:>8.2} days/s");
-        match &baseline {
-            None => baseline = Some(result),
-            Some(reference) => {
-                // The engines' contract: bit-identical datasets under
-                // every engine kind.
-                assert_eq!(reference.samples, result.samples, "{name}: samples");
-                assert_eq!(reference.job_reports, result.job_reports, "{name}: jobs");
-                assert_eq!(reference.pbs_records, result.pbs_records, "{name}: pbs");
-            }
-        }
+        println!("{name:<14} {seconds:>8.4}s  {days_per_s:>8.2} days/s (median)");
         variants_json.push(
             Json::obj()
                 .field("engine", name)
                 .field("seconds", seconds)
                 .field("days_per_s", days_per_s),
         );
-        readings.push((name, days_per_s));
     }
-
-    let rate = |label: &str| {
-        readings
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map(|(_, r)| *r)
-            .expect("variant ran")
-    };
-    let speedup = rate("batch") / rate("reference");
-    println!("batch speedup: {speedup:.2}x");
+    ratios.sort_by(f64::total_cmp);
+    let speedup = quartile(&ratios, 2);
+    let speedup_iqr = [quartile(&ratios, 1), quartile(&ratios, 3)];
+    println!(
+        "batch speedup: {speedup:.2}x (IQR {:.2}-{:.2}x, {SPEEDUP_ROUNDS} rounds)",
+        speedup_iqr[0], speedup_iqr[1]
+    );
     assert!(
         speedup >= min_speedup,
         "batch engine must be >= {min_speedup}x the reference, got {speedup:.2}x"
@@ -141,13 +155,13 @@ fn main() {
     // sweep counters only record while metric capture is on, so this
     // stays out of the timed variants above (spans cost a little). A
     // campaign never switches capture on itself; this bench is the
-    // process here, so it does.
+    // process here, so it switches its own thread's capture on.
     cluster_metrics::reset();
-    sp2_trace::set_enabled(true);
+    EngineConfig::default().metrics(true).apply();
     Campaign::new(&config, &library, &jobs, days, &none)
         .run()
         .expect("probe campaign runs");
-    sp2_trace::set_enabled(false);
+    EngineConfig::default().metrics(false).apply();
     let sweeps = cluster_metrics::SWEEPS.get();
     let elided = cluster_metrics::SWEEPS_ELIDED.get();
     let elision_rate = if sweeps > 0 {
@@ -221,6 +235,8 @@ fn main() {
         .field("host_cores", cores as u64)
         .field("variants", variants_json)
         .field("batch_speedup_1t", speedup)
+        .field("batch_speedup_iqr", speedup_iqr.to_vec())
+        .field("rounds", SPEEDUP_ROUNDS as u64)
         .field("elision_rate", elision_rate)
         .field(
             "long_horizon",

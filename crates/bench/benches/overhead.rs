@@ -21,8 +21,9 @@
 //! wide, and interleaving 30-day campaigns narrowed it to 2–5 points.
 
 use sp2_bench::quartile;
-use sp2_cluster::{Campaign, ClusterConfig, FaultPlan};
-use sp2_core::Json;
+use sp2_cluster::{Campaign, ClusterConfig, EngineConfig, FaultPlan};
+use sp2_core::{metrics, Json};
+use sp2_trace::Recording;
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 use std::time::Instant;
 
@@ -45,22 +46,6 @@ enum Mode {
     Recorded,
 }
 
-impl Mode {
-    fn arm(self) {
-        match self {
-            Mode::Baseline => {
-                sp2_trace::set_recording(false);
-                sp2_trace::set_enabled(false);
-            }
-            Mode::Traced => {
-                sp2_trace::set_recording(false);
-                sp2_trace::set_enabled(true);
-            }
-            Mode::Recorded => sp2_core::timeline::enable_recording(1),
-        }
-    }
-}
-
 /// The median overhead (ratio − 1) and the overhead's interquartile
 /// range, from per-round paired ratios.
 fn summarize(mut ratios: Vec<f64>) -> (f64, [f64; 2]) {
@@ -79,13 +64,7 @@ fn main() {
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
     let none = FaultPlan::none();
 
-    let run_once = |mode: Mode| -> f64 {
-        // Clear the buffers so every pass records the same volume
-        // (reset keeps the collector installed and restores the
-        // every-sweep cadence).
-        sp2_trace::events::reset();
-        sp2_trace::recorder::reset();
-        mode.arm();
+    let campaign = || -> f64 {
         let t0 = Instant::now();
         let r = Campaign::new(&config, &library, &jobs, DAYS, &none)
             .run()
@@ -93,6 +72,21 @@ fn main() {
         let s = t0.elapsed().as_secs_f64();
         assert!(!r.job_reports.is_empty(), "campaign must do real work");
         s
+    };
+    // Each recorded pass gets a fresh recording, so every pass records
+    // the same volume.
+    let run_once = |mode: Mode| -> f64 {
+        match mode {
+            Mode::Baseline => {
+                EngineConfig::default().metrics(false).apply();
+                campaign()
+            }
+            Mode::Traced => {
+                EngineConfig::default().metrics(true).apply();
+                campaign()
+            }
+            Mode::Recorded => Recording::new(1, metrics::snapshot).run(campaign),
+        }
     };
 
     // Warm-up: populate the signature cache and fault the code paths in
@@ -124,11 +118,6 @@ fn main() {
         traced.push(s[1] / s[0]);
         recorded.push(s[2] / s[0]);
     }
-    sp2_trace::set_recording(false);
-    sp2_trace::set_enabled(false);
-    sp2_trace::events::reset();
-    sp2_trace::recorder::reset();
-
     baseline.sort_by(f64::total_cmp);
     let baseline_s = quartile(&baseline, 2);
     let (traced_overhead, traced_iqr) = summarize(traced);

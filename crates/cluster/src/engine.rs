@@ -58,12 +58,12 @@ pub enum EngineKind {
 ///
 /// `engine` and `fast_forward` belong to the campaign that runs under
 /// the config: each run reads them once and nothing else sees them.
-/// Results are bit-identical under every setting. The two `Option`
-/// fields are instrumentation switches that stay process-wide (metric
-/// capture and the flight recorder observe the whole process); `None`
-/// leaves them as they are, and only a process entry point (the `sp2`
-/// CLI, `sp2 serve`) applies them, through [`EngineConfig::apply`] and
-/// `sp2-core`'s `timeline::apply_engine_config`.
+/// Results are bit-identical under every setting. `metrics` is the
+/// instrumentation switch of the thread that applies the config; `None`
+/// leaves it as it is, and only a process entry point (the `sp2` CLI,
+/// `sp2 serve`) applies it, through [`EngineConfig::apply`]. The flight
+/// recorder is not a setting: a caller makes an `sp2_trace::Recording`
+/// and runs its work inside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Node engine to run campaigns on.
@@ -75,11 +75,6 @@ pub struct EngineConfig {
     pub fast_forward: bool,
     /// Self-metering metric capture (`--metrics` / `profile`).
     pub metrics: Option<bool>,
-    /// Flight-recorder cadence in daemon sweeps (`--trace-out` /
-    /// `timeline`). Applied by the layer that owns the recorder's
-    /// collector (`sp2-core`'s timeline module), not by
-    /// [`EngineConfig::apply`].
-    pub recording_cadence: Option<u64>,
 }
 
 impl Default for EngineConfig {
@@ -88,7 +83,6 @@ impl Default for EngineConfig {
             engine: EngineKind::default(),
             fast_forward: true,
             metrics: None,
-            recording_cadence: None,
         }
     }
 }
@@ -121,16 +115,9 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the flight-recorder cadence explicitly.
-    pub fn recording_cadence(mut self, cadence: u64) -> Self {
-        self.recording_cadence = Some(cadence);
-        self
-    }
-
-    /// Pushes an explicit metric-capture switch into the process-wide
-    /// trace layer; `None` leaves it untouched. `recording_cadence` is
-    /// applied by `sp2-core` (the recorder's collector lives there).
-    /// Process entry points call this; a campaign never does.
+    /// Pushes an explicit metric-capture switch into the calling
+    /// thread's trace context; `None` leaves it untouched. Process entry
+    /// points call this; a campaign never does.
     pub fn apply(&self) {
         if let Some(on) = self.metrics {
             sp2_trace::set_enabled(on);
@@ -544,8 +531,7 @@ mod tests {
         assert_eq!(cfg.engine, EngineKind::Batch);
         assert!(cfg.fast_forward, "sweep elision is on by default");
         assert!(cfg.metrics.is_none());
-        assert!(cfg.recording_cadence.is_none());
-        // apply() must not disturb process globals.
+        // apply() must not disturb the thread's switch.
         let tr = sp2_trace::enabled();
         cfg.apply();
         assert_eq!(sp2_trace::enabled(), tr);

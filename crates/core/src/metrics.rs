@@ -52,8 +52,8 @@ pub(crate) fn value_to_json(value: &MetricValue) -> Json {
 }
 
 /// Renders a snapshot as the `sp2-metrics/v1` JSON document: a schema
-/// tag, the enable flag, and one flat `metrics` object keyed by full
-/// metric name.
+/// tag, the calling thread's enable switch, and one flat `metrics`
+/// object keyed by full metric name.
 pub fn to_json(snap: &MetricsSnapshot) -> Json {
     let mut metrics = Json::obj();
     for (name, value) in snap.entries() {

@@ -139,15 +139,7 @@ fn dataset_line(digest_hex: &str, seq: usize, experiment: &str, doc: Json) -> St
 /// stream for the same submission. `sp2 submit --local` and the CI
 /// smoke diff ride this.
 pub fn run_local(submission: &Submission, engine: EngineConfig) -> Result<Vec<String>, Sp2Error> {
-    let digest = submission.digest_hex();
-    let mut sys = submission.system(engine);
-    let mut lines = Vec::with_capacity(submission.experiments().len());
-    for (seq, id) in submission.experiments().iter().enumerate() {
-        let exp = experiments::experiment_or_err(id)?;
-        let dataset = sys.dataset(exp)?;
-        lines.push(dataset_line(&digest, seq, id, dataset.json));
-    }
-    Ok(lines)
+    local_lines(submission, &mut submission.system(engine))
 }
 
 /// [`run_local`], also returning the primary campaign the datasets were
@@ -157,16 +149,23 @@ pub fn run_local_archival(
     submission: &Submission,
     engine: EngineConfig,
 ) -> Result<(Vec<String>, CampaignResult), Sp2Error> {
-    let digest = submission.digest_hex();
     let mut sys = submission.system(engine);
+    let lines = local_lines(submission, &mut sys)?;
+    let campaign = sys.campaign()?.clone();
+    Ok((lines, campaign))
+}
+
+/// The dataset event lines of every experiment the submission names, in
+/// order, analyzed on `sys`.
+fn local_lines(submission: &Submission, sys: &mut Sp2System) -> Result<Vec<String>, Sp2Error> {
+    let digest = submission.digest_hex();
     let mut lines = Vec::with_capacity(submission.experiments().len());
     for (seq, id) in submission.experiments().iter().enumerate() {
         let exp = experiments::experiment_or_err(id)?;
         let dataset = sys.dataset(exp)?;
         lines.push(dataset_line(&digest, seq, id, dataset.json));
     }
-    let campaign = sys.campaign()?.clone();
-    Ok((lines, campaign))
+    Ok(lines)
 }
 
 /// Daemon configuration.
@@ -480,14 +479,18 @@ pub struct Server {
     listener: TcpListener,
     inner: Arc<ServerInner>,
     campaigns: usize,
+    /// The binding thread's trace context, which every worker and
+    /// connection thread runs under.
+    context: sp2_trace::Context,
 }
 
 impl Server {
     /// Binds the listen socket and opens the store. The engine config's
-    /// instrumentation switches are applied process-wide here, exactly
-    /// as a one-shot run would.
+    /// metrics switch is applied to the calling thread here, exactly as a
+    /// one-shot run would, and the server keeps that thread's trace
+    /// context (with any recording current on it) for its own threads.
     pub fn bind(config: ServeConfig) -> Result<Server, Sp2Error> {
-        timeline::apply_engine_config(&config.engine);
+        config.engine.apply();
         let store = Store::open(&config.store_dir)?;
         let listener = TcpListener::bind(&config.addr)?;
         Ok(Server {
@@ -501,6 +504,7 @@ impl Server {
                 stop: AtomicBool::new(false),
             }),
             campaigns: config.campaigns.max(1),
+            context: sp2_trace::Context::current(),
         })
     }
 
@@ -516,9 +520,10 @@ impl Server {
         let workers: Vec<_> = (0..self.campaigns)
             .map(|i| {
                 let inner = Arc::clone(&self.inner);
+                let context = self.context.clone();
                 std::thread::Builder::new()
                     .name(format!("sp2-serve-worker-{i}"))
-                    .spawn(move || inner.worker())
+                    .spawn(move || context.run(|| inner.worker()))
             })
             .collect::<Result<_, _>>()?;
         for conn in self.listener.incoming() {
@@ -527,9 +532,10 @@ impl Server {
             }
             let Ok(stream) = conn else { continue };
             let inner = Arc::clone(&self.inner);
+            let context = self.context.clone();
             let _ = std::thread::Builder::new()
                 .name("sp2-serve-conn".into())
-                .spawn(move || handle_connection(&inner, stream, addr));
+                .spawn(move || context.run(|| handle_connection(&inner, stream, addr)));
         }
         for w in workers {
             let _ = w.join();
@@ -897,13 +903,12 @@ fn stream_instrumentation(w: &mut impl Write) -> std::io::Result<()> {
                 .field("doc", metrics::to_json(&metrics::snapshot())),
         )?;
     }
-    if sp2_trace::recording() {
+    if let Some(recording) = sp2_trace::Recording::current() {
         write_line(
             w,
-            &Json::obj().field("event", "timeline").field(
-                "doc",
-                timeline::timeline_json(&sp2_trace::recorder::series()),
-            ),
+            &Json::obj()
+                .field("event", "timeline")
+                .field("doc", timeline::timeline_json(&recording.series())),
         )?;
     }
     Ok(())

@@ -1,10 +1,11 @@
 //! Flight-recorder exporters: Perfetto traces, timeline JSON, and the
 //! terminal's own Figure 1.
 //!
-//! `sp2-trace` owns the capture machinery (the span-event log and the
-//! interval recorder); this module owns everything that needs the rest
-//! of the stack — the aggregate metrics collector and the [`Json`]
-//! writer. Three consumers of one recording:
+//! `sp2-trace` owns the capture machinery (a `Recording` holds the
+//! span-event log and the interval series); this module owns everything
+//! that needs the rest of the stack — the [`Json`] writer. A recording
+//! made with [`crate::metrics::snapshot`] as its collector feeds three
+//! consumers:
 //!
 //! - [`chrome_trace`] renders span events as Chrome trace-event JSON
 //!   loadable in Perfetto or `chrome://tracing`. Wall-clock spans (the
@@ -27,37 +28,6 @@ pub const SCHEMA: &str = "sp2-timeline/v1";
 const PID_WALL: u64 = 1;
 /// Trace process id used for simulated-clock (modeled machine) events.
 const PID_SIM: u64 = 2;
-
-/// Switches the flight recorder on: installs the aggregate metrics
-/// collector, applies the sampling cadence (in daemon sweeps), and
-/// raises both the metric-capture and recording flags (the recorder
-/// differences [`crate::metrics::snapshot`]s, which only move while
-/// metric capture is on).
-pub fn enable_recording(cadence: u64) {
-    sp2_trace::recorder::install_collector(crate::metrics::snapshot);
-    sp2_trace::recorder::set_cadence(cadence);
-    sp2_trace::set_enabled(true);
-    sp2_trace::set_recording(true);
-}
-
-/// Lowers the recording flag; buffered events and samples stay readable.
-pub fn disable_recording() {
-    sp2_trace::set_recording(false);
-}
-
-/// Applies an [`sp2_cluster::EngineConfig`]'s instrumentation switches
-/// process-wide: metric capture, and the flight-recorder cadence that
-/// the cluster layer cannot apply itself (the recorder's collector is
-/// this crate's aggregate metrics snapshot). `None` fields leave the
-/// process-wide settings untouched, so applying a default config changes
-/// nothing. Only process entry points call this — the `sp2` CLI and
-/// [`crate::serve::Server::bind`]; a campaign never does.
-pub fn apply_engine_config(engine: &sp2_cluster::EngineConfig) {
-    engine.apply();
-    if let Some(cadence) = engine.recording_cadence {
-        enable_recording(cadence);
-    }
-}
 
 fn pid(domain: Domain) -> u64 {
     match domain {

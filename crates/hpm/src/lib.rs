@@ -13,11 +13,10 @@
 //!   wrapping, user/system-mode-split view the software actually gets,
 //!   including the divide-count erratum the paper reports;
 //! - the NAS Table-1 counter selection ([`config::nas_selection`]);
-//! - multipass sampling ([`sampling`]) for watching more signals than the
-//!   hardware has slots, as the RS2HPM tools did;
 //! - the counter-group scheduler ([`scheduler`]) that plans minimal
-//!   multipass rotations for arbitrary signal requests — the paper's
-//!   manual Table-1 selection process, automated.
+//!   multipass rotations for arbitrary signal requests, for watching more
+//!   signals than the hardware has slots as the RS2HPM tools did — the
+//!   paper's manual Table-1 selection process, automated.
 
 #![cfg_attr(
     not(test),
@@ -32,7 +31,6 @@
 pub mod bank;
 pub mod config;
 pub mod events;
-pub mod sampling;
 pub mod scheduler;
 pub mod signal;
 

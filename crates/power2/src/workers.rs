@@ -20,6 +20,8 @@ pub fn available() -> usize {
 /// Each thread pulls the next index from a shared counter, so a slow item
 /// never holds up the rest, and which thread ran an item never shows in
 /// the result. No thread is spawned when `workers` or `count` is below 2.
+/// Each helper runs under the caller's trace context (its metrics switch
+/// and current recording), so `f` is measured the same on every thread.
 /// A panic in `f` is re-raised on the caller.
 pub fn map_indexed<R: Send>(count: usize, workers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     // The counter only hands out indices; results come back through
@@ -39,8 +41,11 @@ pub fn map_indexed<R: Send>(count: usize, workers: usize, f: impl Fn(usize) -> R
     let mut done = if threads < 2 {
         work()
     } else {
+        let context = sp2_trace::Context::current();
         std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+            let helpers: Vec<_> = (1..threads)
+                .map(|_| s.spawn(|| context.run(work)))
+                .collect();
             let mut done = work();
             for helper in helpers {
                 done.extend(

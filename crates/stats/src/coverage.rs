@@ -60,29 +60,6 @@ impl Coverage {
     }
 }
 
-/// Mean of `(value, weight)` pairs where the weight is each value's
-/// coverage (or any non-negative confidence weight). Zero-weight values
-/// contribute nothing; an all-zero ledger yields `0.0` rather than NaN,
-/// which is what a fully-dark measurement window should report.
-pub fn coverage_weighted_mean<I>(pairs: I) -> f64
-where
-    I: IntoIterator<Item = (f64, f64)>,
-{
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (value, weight) in pairs {
-        if weight > 0.0 {
-            num += value * weight;
-            den += weight;
-        }
-    }
-    if den > 0.0 {
-        num / den
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,23 +94,5 @@ mod tests {
         let b = Coverage::of(5.0, 20.0);
         a.merge(&b);
         assert_eq!(a, Coverage::of(15.0, 40.0));
-    }
-
-    #[test]
-    fn weighted_mean_ignores_dark_windows() {
-        let m = coverage_weighted_mean([(10.0, 1.0), (999.0, 0.0), (20.0, 1.0)]);
-        assert!((m - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mean_of_nothing_is_zero() {
-        assert_eq!(coverage_weighted_mean([]), 0.0);
-        assert_eq!(coverage_weighted_mean([(5.0, 0.0)]), 0.0);
-    }
-
-    #[test]
-    fn uniform_weights_reduce_to_plain_mean() {
-        let m = coverage_weighted_mean([(1.0, 0.25), (2.0, 0.25), (3.0, 0.25)]);
-        assert!((m - 2.0).abs() < 1e-12);
     }
 }

@@ -26,10 +26,8 @@ pub mod series;
 pub mod summary;
 
 pub use binned::BinnedScatter;
-pub use coverage::{coverage_weighted_mean, Coverage};
+pub use coverage::Coverage;
 pub use histogram::Histogram;
-pub use moving::{
-    centered_moving_average, exp_moving_average, linear_trend_slope, trailing_moving_average,
-};
+pub use moving::{centered_moving_average, linear_trend_slope, trailing_moving_average};
 pub use series::TimeSeries;
 pub use summary::Summary;

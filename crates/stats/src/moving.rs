@@ -41,25 +41,6 @@ pub fn centered_moving_average(series: &[f64], half: usize) -> Vec<f64> {
     out
 }
 
-/// Exponential moving average with smoothing factor `alpha` in (0, 1].
-///
-/// Provided for the ablation benches (EMA vs windowed MA produces the same
-/// "no trend over time" conclusion for Figure 4).
-pub fn exp_moving_average(series: &[f64], alpha: f64) -> Vec<f64> {
-    assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-    let mut out = Vec::with_capacity(series.len());
-    let mut ema = None;
-    for &v in series {
-        let next = match ema {
-            None => v,
-            Some(prev) => alpha * v + (1.0 - alpha) * prev,
-        };
-        ema = Some(next);
-        out.push(next);
-    }
-    out
-}
-
 /// Least-squares slope of `series` against its index, used to assert the
 /// paper's "no obvious trend toward increased performance" findings.
 pub fn linear_trend_slope(series: &[f64]) -> f64 {
@@ -126,18 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn ema_alpha_one_is_identity() {
-        let s = [5.0, -2.0, 7.5];
-        assert_eq!(exp_moving_average(&s, 1.0), s.to_vec());
-    }
-
-    #[test]
-    fn ema_smooths_towards_history() {
-        let m = exp_moving_average(&[0.0, 10.0], 0.5);
-        assert_eq!(m, vec![0.0, 5.0]);
-    }
-
-    #[test]
     fn slope_of_linear_series() {
         let s: Vec<f64> = (0..50).map(|i| 2.5 * i as f64 + 7.0).collect();
         assert!((linear_trend_slope(&s) - 2.5).abs() < 1e-9);
@@ -155,6 +124,5 @@ mod tests {
         let s: Vec<f64> = (0..17).map(|i| i as f64).collect();
         assert_eq!(trailing_moving_average(&s, 5).len(), s.len());
         assert_eq!(centered_moving_average(&s, 5).len(), s.len());
-        assert_eq!(exp_moving_average(&s, 0.3).len(), s.len());
     }
 }

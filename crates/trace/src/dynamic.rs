@@ -38,16 +38,6 @@ pub fn add(name: &str, n: u64) {
     });
 }
 
-/// Records the named gauge (no-op while tracing is disabled).
-pub fn set(name: &str, v: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    with_map(|m| {
-        m.insert(name.to_string(), MetricValue::Value(v));
-    });
-}
-
 /// Accumulates `ns` nanoseconds of span time under the name (no-op
 /// while tracing is disabled).
 pub fn record_ns(name: &str, ns: u64) {
@@ -118,11 +108,6 @@ impl Scope {
         add(&self.key(name), n);
     }
 
-    /// Sets the gauge `<prefix>.<name>` (see [`set`]).
-    pub fn set(&self, name: &str, v: f64) {
-        set(&self.key(name), v);
-    }
-
     /// Accumulates span time under `<prefix>.<name>` (see [`record_ns`]).
     pub fn record_ns(&self, name: &str, ns: u64) {
         record_ns(&self.key(name), ns);
@@ -132,22 +117,20 @@ impl Scope {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::FLAG_LOCK;
 
+    /// One test for everything that reads the whole map: the map is a
+    /// process total, and `reset` clears it for every thread.
     #[test]
-    fn dynamic_roundtrip_and_reset() {
-        let _g = FLAG_LOCK.lock().unwrap();
+    fn dynamic_roundtrip_ordering_scope_and_reset() {
         crate::set_enabled(true);
         reset();
         add("dyn.count", 2);
         add("dyn.count", 3);
-        set("dyn.gauge", 4.5);
         record_ns("dyn.span", 1_000);
         record_ns("dyn.span", 500);
         let mut snap = MetricsSnapshot::new();
         collect(&mut snap);
         assert_eq!(snap.get("dyn.count"), Some(&MetricValue::Count(5)));
-        assert_eq!(snap.get("dyn.gauge"), Some(&MetricValue::Value(4.5)));
         assert_eq!(
             snap.get("dyn.span"),
             Some(&MetricValue::Duration {
@@ -165,20 +148,11 @@ mod tests {
         let mut empty = MetricsSnapshot::new();
         collect(&mut empty);
         assert!(empty.is_empty());
-        crate::set_enabled(false);
-    }
 
-    #[test]
-    fn collect_is_deterministic_across_interleaved_inserts() {
         // Timeline and metrics JSON diffs rely on two collects of the
         // same logical state being byte-identical, however the inserts
         // interleaved.
-        let _g = FLAG_LOCK.lock().unwrap();
-        crate::set_enabled(true);
-
-        reset();
         add("z.last", 1);
-        set("m.middle", 2.0);
         add("a.first", 3);
         record_ns("q.span", 400);
         let mut first = MetricsSnapshot::new();
@@ -188,36 +162,23 @@ mod tests {
         record_ns("q.span", 400);
         add("a.first", 3);
         add("z.last", 1);
-        set("m.middle", 2.0);
         let mut second = MetricsSnapshot::new();
         collect(&mut second);
 
         assert_eq!(first, second, "insert order must not leak into collect");
         let names: Vec<&str> = first.entries().iter().map(|(n, _)| n.as_ref()).collect();
-        assert_eq!(names, vec!["a.first", "m.middle", "q.span", "z.last"]);
+        assert_eq!(names, vec!["a.first", "q.span", "z.last"]);
 
-        reset();
-        crate::set_enabled(false);
-    }
-
-    #[test]
-    fn scope_prefixes_every_reading() {
-        let _g = FLAG_LOCK.lock().unwrap();
-        crate::set_enabled(true);
+        // A scope prefixes every reading.
         reset();
         let scope = Scope::new("serve.job.abc123");
         scope.add("datasets", 2);
-        scope.set("progress", 0.5);
         scope.record_ns("campaign", 1_000);
         let mut snap = MetricsSnapshot::new();
         collect(&mut snap);
         assert_eq!(
             snap.get("serve.job.abc123.datasets"),
             Some(&MetricValue::Count(2))
-        );
-        assert_eq!(
-            snap.get("serve.job.abc123.progress"),
-            Some(&MetricValue::Value(0.5))
         );
         assert!(snap.get("serve.job.abc123.campaign").is_some());
         assert_eq!(scope.prefix(), "serve.job.abc123");
@@ -227,14 +188,12 @@ mod tests {
 
     #[test]
     fn disabled_dynamic_records_nothing() {
-        let _g = FLAG_LOCK.lock().unwrap();
         crate::set_enabled(false);
-        reset();
         add("dyn.off", 1);
-        set("dyn.off.g", 1.0);
         record_ns("dyn.off.t", 1);
         let mut snap = MetricsSnapshot::new();
         collect(&mut snap);
-        assert!(snap.is_empty());
+        assert!(snap.get("dyn.off").is_none());
+        assert!(snap.get("dyn.off.t").is_none());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! All four types are `const`-constructible so instrumented crates
 //! declare them as statics; recording is a relaxed atomic op gated on
-//! the process-global enable flag, and reading is always allowed (a
+//! the calling thread's enable switch, and reading is always allowed (a
 //! disabled metric simply reads as its last recorded value).
 
 use crate::snapshot::{MetricValue, MetricsSnapshot};
@@ -252,11 +252,9 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::FLAG_LOCK;
 
     #[test]
     fn counter_gauge_timer_record_when_enabled() {
-        let _g = FLAG_LOCK.lock().unwrap();
         crate::set_enabled(true);
         let c = Counter::new("t.count");
         c.inc();
@@ -287,7 +285,6 @@ mod tests {
 
     #[test]
     fn disabled_metrics_record_nothing() {
-        let _g = FLAG_LOCK.lock().unwrap();
         crate::set_enabled(false);
         let c = Counter::new("t.off.count");
         c.add(9);
@@ -308,7 +305,6 @@ mod tests {
 
     #[test]
     fn reset_zeroes_and_observe_appends() {
-        let _g = FLAG_LOCK.lock().unwrap();
         crate::set_enabled(true);
         let c = Counter::new("t.reset.count");
         c.add(3);

@@ -5,11 +5,11 @@
 //! a *history* needs what Bergeron's daemon did every 15 minutes:
 //! sample on a cadence and difference consecutive snapshots. This module
 //! is that daemon turned inward. The campaign engine calls [`on_sweep`]
-//! at every simulated daemon sweep; every `cadence` sweeps the recorder
-//! collects a [`MetricsSnapshot`] (through an installed collector
-//! callback, so this crate stays dependency-free), differences it
-//! against the previous one, and pushes an [`IntervalSample`] into a
-//! bounded ring buffer.
+//! at every simulated daemon sweep; every `cadence` sweeps the calling
+//! thread's current [`crate::Recording`] collects a [`MetricsSnapshot`]
+//! (through the collector callback it was made with, so this crate stays
+//! dependency-free), differences it against the previous one, and pushes
+//! an [`IntervalSample`] into a bounded ring buffer.
 //!
 //! Discontinuities are handled the way the daemon handles its own
 //! restarts: when any monotonic reading moves backwards (someone called
@@ -20,20 +20,20 @@
 //! gauges pass through unchanged (they never difference).
 //!
 //! When the ring is full the oldest sample is dropped and a counter
-//! incremented — bounded memory, never silent truncation. While
-//! [`crate::recording`] is off, [`on_sweep`] is one relaxed load.
+//! incremented — bounded memory, never silent truncation. While no
+//! recording is current, [`on_sweep`] is one thread-local read.
 
+use crate::context::with_recording;
 use crate::snapshot::{MetricValue, MetricsSnapshot};
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard};
 
 /// Default ring capacity in samples: a 85-day campaign at the default
 /// one-sample-per-sweep cadence before the ring starts recycling.
 pub const DEFAULT_CAPACITY: usize = 8_192;
 
-/// Snapshot provider the recorder calls on every sampled sweep. A plain
-/// fn pointer keeps `sp2-trace` dependency-free; `sp2-core` installs its
+/// Snapshot provider a recording calls on every sampled sweep. A plain
+/// fn pointer keeps `sp2-trace` dependency-free; `sp2-core` supplies its
 /// aggregate `metrics::snapshot`.
 pub type Collector = fn() -> MetricsSnapshot;
 
@@ -52,7 +52,7 @@ pub struct IntervalSample {
     pub deltas: Vec<(Cow<'static, str>, MetricValue)>,
 }
 
-/// A cloned-out view of the recorder's ring.
+/// A cloned-out view of a recording's ring.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     /// Sweeps between samples (1 = every daemon sweep).
@@ -159,117 +159,77 @@ pub fn diff_snapshots(
     (deltas, regressed)
 }
 
-struct State {
+/// A recording's interval state: the cadence and collector it was made
+/// with, the last sampled snapshot, and the bounded ring.
+#[derive(Debug)]
+pub(crate) struct IntervalSeries {
     cadence: u64,
     capacity: usize,
-    collector: Option<Collector>,
+    collector: Collector,
     baseline: Option<MetricsSnapshot>,
     samples: VecDeque<IntervalSample>,
     dropped: u64,
 }
 
-static STATE: Mutex<State> = Mutex::new(State {
-    cadence: 1,
-    capacity: DEFAULT_CAPACITY,
-    collector: None,
-    baseline: None,
-    samples: VecDeque::new(),
-    dropped: 0,
-});
-
-fn lock() -> MutexGuard<'static, State> {
-    // Poisoning only loses recorded samples, never simulation state.
-    match STATE.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+impl IntervalSeries {
+    pub(crate) fn new(cadence: u64, collector: Collector, capacity: usize) -> IntervalSeries {
+        IntervalSeries {
+            cadence: cadence.max(1),
+            capacity: capacity.max(1),
+            collector,
+            baseline: None,
+            samples: VecDeque::new(),
+            dropped: 0,
+        }
     }
-}
 
-/// Installs the snapshot provider sampled on every recorded sweep.
-pub fn install_collector(collector: Collector) {
-    lock().collector = Some(collector);
-}
+    /// Samples and records the interval when `sweep` lands on the
+    /// cadence.
+    pub(crate) fn on_sweep(&mut self, sweep: u64, sim_t: f64) {
+        if !sweep.is_multiple_of(self.cadence) {
+            return;
+        }
+        let cur = (self.collector)();
+        if let Some(prev) = &self.baseline {
+            let (deltas, discontinuity) = diff_snapshots(prev, &cur);
+            if self.samples.len() >= self.capacity {
+                self.samples.pop_front();
+                self.dropped += 1;
+            }
+            self.samples.push_back(IntervalSample {
+                sweep,
+                sim_t,
+                discontinuity,
+                deltas,
+            });
+        }
+        // Sweep 0 (or the first sampled sweep) only baselines, exactly like
+        // the daemon's first pass over a node.
+        self.baseline = Some(cur);
+    }
 
-/// Sets the sampling cadence: one sample every `cadence` sweeps
-/// (`0` is treated as 1).
-pub fn set_cadence(cadence: u64) {
-    lock().cadence = cadence.max(1);
-}
-
-/// Sets the ring capacity in samples (`0` is treated as 1).
-pub fn set_capacity(capacity: usize) {
-    lock().capacity = capacity.max(1);
+    pub(crate) fn to_series(&self) -> TimeSeries {
+        TimeSeries {
+            cadence: self.cadence,
+            samples: self.samples.iter().cloned().collect(),
+            dropped: self.dropped,
+        }
+    }
 }
 
 /// Called by the campaign engine at daemon sweep `sweep` (0 for the
-/// baseline pass at t=0), simulated time `sim_t`. Samples the metrics
-/// and records the interval when the sweep lands on the cadence.
-/// One relaxed load while recording is disabled.
+/// baseline pass at t=0), simulated time `sim_t`. The calling thread's
+/// current recording samples the metrics and records the interval when
+/// the sweep lands on its cadence. One thread-local read while no
+/// recording is current.
 pub fn on_sweep(sweep: u64, sim_t: f64) {
-    if !crate::recording() {
-        return;
-    }
-    let mut st = lock();
-    let Some(collector) = st.collector else {
-        return;
-    };
-    if !sweep.is_multiple_of(st.cadence) {
-        return;
-    }
-    let cur = collector();
-    if let Some(prev) = &st.baseline {
-        let (deltas, discontinuity) = diff_snapshots(prev, &cur);
-        if st.samples.len() >= st.capacity {
-            st.samples.pop_front();
-            st.dropped += 1;
-        }
-        st.samples.push_back(IntervalSample {
-            sweep,
-            sim_t,
-            discontinuity,
-            deltas,
-        });
-    }
-    // Sweep 0 (or the first sampled sweep) only baselines, exactly like
-    // the daemon's first pass over a node.
-    st.baseline = Some(cur);
-}
-
-/// Clones out the recorded series.
-pub fn series() -> TimeSeries {
-    let st = lock();
-    TimeSeries {
-        cadence: st.cadence,
-        samples: st.samples.iter().cloned().collect(),
-        dropped: st.dropped,
-    }
-}
-
-/// Samples currently in the ring.
-pub fn len() -> usize {
-    lock().samples.len()
-}
-
-/// Samples lost to the drop-oldest policy since the last [`reset`].
-pub fn dropped() -> u64 {
-    lock().dropped
-}
-
-/// Clears samples, baseline, and the dropped counter, and restores the
-/// default cadence and capacity. The collector stays installed.
-pub fn reset() {
-    let mut st = lock();
-    st.samples.clear();
-    st.baseline = None;
-    st.dropped = 0;
-    st.cadence = 1;
-    st.capacity = DEFAULT_CAPACITY;
+    with_recording(|recording| recording.on_sweep(sweep, sim_t));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::FLAG_LOCK;
+    use crate::Recording;
 
     fn snap(entries: &[(&'static str, MetricValue)]) -> MetricsSnapshot {
         let mut s = MetricsSnapshot::new();
@@ -385,9 +345,6 @@ mod tests {
 
     #[test]
     fn recorder_samples_on_cadence_with_ring_bound() {
-        let _g = FLAG_LOCK.lock().unwrap();
-        crate::set_recording(true);
-        reset();
         static TICKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         fn counting_collector() -> MetricsSnapshot {
             let t = TICKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -398,16 +355,12 @@ mod tests {
             s.push("tick.count", MetricValue::Count(v));
             s
         }
-        TICKS.store(0, std::sync::atomic::Ordering::Relaxed);
-        install_collector(counting_collector);
-        set_cadence(2);
-        set_capacity(3);
-        on_sweep(0, 0.0); // baseline only
+        let mut ring = IntervalSeries::new(2, counting_collector, 3);
+        ring.on_sweep(0, 0.0); // baseline only
         for sweep in 1..=10 {
-            on_sweep(sweep, sweep as f64 * 900.0);
+            ring.on_sweep(sweep, sweep as f64 * 900.0);
         }
-        crate::set_recording(false);
-        let series = series();
+        let series = ring.to_series();
         assert_eq!(series.cadence, 2);
         // Sweeps 2,4,6,8,10 sampled; ring of 3 keeps 6,8,10.
         assert_eq!(series.samples.len(), 3);
@@ -420,18 +373,22 @@ mod tests {
             assert!(!s.discontinuity);
         }
         assert_eq!(series.points("tick.count").len(), 3);
-        reset();
-        assert_eq!(len(), 0);
     }
 
     #[test]
     fn disabled_recording_samples_nothing() {
-        let _g = FLAG_LOCK.lock().unwrap();
-        crate::set_recording(false);
-        reset();
-        install_collector(MetricsSnapshot::new);
-        on_sweep(0, 0.0);
-        on_sweep(1, 900.0);
-        assert_eq!(len(), 0);
+        let rec = Recording::new(1, MetricsSnapshot::new);
+        rec.run(|| {
+            on_sweep(0, 0.0);
+            on_sweep(1, 900.0);
+        });
+        assert_eq!(rec.series().samples.len(), 1);
+        on_sweep(2, 1800.0);
+        on_sweep(3, 2700.0);
+        assert_eq!(
+            rec.series().samples.len(),
+            1,
+            "a recording no longer current samples nothing"
+        );
     }
 }

@@ -10,8 +10,7 @@
 //! cargo run --release --example multipass
 //! ```
 
-use sp2_repro::hpm::sampling::MultipassPlan;
-use sp2_repro::hpm::{EventSet, Signal};
+use sp2_repro::hpm::{EventSet, SchedulePlan, Signal};
 use sp2_repro::power2::{MachineConfig, Node};
 use sp2_repro::workload::{cfd_kernel, CfdKernelParams};
 
@@ -27,7 +26,7 @@ fn main() {
         Signal::Fpu0Fma,
         Signal::IcuType1,
     ];
-    let plan = MultipassPlan::plan(&wanted);
+    let plan = SchedulePlan::minimal(&wanted);
     println!(
         "{} signals requested, FXU group holds 5 → {} passes",
         wanted.len(),
@@ -39,25 +38,25 @@ fn main() {
     }
 
     // Run the kernel once per pass (a stationary workload, as multipass
-    // assumes), each pass observing only its configured signals.
+    // assumes), each pass observing only its configured signals. A signal
+    // watched in `coverage` of the `n` passes is scaled by n / coverage,
+    // the standard multipass correction under that assumption.
     let machine = MachineConfig::nas_sp2();
     let kernel = cfd_kernel("cfd-multipass", &CfdKernelParams::default(), 50_000);
+    let n = plan.passes().len() as u64;
     let mut truth = EventSet::new();
-    let mut observations = Vec::new();
+    let mut estimate = EventSet::new();
     for (i, pass) in plan.passes().iter().enumerate() {
         let mut node = Node::with_seed(machine, 100 + i as u64);
         let stats = node.run_kernel(&kernel);
         if i == 0 {
             truth = stats.events;
         }
-        // The pass sees only its own signals.
-        let mut seen = EventSet::new();
         for s in pass.signals() {
-            seen.set(s, stats.events.get(s));
+            let coverage = plan.coverage(s) as u64;
+            estimate.bump(s, stats.events.get(s) * n / coverage);
         }
-        observations.push(seen);
     }
-    let estimate = plan.estimate(&observations);
 
     println!(
         "\n{:<18} {:>14} {:>14} {:>8}",

@@ -38,6 +38,7 @@ use sp2_repro::core::{
 use sp2_repro::hpm::{nas_selection, Hpm, Mode, SchedulePlan, Signal};
 use sp2_repro::power2::{MachineConfig, Node};
 use sp2_repro::rs2hpm::{BottleneckSplit, CounterSession};
+use sp2_repro::trace::Recording;
 use sp2_repro::workload::{
     blocked_matmul_kernel, cfd_kernel, naive_matmul_kernel, seqaccess_kernel, CfdKernelParams,
 };
@@ -525,11 +526,11 @@ fn write_json_file(path: &str, doc: &Json) -> std::io::Result<()> {
     f.flush()
 }
 
-/// Writes the drained span events where `--trace-out` asked for them, as
-/// Chrome trace-event JSON.
-fn dump_trace(path: &str) -> Result<(), CliError> {
-    let events = sp2_repro::trace::events::drain();
-    let dropped = sp2_repro::trace::events::dropped();
+/// Writes the recorded span events where `--trace-out` asked for them,
+/// as Chrome trace-event JSON.
+fn dump_trace(path: &str, recording: &Recording) -> Result<(), CliError> {
+    let events = recording.events();
+    let dropped = recording.dropped_events();
     write_json_file(path, &timeline::chrome_trace(&events, dropped))
         .map_err(|e| CliError::Sp2(Sp2Error::Io(e)))?;
     eprintln!(
@@ -541,37 +542,44 @@ fn dump_trace(path: &str) -> Result<(), CliError> {
 
 /// Pure translation from parsed flags to the engine configuration the
 /// run executes under. No process state changes here: `run` applies the
-/// instrumentation switches, and every campaign reads the engine kind
-/// and sweep elision from the config it is handed.
+/// metrics switch, and every campaign reads the engine kind and sweep
+/// elision from the config it is handed.
 fn engine_config(args: &Args) -> EngineConfig {
     let mut engine = EngineConfig::default()
         .engine(args.engine)
         .fast_forward(args.fast_forward);
-    // The trace layer stays off (one relaxed atomic load per record site)
+    // The trace layer stays off (one thread-local read per record site)
     // unless this invocation actually wants measurements.
     if args.metrics.is_some() || args.command == "profile" {
         engine = engine.metrics(true);
     }
-    // Same for the flight recorder: only `timeline` and `--trace-out`
-    // pay for span events and interval sampling.
-    if args.trace_out.is_some() || args.command == "timeline" {
-        engine = engine.recording_cadence(args.cadence);
-    }
     engine
+}
+
+/// The flight recording the command runs in, if it asked for one: only
+/// `timeline` and `--trace-out` pay for span events and interval
+/// sampling.
+fn recording(args: &Args) -> Option<Recording> {
+    (args.trace_out.is_some() || args.command == "timeline")
+        .then(|| Recording::new(args.cadence, metrics::snapshot))
 }
 
 fn run() -> Result<ExitCode, CliError> {
     let args = parse_args().map_err(CliError::Usage)?;
     let engine = engine_config(&args);
     // Applied up front so commands that never build an Sp2System (probe,
-    // list) still honor --metrics / --trace-out.
-    timeline::apply_engine_config(&engine);
-    let code = dispatch(&args, engine)?;
+    // list) still honor --metrics.
+    engine.apply();
+    let recording = recording(&args);
+    let code = match &recording {
+        Some(recording) => recording.run(|| dispatch(&args, engine))?,
+        None => dispatch(&args, engine)?,
+    };
     if let Some(dest) = &args.metrics {
         dump_metrics(dest.as_deref())?;
     }
-    if let Some(path) = &args.trace_out {
-        dump_trace(path)?;
+    if let (Some(path), Some(recording)) = (&args.trace_out, &recording) {
+        dump_trace(path, recording)?;
     }
     Ok(code)
 }
@@ -667,7 +675,7 @@ fn dispatch(args: &Args, engine: EngineConfig) -> Result<ExitCode, CliError> {
             args.days
         );
         sys.campaign()?;
-        let series = sp2_repro::trace::recorder::series();
+        let series = Recording::current().map(|r| r.series()).unwrap_or_default();
         if args.json {
             println!("{}", timeline::timeline_json(&series).to_string_pretty());
         } else {
@@ -1184,32 +1192,32 @@ mod tests {
 
     #[test]
     fn flags_translate_to_engine_config() {
-        // Defaults: sweep elision on, and both instrumentation switches
-        // None so process-wide settings are left alone.
-        let e = engine_config(&parse(&["table2"]).expect("parses"));
+        // Defaults: sweep elision on, the metrics switch None so the
+        // thread's setting is left alone, and no recording.
+        let args = parse(&["table2"]).expect("parses");
+        let e = engine_config(&args);
         assert!(e.fast_forward);
         assert!(e.metrics.is_none());
-        assert!(e.recording_cadence.is_none());
+        assert!(recording(&args).is_none());
 
-        let e = engine_config(
-            &parse(&[
-                "timeline",
-                "--cadence",
-                "4",
-                "--no-fast-forward",
-                "--metrics",
-            ])
-            .expect("parses"),
-        );
-        assert_eq!(e.recording_cadence, Some(4));
+        let args = parse(&[
+            "timeline",
+            "--cadence",
+            "4",
+            "--no-fast-forward",
+            "--metrics",
+        ])
+        .expect("parses");
+        let e = engine_config(&args);
+        assert_eq!(recording(&args).map(|r| r.series().cadence), Some(4));
         assert!(!e.fast_forward);
         assert_eq!(e.metrics, Some(true));
 
         // `profile` implies metrics; `--trace-out` implies recording.
         let e = engine_config(&parse(&["profile"]).expect("parses"));
         assert_eq!(e.metrics, Some(true));
-        let e = engine_config(&parse(&["table1", "--trace-out", "t.json"]).expect("parses"));
-        assert_eq!(e.recording_cadence, Some(1));
+        let args = parse(&["table1", "--trace-out", "t.json"]).expect("parses");
+        assert_eq!(recording(&args).map(|r| r.series().cadence), Some(1));
     }
 
     #[test]

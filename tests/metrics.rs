@@ -22,8 +22,9 @@ fn run_all_experiments() -> Vec<Dataset> {
     sys.run_all().expect("experiments run")
 }
 
-/// One test (not several) because the enable flag is process-global and
-/// the test harness runs functions in parallel.
+/// One test (not several): metric capture is switched per thread, but
+/// the counters it reads are process totals, so a second capturing test
+/// in this binary would move the readings this one checks.
 #[test]
 fn instrumented_run_is_bit_identical_and_snapshot_is_complete() {
     trace::set_enabled(false);

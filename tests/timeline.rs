@@ -5,71 +5,28 @@
 //! trace export round-trips through the JSON parser with every phase and
 //! job span intact and zero silently-dropped events.
 
-use sp2_repro::cluster::{
-    Campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind, FaultPlan,
-};
+mod common;
+
+use common::{assert_same_campaign, small_campaign};
 use sp2_repro::core::{metrics, timeline, Json};
-use sp2_repro::trace::{self, events, recorder};
-use sp2_repro::workload::{CampaignSpec, JobMix, WorkloadLibrary};
+use sp2_repro::trace::Recording;
 
-/// A mix whose widest request fits an 8-node machine.
-fn small_mix() -> JobMix {
-    JobMix {
-        node_weights: vec![(1, 5.0), (2, 3.0), (4, 7.0), (8, 13.0)],
-        ..JobMix::nas()
-    }
+fn new_recording() -> Recording {
+    Recording::new(1, metrics::snapshot)
 }
 
-/// A faulted campaign on a small machine (tests run unoptimized; eight
-/// nodes keep a month of simulated time affordable).
-fn small_campaign(days: u32) -> CampaignResult {
-    let config = ClusterConfig::builder()
-        .nodes(8)
-        .drain_threshold(4)
-        .build()
-        .expect("valid config");
-    let library = WorkloadLibrary::build(&config.machine, 42);
-    let spec = CampaignSpec {
-        days,
-        seed: 7,
-        ..Default::default()
-    };
-    let jobs = sp2_repro::workload::trace::generate(&spec, &small_mix(), &library);
-    let faults = FaultPlan::generate(8, days, 1.0, 1996);
-    Campaign::new(&config, &library, &jobs, days, &faults)
-        .engine(EngineConfig::default().engine(EngineKind::Reference))
-        .run()
-        .expect("campaign runs")
-}
-
-fn assert_same_campaign(a: &CampaignResult, b: &CampaignResult) {
-    assert_eq!(a.samples.len(), b.samples.len());
-    for (x, y) in a.samples.iter().zip(&b.samples) {
-        assert_eq!(x, y, "sample drifted under recording");
-    }
-    assert_eq!(a.job_reports, b.job_reports, "job epilogues drifted");
-    assert_eq!(a.pbs_records.len(), b.pbs_records.len());
-    assert_eq!(a.faults, b.faults);
-}
-
-/// One test (not several) because the recording flag is process-global
-/// and the test harness runs functions in parallel.
+/// One test (not several): the interval series differences metric
+/// snapshots, which are process totals, so a second recorded campaign
+/// in this binary would move the deltas this one checks.
 #[test]
 fn recorder_is_invisible_bounded_and_exportable() {
     // --- Baseline: recording off. ---------------------------------
-    trace::set_enabled(false);
-    trace::set_recording(false);
-    let baseline = small_campaign(31);
+    let baseline = small_campaign(31, 7, true);
 
     // --- Recorded: recorder on. -----------------------------------
-    events::reset();
-    recorder::reset();
-    metrics::reset();
-    timeline::enable_recording(1);
-    let recorded = small_campaign(31);
-    let series = recorder::series();
-    timeline::disable_recording();
-    trace::set_enabled(false);
+    let recording = new_recording();
+    let recorded = recording.run(|| small_campaign(31, 7, true));
+    let series = recording.series();
 
     // Recording never feeds back into the engine: the campaign is
     // bit-identical with the recorder on or off.
@@ -121,22 +78,18 @@ fn recorder_is_invisible_bounded_and_exportable() {
     );
 
     // --- Chrome trace export from a short faulted campaign. -------
-    // A fresh, shorter run so the default event capacity holds every
-    // span (the drop-oldest policy is exercised in unit tests).
-    events::reset();
-    recorder::reset();
-    timeline::enable_recording(1);
-    let traced = small_campaign(7);
-    timeline::disable_recording();
-    trace::set_enabled(false);
+    // A fresh, shorter recording so the default event capacity holds
+    // every span (the drop-oldest policy is exercised in unit tests).
+    let recording = new_recording();
+    let traced = recording.run(|| small_campaign(7, 7, true));
     assert!(traced.faults.enabled);
 
     assert_eq!(
-        events::dropped(),
+        recording.dropped_events(),
         0,
         "a week-long 8-node campaign must fit the default capacity"
     );
-    let drained = events::drain();
+    let drained = recording.events();
     assert!(!drained.is_empty());
     let has = |cat: &str, name_part: &str| {
         drained
@@ -152,7 +105,7 @@ fn recorder_is_invisible_bounded_and_exportable() {
     assert!(has("pbs", "run"), "job run spans missing");
     assert!(has("pbs", "epilogue"), "job epilogue marks missing");
 
-    let chrome = timeline::chrome_trace(&drained, events::dropped());
+    let chrome = timeline::chrome_trace(&drained, recording.dropped_events());
     let text = chrome.to_string_pretty();
     let parsed = Json::parse(&text).expect("chrome trace parses");
     assert!(parsed.bits_eq(&chrome), "export must round-trip exactly");
@@ -165,12 +118,9 @@ fn recorder_is_invisible_bounded_and_exportable() {
         .and_then(Json::as_arr)
         .expect("traceEvents array");
     // Both clocks are present as separate trace processes, and every
-    // drained event (plus the two process_name records) made it out.
+    // recorded event (plus the two process_name records) made it out.
     assert_eq!(trace_events.len(), drained.len() + 2);
     let pid_of = |e: &Json| e.get("pid").and_then(Json::as_f64);
     assert!(trace_events.iter().any(|e| pid_of(e) == Some(1.0)));
     assert!(trace_events.iter().any(|e| pid_of(e) == Some(2.0)));
-
-    events::reset();
-    recorder::reset();
 }
