@@ -802,20 +802,26 @@ impl<'a> CampaignRun<'a> {
                 let Engine::Batch(bank) = &mut self.engine else {
                     break; // unreachable: runs are only gathered for the batch engine
                 };
-                let _ff_span = crate::metrics::ADVANCE.span();
-                let _ff_ev = sp2_trace::events::span("cluster fast-forward", "phase");
                 let run = &self.gathered[i..];
-                let steps = run.len() as u64;
-                crate::metrics::SWEEPS.add(steps);
-                crate::metrics::SWEEPS_ELIDED.add(steps);
-                bank.advance_steady(SAMPLE_INTERVAL_S, steps, run[run.len() - 1].1);
-                let times = run.iter().map(|&(_, t2)| t2);
-                self.daemon
-                    .fast_forward_steady(times, bank.lanes(), &self.down);
-                // Replayed sweeps share one steady-state delta, so a
-                // single gauge update covers the whole run.
-                publish_toplev_gauges(&self.selection, &self.daemon);
+                {
+                    // The jump ends before the first replayed sweep is
+                    // recorded, so its interval carries the advance.
+                    let _ff_span = crate::metrics::ADVANCE.span();
+                    let _ff_ev = sp2_trace::events::span("cluster fast-forward", "phase");
+                    let steps = run.len() as u64;
+                    bank.advance_steady(SAMPLE_INTERVAL_S, steps, run[run.len() - 1].1);
+                    let times = run.iter().map(|&(_, t2)| t2);
+                    self.daemon
+                        .fast_forward_steady(times, bank.lanes(), &self.down);
+                    // Replayed sweeps share one steady-state delta, so a
+                    // single gauge update covers the whole run.
+                    publish_toplev_gauges(&self.selection, &self.daemon);
+                }
+                // Each replayed sweep counts in its own interval, as a
+                // stepped sweep does.
                 for &(k2, t2) in run {
+                    crate::metrics::SWEEPS.inc();
+                    crate::metrics::SWEEPS_ELIDED.inc();
                     sp2_trace::recorder::on_sweep(k2, t2);
                 }
                 break;

@@ -123,6 +123,13 @@ pub fn profile_report(snap: &MetricsSnapshot) -> String {
         },
     ));
 
+    line(format!(
+        "timing memo       {} lookups, {} replayed ({:.1} % hit rate)",
+        count_of(snap, "power2.timing_memo.lookups"),
+        count_of(snap, "power2.timing_memo.hits"),
+        value_of(snap, "power2.timing_memo.hit_rate") * 100.0,
+    ));
+
     let (campaign_ms, campaigns) = duration_of(snap, "cluster.campaign");
     line(format!(
         "campaign engine   {campaigns} campaign(s), {} events, {:.1} ms wall, \
@@ -181,6 +188,7 @@ mod tests {
         let snap = snapshot();
         for key in [
             "power2.sigcache.hit_rate",
+            "power2.timing_memo.hit_rate",
             "cluster.phase.advance",
             "cluster.phase.sample",
             "rs2hpm.sweep",
@@ -213,6 +221,7 @@ mod tests {
             "signature cache",
             "kernel simulator",
             "ns per simulated instruction",
+            "timing memo",
             "campaign engine",
             "phase advance",
             "daemon",

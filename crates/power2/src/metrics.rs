@@ -2,10 +2,10 @@
 //!
 //! The cycle simulator is the deepest hot path in the stack — every
 //! kernel signature measurement runs it — so instrumentation sits at
-//! kernel-run granularity (one counter bump per `run_kernel`), never
-//! inside the dispatch loop. The signature-cache statistics piggyback on
-//! the cache's own always-on atomics and are merely bridged into the
-//! snapshot here.
+//! kernel-run granularity (one bump of each counter per `run_kernel`),
+//! never inside the dispatch loop. The signature-cache statistics
+//! piggyback on the cache's own always-on atomics and are merely bridged
+//! into the snapshot here.
 
 use crate::sigcache::SignatureCache;
 use sp2_trace::{Counter, MaxGauge, MetricValue, MetricsSnapshot, Timer};
@@ -21,6 +21,14 @@ pub static SIMULATED_CYCLES: Counter = Counter::new("power2.simulated_cycles");
 /// simulated-instruction throughput, which, unlike the cycle rate, does
 /// not swing with each kernel's CPI).
 pub static SIMULATED_INSTRUCTIONS: Counter = Counter::new("power2.simulated_instructions");
+
+/// Timing-memo table lookups across all kernel runs (the node
+/// simulator's per-run timing memo; bodies too short for a lookup to pay
+/// make none).
+pub static TIMING_MEMO_LOOKUPS: Counter = Counter::new("power2.timing_memo.lookups");
+
+/// Timing-memo lookups that replayed a recorded iteration.
+pub static TIMING_MEMO_HITS: Counter = Counter::new("power2.timing_memo.hits");
 
 /// Busy time spent cycle-simulating kernels for signature measurements
 /// (the signature cache's miss path), summed over every measuring
@@ -67,6 +75,17 @@ pub fn collect(snap: &mut MetricsSnapshot) {
     KERNEL_RUNS.observe(snap);
     SIMULATED_CYCLES.observe(snap);
     SIMULATED_INSTRUCTIONS.observe(snap);
+    TIMING_MEMO_LOOKUPS.observe(snap);
+    TIMING_MEMO_HITS.observe(snap);
+    let memo_lookups = TIMING_MEMO_LOOKUPS.get();
+    snap.append(
+        "power2.timing_memo.hit_rate",
+        MetricValue::Value(if memo_lookups == 0 {
+            0.0
+        } else {
+            TIMING_MEMO_HITS.get() as f64 / memo_lookups as f64
+        }),
+    );
     MEASURE.observe(snap);
     MEASURE_BATCH.observe(snap);
     MEASURE_THREADS.observe(snap);
@@ -92,6 +111,8 @@ pub fn reset() {
     KERNEL_RUNS.reset();
     SIMULATED_CYCLES.reset();
     SIMULATED_INSTRUCTIONS.reset();
+    TIMING_MEMO_LOOKUPS.reset();
+    TIMING_MEMO_HITS.reset();
     MEASURE.reset();
     MEASURE_BATCH.reset();
     MEASURE_THREADS.reset();
@@ -114,6 +135,9 @@ mod tests {
             "power2.kernel_runs",
             "power2.simulated_cycles",
             "power2.simulated_instructions",
+            "power2.timing_memo.lookups",
+            "power2.timing_memo.hits",
+            "power2.timing_memo.hit_rate",
             "power2.signature_measure",
             "power2.measure_batch",
             "power2.measure_threads",

@@ -2,11 +2,21 @@
 //!
 //! An in-order, dual-FXU / dual-FPU machine with a 4-wide dispatching ICU.
 //! The simulator decodes a kernel's loop body once per run into a flat
-//! micro-op table and replays it instruction by instruction, tracking
+//! micro-op table and replays it iteration by iteration, tracking
 //! per-register readiness (a scoreboard), per-unit occupancy, the global
 //! halt a D-cache or TLB miss imposes (paper §5: "execution may halt for
 //! 8 cycles"), and the FPU0-first dispatch policy the paper uses to
 //! explain the 1.7 FPU0/FPU1 asymmetry.
+//!
+//! Each iteration runs in two parts. The memory pass walks the body's
+//! storage references in program order through the address generators,
+//! TLB and D-cache, with the TLB-penalty draws; none of that depends on
+//! timing. The timing routine then dispatches and issues the body with
+//! each reference's outcome given. In front of the routine sits the run's
+//! timing memo (`memo`), which replays the effect of an iteration whose
+//! timing it has seen before in the same run; a body too short for the
+//! memo to pay calls the routine directly. The interleaved loop these
+//! replaced is kept as a test oracle (`oracle`).
 
 use crate::cache::Cache;
 use crate::config::{FpuDispatch, MachineConfig};
@@ -16,6 +26,12 @@ use sp2_isa::inst::MAX_SRCS;
 use sp2_isa::op::{BrKind, FpOp, FxOp, Op};
 use sp2_isa::reg::{RegId, SCOREBOARD_SLOTS};
 use sp2_isa::{AddrGen, Inst, Kernel};
+
+mod memo;
+#[cfg(test)]
+mod oracle;
+
+use memo::TimingMemo;
 
 /// How many cycles of already-dispatched work the ICU's buffering lets
 /// dispatch run ahead of issue (dispatch queue elasticity).
@@ -109,36 +125,6 @@ const ZERO_SLOT: u8 = SCOREBOARD_SLOTS as u8;
 const DISCARD_SLOT: u8 = SCOREBOARD_SLOTS as u8 + 1;
 /// The architectural registers plus [`ZERO_SLOT`] and [`DISCARD_SLOT`].
 const READY_SLOTS: usize = SCOREBOARD_SLOTS + 2;
-
-/// The signals one FPU's work lands on.
-struct FpuSignals {
-    exec: Signal,
-    add: Signal,
-    mul: Signal,
-    div: Signal,
-    fma: Signal,
-    sqrt: Signal,
-}
-
-/// FPU0's signals, then FPU1's.
-const FPU_SIGNALS: [FpuSignals; 2] = [
-    FpuSignals {
-        exec: Signal::Fpu0Exec,
-        add: Signal::Fpu0Add,
-        mul: Signal::Fpu0Mul,
-        div: Signal::Fpu0Div,
-        fma: Signal::Fpu0Fma,
-        sqrt: Signal::Fpu0Sqrt,
-    },
-    FpuSignals {
-        exec: Signal::Fpu1Exec,
-        add: Signal::Fpu1Add,
-        mul: Signal::Fpu1Mul,
-        div: Signal::Fpu1Div,
-        fma: Signal::Fpu1Fma,
-        sqrt: Signal::Fpu1Sqrt,
-    },
-];
 
 /// What a decoded instruction executes on, with its per-op constants.
 #[derive(Debug, Clone, Copy)]
@@ -243,13 +229,128 @@ fn scoreboard_slot(reg: RegId) -> u8 {
     i as u8
 }
 
-/// Everything one loop iteration reads or writes besides the node's own
-/// caches/TLB/RNG: address generators, event accumulators, the register
-/// scoreboard, unit occupancy, and dispatch bookkeeping.
+/// The signals of the unit that takes work first in each twin pair
+/// (FXU0, then FPU0's six), in [`Pipeline::unit0`]'s order.
+const UNIT0_SIGNALS: [Signal; UNIT0_TALLIES] = [
+    Signal::Fxu0Exec,
+    Signal::Fpu0Exec,
+    Signal::Fpu0Add,
+    Signal::Fpu0Mul,
+    Signal::Fpu0Div,
+    Signal::Fpu0Fma,
+    Signal::Fpu0Sqrt,
+];
+/// The twins of [`UNIT0_SIGNALS`]: what a pair does not count on its
+/// first unit lands here.
+const UNIT1_SIGNALS: [Signal; UNIT0_TALLIES] = [
+    Signal::Fxu1Exec,
+    Signal::Fpu1Exec,
+    Signal::Fpu1Add,
+    Signal::Fpu1Mul,
+    Signal::Fpu1Div,
+    Signal::Fpu1Fma,
+    Signal::Fpu1Sqrt,
+];
+/// Tallies in [`Pipeline::unit0`]: ops on FXU0, then FPU0's exec, add,
+/// mul, div, fma and sqrt counts.
+const UNIT0_TALLIES: usize = 7;
+/// [`Pipeline::unit0`] index of FXU0's ops and of FPU0's exec count.
+const FXU0_OPS: usize = 0;
+const FPU0_EXEC: usize = 1;
+
+/// Counts an FPU op in `tallies` ([`Pipeline::unit0`]'s layout): exec,
+/// and its arithmetic. HPM accounting: the fma multiply lands in the fma
+/// count, the fma add in the add count (paper §5).
+#[inline(always)]
+fn tally_fp(tallies: &mut [u64; UNIT0_TALLIES], op: FpOp) {
+    tallies[FPU0_EXEC] += 1;
+    match op {
+        FpOp::Add => tallies[2] += 1,
+        FpOp::Mul => tallies[3] += 1,
+        FpOp::Div => tallies[4] += 1,
+        FpOp::Fma => {
+            tallies[5] += 1;
+            tallies[2] += 1;
+        }
+        FpOp::Sqrt => tallies[6] += 1,
+        FpOp::Move | FpOp::Cmp => {}
+    }
+}
+
+/// A kernel's loop body decoded for one run, with what the timing memo
+/// needs to know about it.
 #[derive(Debug)]
-struct LoopState {
-    gens: Vec<AddrGen>,
-    events: EventSet,
+struct Body {
+    ops: Vec<MicroOp>,
+    /// Each storage reference's generator slot and store flag, in
+    /// program order.
+    refs: Vec<(u16, bool)>,
+    /// Scoreboard slots the body reads before it writes them, in first
+    /// read order: the only scoreboard state an iteration's timing reads.
+    live_ins: Vec<u8>,
+    /// Scoreboard slots the body writes, each once.
+    writes: Vec<u8>,
+    /// Work per iteration on each twin-unit tally, both units together.
+    unit_work: [u64; UNIT0_TALLIES],
+    /// Events every iteration counts whatever its timing: fetch groups,
+    /// storage references and ICU ops.
+    per_iter: EventSet,
+}
+
+impl Body {
+    fn decode(kernel: &Kernel, config: &MachineConfig) -> Self {
+        let ops: Vec<MicroOp> = kernel
+            .body
+            .iter()
+            .map(|inst| MicroOp::decode(inst, config))
+            .collect();
+        let mut refs = Vec::new();
+        let mut live_ins = Vec::new();
+        let mut writes = Vec::new();
+        let mut unit_work = [0; UNIT0_TALLIES];
+        let mut per_iter = EventSet::new();
+        per_iter.bump(Signal::InstFetches, (ops.len() as u64).div_ceil(8));
+        for op in &ops {
+            for &src in &op.srcs {
+                if src != ZERO_SLOT && !writes.contains(&src) && !live_ins.contains(&src) {
+                    live_ins.push(src);
+                }
+            }
+            for &dst in &op.dsts {
+                if dst != DISCARD_SLOT && !writes.contains(&dst) {
+                    writes.push(dst);
+                }
+            }
+            match op.class {
+                Class::Alu { .. } => unit_work[FXU0_OPS] += 1,
+                Class::Mem { slot, store } => {
+                    unit_work[FXU0_OPS] += 1;
+                    refs.push((slot, store));
+                    per_iter.bump(Signal::StorageRefs, 1);
+                }
+                Class::Fp { op, .. } => tally_fp(&mut unit_work, op),
+                Class::Icu { signal, .. } => per_iter.bump(signal, 1),
+            }
+        }
+        Body {
+            ops,
+            refs,
+            live_ins,
+            writes,
+            unit_work,
+            per_iter,
+        }
+    }
+}
+
+/// How many times [`Pipeline::horizons`] lists.
+const HORIZONS: usize = 6;
+
+/// The pipeline state the timing routine reads and writes: the register
+/// scoreboard, unit occupancy, dispatch bookkeeping, and the work split
+/// between twin units.
+#[derive(Debug)]
+struct Pipeline {
     /// Per-register readiness (cycle at which the value is available):
     /// the architectural registers first, then [`ZERO_SLOT`] and
     /// [`DISCARD_SLOT`], which carry no machine state.
@@ -259,62 +360,87 @@ struct LoopState {
     fxu1_free: u64,
     fpu0_free: u64,
     fpu1_free: u64,
-    fpu_rr_toggle: bool,
-    // Dispatch bookkeeping.
-    /// Current dispatch cycle.
-    cycle: u64,
-    disp_in_cycle: u64,
     /// Global memory halt.
     stall_until: u64,
     /// In-order issue horizon.
     last_issue: u64,
+    fpu_rr_toggle: bool,
+    /// Current dispatch cycle.
+    cycle: u64,
+    /// Instructions dispatched in the current cycle (the dispatch slot).
+    disp_in_cycle: u64,
     /// Completion horizon.
     end_of_work: u64,
     stall_cycles: u64,
-    instructions: u64,
+    /// Work counted on the first unit of each twin pair
+    /// ([`UNIT0_SIGNALS`]).
+    unit0: [u64; UNIT0_TALLIES],
 }
 
-impl LoopState {
-    fn new(kernel: &Kernel) -> Self {
-        LoopState {
-            gens: kernel.addr_gens.clone(),
-            events: EventSet::new(),
+impl Pipeline {
+    fn new() -> Self {
+        Pipeline {
             ready: [0; READY_SLOTS],
             fxu0_free: 0,
             fxu1_free: 0,
             fpu0_free: 0,
             fpu1_free: 0,
+            stall_until: 0,
+            last_issue: 0,
             fpu_rr_toggle: false,
             cycle: 0,
             disp_in_cycle: 0,
-            stall_until: 0,
-            last_issue: 0,
             end_of_work: 0,
             stall_cycles: 0,
-            instructions: 0,
+            unit0: [0; UNIT0_TALLIES],
         }
+    }
+
+    /// The unit-free times, the memory halt and the issue horizon. None
+    /// of them ever moves backwards.
+    fn horizons(&self) -> [u64; HORIZONS] {
+        [
+            self.fxu0_free,
+            self.fxu1_free,
+            self.fpu0_free,
+            self.fpu1_free,
+            self.stall_until,
+            self.last_issue,
+        ]
+    }
+
+    /// [`Pipeline::horizons`], to write.
+    fn horizons_mut(&mut self) -> [&mut u64; HORIZONS] {
+        [
+            &mut self.fxu0_free,
+            &mut self.fxu1_free,
+            &mut self.fpu0_free,
+            &mut self.fpu1_free,
+            &mut self.stall_until,
+            &mut self.last_issue,
+        ]
     }
 
     /// Issues a fixed-point op on FXU0 (`fxu0`) or FXU1 once its operands
     /// are ready at `ready_at`, keeping the unit busy for `occupancy`
     /// cycles; returns the issue cycle.
-    #[inline]
+    #[inline(always)]
     fn issue_fx(&mut self, fxu0: bool, ready_at: u64, occupancy: u64) -> u64 {
-        let (unit_free, signal) = if fxu0 {
-            (&mut self.fxu0_free, Signal::Fxu0Exec)
+        let unit_free = if fxu0 {
+            &mut self.fxu0_free
         } else {
-            (&mut self.fxu1_free, Signal::Fxu1Exec)
+            &mut self.fxu1_free
         };
         let issue = ready_at.max(*unit_free);
         *unit_free = issue + occupancy;
-        self.events.bump(signal, 1);
+        self.unit0[FXU0_OPS] += u64::from(fxu0);
         issue
     }
 
     /// Issues an FPU op once its operands are ready at `ready_at`,
-    /// keeping the unit busy for `occupancy` cycles and counting the op
-    /// on that unit's signals; returns the issue cycle.
-    #[inline]
+    /// keeping the unit busy for `occupancy` cycles; returns the issue
+    /// cycle.
+    #[inline(always)]
     fn issue_fp(&mut self, dispatch: FpuDispatch, op: FpOp, ready_at: u64, occupancy: u64) -> u64 {
         // FPU0-first policy (paper §5): instructions go to FPU0 until it
         // is tied up (a dependency is keeping it busy or a multicycle op
@@ -330,28 +456,108 @@ impl LoopState {
                     || (self.fpu1_free > ready_at && self.fpu0_free <= self.fpu1_free)
             }
         };
-        let (unit_free, sig) = if fpu0 {
-            (&mut self.fpu0_free, &FPU_SIGNALS[0])
+        let unit_free = if fpu0 {
+            &mut self.fpu0_free
         } else {
-            (&mut self.fpu1_free, &FPU_SIGNALS[1])
+            &mut self.fpu1_free
         };
         let issue = ready_at.max(*unit_free);
         *unit_free = issue + occupancy;
-        self.events.bump(sig.exec, 1);
-        match op {
-            FpOp::Add => self.events.bump(sig.add, 1),
-            FpOp::Mul => self.events.bump(sig.mul, 1),
-            // HPM accounting: the fma multiply lands in the fma count, the
-            // fma add in the add count (paper §5).
-            FpOp::Fma => {
-                self.events.bump(sig.fma, 1);
-                self.events.bump(sig.add, 1);
-            }
-            FpOp::Div => self.events.bump(sig.div, 1),
-            FpOp::Sqrt => self.events.bump(sig.sqrt, 1),
-            FpOp::Move | FpOp::Cmp => {}
+        if fpu0 {
+            tally_fp(&mut self.unit0, op);
         }
         issue
+    }
+
+    /// The timing routine: dispatches and issues one iteration of `ops`,
+    /// each storage reference taking the next of the outcome codes the
+    /// memory pass wrote (`outcomes`, see [`Node::reference`]).
+    /// Returns the iteration's latest completion; the caller folds it
+    /// into [`Pipeline::end_of_work`].
+    #[inline(always)]
+    fn time_iteration(&mut self, ops: &[MicroOp], outcomes: &[u64], config: &MachineConfig) -> u64 {
+        let mut outcomes = outcomes.iter();
+        let mut last_done = 0;
+        for op in ops {
+            // --- dispatch ------------------------------------------
+            if self.disp_in_cycle >= config.dispatch_width {
+                self.cycle += 1;
+                self.disp_in_cycle = 0;
+            }
+            if self.stall_until > self.cycle {
+                self.stall_cycles += self.stall_until - self.cycle;
+                self.cycle = self.stall_until;
+                self.disp_in_cycle = 0;
+            }
+            // Dispatch cannot run unboundedly ahead of issue.
+            if self.last_issue > self.cycle + DISPATCH_LEAD {
+                self.cycle = self.last_issue - DISPATCH_LEAD;
+                self.disp_in_cycle = 0;
+            }
+            let d = self.cycle;
+            self.disp_in_cycle += 1;
+
+            // --- operand readiness ---------------------------------
+            let mut r = d;
+            for &src in &op.srcs {
+                r = r.max(self.ready[src as usize]);
+            }
+
+            // --- issue & execute ------------------------------------
+            let (issue, done) = match op.class {
+                Class::Alu { fxu1_only } => {
+                    // The unit free earlier takes the op; ties go to FXU0,
+                    // which also explains why FXU0 retires more
+                    // instructions once miss handling is added.
+                    let fxu0 = !fxu1_only && self.fxu0_free <= self.fxu1_free;
+                    let issue = self.issue_fx(fxu0, r, op.occupancy);
+                    (issue, issue + op.occupancy)
+                }
+                Class::Mem { store, .. } => {
+                    let fxu0 = self.fxu0_free <= self.fxu1_free;
+                    let issue = self.issue_fx(fxu0, r, op.occupancy);
+                    let outcome = outcomes.next().copied().unwrap_or(0);
+                    let penalty = outcome >> 1;
+                    if outcome != 0 {
+                        if outcome & 1 != 0 {
+                            // FXU0 administers the reload regardless of
+                            // which unit issued the reference (paper §5:
+                            // FXU0 "has additional responsibility in
+                            // handling cache misses").
+                            let reload = issue + config.fxu0_miss_occupancy;
+                            self.fxu0_free = self.fxu0_free.max(reload);
+                        }
+                        if penalty > 0 {
+                            // The reference halts execution until satisfied.
+                            self.stall_until = self.stall_until.max(issue + penalty);
+                        }
+                    }
+                    // Stores complete into the (now-resident) line; the
+                    // FPU store-overlap hardware hides their latency.
+                    let done = if store {
+                        issue + 1
+                    } else {
+                        issue + penalty + config.load_hit_latency
+                    };
+                    (issue, done)
+                }
+                Class::Fp { op: fp, latency } => {
+                    let issue = self.issue_fp(config.fpu_dispatch, fp, r, op.occupancy);
+                    (issue, issue + latency)
+                }
+                Class::Icu { latency, .. } => (r, r + latency),
+            };
+
+            // In-order issue: never issue before a predecessor; a
+            // resolving conditional branch additionally holds up
+            // everything behind it.
+            self.last_issue = issue.max(self.last_issue) + op.bubble;
+            last_done = last_done.max(done);
+            for &dst in &op.dsts {
+                self.ready[dst as usize] = done;
+            }
+        }
+        last_done
     }
 }
 
@@ -429,174 +635,124 @@ impl Node {
         self.run(run.into().kernel)
     }
 
-    /// [`Node::run_kernel`]'s body, not generic, so the dispatch loop is
-    /// compiled once, in this crate, whatever the caller passes.
+    /// [`Node::run_kernel`]'s body, not generic, so the loop is compiled
+    /// once, in this crate, whatever the caller passes.
     fn run(&mut self, kernel: &Kernel) -> KernelReport {
-        let ops: Vec<MicroOp> = kernel
-            .body
-            .iter()
-            .map(|inst| MicroOp::decode(inst, &self.config))
-            .collect();
-        let mut st = LoopState::new(kernel);
-        let fetch_groups_per_iter = (kernel.body.len() as u64).div_ceil(8);
-        let icache_lines = (self.config.icache.bytes / self.config.icache.line_bytes) as u32;
-        for iter in 0..kernel.iters {
-            self.step_iteration(
-                kernel,
-                &ops,
-                &mut st,
-                iter,
-                fetch_groups_per_iter,
-                icache_lines,
-            );
-        }
-
-        let cycles = st.end_of_work.max(st.cycle) + 1;
-        st.events.bump(Signal::Cycles, cycles);
-        st.events.bump(Signal::FxuStallCycles, st.stall_cycles);
+        let (stats, memo) = self.simulate(kernel);
         crate::metrics::KERNEL_RUNS.inc();
-        crate::metrics::SIMULATED_CYCLES.add(cycles);
-        crate::metrics::SIMULATED_INSTRUCTIONS.add(st.instructions);
-        KernelReport {
-            stats: RunStats {
-                events: st.events,
-                cycles,
-                instructions: st.instructions,
-                stall_cycles: st.stall_cycles,
-            },
+        crate::metrics::SIMULATED_CYCLES.add(stats.cycles);
+        crate::metrics::SIMULATED_INSTRUCTIONS.add(stats.instructions);
+        if let Some(memo) = memo {
+            crate::metrics::TIMING_MEMO_LOOKUPS.add(memo.lookups);
+            crate::metrics::TIMING_MEMO_HITS.add(memo.hits);
         }
+        KernelReport { stats }
     }
 
-    /// Steps one loop iteration through fetch, dispatch, and execute.
-    fn step_iteration(
-        &mut self,
-        kernel: &Kernel,
-        ops: &[MicroOp],
-        st: &mut LoopState,
-        iter: u64,
-        fetch_groups_per_iter: u64,
-        icache_lines: u32,
-    ) {
-        // --- instruction fetch & I-cache ---------------------------
-        st.events.bump(Signal::InstFetches, fetch_groups_per_iter);
-        if iter == 0 {
-            // Cold code fetch: the whole routine footprint streams in.
-            st.events
-                .bump(Signal::IcacheReload, kernel.code_lines as u64);
-        } else if kernel.routine_period > 0
-            && iter.is_multiple_of(kernel.routine_period as u64)
-            && kernel.code_lines > 0
-        {
-            // Switching to another routine of the same code. Only a
-            // footprint larger than the I-cache actually refetches.
-            let total_footprint = kernel.code_lines.saturating_mul(2);
-            if total_footprint > icache_lines {
-                st.events
-                    .bump(Signal::IcacheReload, kernel.code_lines as u64);
-            }
-        }
-        st.instructions += ops.len() as u64;
-
-        for op in ops {
-            // --- dispatch ------------------------------------------
-            if st.disp_in_cycle >= self.config.dispatch_width {
-                st.cycle += 1;
-                st.disp_in_cycle = 0;
-            }
-            if st.stall_until > st.cycle {
-                st.stall_cycles += st.stall_until - st.cycle;
-                st.cycle = st.stall_until;
-                st.disp_in_cycle = 0;
-            }
-            // Dispatch cannot run unboundedly ahead of issue.
-            if st.last_issue > st.cycle + DISPATCH_LEAD {
-                st.cycle = st.last_issue - DISPATCH_LEAD;
-                st.disp_in_cycle = 0;
-            }
-            let d = st.cycle;
-            st.disp_in_cycle += 1;
-
-            // --- operand readiness ---------------------------------
-            let mut r = d;
-            for &src in &op.srcs {
-                r = r.max(st.ready[src as usize]);
-            }
-
-            // --- issue & execute ------------------------------------
-            let (issue, done) = match op.class {
-                Class::Alu { fxu1_only } => {
-                    // The unit free earlier takes the op; ties go to FXU0,
-                    // which also explains why FXU0 retires more
-                    // instructions once miss handling is added.
-                    let fxu0 = !fxu1_only && st.fxu0_free <= st.fxu1_free;
-                    let issue = st.issue_fx(fxu0, r, op.occupancy);
-                    (issue, issue + op.occupancy)
-                }
-                Class::Mem { slot, store } => {
-                    let fxu0 = st.fxu0_free <= st.fxu1_free;
-                    let issue = st.issue_fx(fxu0, r, op.occupancy);
-                    let penalty = self.reference(st, slot, store, issue);
-                    // Stores complete into the (now-resident) line; the
-                    // FPU store-overlap hardware hides their latency.
-                    let done = if store {
-                        issue + 1
-                    } else {
-                        issue + penalty + self.config.load_hit_latency
-                    };
-                    (issue, done)
-                }
-                Class::Fp { op: fp, latency } => {
-                    let issue = st.issue_fp(self.config.fpu_dispatch, fp, r, op.occupancy);
-                    (issue, issue + latency)
-                }
-                Class::Icu { signal, latency } => {
-                    st.events.bump(signal, 1);
-                    (r, r + latency)
-                }
+    /// Simulates `kernel`: each iteration runs its memory pass, then its
+    /// timing, through the memo when the body has one. Returns the run's
+    /// stats and its memo.
+    fn simulate(&mut self, kernel: &Kernel) -> (RunStats, Option<TimingMemo>) {
+        let body = Body::decode(kernel, &self.config);
+        let mut events = EventSet::new();
+        let mut pipe = Pipeline::new();
+        let mut memo = TimingMemo::for_body(&body);
+        let config = self.config;
+        let mut gens = kernel.addr_gens.clone();
+        let mut outcomes = vec![0; body.refs.len()];
+        for _ in 0..kernel.iters {
+            self.memory_pass(&body.refs, &mut gens, &mut events, &mut outcomes);
+            let last_done = match memo.as_mut() {
+                Some(memo) => memo.time(&body, &outcomes, &mut pipe, &config),
+                None => pipe.time_iteration(&body.ops, &outcomes, &config),
             };
+            pipe.end_of_work = pipe.end_of_work.max(last_done);
+        }
 
-            // In-order issue: never issue before a predecessor; a
-            // resolving conditional branch additionally holds up
-            // everything behind it.
-            st.last_issue = issue.max(st.last_issue) + op.bubble;
-            st.end_of_work = st.end_of_work.max(done);
-            for &dst in &op.dsts {
-                st.ready[dst as usize] = done;
-            }
+        let iters = kernel.iters;
+        let icache_lines = (self.config.icache.bytes / self.config.icache.line_bytes) as u32;
+        events.bump(Signal::IcacheReload, icache_reloads(kernel, icache_lines));
+        events += body.per_iter.scaled(iters, 1);
+        for (i, &work) in body.unit_work.iter().enumerate() {
+            events.bump(UNIT0_SIGNALS[i], pipe.unit0[i]);
+            events.bump(UNIT1_SIGNALS[i], work * iters - pipe.unit0[i]);
+        }
+        let cycles = pipe.end_of_work.max(pipe.cycle) + 1;
+        events.bump(Signal::Cycles, cycles);
+        events.bump(Signal::FxuStallCycles, pipe.stall_cycles);
+        let stats = RunStats {
+            events,
+            cycles,
+            instructions: body.ops.len() as u64 * iters,
+            stall_cycles: pipe.stall_cycles,
+        };
+        (stats, memo)
+    }
+
+    /// The memory pass: runs one iteration's storage references `refs`
+    /// in program order (see [`Node::reference`]), writing each one's
+    /// outcome code to `outcomes`.
+    #[inline(always)]
+    fn memory_pass(
+        &mut self,
+        refs: &[(u16, bool)],
+        gens: &mut [AddrGen],
+        events: &mut EventSet,
+        outcomes: &mut [u64],
+    ) {
+        for (&(slot, store), outcome) in refs.iter().zip(outcomes) {
+            *outcome = self.reference(gens, events, slot, store);
         }
     }
 
-    /// Performs the storage reference of a memory op issued at `issue`
-    /// through generator `slot`: TLB, then D-cache. Returns the cycles
-    /// the reference halts execution for (0 on a double hit).
-    #[inline]
-    fn reference(&mut self, st: &mut LoopState, slot: u16, store: bool, issue: u64) -> u64 {
-        st.events.bump(Signal::StorageRefs, 1);
-        let addr = st.gens[slot as usize].next_addr();
+    /// One storage reference of the memory pass: the next address of
+    /// generator `slot`, through the TLB and the D-cache, counting its
+    /// events. None of it depends on timing. Returns the reference's
+    /// outcome code: the cycles it halts execution for, shifted left
+    /// once, with the low bit set on a D-cache miss (FXU0 then
+    /// administers the reload). A code of 0 times like a double hit.
+    #[inline(always)]
+    fn reference(
+        &mut self,
+        gens: &mut [AddrGen],
+        events: &mut EventSet,
+        slot: u16,
+        store: bool,
+    ) -> u64 {
+        let addr = gens[slot as usize].next_addr();
         let mut penalty = 0;
         if !self.tlb.access(addr) {
-            st.events.bump(Signal::TlbMiss, 1);
+            events.bump(Signal::TlbMiss, 1);
             penalty += self.draw_tlb_penalty();
         }
-        let out = self.dcache.access(addr, store);
-        if !out.hit {
-            st.events.bump(Signal::DcacheMiss, 1);
-            st.events.bump(Signal::DcacheReload, 1);
+        let access = self.dcache.access(addr, store);
+        if !access.hit {
+            events.bump(Signal::DcacheMiss, 1);
+            events.bump(Signal::DcacheReload, 1);
             penalty += self.config.dcache_miss_penalty;
-            // FXU0 administers the reload regardless of which unit
-            // issued the reference (paper §5: FXU0 "has additional
-            // responsibility in handling cache misses").
-            st.fxu0_free = st.fxu0_free.max(issue + self.config.fxu0_miss_occupancy);
         }
-        if out.memory_write {
-            st.events.bump(Signal::DcacheStore, 1);
+        if access.memory_write {
+            events.bump(Signal::DcacheStore, 1);
         }
-        if penalty > 0 {
-            // The reference halts execution until satisfied.
-            st.stall_until = st.stall_until.max(issue + penalty);
-        }
-        penalty
+        penalty << 1 | u64::from(!access.hit)
     }
+}
+
+/// I-cache lines a run of `kernel` reloads: its whole routine footprint
+/// streams in cold on the first iteration, and each switch to another
+/// routine of the same code (every `routine_period` iterations) refetches
+/// it when the total footprint exceeds the I-cache's `icache_lines`.
+fn icache_reloads(kernel: &Kernel, icache_lines: u32) -> u64 {
+    if kernel.iters == 0 {
+        return 0;
+    }
+    let period = u64::from(kernel.routine_period);
+    let switches = if period > 0 && kernel.code_lines.saturating_mul(2) > icache_lines {
+        (kernel.iters - 1) / period
+    } else {
+        0
+    };
+    u64::from(kernel.code_lines) * (1 + switches)
 }
 
 #[cfg(test)]

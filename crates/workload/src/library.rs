@@ -17,8 +17,15 @@ use rand::{Rng, SeedableRng};
 use sp2_isa::Kernel;
 use sp2_power2::{FastForward, KernelSignature, MachineConfig, SignatureCache};
 
-/// Iterations used when measuring each kernel variant. Long enough that
-/// cold-start effects vanish below 1 %.
+/// Iterations used when measuring each kernel variant, from a cold cache
+/// and TLB. Long enough that the cold start moves the flop rate of every
+/// library kernel by under 1 %, except blocked matmul: 3.666 flops per
+/// cycle cold against 3.765 in steady state (244.5 against 251.1
+/// Mflops), because every miss it reports is a cold miss. Not long
+/// enough for miss and castout rates: BLAS3 scatter's D-cache misses
+/// read 15 % high, and castouts read low (spectral by 24 %, BLAS3 by
+/// 13 %) since they start only once the cache holds dirty lines. The
+/// library digests depend on this value.
 const MEASURE_ITERS: u64 = 60_000;
 
 /// The full palette of programs and their measured signatures.

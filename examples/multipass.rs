@@ -38,9 +38,11 @@ fn main() {
     }
 
     // Run the kernel once per pass (a stationary workload, as multipass
-    // assumes), each pass observing only its configured signals. A signal
-    // watched in `coverage` of the `n` passes is scaled by n / coverage,
-    // the standard multipass correction under that assumption.
+    // assumes), each pass on its own seed and observing only its
+    // configured signals. A signal watched in `coverage` of the `n` passes
+    // is scaled by n / coverage, the standard multipass correction under
+    // that assumption, so the estimate is a total over all n passes; the
+    // truth is every signal counted in every pass.
     let machine = MachineConfig::nas_sp2();
     let kernel = cfd_kernel("cfd-multipass", &CfdKernelParams::default(), 50_000);
     let n = plan.passes().len() as u64;
@@ -49,9 +51,7 @@ fn main() {
     for (i, pass) in plan.passes().iter().enumerate() {
         let mut node = Node::with_seed(machine, 100 + i as u64);
         let stats = node.run_kernel(&kernel);
-        if i == 0 {
-            truth = stats.events;
-        }
+        truth += stats.events;
         for s in pass.signals() {
             let coverage = plan.coverage(s) as u64;
             estimate.bump(s, stats.events.get(s) * n / coverage);

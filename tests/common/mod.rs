@@ -15,10 +15,21 @@ fn small_mix() -> JobMix {
 }
 
 /// A campaign on a small machine (tests run unoptimized; eight nodes
-/// keep a month of simulated time affordable). `seed` picks the trace,
-/// so two threads can run different campaigns, and `faulted` turns the
-/// fault plan on.
+/// keep a month of simulated time affordable), on the reference engine.
+/// `seed` picks the trace, so two threads can run different campaigns,
+/// and `faulted` turns the fault plan on.
 pub fn small_campaign(days: u32, seed: u64, faulted: bool) -> CampaignResult {
+    small_campaign_on(EngineKind::Reference, days, seed, faulted)
+}
+
+/// [`small_campaign`] on `engine`, with the default engine settings: the
+/// batch engine elides runs of steady sweeps.
+pub fn small_campaign_on(
+    engine: EngineKind,
+    days: u32,
+    seed: u64,
+    faulted: bool,
+) -> CampaignResult {
     let config = ClusterConfig::builder()
         .nodes(8)
         .drain_threshold(4)
@@ -37,7 +48,7 @@ pub fn small_campaign(days: u32, seed: u64, faulted: bool) -> CampaignResult {
         FaultPlan::none()
     };
     Campaign::new(&config, &library, &jobs, days, &faults)
-        .engine(EngineConfig::default().engine(EngineKind::Reference))
+        .engine(EngineConfig::default().engine(engine))
         .run()
         .expect("campaign runs")
 }

@@ -1,18 +1,32 @@
 //! The flight recorder's contract, end to end: recording observes the
 //! campaign without perturbing it (results bit-identical with the
 //! recorder on or off), the interval time series
-//! covers a month-scale campaign without ring drops, and the Chrome
-//! trace export round-trips through the JSON parser with every phase and
-//! job span intact and zero silently-dropped events.
+//! covers a month-scale campaign without ring drops, a batch-engine
+//! campaign files each elided sweep and its advance under its own
+//! interval, and the Chrome trace export round-trips through the JSON
+//! parser with every phase and job span intact and zero
+//! silently-dropped events.
 
 mod common;
 
-use common::{assert_same_campaign, small_campaign};
+use common::{assert_same_campaign, small_campaign, small_campaign_on};
+use sp2_repro::cluster::EngineKind;
 use sp2_repro::core::{metrics, timeline, Json};
-use sp2_repro::trace::Recording;
+use sp2_repro::trace::recorder::IntervalSample;
+use sp2_repro::trace::{MetricValue, Recording};
 
 fn new_recording() -> Recording {
     Recording::new(1, metrics::snapshot)
+}
+
+/// An interval's count of `name`: a counter's delta, or the spans a
+/// timer closed.
+fn count(sample: &IntervalSample, name: &str) -> u64 {
+    match sample.deltas.iter().find(|(n, _)| n.as_ref() == name) {
+        Some((_, MetricValue::Count(n))) => *n,
+        Some((_, MetricValue::Duration { count, .. })) => *count,
+        other => panic!("{name}: {other:?}"),
+    }
 }
 
 /// One test (not several): the interval series differences metric
@@ -76,6 +90,38 @@ fn recorder_is_invisible_bounded_and_exportable() {
         parsed.get("schema").and_then(Json::as_str),
         Some(timeline::SCHEMA)
     );
+
+    // --- Batch engine with sweep elision: every sweep its interval. --
+    // A replayed run counts each elided sweep in that sweep's own
+    // interval, and the jump's advance lands in the run's first one.
+    let recording = new_recording();
+    let batch = recording.run(|| small_campaign_on(EngineKind::Batch, 8, 7, false));
+    let series = recording.series();
+    assert_eq!(series.dropped, 0);
+    assert_eq!(series.samples.len(), batch.samples.len() - 1);
+    let elided: Vec<u64> = series
+        .samples
+        .iter()
+        .map(|s| count(s, "cluster.sweeps_elided"))
+        .collect();
+    assert!(
+        elided.iter().sum::<u64>() > 0,
+        "the batch campaign elided no sweeps"
+    );
+    for (i, sample) in series.samples.iter().enumerate() {
+        assert_eq!(count(sample, "cluster.sweeps"), 1, "interval {i}");
+        assert!(
+            elided[i] <= 1,
+            "interval {i} holds {} elided sweeps",
+            elided[i]
+        );
+        if elided[i] == 1 && (i == 0 || elided[i - 1] == 0) {
+            assert!(
+                count(sample, "cluster.phase.advance") > 0,
+                "elided run starting at interval {i} carries no advance"
+            );
+        }
+    }
 
     // --- Chrome trace export from a short faulted campaign. -------
     // A fresh, shorter recording so the default event capacity holds
