@@ -10,11 +10,10 @@
 //! 8. write-back vs write-through D-cache (Table 1's `dcache_store`
 //!    castout semantics exist only under write-back).
 //!
-//! Each ablation prints its comparison, then Criterion measures the
-//! underlying simulation path.
+//! Each ablation prints one `[ablation N]` line with its comparison.
+//! Run with `cargo bench -p sp2-bench --bench ablations`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use sp2_cluster::{Campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan, PagingModel};
+use sp2_cluster::{Campaign, ClusterConfig, FaultPlan, PagingModel};
 use sp2_core::experiments::{experiment, ExperimentInput};
 use sp2_core::Json;
 use sp2_hpm::{nas_selection, EventSet, Hpm, Mode, Signal};
@@ -133,10 +132,8 @@ fn print_cluster_ablations() {
 
     let configs = [ClusterConfig::default(), no_paging, no_drain];
     let none = FaultPlan::none();
-    let reference = EngineConfig::default().engine(EngineKind::Reference);
     let results = workers::map_indexed(configs.len(), workers::available(), |i| {
         Campaign::new(&configs[i], &library, &jobs, spec.days, &none)
-            .engine(reference)
             .run()
             .expect("campaign runs")
     });
@@ -171,24 +168,8 @@ fn print_cluster_ablations() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_microarch_ablations();
     print_write_policy_ablation();
     print_cluster_ablations();
-
-    let base = MachineConfig::nas_sp2();
-    let mut rr = base;
-    rr.fpu_dispatch = FpuDispatch::RoundRobin;
-    let cfd = cfd_kernel("bench-ablate", &CfdKernelParams::default(), 5_000);
-    let mut g = c.benchmark_group("ablations");
-    g.bench_function("cfd_fpu0_first", |b| {
-        b.iter(|| Node::with_seed(base, 1).run_kernel(&cfd))
-    });
-    g.bench_function("cfd_round_robin", |b| {
-        b.iter(|| Node::with_seed(rr, 1).run_kernel(&cfd))
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,4 +1,4 @@
-use sp2_cluster::{Campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan};
+use sp2_cluster::{Campaign, ClusterConfig, FaultPlan};
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 
 fn main() {
@@ -28,10 +28,7 @@ fn main() {
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
     eprintln!("{} jobs submitted", jobs.len());
     let t1 = std::time::Instant::now();
-    let r = match Campaign::new(&config, &library, &jobs, spec.days, &FaultPlan::none())
-        .engine(EngineConfig::default().engine(EngineKind::Reference))
-        .run()
-    {
+    let r = match Campaign::new(&config, &library, &jobs, spec.days, &FaultPlan::none()).run() {
         Ok(r) => r,
         Err(e) => {
             eprintln!("campaign failed: {e}");

@@ -41,7 +41,7 @@ pub use engine::{EngineConfig, EngineKind, NodeBank};
 pub use faults::{FaultPlan, Outage};
 pub use paging::PagingModel;
 pub use result::{CampaignResult, FaultSummary};
-pub use rotate::{plan_signals, plan_signals_with_passes, run_campaign_rotated, RotatedCampaign};
+pub use rotate::{run_campaign_rotated, RotatedCampaign};
 pub use sim::{
     run_campaign_cfg_cancellable, Campaign, CampaignError, CancelToken, ClusterConfig,
     ClusterConfigBuilder, ClusterConfigError,

@@ -38,9 +38,6 @@ pub static SCHEDULE: Timer = Timer::new("cluster.phase.schedule");
 /// Wall time of fault handling (node-down/node-up events).
 pub static FAULT_SWEEP: Timer = Timer::new("cluster.phase.faults");
 
-/// Wall time spent planning counter-group pass sequences.
-pub static PLAN: Timer = Timer::new("cluster.phase.plan");
-
 /// Wall time of rotated-campaign passes (one span per planned pass).
 pub static ROTATE: Timer = Timer::new("cluster.phase.rotate");
 
@@ -74,7 +71,6 @@ pub fn collect(snap: &mut MetricsSnapshot) {
     SAMPLE.observe(snap);
     SCHEDULE.observe(snap);
     FAULT_SWEEP.observe(snap);
-    PLAN.observe(snap);
     ROTATE.observe(snap);
     ROTATE_PASSES.observe(snap);
     TOPLEV_DISPATCH.observe(snap);
@@ -104,7 +100,6 @@ pub fn reset() {
     SAMPLE.reset();
     SCHEDULE.reset();
     FAULT_SWEEP.reset();
-    PLAN.reset();
     ROTATE.reset();
     ROTATE_PASSES.reset();
     TOPLEV_DISPATCH.reset();
@@ -131,7 +126,6 @@ mod tests {
             "cluster.phase.sample",
             "cluster.phase.schedule",
             "cluster.phase.faults",
-            "cluster.phase.plan",
             "cluster.phase.rotate",
             "cluster.rotate_passes",
             "cluster.toplev.dispatch",

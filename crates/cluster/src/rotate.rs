@@ -27,28 +27,9 @@ use crate::engine::EngineConfig;
 use crate::faults::FaultPlan;
 use crate::result::CampaignResult;
 use crate::sim::{Campaign, CampaignError, CancelToken, ClusterConfig};
-use sp2_hpm::{PlanError, SchedulePlan, Signal};
+use sp2_hpm::SchedulePlan;
 use sp2_rs2hpm::{reconstruct, ReconstructError, Reconstruction, SystemSample};
 use sp2_workload::{SubmittedJob, WorkloadLibrary};
-
-/// Plans the minimal pass sequence covering `wanted`, metered under the
-/// `cluster.phase.plan` timer.
-pub fn plan_signals(wanted: &[Signal]) -> SchedulePlan {
-    let _span = crate::metrics::PLAN.span();
-    let _ev = sp2_trace::events::span("toplev plan", "phase");
-    SchedulePlan::minimal(wanted)
-}
-
-/// Plans a pass sequence of exactly `n_passes` covering `wanted` (extra
-/// passes raise per-signal coverage), metered like [`plan_signals`].
-pub fn plan_signals_with_passes(
-    wanted: &[Signal],
-    n_passes: usize,
-) -> Result<SchedulePlan, PlanError> {
-    let _span = crate::metrics::PLAN.span();
-    let _ev = sp2_trace::events::span("toplev plan", "phase");
-    SchedulePlan::with_passes(wanted, n_passes)
-}
 
 /// A completed rotated campaign: the plan it executed and one full
 /// campaign result per pass, in plan order.
@@ -118,7 +99,7 @@ pub fn run_campaign_rotated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp2_hpm::nas_selection;
+    use sp2_hpm::{nas_selection, Signal};
     use sp2_workload::{trace, CampaignSpec, JobMix};
 
     fn small_setup() -> (ClusterConfig, WorkloadLibrary, Vec<SubmittedJob>, FaultPlan) {
@@ -148,7 +129,7 @@ mod tests {
         // a single pass equal to nas_selection itself, so the rotated
         // path must literally be one Campaign::run.
         let wanted: Vec<Signal> = nas_selection().slots().iter().map(|s| s.signal).collect();
-        let plan = plan_signals(&wanted);
+        let plan = SchedulePlan::minimal(&wanted);
         assert!(plan.is_single_pass());
         assert_eq!(plan.passes()[0], nas_selection());
         let rotated = run_campaign_rotated(
@@ -184,7 +165,7 @@ mod tests {
     #[test]
     fn rotated_full_request_reports_coverage_and_bounds() {
         let (config, library, jobs, faults) = small_setup();
-        let plan = plan_signals(&Signal::ALL);
+        let plan = SchedulePlan::minimal(&Signal::ALL);
         assert_eq!(plan.n_passes(), 2, "28 signals need two passes");
         let rotated = run_campaign_rotated(
             &config,
@@ -218,7 +199,7 @@ mod tests {
     #[test]
     fn empty_plan_is_a_typed_error() {
         let (config, library, jobs, faults) = small_setup();
-        let plan = plan_signals(&[]);
+        let plan = SchedulePlan::minimal(&[]);
         let err = run_campaign_rotated(
             &config,
             &library,

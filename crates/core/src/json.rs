@@ -266,52 +266,6 @@ impl<W: io::Write> fmt::Write for IoFmt<'_, W> {
     }
 }
 
-/// Line-delimited JSON writer: each document renders compact on its own
-/// line, flushed eagerly so a consumer tailing the stream (the serve
-/// protocol, `tail -f` on an artifact) sees every line as soon as it is
-/// complete.
-pub struct NdjsonWriter<W: io::Write> {
-    out: W,
-    lines: u64,
-}
-
-impl<W: io::Write> NdjsonWriter<W> {
-    pub fn new(out: W) -> Self {
-        NdjsonWriter { out, lines: 0 }
-    }
-
-    /// Writes one document as a single line and flushes.
-    pub fn write_doc(&mut self, doc: &Json) -> io::Result<()> {
-        doc.write_compact_to(&mut self.out)?;
-        self.out.write_all(b"\n")?;
-        self.out.flush()?;
-        self.lines += 1;
-        Ok(())
-    }
-
-    /// Writes one pre-rendered line verbatim (it must already be a
-    /// complete compact JSON document, no trailing newline). Replaying
-    /// a stored stream uses this so the replayed bytes are exactly the
-    /// stored bytes.
-    pub fn write_line(&mut self, line: &str) -> io::Result<()> {
-        self.out.write_all(line.as_bytes())?;
-        self.out.write_all(b"\n")?;
-        self.out.flush()?;
-        self.lines += 1;
-        Ok(())
-    }
-
-    /// Number of lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Returns the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
 fn push_indent<W: fmt::Write>(out: &mut W, levels: usize) -> fmt::Result {
     for _ in 0..levels {
         out.write_str("  ")?;
@@ -773,22 +727,6 @@ mod tests {
         let doc = Json::obj().field("k", 1u32);
         let err = doc.write_to(&mut Failing).unwrap_err();
         assert_eq!(err.to_string(), "disk full");
-    }
-
-    #[test]
-    fn ndjson_writer_emits_one_line_per_doc() {
-        let mut w = NdjsonWriter::new(Vec::new());
-        w.write_doc(&Json::obj().field("seq", 0u32)).unwrap();
-        w.write_doc(&Json::obj().field("seq", 1u32)).unwrap();
-        w.write_line(r#"{"seq":2}"#).unwrap();
-        assert_eq!(w.lines(), 3);
-        let text = String::from_utf8(w.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines, [r#"{"seq":0}"#, r#"{"seq":1}"#, r#"{"seq":2}"#]);
-        assert!(text.ends_with('\n'));
-        for line in lines {
-            Json::parse(line).unwrap();
-        }
     }
 
     #[test]

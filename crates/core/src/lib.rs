@@ -72,7 +72,7 @@ pub use experiments::{
     all_experiments, experiment, experiment_or_err, DataQuality, Dataset, Experiment,
     ExperimentInput, SelectionKind,
 };
-pub use json::{Json, NdjsonWriter, ToJson};
+pub use json::{Json, ToJson};
 pub use sp2_cluster::{CampaignResult, ClusterConfig, FaultPlan, FaultSummary};
 pub use sp2_workload::{CampaignSpec, JobMix, WorkloadLibrary};
 pub use submission::{Submission, SubmissionBuilder};

@@ -658,6 +658,38 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_batches_over_one_cold_set_simulate_each_key_once() {
+        // Two tests in one binary building the same library at once:
+        // each key is simulated by one leader, and every other lookup of
+        // it is a hit or waits on that leader. The kernels run long
+        // enough that both batches are in flight together: at 1,000
+        // iterations a cache without single-flight passed 3 runs in 10.
+        let cfg = MachineConfig::nas_sp2();
+        let jobs: Vec<(Kernel, u64)> = (0..4u64)
+            .map(|i| (tiny_kernel(&format!("shared-{i}"), 20_000 + 1_000 * i), i))
+            .collect();
+        for workers in WORKERS {
+            let cache = SignatureCache::new();
+            let barrier = Barrier::new(2);
+            let [a, b] = std::thread::scope(|s| {
+                let run = || {
+                    barrier.wait();
+                    cache.measure_all_on(&jobs, &cfg, workers)
+                };
+                let (a, b) = (s.spawn(run), s.spawn(run));
+                [a.join().unwrap(), b.join().unwrap()]
+            });
+            assert_eq!(cache.misses(), jobs.len() as u64, "{workers} workers");
+            assert_eq!(
+                cache.hits() + cache.coalesced(),
+                jobs.len() as u64,
+                "{workers} workers: the other thread's jobs were all served"
+            );
+            assert_eq!(a, b, "{workers} workers");
+        }
+    }
+
+    #[test]
     fn batch_simulates_a_repeated_key_once() {
         let cfg = MachineConfig::nas_sp2();
         let k = tiny_kernel("repeat", 400);

@@ -85,8 +85,9 @@ impl KernelSignature {
 ///
 /// Measurement is a pure function of its inputs, so results are memoized
 /// in the process-wide [`SignatureCache`](crate::sigcache::SignatureCache):
-/// repeated measurements of the same kernel (library rebuilds, campaign
-/// replications, calibration reruns) pay the cycle simulation once.
+/// repeated measurements of the same kernel (library rebuilds, the
+/// page-fault handler and daemon sampler every campaign measures,
+/// calibration reruns) pay the cycle simulation once.
 pub fn measure_on_fresh_node(
     kernel: &Kernel,
     config: &MachineConfig,

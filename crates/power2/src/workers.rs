@@ -1,10 +1,11 @@
 //! The one scoped-worker loop: independent work items spread over a few
 //! threads, results handed back in input order.
 //!
-//! Kernel measurement ([`crate::SignatureCache::measure_all`]) and whole
-//! campaign replications both run through [`map_indexed`]. It lives in
-//! this crate because kernel measurement needs it here and every campaign
-//! crate already depends on this one.
+//! Kernel measurement ([`crate::SignatureCache::measure_all`]) runs
+//! through [`map_indexed`], and so do the ablations bench's campaign
+//! variants and the determinism test's side-by-side campaigns. It lives
+//! in this crate because kernel measurement needs it here and every
+//! campaign crate already depends on this one.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -18,12 +18,11 @@
 use std::sync::OnceLock;
 
 use sp2_repro::cluster::{
-    plan_signals, run_campaign_rotated, Campaign, ClusterConfig, EngineConfig, FaultPlan,
-    RotatedCampaign,
+    run_campaign_rotated, Campaign, ClusterConfig, EngineConfig, FaultPlan, RotatedCampaign,
 };
 use sp2_repro::core::toplev::{bottleneck_tree, TreeNode};
 use sp2_repro::core::{experiment_or_err, Sp2System};
-use sp2_repro::hpm::{io_aware_selection, Signal};
+use sp2_repro::hpm::{io_aware_selection, SchedulePlan, Signal};
 use sp2_repro::rs2hpm::BottleneckSplit;
 use sp2_repro::workload::{trace, CampaignSpec, JobMix, SubmittedJob, WorkloadLibrary};
 
@@ -58,7 +57,7 @@ fn rotated_full() -> &'static RotatedCampaign {
     static ROT: OnceLock<RotatedCampaign> = OnceLock::new();
     ROT.get_or_init(|| {
         let (config, library, jobs, faults) = fixture();
-        let plan = plan_signals(&Signal::ALL);
+        let plan = SchedulePlan::minimal(&Signal::ALL);
         run_campaign_rotated(
             config,
             library,
@@ -84,7 +83,7 @@ fn single_pass_rotation_is_bit_identical_with_error_exactly_zero() {
         .iter()
         .map(|s| s.signal)
         .collect();
-    let plan = plan_signals(&wanted);
+    let plan = SchedulePlan::minimal(&wanted);
     assert!(plan.is_single_pass());
     assert_eq!(plan.passes()[0], io_aware_selection());
     let mut cfg = config.clone();
@@ -209,7 +208,7 @@ fn toplev_experiment_exports_schema_and_exact_zero_error() {
 #[test]
 fn rotation_is_deterministic_across_thread_counts() {
     let (config, library, jobs, faults) = fixture();
-    let plan = plan_signals(&Signal::ALL);
+    let plan = SchedulePlan::minimal(&Signal::ALL);
     let run = || {
         run_campaign_rotated(
             config,
