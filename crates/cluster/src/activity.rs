@@ -2,16 +2,29 @@
 //!
 //! When PBS places a job on a node, the cluster computes an
 //! [`ActivityPlan`] from the job's *measured* kernel signature, its
-//! communication spec (timed on the High Performance Switch model), and
-//! the paging time-split. Counter advancement is then a pure function of
-//! elapsed wall time, which lets the simulation jump between events
-//! without per-cycle work.
+//! communication spec (timed at the High Performance Switch's latency
+//! and bandwidth), and the paging time-split. Counter advancement is
+//! then a pure function of elapsed wall time, which lets the simulation
+//! jump between events without per-cycle work.
 
 use crate::paging::{PagingModel, TimeSplit};
 use sp2_hpm::{EventSet, Signal};
 use sp2_power2::KernelSignature;
-use sp2_switch::{DmaEngine, SwitchConfig};
 use sp2_workload::JobProgram;
+
+/// One-way message latency of the High Performance Switch, in seconds
+/// (§2: "~45 µs").
+const SWITCH_LATENCY_S: f64 = 45e-6;
+
+/// Node-to-node bandwidth of the High Performance Switch, in bytes per
+/// second (§2: "34 Mbyte/s"). Aggregate bandwidth scales linearly with
+/// the node count, so a node's exchange serializes only on its own link.
+const SWITCH_BANDWIDTH_BYTES_PER_S: f64 = 34e6;
+
+/// Bytes one SCU DMA transfer event carries: "a single transfer can
+/// represent either 4 or 8 words" (§5); the model counts 8-word
+/// transfers of 4-byte words.
+const DMA_BYTES_PER_TRANSFER: f64 = 32.0;
 
 /// Counter-advancement rates for one node running one job.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +50,6 @@ impl ActivityPlan {
         program: &JobProgram,
         user_signature: &KernelSignature,
         system_signature: &KernelSignature,
-        switch: &SwitchConfig,
         paging: &PagingModel,
         node_memory: u64,
         job_nodes: u32,
@@ -46,13 +58,13 @@ impl ActivityPlan {
         let comm_frac = if program.comm.is_communicating() && job_nodes > 1 {
             let bytes = program.comm.exchange_bytes;
             let neighbors = program.comm.neighbors.min(job_nodes - 1);
-            let serialization = neighbors as f64 * bytes as f64 / switch.bandwidth_bytes_per_s;
+            let serialization = neighbors as f64 * bytes as f64 / SWITCH_BANDWIDTH_BYTES_PER_S;
             let exchange = if program.comm.synchronous {
                 // Blocking send/recv: the node idles the whole exchange.
-                switch.latency_s + serialization
+                SWITCH_LATENCY_S + serialization
             } else {
                 // Asynchronous overlap hides most of the serialization.
-                switch.latency_s * 2.0 + 0.15 * serialization
+                SWITCH_LATENCY_S * 2.0 + 0.15 * serialization
             };
             exchange / (program.comm.step_seconds + exchange)
         } else {
@@ -67,7 +79,6 @@ impl ActivityPlan {
         split.user *= program.duty_cycle.clamp(0.02, 1.0);
 
         // --- DMA traffic --------------------------------------------
-        let dma = DmaEngine::default();
         let msg_bytes_per_s = if program.comm.is_communicating() && job_nodes > 1 {
             let neighbors = program.comm.neighbors.min(job_nodes - 1) as f64;
             neighbors * program.comm.exchange_bytes as f64 / program.comm.step_seconds
@@ -79,9 +90,8 @@ impl ActivityPlan {
         // Message send + disk write → dma_read; receive + disk read →
         // dma_write. Halo exchange is symmetric; disk traffic is mostly
         // writes (solution dumps) with paging split both ways.
-        let bpt = dma.bytes_per_transfer() as f64;
-        let dma_read_per_s = (msg_bytes_per_s + 0.7 * disk_bytes_per_s) / bpt;
-        let dma_write_per_s = (msg_bytes_per_s + 0.3 * disk_bytes_per_s) / bpt;
+        let dma_read_per_s = (msg_bytes_per_s + 0.7 * disk_bytes_per_s) / DMA_BYTES_PER_TRANSFER;
+        let dma_write_per_s = (msg_bytes_per_s + 0.3 * disk_bytes_per_s) / DMA_BYTES_PER_TRANSFER;
 
         ActivityPlan {
             user_signature: user_signature.clone(),
@@ -178,7 +188,6 @@ mod tests {
             p,
             lib.signature_of(id),
             &handler,
-            &SwitchConfig::default(),
             &PagingModel::default(),
             cfg.memory_bytes,
             16,
@@ -208,7 +217,6 @@ mod tests {
             p,
             lib.signature_of(id),
             &handler,
-            &SwitchConfig::default(),
             &PagingModel::default(),
             cfg.memory_bytes,
             128,
@@ -219,7 +227,6 @@ mod tests {
             lib.program(healthy_id),
             lib.signature_of(healthy_id),
             &handler,
-            &SwitchConfig::default(),
             &PagingModel::default(),
             cfg.memory_bytes,
             16,
@@ -235,7 +242,6 @@ mod tests {
             lib.program(id),
             lib.signature_of(id),
             &handler,
-            &SwitchConfig::default(),
             &PagingModel::default(),
             cfg.memory_bytes,
             1,
@@ -258,13 +264,44 @@ mod tests {
                 p,
                 lib.signature_of(id),
                 &handler,
-                &SwitchConfig::default(),
                 &PagingModel::default(),
                 cfg.memory_bytes,
                 32,
             )
         };
         assert!(mk(&sync_prog).comm_frac > 2.0 * mk(&async_prog).comm_frac);
+    }
+
+    #[test]
+    fn paper_switch_and_dma_constants_set_the_rates() {
+        let (cfg, lib, handler) = setup();
+        let id = lib.fitting_ids(cfg.memory_bytes, true)[0];
+        let mut p = lib.program(id).clone();
+        p.comm.neighbors = 1;
+        p.comm.synchronous = true;
+        p.comm.exchange_bytes = 1_000_000;
+        p.comm.step_seconds = 2.0;
+        p.disk_bytes_per_s = 0.0;
+        let plan = ActivityPlan::for_job(
+            &p,
+            lib.signature_of(id),
+            &handler,
+            &PagingModel::default(),
+            cfg.memory_bytes,
+            2,
+        );
+        // 45 µs latency plus 1 MB serialized at 34 Mbyte/s (§2).
+        let exchange = 45e-6 + 1e6 / 34e6;
+        let want = exchange / (2.0 + exchange);
+        assert!(
+            (plan.comm_frac - want).abs() < 1e-12,
+            "comm_frac {} vs {want}",
+            plan.comm_frac
+        );
+        // 0.5 MB/s each way in 8-word (32-byte) transfers (§5); a
+        // fitting program adds no paging traffic.
+        assert_eq!(plan.dma_read_per_s, 5e5 / 32.0);
+        assert_eq!(plan.dma_write_per_s, 5e5 / 32.0);
     }
 
     #[test]
@@ -275,7 +312,6 @@ mod tests {
             lib.program(id),
             lib.signature_of(id),
             &handler,
-            &SwitchConfig::default(),
             &PagingModel::default(),
             cfg.memory_bytes,
             16,
@@ -307,7 +343,6 @@ mod tests {
             lib.program(id),
             lib.signature_of(id),
             &handler,
-            &SwitchConfig::default(),
             &PagingModel::default(),
             cfg.memory_bytes,
             16,

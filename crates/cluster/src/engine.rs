@@ -351,7 +351,6 @@ mod tests {
     use sp2_hpm::nas_selection;
     use sp2_power2::handler::{daemon_sample_signature, page_fault_signature};
     use sp2_power2::MachineConfig;
-    use sp2_switch::SwitchConfig;
 
     fn idle_plan() -> ActivityPlan {
         let cfg = MachineConfig::nas_sp2();
@@ -366,7 +365,6 @@ mod tests {
             program,
             library.signature_of(program.id),
             &page_fault_signature(&cfg),
-            &SwitchConfig::default(),
             &PagingModel::default(),
             cfg.memory_bytes,
             4,

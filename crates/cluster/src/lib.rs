@@ -3,10 +3,11 @@
 //! Ties every substrate together: jobs arrive from the workload trace,
 //! PBS allocates dedicated nodes, each node's HPM counters advance at the
 //! rates its job's *measured* kernel signature prescribes, halo exchanges
-//! cross the High Performance Switch and land in DMA counters, memory
-//! oversubscription invokes the measured page-fault-handler signature in
-//! system mode, the RS2HPM daemon samples all nodes every 15 minutes, and
-//! PBS prologue/epilogue hooks snapshot per-job counters.
+//! cost the High Performance Switch's latency and bandwidth and land in
+//! DMA counters, memory oversubscription invokes the measured
+//! page-fault-handler signature in system mode, the RS2HPM daemon samples
+//! all nodes every 15 minutes, and PBS prologue/epilogue hooks snapshot
+//! per-job counters.
 //!
 //! The output ([`result::CampaignResult`]) contains exactly the datasets
 //! the paper's evaluation is built from:

@@ -21,7 +21,6 @@ use sp2_pbs::{JobId, JobOutcome, JobRecord, JobSpec, Pbs, PbsError};
 use sp2_power2::handler::{daemon_sample_signature, page_fault_signature};
 use sp2_power2::{CounterBatch, KernelSignature, MachineConfig};
 use sp2_rs2hpm::{BottleneckSplit, Daemon, JobCounterReport, SAMPLE_INTERVAL_S};
-use sp2_switch::SwitchConfig;
 use sp2_workload::{SubmittedJob, WorkloadLibrary};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -38,8 +37,6 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Per-node machine parameters.
     pub machine: MachineConfig,
-    /// Switch parameters.
-    pub switch: SwitchConfig,
     /// Paging model parameters.
     pub paging: PagingModel,
     /// PBS drain threshold (64 at NAS).
@@ -54,7 +51,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             nodes: 144,
             machine: MachineConfig::nas_sp2(),
-            switch: SwitchConfig::default(),
             paging: PagingModel::default(),
             drain_threshold: 64,
             selection: nas_selection(),
@@ -122,12 +118,6 @@ impl ClusterConfigBuilder {
     /// Per-node machine parameters.
     pub fn machine(mut self, machine: MachineConfig) -> Self {
         self.config.machine = machine;
-        self
-    }
-
-    /// Switch parameters.
-    pub fn switch(mut self, switch: SwitchConfig) -> Self {
-        self.config.switch = switch;
         self
     }
 
@@ -676,7 +666,6 @@ impl<'a> CampaignRun<'a> {
                 library.program(submitted.program),
                 library.signature_of(submitted.program),
                 &self.handler,
-                &config.switch,
                 &config.paging,
                 config.machine.memory_bytes,
                 started.spec.nodes,

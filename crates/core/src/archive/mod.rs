@@ -1,9 +1,9 @@
 //! `sp2-archive/v1`: the compact on-disk form of a campaign.
 //!
 //! The paper's dataset is nine months of 15-minute sweeps over 144
-//! nodes plus per-job epilogue reports. This module defines a binary
-//! columnar container, a fraction of the text form's size, that those
-//! records are written into and read back out of, bit-for-bit:
+//! nodes plus per-job epilogue reports. This module defines the binary
+//! columnar container those records are written into and read back out
+//! of, bit-for-bit:
 //!
 //! ```text
 //! "SP2A"                                  4-byte magic
@@ -37,7 +37,7 @@ use sp2_cluster::{CampaignResult, FaultSummary};
 use sp2_hpm::CounterSelection;
 use sp2_pbs::JobRecord;
 use sp2_power2::{CacheConfig, FpuDispatch, MachineConfig, WritePolicy};
-use sp2_rs2hpm::{parse_job_report, write_job_report, JobCounterReport, SystemSample};
+use sp2_rs2hpm::{JobCounterReport, SystemSample};
 
 use crate::error::Sp2Error;
 use crate::experiments::SelectionKind;
@@ -476,16 +476,14 @@ impl<W: Write> ArchiveWriter<W> {
 // ---------------------------------------------------------------------
 
 /// One CRC-verified frame.
-pub struct Block {
-    /// Block kind byte.
-    pub kind: u8,
-    /// Verified payload bytes.
-    pub payload: Vec<u8>,
+struct Block {
+    kind: u8,
+    payload: Vec<u8>,
 }
 
 /// Streaming block reader: frames are pulled one at a time, so reading
 /// is as bounded-memory as writing.
-pub struct ArchiveReader<R: Read> {
+struct ArchiveReader<R: Read> {
     inp: R,
     saw_end: bool,
 }
@@ -511,7 +509,7 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, Sp2Erro
 
 impl<R: Read> ArchiveReader<R> {
     /// Checks the magic and positions the reader at the first block.
-    pub fn new(mut inp: R) -> Result<Self, Sp2Error> {
+    fn new(mut inp: R) -> Result<Self, Sp2Error> {
         let mut magic = [0u8; 4];
         if !read_exact_or_eof(&mut inp, &mut magic)? || magic != MAGIC {
             return Err(malformed("not an sp2-archive file (bad magic)"));
@@ -525,7 +523,7 @@ impl<R: Read> ArchiveReader<R> {
     /// Returns the next CRC-verified block, or `None` after a clean
     /// end-of-archive footer. A file that simply stops — no footer, or
     /// mid-frame — is an error.
-    pub fn next_block(&mut self) -> Result<Option<Block>, Sp2Error> {
+    fn next_block(&mut self) -> Result<Option<Block>, Sp2Error> {
         let mut head = [0u8; 5];
         if !read_exact_or_eof(&mut self.inp, &mut head)? {
             if self.saw_end {
@@ -704,138 +702,6 @@ pub fn file_is_archive(path: &Path) -> bool {
     matches!(read_exact_or_eof(&mut f, &mut magic), Ok(true)) && magic == MAGIC
 }
 
-// ---------------------------------------------------------------------
-// Codec trait: the text format and the columnar container as peers
-// ---------------------------------------------------------------------
-
-/// A job-report serialization. Two implementations exist: the RS2HPM
-/// epilogue text format the paper describes (one human-readable report
-/// per job) and the binary columnar container. Both round-trip every
-/// `f64` bit-for-bit.
-pub trait ArchiveCodec {
-    /// Short codec name for diagnostics.
-    fn name(&self) -> &'static str;
-    /// Serializes reports taken under `selection`.
-    fn encode_reports(
-        &self,
-        selection: &CounterSelection,
-        reports: &[JobCounterReport],
-    ) -> Result<Vec<u8>, Sp2Error>;
-    /// Parses reports back; `selection` must match the encoder's.
-    fn decode_reports(
-        &self,
-        selection: &CounterSelection,
-        bytes: &[u8],
-    ) -> Result<Vec<JobCounterReport>, Sp2Error>;
-}
-
-/// The RS2HPM epilogue text format (`rs2hpm-report-v1`), one report
-/// after another.
-pub struct TextCodec;
-
-impl ArchiveCodec for TextCodec {
-    fn name(&self) -> &'static str {
-        "rs2hpm-text"
-    }
-
-    fn encode_reports(
-        &self,
-        selection: &CounterSelection,
-        reports: &[JobCounterReport],
-    ) -> Result<Vec<u8>, Sp2Error> {
-        let mut out = String::new();
-        for r in reports {
-            out.push_str(&write_job_report(r, selection));
-        }
-        Ok(out.into_bytes())
-    }
-
-    fn decode_reports(
-        &self,
-        selection: &CounterSelection,
-        bytes: &[u8],
-    ) -> Result<Vec<JobCounterReport>, Sp2Error> {
-        let text =
-            std::str::from_utf8(bytes).map_err(|_| malformed("text archive is not UTF-8"))?;
-        let mut out = Vec::new();
-        let mut chunk = String::new();
-        for line in text.lines() {
-            // Each report starts with its own version header line.
-            if line.trim() == sp2_rs2hpm::textfmt::FORMAT_VERSION && !chunk.is_empty() {
-                out.push(
-                    parse_job_report(&chunk, selection)
-                        .map_err(|e| malformed(format!("text report: {e}")))?,
-                );
-                chunk.clear();
-            }
-            chunk.push_str(line);
-            chunk.push('\n');
-        }
-        if !chunk.trim().is_empty() {
-            out.push(
-                parse_job_report(&chunk, selection)
-                    .map_err(|e| malformed(format!("text report: {e}")))?,
-            );
-        }
-        Ok(out)
-    }
-}
-
-fn empty_faults() -> FaultSummary {
-    FaultSummary {
-        enabled: false,
-        outages: 0,
-        node_downtime_s: 0.0,
-        missed_sweeps: 0,
-        daemon_restarts: 0,
-        glitches: 0,
-        jobs_killed: 0,
-        jobs_requeued: 0,
-    }
-}
-
-/// The binary columnar container, wrapping the reports in a complete
-/// self-describing `sp2-archive/v1` file.
-pub struct ColumnarCodec;
-
-impl ArchiveCodec for ColumnarCodec {
-    fn name(&self) -> &'static str {
-        "sp2-archive"
-    }
-
-    fn encode_reports(
-        &self,
-        selection: &CounterSelection,
-        reports: &[JobCounterReport],
-    ) -> Result<Vec<u8>, Sp2Error> {
-        let meta = CampaignMeta {
-            kind: selection_kind(selection)?,
-            days: 0,
-            node_count: 0,
-            machine: MachineConfig::default(),
-            faults: empty_faults(),
-        };
-        let mut w = ArchiveWriter::create(Vec::new(), Some(&meta))?;
-        w.push_reports(reports)?;
-        w.finish()
-    }
-
-    fn decode_reports(
-        &self,
-        selection: &CounterSelection,
-        bytes: &[u8],
-    ) -> Result<Vec<JobCounterReport>, Sp2Error> {
-        let archive = read_archive(bytes)?;
-        let campaign = archive
-            .campaign
-            .ok_or_else(|| malformed("archive has no campaign section"))?;
-        if campaign.selection != *selection {
-            return Err(malformed("archive selection does not match"));
-        }
-        Ok(campaign.job_reports)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,7 +736,7 @@ mod tests {
                 .collect(),
             job_reports: vec![],
             pbs_records: vec![],
-            faults: empty_faults(),
+            faults: FaultSummary::default(),
         }
     }
 

@@ -65,7 +65,7 @@ pub mod system;
 pub mod timeline;
 pub mod toplev;
 
-pub use archive::{ArchiveCodec, ArchiveReader, ArchiveWriter, ColumnarCodec, TextCodec};
+pub use archive::ArchiveWriter;
 pub use compare::{CompareOutcome, CompareReport, Tolerance};
 pub use error::Sp2Error;
 pub use experiments::{

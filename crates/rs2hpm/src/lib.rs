@@ -32,11 +32,9 @@ pub mod metrics;
 pub mod multiplex;
 pub mod rates;
 pub mod session;
-pub mod textfmt;
 
 pub use daemon::{Daemon, SystemSample, PLAUSIBLE_DELTA_MAX, SAMPLE_INTERVAL_S};
 pub use jobreport::JobCounterReport;
 pub use multiplex::{reconstruct, ReconstructError, Reconstruction, SignalEstimate};
 pub use rates::{BottleneckSplit, RateReport};
 pub use session::CounterSession;
-pub use textfmt::{parse_job_report, write_job_report, ParseError};

@@ -85,7 +85,7 @@ impl TimeSeries {
 /// every monotonic delta is zero — mirroring how the RS2HPM daemon
 /// discards the delta and re-baselines after its own restart — and no
 /// delta is ever negative.
-pub fn diff_snapshots(
+fn diff_snapshots(
     prev: &MetricsSnapshot,
     cur: &MetricsSnapshot,
 ) -> (Vec<(Cow<'static, str>, MetricValue)>, bool) {
@@ -234,7 +234,7 @@ mod tests {
     fn snap(entries: &[(&'static str, MetricValue)]) -> MetricsSnapshot {
         let mut s = MetricsSnapshot::new();
         for (n, v) in entries {
-            s.push(*n, v.clone());
+            s.append(*n, v.clone());
         }
         s
     }
@@ -352,7 +352,7 @@ mod tests {
         }
         fn snap_helper(v: u64) -> MetricsSnapshot {
             let mut s = MetricsSnapshot::new();
-            s.push("tick.count", MetricValue::Count(v));
+            s.append("tick.count", MetricValue::Count(v));
             s
         }
         let mut ring = IntervalSeries::new(2, counting_collector, 3);

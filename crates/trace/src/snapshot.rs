@@ -59,25 +59,12 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Appends a reading (replacing an earlier reading of the same name
-    /// so repeated collection passes stay unambiguous).
-    pub fn push(&mut self, name: impl Into<Cow<'static, str>>, value: MetricValue) {
-        let name = name.into();
-        if let Some(slot) = self.entries.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = value;
-        } else {
-            self.entries.push((name, value));
-        }
-    }
-
-    /// Appends a reading without the same-name replacement scan.
-    ///
-    /// The flight recorder samples a full snapshot every daemon sweep,
-    /// and the scan in [`push`](Self::push) is quadratic in snapshot
-    /// size — measurable at that rate. Collectors emit each name exactly
-    /// once per pass, so they use this instead; a duplicate name is
-    /// caught in debug builds and merely yields a shadowed entry (the
-    /// first occurrence wins on lookup) in release builds.
+    /// Appends a reading. Collectors emit each name exactly once per
+    /// pass, so release builds run no same-name scan (the flight
+    /// recorder collects a full snapshot every daemon sweep). A
+    /// duplicate name is caught in debug builds and merely yields a
+    /// shadowed entry (the first occurrence wins on lookup) in release
+    /// builds.
     pub fn append(&mut self, name: impl Into<Cow<'static, str>>, value: MetricValue) {
         let name = name.into();
         debug_assert!(
@@ -149,13 +136,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_get_and_replace() {
+    fn append_and_get() {
         let mut s = MetricsSnapshot::new();
-        s.push("a.count", MetricValue::Count(2));
-        s.push("a.rate", MetricValue::Value(0.5));
-        s.push("a.count", MetricValue::Count(3));
-        assert_eq!(s.len(), 2, "same-name push replaces");
-        assert_eq!(s.get("a.count"), Some(&MetricValue::Count(3)));
+        s.append("a.count", MetricValue::Count(2));
+        s.append("a.rate", MetricValue::Value(0.5));
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.get("a.count"), Some(&MetricValue::Count(2)));
         assert!(s.get("missing").is_none());
         assert!(!s.is_empty());
     }
@@ -163,9 +149,9 @@ mod tests {
     #[test]
     fn prefix_filter_preserves_order() {
         let mut s = MetricsSnapshot::new();
-        s.push("pbs.submitted", MetricValue::Count(1));
-        s.push("cluster.events", MetricValue::Count(2));
-        s.push("pbs.requeued", MetricValue::Count(3));
+        s.append("pbs.submitted", MetricValue::Count(1));
+        s.append("cluster.events", MetricValue::Count(2));
+        s.append("pbs.requeued", MetricValue::Count(3));
         let names: Vec<&str> = s.with_prefix("pbs.").map(|(n, _)| n).collect();
         assert_eq!(names, vec!["pbs.submitted", "pbs.requeued"]);
     }
@@ -173,8 +159,8 @@ mod tests {
     #[test]
     fn text_rendering_is_aligned_and_complete() {
         let mut s = MetricsSnapshot::new();
-        s.push("x", MetricValue::Count(7));
-        s.push(
+        s.append("x", MetricValue::Count(7));
+        s.append(
             "longer.name",
             MetricValue::Duration {
                 total_ns: 2_500_000,

@@ -16,7 +16,6 @@ use sp2_repro::hpm::nas_selection;
 use sp2_repro::pbs::{JobId, JobSpec, Pbs};
 use sp2_repro::power2::handler::page_fault_signature;
 use sp2_repro::rs2hpm::JobCounterReport;
-use sp2_repro::switch::SwitchConfig;
 use sp2_repro::workload::{ProgramFamily, WorkloadLibrary};
 
 fn main() {
@@ -65,7 +64,6 @@ fn main() {
             program,
             library.signature_of(id),
             &handler,
-            &SwitchConfig::default(),
             &PagingModel::default(),
             machine.memory_bytes,
             n_nodes,

@@ -809,11 +809,7 @@ fn load_campaign_archive(path: &str) -> Result<(SelectionKind, CampaignResult), 
             "{path} holds dataset lines only, no campaign to replay"
         )))
     })?;
-    let kind = if campaign.selection == SelectionKind::IoAware.selection() {
-        SelectionKind::IoAware
-    } else {
-        SelectionKind::Nas
-    };
+    let kind = archive::selection_kind(&campaign.selection)?;
     Ok((kind, campaign))
 }
 

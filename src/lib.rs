@@ -14,6 +14,5 @@ pub use sp2_pbs as pbs;
 pub use sp2_power2 as power2;
 pub use sp2_rs2hpm as rs2hpm;
 pub use sp2_stats as stats;
-pub use sp2_switch as switch;
 pub use sp2_trace as trace;
 pub use sp2_workload as workload;

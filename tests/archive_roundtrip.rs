@@ -1,15 +1,14 @@
 //! Archive round-trip: the epilogue report files are the campaign's
 //! durable record ("written to a file for later processing and viewing",
-//! §3). The same campaign is archived through both codecs — the RS2HPM
-//! text format and the sp2-archive/v1 columnar container — and both must
-//! reproduce every counter and every derived rate **bit-for-bit**, the
-//! property the paper's own later analysis of its nine-month archive
-//! depended on.
+//! §3). A campaign is archived through the shipped sp2-archive/v1
+//! container, and every counter and every derived rate must come back
+//! **bit-for-bit**, the property the paper's own later analysis of its
+//! nine-month archive depended on.
 
 use sp2_repro::cluster::{
     Campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind, FaultPlan,
 };
-use sp2_repro::core::archive::{self, rate_report_fields, ArchiveCodec, ColumnarCodec, TextCodec};
+use sp2_repro::core::archive::{self, rate_report_fields};
 use sp2_repro::rs2hpm::JobCounterReport;
 use sp2_repro::workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 
@@ -30,24 +29,19 @@ fn five_day_campaign() -> CampaignResult {
 
 /// Every f64 must come back with the identical bit pattern — not merely
 /// within epsilon. `to_bits` equality is the whole contract.
-fn assert_reports_bitwise_equal(orig: &[JobCounterReport], parsed: &[JobCounterReport], tag: &str) {
-    assert_eq!(orig.len(), parsed.len(), "{tag}: report count");
+fn assert_reports_bitwise_equal(orig: &[JobCounterReport], parsed: &[JobCounterReport]) {
+    assert_eq!(orig.len(), parsed.len(), "report count");
     for (o, p) in orig.iter().zip(parsed) {
-        assert_eq!(o.job_id, p.job_id, "{tag}: job id");
-        assert_eq!(o.nodes, p.nodes, "{tag}: node count");
-        assert_eq!(o.total, p.total, "{tag}: counter lanes");
+        assert_eq!(o.job_id, p.job_id, "job id");
+        assert_eq!(o.nodes, p.nodes, "node count");
+        assert_eq!(o.total, p.total, "counter lanes");
         assert_eq!(
             o.start.to_bits(),
             p.start.to_bits(),
-            "{tag}: start of job {}",
+            "start of job {}",
             o.job_id
         );
-        assert_eq!(
-            o.end.to_bits(),
-            p.end.to_bits(),
-            "{tag}: end of job {}",
-            o.job_id
-        );
+        assert_eq!(o.end.to_bits(), p.end.to_bits(), "end of job {}", o.job_id);
         for (i, (a, b)) in rate_report_fields(&o.rates)
             .iter()
             .zip(rate_report_fields(&p.rates).iter())
@@ -56,7 +50,7 @@ fn assert_reports_bitwise_equal(orig: &[JobCounterReport], parsed: &[JobCounterR
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "{tag}: rate field {i} of job {}",
+                "rate field {i} of job {}",
                 o.job_id
             );
         }
@@ -64,58 +58,30 @@ fn assert_reports_bitwise_equal(orig: &[JobCounterReport], parsed: &[JobCounterR
 }
 
 #[test]
-fn reports_survive_both_codecs_bit_for_bit() {
+fn reports_survive_the_archive_bit_for_bit() {
     let campaign = five_day_campaign();
     assert!(!campaign.job_reports.is_empty());
-    let selection = &campaign.selection;
 
-    let codecs: [&dyn ArchiveCodec; 2] = [&TextCodec, &ColumnarCodec];
-    for codec in codecs {
-        let bytes = codec
-            .encode_reports(selection, &campaign.job_reports)
-            .expect("encodes");
-        let parsed = codec
-            .decode_reports(selection, &bytes)
-            .expect("own archive parses");
-        assert_reports_bitwise_equal(&campaign.job_reports, &parsed, codec.name());
+    let bytes = archive::write_campaign_archive(Vec::new(), &campaign, &[]).expect("writes");
+    let parsed = archive::read_archive(&bytes[..])
+        .expect("own archive parses")
+        .campaign
+        .expect("campaign present")
+        .job_reports;
+    assert_reports_bitwise_equal(&campaign.job_reports, &parsed);
 
-        // Figure-level check: per-node rates derived from the archive
-        // match exactly (a sum of bit-identical terms is bit-identical).
-        let live: f64 = campaign
-            .job_reports
-            .iter()
-            .map(JobCounterReport::mflops_per_node)
-            .sum();
-        let replay: f64 = parsed.iter().map(JobCounterReport::mflops_per_node).sum();
-        assert_eq!(
-            live.to_bits(),
-            replay.to_bits(),
-            "{}: derived figure drifted",
-            codec.name()
-        );
-        for (o, p) in campaign.job_reports.iter().zip(&parsed) {
-            assert_eq!(o.paging_suspected(), p.paging_suspected());
-        }
+    // Figure-level check: per-node rates derived from the archive
+    // match exactly (a sum of bit-identical terms is bit-identical).
+    let live: f64 = campaign
+        .job_reports
+        .iter()
+        .map(JobCounterReport::mflops_per_node)
+        .sum();
+    let replay: f64 = parsed.iter().map(JobCounterReport::mflops_per_node).sum();
+    assert_eq!(live.to_bits(), replay.to_bits(), "derived figure drifted");
+    for (o, p) in campaign.job_reports.iter().zip(&parsed) {
+        assert_eq!(o.paging_suspected(), p.paging_suspected());
     }
-}
-
-#[test]
-fn columnar_is_denser_than_text() {
-    let campaign = five_day_campaign();
-    let selection = &campaign.selection;
-    let text = TextCodec
-        .encode_reports(selection, &campaign.job_reports)
-        .expect("encodes");
-    let columnar = ColumnarCodec
-        .encode_reports(selection, &campaign.job_reports)
-        .expect("encodes");
-    assert!(
-        columnar.len() * 2 < text.len(),
-        "delta+varint columns should be well under half the text size \
-         (columnar {} bytes vs text {} bytes)",
-        columnar.len(),
-        text.len()
-    );
 }
 
 #[test]
