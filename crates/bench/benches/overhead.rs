@@ -85,7 +85,7 @@ fn main() {
                 EngineConfig::default().metrics(true).apply();
                 campaign()
             }
-            Mode::Recorded => Recording::new(1, metrics::snapshot).run(campaign),
+            Mode::Recorded => Recording::new(metrics::TABLES).run(campaign),
         }
     };
 

@@ -32,9 +32,9 @@
 //!
 //! [`EngineConfig`] is the explicit configuration the engine runs under:
 //! which engine, whether the batch engine elides steady sweeps, and the
-//! instrumentation a process entry point switches on (metrics capture,
-//! flight-recorder cadence). A campaign reads the engine kind and sweep
-//! elision from it once per run and writes no process global.
+//! metrics capture a process entry point switches on. A campaign reads
+//! the engine kind and sweep elision from it once per run and writes no
+//! process global.
 
 use crate::activity::ActivityPlan;
 use sp2_hpm::CounterSelection;

@@ -5,7 +5,7 @@
 //! counters, folding daemon samples, scheduling jobs, and handling fault
 //! events.
 
-use sp2_trace::{Counter, Gauge, MetricValue, MetricsSnapshot, Timer};
+use sp2_trace::{Counter, Gauge, Metric, MetricValue, MetricsSnapshot, Timer};
 
 /// Whole [`crate::Campaign::run`] invocations, wall time per campaign.
 pub static CAMPAIGN: Timer = Timer::new("cluster.campaign");
@@ -59,30 +59,39 @@ pub static TOPLEV_ICACHE: Gauge = Gauge::new("cluster.toplev.icache");
 /// Latest sweep's I/O-wait fraction of cycles, in percent.
 pub static TOPLEV_IO_WAIT: Gauge = Gauge::new("cluster.toplev.io_wait");
 
-/// Appends the engine's readings — including the derived
-/// simulated-seconds-per-wall-second throughput — to `snap`.
+/// The campaign engine's statics, each listed once: what [`collect`]
+/// observes, [`reset`] zeroes and a flight recording samples.
+pub static ALL: [Metric; 16] = [
+    Metric::Timer(&CAMPAIGN),
+    Metric::Counter(&EVENTS),
+    Metric::Counter(&SIMULATED_S),
+    Metric::Counter(&SWEEPS),
+    Metric::Counter(&SWEEPS_ELIDED),
+    Metric::Timer(&ADVANCE),
+    Metric::Timer(&SAMPLE),
+    Metric::Timer(&SCHEDULE),
+    Metric::Timer(&FAULT_SWEEP),
+    Metric::Timer(&ROTATE),
+    Metric::Counter(&ROTATE_PASSES),
+    Metric::Gauge(&TOPLEV_DISPATCH),
+    Metric::Gauge(&TOPLEV_FPU),
+    Metric::Gauge(&TOPLEV_DCACHE_TLB),
+    Metric::Gauge(&TOPLEV_ICACHE),
+    Metric::Gauge(&TOPLEV_IO_WAIT),
+];
+
+/// Appends the engine's table and the derived
+/// simulated-seconds-per-wall-second throughput to `snap`.
 pub fn collect(snap: &mut MetricsSnapshot) {
-    CAMPAIGN.observe(snap);
-    EVENTS.observe(snap);
-    SIMULATED_S.observe(snap);
-    SWEEPS.observe(snap);
-    SWEEPS_ELIDED.observe(snap);
-    ADVANCE.observe(snap);
-    SAMPLE.observe(snap);
-    SCHEDULE.observe(snap);
-    FAULT_SWEEP.observe(snap);
-    ROTATE.observe(snap);
-    ROTATE_PASSES.observe(snap);
-    TOPLEV_DISPATCH.observe(snap);
-    TOPLEV_FPU.observe(snap);
-    TOPLEV_DCACHE_TLB.observe(snap);
-    TOPLEV_ICACHE.observe(snap);
-    TOPLEV_IO_WAIT.observe(snap);
-    let campaign_wall_s = CAMPAIGN.total_ns() as f64 / 1e9;
+    for metric in ALL {
+        metric.observe(snap);
+    }
+    let campaign_wall_s = snap.duration("cluster.campaign").0 as f64 / 1e9;
+    let simulated_s = snap.count("cluster.simulated_seconds") as f64;
     snap.append(
         "cluster.sim_seconds_per_wall_second",
         MetricValue::Value(if campaign_wall_s > 0.0 {
-            SIMULATED_S.get() as f64 / campaign_wall_s
+            simulated_s / campaign_wall_s
         } else {
             0.0
         }),
@@ -91,22 +100,9 @@ pub fn collect(snap: &mut MetricsSnapshot) {
 
 /// Zeroes every reading.
 pub fn reset() {
-    CAMPAIGN.reset();
-    EVENTS.reset();
-    SIMULATED_S.reset();
-    SWEEPS.reset();
-    SWEEPS_ELIDED.reset();
-    ADVANCE.reset();
-    SAMPLE.reset();
-    SCHEDULE.reset();
-    FAULT_SWEEP.reset();
-    ROTATE.reset();
-    ROTATE_PASSES.reset();
-    TOPLEV_DISPATCH.reset();
-    TOPLEV_FPU.reset();
-    TOPLEV_DCACHE_TLB.reset();
-    TOPLEV_ICACHE.reset();
-    TOPLEV_IO_WAIT.reset();
+    for metric in ALL {
+        metric.reset();
+    }
 }
 
 #[cfg(test)]

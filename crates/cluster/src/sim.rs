@@ -646,7 +646,6 @@ impl<'a> CampaignRun<'a> {
     /// queued.
     fn start_jobs(&mut self, now: f64) {
         let _sched_span = crate::metrics::SCHEDULE.span();
-        let _sched_ev = sp2_trace::events::span("schedule", "phase");
         let (config, library, trace) = (self.config, self.library, self.trace);
         for started in self.pbs.schedule(now) {
             let payload = started.spec.payload as usize;
@@ -796,7 +795,6 @@ impl<'a> CampaignRun<'a> {
                     // The jump ends before the first replayed sweep is
                     // recorded, so its interval carries the advance.
                     let _ff_span = crate::metrics::ADVANCE.span();
-                    let _ff_ev = sp2_trace::events::span("cluster fast-forward", "phase");
                     let steps = run.len() as u64;
                     bank.advance_steady(SAMPLE_INTERVAL_S, steps, run[run.len() - 1].1);
                     let times = run.iter().map(|&(_, t2)| t2);
@@ -822,17 +820,18 @@ impl<'a> CampaignRun<'a> {
             // their raw 32-bit registers. The sample is bit-identical
             // under either engine.
             {
-                let advance_span = crate::metrics::ADVANCE.span();
-                let _advance_ev = sp2_trace::events::span("advance", "phase");
+                let _advance_span = crate::metrics::ADVANCE.span();
                 self.engine.advance_all(tt);
-                drop(advance_span);
             }
-            let _sample_span = crate::metrics::SAMPLE.span();
-            let _sample_ev = sp2_trace::events::span("sample", "phase");
-            let glitched = self.faults.glitched_nodes(kk);
-            self.summary.glitches += glitched.iter().filter(|&&g| !self.down[g]).count();
-            self.daemon
-                .sweep(self.engine.lanes(), &self.down, glitched, tt);
+            // The sample span closes before the sweep is recorded, so its
+            // time lands in this sweep's interval.
+            {
+                let _sample_span = crate::metrics::SAMPLE.span();
+                let glitched = self.faults.glitched_nodes(kk);
+                self.summary.glitches += glitched.iter().filter(|&&g| !self.down[g]).count();
+                self.daemon
+                    .sweep(self.engine.lanes(), &self.down, glitched, tt);
+            }
             crate::metrics::SWEEPS.inc();
             publish_toplev_gauges(&self.selection, &self.daemon);
             sp2_trace::recorder::on_sweep(kk, tt);
@@ -908,7 +907,6 @@ impl<'a> CampaignRun<'a> {
     /// killed and, within its attempt budget, requeued.
     fn on_node_down(&mut self, node: usize, t: f64) -> Result<(), CampaignError> {
         let fault_span = crate::metrics::FAULT_SWEEP.span();
-        let fault_ev = sp2_trace::events::span("fault", "phase");
         if sp2_trace::recording() {
             sp2_trace::events::sim_instant(format!("node {node} down"), "fault", t);
         }
@@ -949,7 +947,6 @@ impl<'a> CampaignRun<'a> {
                 }
             }
         }
-        drop(fault_ev);
         drop(fault_span);
         self.start_jobs(t);
         Ok(())
@@ -958,7 +955,6 @@ impl<'a> CampaignRun<'a> {
     /// Node `node` is repaired and rebooted.
     fn on_node_up(&mut self, node: usize, t: f64) -> Result<(), CampaignError> {
         let fault_span = crate::metrics::FAULT_SWEEP.span();
-        let fault_ev = sp2_trace::events::span("fault", "phase");
         if sp2_trace::recording() {
             sp2_trace::events::sim_instant(format!("node {node} up"), "fault", t);
         }
@@ -969,7 +965,6 @@ impl<'a> CampaignRun<'a> {
         self.engine
             .set_activity(node, t, Some(self.idle_plan.clone()));
         self.pbs.bring_node_online(node);
-        drop(fault_ev);
         drop(fault_span);
         self.start_jobs(t);
         Ok(())

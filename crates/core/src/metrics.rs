@@ -1,25 +1,35 @@
 //! Metrics aggregation and the simulator's self-measurement report.
 //!
-//! The instrumented crates each expose a `metrics::collect` hook;
-//! [`snapshot`] gathers them (plus the dynamic per-experiment readings)
-//! in a fixed order so snapshots are deterministic in shape. The
-//! snapshot renders two ways: [`to_json`] for `sp2 --metrics` artifacts
-//! and [`profile_report`] — the simulator's own Table 2, printed by
-//! `sp2 profile`.
+//! The instrumented crates each list their statics once, in a metric
+//! table, and expose a `metrics::collect` hook that observes the table
+//! and appends its derived readings. [`TABLES`] is what a flight
+//! recording samples; [`snapshot`] gathers the hooks (plus the dynamic
+//! per-experiment readings) in a fixed order so snapshots are
+//! deterministic in shape. The snapshot renders two ways: [`to_json`]
+//! for `sp2 --metrics` artifacts and [`profile_report`] — the
+//! simulator's own Table 2, printed by `sp2 profile`.
 
 use crate::json::Json;
-use sp2_trace::{dynamic, MetricValue, MetricsSnapshot};
+use sp2_trace::{dynamic, Metric, MetricValue, MetricsSnapshot};
 
 /// Identifies the metrics JSON layout for downstream tooling.
 pub const SCHEMA: &str = "sp2-metrics/v1";
+
+/// The instrumented crates' metric tables, in snapshot order: the
+/// statics a flight recording (`sp2_trace::Recording::new(TABLES)`)
+/// samples every daemon sweep.
+pub static TABLES: &[&[Metric]] = &[
+    &sp2_power2::metrics::ALL,
+    &sp2_cluster::metrics::ALL,
+    &sp2_rs2hpm::metrics::ALL,
+    &sp2_pbs::metrics::ALL,
+];
 
 /// Collects every subsystem's readings into one snapshot (node
 /// simulator, campaign engine, daemon, batch system, then the dynamic
 /// per-experiment map).
 pub fn snapshot() -> MetricsSnapshot {
-    // Sized for the static subsystems plus a few dynamic experiments —
-    // the recorder calls this every sampled sweep.
-    let mut snap = MetricsSnapshot::with_capacity(64);
+    let mut snap = MetricsSnapshot::new();
     sp2_power2::metrics::collect(&mut snap);
     sp2_cluster::metrics::collect(&mut snap);
     sp2_rs2hpm::metrics::collect(&mut snap);
@@ -65,19 +75,10 @@ pub fn to_json(snap: &MetricsSnapshot) -> Json {
         .field("metrics", metrics)
 }
 
-fn count_of(snap: &MetricsSnapshot, name: &str) -> u64 {
-    snap.get(name).and_then(MetricValue::as_count).unwrap_or(0)
-}
-
-fn value_of(snap: &MetricsSnapshot, name: &str) -> f64 {
-    snap.get(name).map(MetricValue::as_f64).unwrap_or(0.0)
-}
-
-fn duration_of(snap: &MetricsSnapshot, name: &str) -> (f64, u64) {
-    match snap.get(name) {
-        Some(&MetricValue::Duration { total_ns, count }) => (total_ns as f64 / 1e6, count),
-        _ => (0.0, 0),
-    }
+/// A duration reading as `(total milliseconds, spans)`.
+fn duration_ms(snap: &MetricsSnapshot, name: &str) -> (f64, u64) {
+    let (total_ns, count) = snap.duration(name);
+    (total_ns as f64 / 1e6, count)
 }
 
 /// Renders the self-measurement report: what the paper's Table 2 is to
@@ -93,29 +94,29 @@ pub fn profile_report(snap: &MetricsSnapshot) -> String {
     line("Self-measurement report (the simulator under its own trace layer)".into());
     line("=".repeat(66));
 
-    let hits = count_of(snap, "power2.sigcache.hits");
-    let misses = count_of(snap, "power2.sigcache.misses");
+    let hits = snap.count("power2.sigcache.hits");
+    let misses = snap.count("power2.sigcache.misses");
     line(format!(
         "signature cache   {hits} hits, {misses} misses ({:.1} % hit rate), \
          {} evictions, {} entries",
-        value_of(snap, "power2.sigcache.hit_rate") * 100.0,
-        count_of(snap, "power2.sigcache.evictions"),
-        count_of(snap, "power2.sigcache.entries"),
+        snap.value("power2.sigcache.hit_rate") * 100.0,
+        snap.count("power2.sigcache.evictions"),
+        snap.count("power2.sigcache.entries"),
     ));
-    let (measure_ms, measure_n) = duration_of(snap, "power2.signature_measure");
-    let (batch_ms, batches) = duration_of(snap, "power2.measure_batch");
-    let instr_rate = value_of(snap, "power2.simulated_instructions_per_sec");
+    let (measure_ms, measure_n) = duration_ms(snap, "power2.signature_measure");
+    let (batch_ms, batches) = duration_ms(snap, "power2.measure_batch");
+    let instr_rate = snap.value("power2.simulated_instructions_per_sec");
     line(format!(
         "kernel simulator  {} runs, {:.3e} simulated cycles, \
          {:.3e} simulated instructions, \
          {batch_ms:.1} ms wall over {batches} batch(es) on up to {} thread(s), \
          {measure_ms:.1} ms busy over {measure_n} misses \
          ({:.3e} cycles per busy s, {:.1} ns per simulated instruction)",
-        count_of(snap, "power2.kernel_runs"),
-        count_of(snap, "power2.simulated_cycles") as f64,
-        count_of(snap, "power2.simulated_instructions") as f64,
-        count_of(snap, "power2.measure_threads"),
-        value_of(snap, "power2.simulated_cycles_per_sec"),
+        snap.count("power2.kernel_runs"),
+        snap.count("power2.simulated_cycles") as f64,
+        snap.count("power2.simulated_instructions") as f64,
+        snap.count("power2.measure_threads"),
+        snap.value("power2.simulated_cycles_per_sec"),
         if instr_rate > 0.0 {
             1e9 / instr_rate
         } else {
@@ -125,41 +126,41 @@ pub fn profile_report(snap: &MetricsSnapshot) -> String {
 
     line(format!(
         "timing memo       {} lookups, {} replayed ({:.1} % hit rate)",
-        count_of(snap, "power2.timing_memo.lookups"),
-        count_of(snap, "power2.timing_memo.hits"),
-        value_of(snap, "power2.timing_memo.hit_rate") * 100.0,
+        snap.count("power2.timing_memo.lookups"),
+        snap.count("power2.timing_memo.hits"),
+        snap.value("power2.timing_memo.hit_rate") * 100.0,
     ));
 
-    let (campaign_ms, campaigns) = duration_of(snap, "cluster.campaign");
+    let (campaign_ms, campaigns) = duration_ms(snap, "cluster.campaign");
     line(format!(
         "campaign engine   {campaigns} campaign(s), {} events, {:.1} ms wall, \
          {:.0} simulated s / wall s",
-        count_of(snap, "cluster.events"),
+        snap.count("cluster.events"),
         campaign_ms,
-        value_of(snap, "cluster.sim_seconds_per_wall_second"),
+        snap.value("cluster.sim_seconds_per_wall_second"),
     ));
     for phase in ["advance", "sample", "schedule", "faults"] {
-        let (ms, n) = duration_of(snap, &format!("cluster.phase.{phase}"));
+        let (ms, n) = duration_ms(snap, &format!("cluster.phase.{phase}"));
         line(format!("  phase {phase:<9} {ms:>10.1} ms over {n} passes"));
     }
 
-    let (sweep_ms, sweeps) = duration_of(snap, "rs2hpm.sweep");
+    let (sweep_ms, sweeps) = duration_ms(snap, "rs2hpm.sweep");
     line(format!(
         "daemon            {sweeps} sweeps, {sweep_ms:.1} ms total \
          (mean {:.1} us), {} node deltas, {} anomalies, {} baselines",
-        value_of(snap, "rs2hpm.sweep_mean_us"),
-        count_of(snap, "rs2hpm.nodes_sampled"),
-        count_of(snap, "rs2hpm.anomalies"),
-        count_of(snap, "rs2hpm.baselines"),
+        snap.value("rs2hpm.sweep_mean_us"),
+        snap.count("rs2hpm.nodes_sampled"),
+        snap.count("rs2hpm.anomalies"),
+        snap.count("rs2hpm.baselines"),
     ));
 
     line(format!(
         "batch system      {} submitted, {} started, {} requeued, \
          max queue depth {}",
-        count_of(snap, "pbs.jobs_submitted"),
-        count_of(snap, "pbs.jobs_started"),
-        count_of(snap, "pbs.jobs_requeued"),
-        count_of(snap, "pbs.queue_depth_max"),
+        snap.count("pbs.jobs_submitted"),
+        snap.count("pbs.jobs_started"),
+        snap.count("pbs.jobs_requeued"),
+        snap.count("pbs.queue_depth_max"),
     ));
 
     let experiments: Vec<(&str, &MetricValue)> = snap.with_prefix("core.experiment.").collect();
@@ -168,7 +169,7 @@ pub fn profile_report(snap: &MetricsSnapshot) -> String {
         for (name, value) in experiments {
             let id = name.trim_start_matches("core.experiment.");
             if let MetricValue::Duration { total_ns, count } = *value {
-                let bytes = count_of(snap, &format!("core.dataset_bytes.{id}"));
+                let bytes = snap.count(&format!("core.dataset_bytes.{id}"));
                 line(format!(
                     "  {id:<12} {:>10.1} ms over {count} run(s), {bytes} dataset bytes",
                     total_ns as f64 / 1e6,

@@ -4,8 +4,7 @@
 //! `sp2-trace` owns the capture machinery (a `Recording` holds the
 //! span-event log and the interval series); this module owns everything
 //! that needs the rest of the stack — the [`Json`] writer. A recording
-//! made with [`crate::metrics::snapshot`] as its collector feeds three
-//! consumers:
+//! made with [`crate::metrics::TABLES`] feeds three consumers:
 //!
 //! - [`chrome_trace`] renders span events as Chrome trace-event JSON
 //!   loadable in Perfetto or `chrome://tracing`. Wall-clock spans (the
@@ -90,13 +89,13 @@ fn sample_to_json(sample: &IntervalSample) -> Json {
 }
 
 /// Renders the interval time series as the `sp2-timeline/v1` document:
-/// schema tag, cadence, drop counter, and one object per sampled
-/// interval (counts and durations are per-interval deltas, values are
-/// instantaneous).
+/// schema tag, cadence (always 1: the recorder samples every daemon
+/// sweep), drop counter, and one object per sampled interval (counts
+/// and durations are per-interval deltas, values are instantaneous).
 pub fn timeline_json(series: &TimeSeries) -> Json {
     Json::obj()
         .field("schema", SCHEMA)
-        .field("cadence_sweeps", series.cadence as f64)
+        .field("cadence_sweeps", 1.0)
         .field("dropped_samples", series.dropped as f64)
         .field(
             "samples",
@@ -144,8 +143,9 @@ fn sparkline(values: &[f64]) -> String {
 
 /// The metrics the terminal history plots, in display order: the four
 /// campaign phases (per-interval milliseconds), then throughput and
-/// bottleneck readings. Everything here exists in every aggregate
-/// snapshot, so the render never depends on workload specifics.
+/// bottleneck readings. Every one is a static of
+/// [`crate::metrics::TABLES`], so the render never depends on workload
+/// specifics.
 const TIMELINE_ROWS: [(&str, &str); 14] = [
     ("cluster.phase.advance", "phase advance (ms)"),
     ("cluster.phase.sample", "phase sample (ms)"),
@@ -179,9 +179,8 @@ pub fn render_timeline(series: &TimeSeries) -> String {
     let first = series.samples[0].sim_t;
     let last = series.samples[series.samples.len() - 1].sim_t;
     out.push_str(&format!(
-        "{} samples, cadence {} sweep(s), sim t {:.0} s .. {:.0} s ({:.1} days)\n\n",
+        "{} samples, cadence 1 sweep(s), sim t {:.0} s .. {:.0} s ({:.1} days)\n\n",
         series.samples.len(),
-        series.cadence,
         first,
         last,
         (last - first) / 86_400.0,
@@ -236,20 +235,19 @@ mod tests {
             discontinuity: false,
             deltas: vec![
                 (
-                    "cluster.phase.advance".into(),
+                    "cluster.phase.advance",
                     MetricValue::Duration {
                         total_ns: (advance_ms * 1e6) as u64,
                         count: 1,
                     },
                 ),
-                ("pbs.jobs_started".into(), MetricValue::Count(started)),
+                ("pbs.jobs_started", MetricValue::Count(started)),
             ],
         }
     }
 
     fn series(samples: Vec<IntervalSample>) -> TimeSeries {
         TimeSeries {
-            cadence: 1,
             samples,
             dropped: 0,
         }

@@ -5,7 +5,7 @@
 //! (draining for >64-node jobs shows up here), how many jobs flowed
 //! through, and how often node failures forced requeues.
 
-use sp2_trace::{Counter, Gauge, MaxGauge, MetricsSnapshot};
+use sp2_trace::{Counter, Gauge, MaxGauge, Metric, MetricsSnapshot};
 
 /// Jobs accepted into the queue.
 pub static SUBMITTED: Counter = Counter::new("pbs.jobs_submitted");
@@ -23,22 +23,28 @@ pub static QUEUE_DEPTH_MAX: MaxGauge = MaxGauge::new("pbs.queue_depth_max");
 /// cadence to plot the queue's history (Figure 1's demand axis).
 pub static QUEUE_DEPTH: Gauge = Gauge::new("pbs.queue_depth");
 
-/// Appends the batch system's readings to `snap`.
+/// The batch system's statics, each listed once: what [`collect`]
+/// observes, [`reset`] zeroes and a flight recording samples.
+pub static ALL: [Metric; 5] = [
+    Metric::Counter(&SUBMITTED),
+    Metric::Counter(&STARTED),
+    Metric::Counter(&REQUEUED),
+    Metric::MaxGauge(&QUEUE_DEPTH_MAX),
+    Metric::Gauge(&QUEUE_DEPTH),
+];
+
+/// Appends the batch system's table to `snap`.
 pub fn collect(snap: &mut MetricsSnapshot) {
-    SUBMITTED.observe(snap);
-    STARTED.observe(snap);
-    REQUEUED.observe(snap);
-    QUEUE_DEPTH_MAX.observe(snap);
-    QUEUE_DEPTH.observe(snap);
+    for metric in ALL {
+        metric.observe(snap);
+    }
 }
 
 /// Zeroes every reading.
 pub fn reset() {
-    SUBMITTED.reset();
-    STARTED.reset();
-    REQUEUED.reset();
-    QUEUE_DEPTH_MAX.reset();
-    QUEUE_DEPTH.reset();
+    for metric in ALL {
+        metric.reset();
+    }
 }
 
 #[cfg(test)]

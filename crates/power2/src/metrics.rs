@@ -8,7 +8,7 @@
 //! into the snapshot here.
 
 use crate::sigcache::SignatureCache;
-use sp2_trace::{Counter, MaxGauge, MetricValue, MetricsSnapshot, Timer};
+use sp2_trace::{Counter, MaxGauge, Metric, MetricValue, MetricsSnapshot, Timer};
 
 /// Kernels cycle-simulated by [`crate::node::Node::run_kernel`].
 pub static KERNEL_RUNS: Counter = Counter::new("power2.kernel_runs");
@@ -44,13 +44,33 @@ pub static MEASURE_BATCH: Timer = Timer::new("power2.measure_batch");
 /// its misses on.
 pub static MEASURE_THREADS: MaxGauge = MaxGauge::new("power2.measure_threads");
 
-/// Appends the node simulator's readings — including the process-wide
-/// signature cache's hit/miss/eviction tallies and the derived hit rate
-/// and simulated-cycle throughput — to `snap`.
+/// The node simulator's statics, each listed once: what [`collect`]
+/// observes, [`reset`] zeroes and a flight recording samples.
+pub static ALL: [Metric; 8] = [
+    Metric::Counter(&KERNEL_RUNS),
+    Metric::Counter(&SIMULATED_CYCLES),
+    Metric::Counter(&SIMULATED_INSTRUCTIONS),
+    Metric::Counter(&TIMING_MEMO_LOOKUPS),
+    Metric::Counter(&TIMING_MEMO_HITS),
+    Metric::Timer(&MEASURE),
+    Metric::Timer(&MEASURE_BATCH),
+    Metric::MaxGauge(&MEASURE_THREADS),
+];
+
+/// `n / d`, or 0 when nothing was counted.
+fn ratio(n: f64, d: f64) -> MetricValue {
+    MetricValue::Value(if d > 0.0 { n / d } else { 0.0 })
+}
+
+/// Appends the process-wide signature cache's hit/miss/eviction tallies,
+/// the node simulator's table, and the readings derived from them: the
+/// cache and timing-memo hit rates and the simulated-cycle and
+/// -instruction throughput.
 pub fn collect(snap: &mut MetricsSnapshot) {
     let cache = SignatureCache::global();
-    snap.append("power2.sigcache.hits", MetricValue::Count(cache.hits()));
-    snap.append("power2.sigcache.misses", MetricValue::Count(cache.misses()));
+    let (hits, misses) = (cache.hits(), cache.misses());
+    snap.append("power2.sigcache.hits", MetricValue::Count(hits));
+    snap.append("power2.sigcache.misses", MetricValue::Count(misses));
     snap.append(
         "power2.sigcache.coalesced",
         MetricValue::Count(cache.coalesced()),
@@ -63,59 +83,34 @@ pub fn collect(snap: &mut MetricsSnapshot) {
         "power2.sigcache.entries",
         MetricValue::Count(cache.len() as u64),
     );
-    let lookups = cache.hits() + cache.misses();
     snap.append(
         "power2.sigcache.hit_rate",
-        MetricValue::Value(if lookups == 0 {
-            0.0
-        } else {
-            cache.hits() as f64 / lookups as f64
-        }),
+        ratio(hits as f64, (hits + misses) as f64),
     );
-    KERNEL_RUNS.observe(snap);
-    SIMULATED_CYCLES.observe(snap);
-    SIMULATED_INSTRUCTIONS.observe(snap);
-    TIMING_MEMO_LOOKUPS.observe(snap);
-    TIMING_MEMO_HITS.observe(snap);
-    let memo_lookups = TIMING_MEMO_LOOKUPS.get();
-    snap.append(
-        "power2.timing_memo.hit_rate",
-        MetricValue::Value(if memo_lookups == 0 {
-            0.0
-        } else {
-            TIMING_MEMO_HITS.get() as f64 / memo_lookups as f64
-        }),
+    for metric in ALL {
+        metric.observe(snap);
+    }
+    let memo_rate = ratio(
+        snap.count("power2.timing_memo.hits") as f64,
+        snap.count("power2.timing_memo.lookups") as f64,
     );
-    MEASURE.observe(snap);
-    MEASURE_BATCH.observe(snap);
-    MEASURE_THREADS.observe(snap);
     // Simulated cycles and instructions per busy second: single-thread
     // simulator rates, whatever the number of threads that measured in
     // parallel.
-    let busy_s = MEASURE.total_ns() as f64 / 1e9;
-    let per_busy_s =
-        |n: u64| MetricValue::Value(if busy_s > 0.0 { n as f64 / busy_s } else { 0.0 });
-    snap.append(
-        "power2.simulated_cycles_per_sec",
-        per_busy_s(SIMULATED_CYCLES.get()),
-    );
-    snap.append(
-        "power2.simulated_instructions_per_sec",
-        per_busy_s(SIMULATED_INSTRUCTIONS.get()),
-    );
+    let busy_s = snap.duration("power2.signature_measure").0 as f64 / 1e9;
+    let cycles_rate = ratio(snap.count("power2.simulated_cycles") as f64, busy_s);
+    let instructions_rate = ratio(snap.count("power2.simulated_instructions") as f64, busy_s);
+    snap.append("power2.timing_memo.hit_rate", memo_rate);
+    snap.append("power2.simulated_cycles_per_sec", cycles_rate);
+    snap.append("power2.simulated_instructions_per_sec", instructions_rate);
 }
 
 /// Zeroes the simulator's own metrics (cache statistics are owned by
 /// [`SignatureCache`] and reset via [`SignatureCache::clear`]).
 pub fn reset() {
-    KERNEL_RUNS.reset();
-    SIMULATED_CYCLES.reset();
-    SIMULATED_INSTRUCTIONS.reset();
-    TIMING_MEMO_LOOKUPS.reset();
-    TIMING_MEMO_HITS.reset();
-    MEASURE.reset();
-    MEASURE_BATCH.reset();
-    MEASURE_THREADS.reset();
+    for metric in ALL {
+        metric.reset();
+    }
 }
 
 #[cfg(test)]

@@ -147,10 +147,6 @@ pub struct SignatureCache {
     misses: AtomicU64,
     coalesced: AtomicU64,
     evictions: AtomicU64,
-    /// Published (`Done`) entries resident in the table, maintained at
-    /// publish/clear time so [`SignatureCache::len`] never has to walk
-    /// the shards — the flight recorder reads it every sampled sweep.
-    published: AtomicU64,
 }
 
 impl Default for SignatureCache {
@@ -161,7 +157,6 @@ impl Default for SignatureCache {
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            published: AtomicU64::new(0),
         }
     }
 }
@@ -354,18 +349,6 @@ impl SignatureCache {
                 };
                 *slot.lock_state() = SlotState::Done(Box::new(sig.clone()));
                 guard.published = true;
-                // Count the new resident only if a concurrent `clear`
-                // hasn't already swept this slot out of the table; the
-                // shard lock serializes this against the sweep.
-                {
-                    let map = self.lock_shard(hash);
-                    let resident = map
-                        .get(&hash)
-                        .is_some_and(|b| b.iter().any(|e| Arc::ptr_eq(&e.slot, &slot)));
-                    if resident {
-                        self.published.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
                 slot.cond.notify_all();
                 return sig;
             }
@@ -455,11 +438,13 @@ impl SignatureCache {
     }
 
     /// Distinct published measurements currently cached (in-flight
-    /// entries don't count until their result lands). One atomic load —
-    /// the tally is maintained at publish and [`clear`](Self::clear)
-    /// time, never by walking the shards.
+    /// entries don't count until their result lands), counted under the
+    /// shard locks.
     pub fn len(&self) -> usize {
-        self.published.load(Ordering::Relaxed) as usize
+        self.shards
+            .iter()
+            .map(|shard| published(&lock(shard)))
+            .sum::<u64>() as usize
     }
 
     /// Whether the cache holds no published measurements.
@@ -475,19 +460,22 @@ impl SignatureCache {
         let mut dropped = 0u64;
         for shard in &self.shards {
             let mut map = lock(shard);
-            dropped += map
-                .values()
-                .flatten()
-                .filter(|e| matches!(*e.slot.lock_state(), SlotState::Done(_)))
-                .count() as u64;
+            dropped += published(&map);
             map.clear();
         }
         self.evictions.fetch_add(dropped, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.coalesced.store(0, Ordering::Relaxed);
-        self.published.store(0, Ordering::Relaxed);
     }
+}
+
+/// Published (`Done`) entries in one shard's table.
+fn published(map: &HashMap<u128, Vec<Entry>>) -> u64 {
+    map.values()
+        .flatten()
+        .filter(|e| matches!(*e.slot.lock_state(), SlotState::Done(_)))
+        .count() as u64
 }
 
 #[cfg(test)]

@@ -134,7 +134,6 @@ impl Daemon {
     ) -> &SystemSample {
         self.check_input(lanes, down);
         let _sweep = crate::metrics::SWEEP.span();
-        let _sweep_ev = sp2_trace::events::span("daemon sweep", "rs2hpm");
         let per_node = self.selection.lanes_per_node();
         self.sum.fill(0);
         let mut nodes_sampled = 0;
@@ -250,7 +249,6 @@ impl Daemon {
         down: &[bool],
     ) {
         self.check_input(lanes, down);
-        let _sweep_ev = sp2_trace::events::span("daemon fast-forward", "rs2hpm");
         assert!(
             !self.samples.is_empty(),
             "fast-forward requires a preceding sample to replay"

@@ -6,7 +6,7 @@
 //! tallies how many node deltas contributed, re-baselined, or were
 //! discarded as implausible.
 
-use sp2_trace::{Counter, MetricValue, MetricsSnapshot, Timer};
+use sp2_trace::{Counter, Metric, MetricValue, MetricsSnapshot, Timer};
 
 /// Wall time of [`crate::Daemon::sweep`] passes (one span per stepped
 /// sweep; fast-forwarded sweeps are replayed, not swept).
@@ -22,29 +22,37 @@ pub static ANOMALIES: Counter = Counter::new("rs2hpm.anomalies");
 /// return from an outage, or recovery after a discarded delta.
 pub static BASELINES: Counter = Counter::new("rs2hpm.baselines");
 
-/// Appends the tool chain's readings, including the derived mean sweep
-/// duration, to `snap`.
+/// The tool chain's statics, each listed once: what [`collect`]
+/// observes, [`reset`] zeroes and a flight recording samples.
+pub static ALL: [Metric; 4] = [
+    Metric::Timer(&SWEEP),
+    Metric::Counter(&NODES_SAMPLED),
+    Metric::Counter(&ANOMALIES),
+    Metric::Counter(&BASELINES),
+];
+
+/// Appends the tool chain's table and the derived mean sweep duration
+/// to `snap`.
 pub fn collect(snap: &mut MetricsSnapshot) {
-    SWEEP.observe(snap);
+    for metric in ALL {
+        metric.observe(snap);
+    }
+    let (sweep_ns, sweeps) = snap.duration("rs2hpm.sweep");
     snap.append(
         "rs2hpm.sweep_mean_us",
-        MetricValue::Value(if SWEEP.count() == 0 {
+        MetricValue::Value(if sweeps == 0 {
             0.0
         } else {
-            SWEEP.total_ns() as f64 / SWEEP.count() as f64 / 1e3
+            sweep_ns as f64 / sweeps as f64 / 1e3
         }),
     );
-    NODES_SAMPLED.observe(snap);
-    ANOMALIES.observe(snap);
-    BASELINES.observe(snap);
 }
 
 /// Zeroes every reading.
 pub fn reset() {
-    SWEEP.reset();
-    NODES_SAMPLED.reset();
-    ANOMALIES.reset();
-    BASELINES.reset();
+    for metric in ALL {
+        metric.reset();
+    }
 }
 
 #[cfg(test)]

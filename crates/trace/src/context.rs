@@ -10,7 +10,8 @@
 //! themselves stay process totals.
 
 use crate::events::{EventLog, SpanEvent};
-use crate::recorder::{Collector, IntervalSeries, TimeSeries};
+use crate::metric::Metric;
+use crate::recorder::{IntervalSeries, TimeSeries};
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -102,9 +103,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// One flight recording: the span-event log and the interval time series
 /// of every thread it is current on. Clones share the recording.
 ///
-/// The sampling cadence and the metrics collector are fixed when the
-/// recording is made. While it is current, metric capture is on, since
-/// the series differences metric snapshots that only move under capture.
+/// The metric tables it samples are fixed when the recording is made.
+/// While it is current, metric capture is on, since the series
+/// differences metric readings that only move under capture.
 #[derive(Debug, Clone)]
 pub struct Recording(Arc<Shared>);
 
@@ -117,17 +118,16 @@ struct Shared {
 }
 
 impl Recording {
-    /// A recording that samples `collector` every `cadence` daemon
-    /// sweeps (`0` is treated as 1), holding at most
+    /// A recording that samples the metrics of `tables`, in order, at
+    /// every daemon sweep, holding at most
     /// [`crate::events::DEFAULT_CAPACITY`] span events and
-    /// [`crate::recorder::DEFAULT_CAPACITY`] intervals.
-    pub fn new(cadence: u64, collector: Collector) -> Recording {
+    /// [`crate::recorder::DEFAULT_CAPACITY`] rows.
+    pub fn new(tables: &'static [&'static [Metric]]) -> Recording {
         Recording(Arc::new(Shared {
             epoch: Instant::now(),
             events: Mutex::new(EventLog::new(crate::events::DEFAULT_CAPACITY)),
             series: Mutex::new(IntervalSeries::new(
-                cadence,
-                collector,
+                tables,
                 crate::recorder::DEFAULT_CAPACITY,
             )),
         }))
@@ -159,7 +159,7 @@ impl Recording {
         lock(&self.0.events).dropped()
     }
 
-    /// A copy of the interval time series.
+    /// The interval time series: the rows held, differenced.
     pub fn series(&self) -> TimeSeries {
         lock(&self.0.series).to_series()
     }
@@ -180,7 +180,6 @@ impl Recording {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::MetricsSnapshot;
 
     #[test]
     fn switches_belong_to_the_calling_thread() {
@@ -202,7 +201,7 @@ mod tests {
 
     #[test]
     fn a_recording_turns_capture_on_while_current() {
-        let rec = Recording::new(1, MetricsSnapshot::new);
+        let rec = Recording::new(&[]);
         assert!(Recording::current().is_none());
         rec.run(|| {
             assert!(enabled() && recording());
@@ -216,7 +215,7 @@ mod tests {
 
     #[test]
     fn context_restores_after_a_panic() {
-        let rec = Recording::new(1, MetricsSnapshot::new);
+        let rec = Recording::new(&[]);
         let caught = std::panic::catch_unwind(|| rec.run(|| panic!("inside")));
         assert!(caught.is_err());
         assert!(!enabled() && !recording());
@@ -224,7 +223,7 @@ mod tests {
 
     #[test]
     fn a_handed_on_context_records_into_the_same_recording() {
-        let rec = Recording::new(1, MetricsSnapshot::new);
+        let rec = Recording::new(&[]);
         let context = rec.run(Context::current);
         std::thread::spawn(move || {
             context.run(|| {

@@ -6,12 +6,15 @@
 //! as Chrome trace-event JSON for Perfetto. Two time domains coexist:
 //!
 //! - **Wall** events carry nanoseconds since the recording began and
-//!   describe the simulator's own execution: campaign phases, experiment
-//!   runs, signature-cache waits.
+//!   describe the simulator's own execution: campaigns, rotated passes,
+//!   experiment runs, signature-cache batches, misses and waits, served
+//!   jobs, daemon restarts. Per-sweep and per-scheduling-pass time is not logged here:
+//!   the interval series already holds it.
 //! - **Sim** events carry simulated nanoseconds and describe the
 //!   machine being simulated: the PBS job lifecycle (queue → run →
-//!   epilogue/kill/requeue). Exporters place the two domains in
-//!   separate trace processes so their clocks never mix.
+//!   epilogue/kill/requeue/horizon), drains, node failures and repairs.
+//!   Exporters place the two domains in separate trace processes so
+//!   their clocks never mix.
 //!
 //! Events land in the log of the calling thread's current
 //! [`crate::Recording`], a bounded buffer. When it is full the oldest
@@ -192,10 +195,9 @@ impl Drop for EventSpan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::MetricsSnapshot;
 
     fn recording() -> Recording {
-        Recording::new(1, MetricsSnapshot::new)
+        Recording::new(&[])
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! counters accumulate for free, a daemon reads them on a fixed cadence,
 //! and rate rules turn deltas into tables. This crate gives the
 //! *simulator* the same treatment: every hot subsystem increments static
-//! atomic [`Counter`]s and [`Timer`] spans, a collection pass snapshots
-//! them into a [`MetricsSnapshot`], and the `sp2` front end renders the
-//! result as text or JSON (`sp2 profile`, `sp2 --metrics`).
+//! atomic [`Counter`]s and [`Timer`] spans and lists them once, in a
+//! table of [`Metric`]s. A collection pass snapshots the tables into a
+//! [`MetricsSnapshot`], which the `sp2` front end renders as text or
+//! JSON (`sp2 profile`, `sp2 --metrics`), and a [`Recording`] samples
+//! them as raw rows every simulated daemon sweep (`sp2 timeline`).
 //!
 //! Design constraints, in priority order:
 //!
@@ -49,5 +51,5 @@ pub mod recorder;
 pub mod snapshot;
 
 pub use context::{enabled, recording, set_enabled, Context, Recording};
-pub use metric::{Counter, Gauge, MaxGauge, Span, Timer};
+pub use metric::{Counter, Gauge, MaxGauge, Metric, Span, Timer};
 pub use snapshot::{MetricValue, MetricsSnapshot};

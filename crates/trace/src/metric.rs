@@ -1,9 +1,10 @@
 //! Static metric primitives: counters, gauges, and timing spans.
 //!
 //! All four types are `const`-constructible so instrumented crates
-//! declare them as statics; recording is a relaxed atomic op gated on
-//! the calling thread's enable switch, and reading is always allowed (a
-//! disabled metric simply reads as its last recorded value).
+//! declare them as statics and list each once in a table of [`Metric`]s;
+//! recording is a relaxed atomic op gated on the calling thread's enable
+//! switch, and reading is always allowed (a disabled metric simply reads
+//! as its last recorded value).
 
 use crate::snapshot::{MetricValue, MetricsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,11 +27,6 @@ impl Counter {
         }
     }
 
-    /// The metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Adds `n` events (no-op while tracing is disabled).
     #[inline]
     pub fn add(&self, n: u64) {
@@ -48,16 +44,6 @@ impl Counter {
     /// The accumulated count.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Zeroes the counter (collection-side use; never on a hot path).
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
-
-    /// Appends this counter to a snapshot.
-    pub fn observe(&self, snap: &mut MetricsSnapshot) {
-        snap.append(self.name, MetricValue::Count(self.get()));
     }
 }
 
@@ -80,11 +66,6 @@ impl Gauge {
         }
     }
 
-    /// The metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Records the current value (no-op while tracing is disabled).
     #[inline]
     pub fn set(&self, v: f64) {
@@ -96,16 +77,6 @@ impl Gauge {
     /// The last recorded value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// Resets the gauge to 0.0.
-    pub fn reset(&self) {
-        self.bits.store(0, Ordering::Relaxed);
-    }
-
-    /// Appends this gauge to a snapshot.
-    pub fn observe(&self, snap: &mut MetricsSnapshot) {
-        snap.append(self.name, MetricValue::Value(self.get()));
     }
 }
 
@@ -125,11 +96,6 @@ impl MaxGauge {
         }
     }
 
-    /// The metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Raises the mark to `v` if higher (no-op while tracing is
     /// disabled).
     #[inline]
@@ -142,16 +108,6 @@ impl MaxGauge {
     /// The high-water mark so far.
     pub fn get(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
-    }
-
-    /// Resets the mark to 0.
-    pub fn reset(&self) {
-        self.max.store(0, Ordering::Relaxed);
-    }
-
-    /// Appends this mark to a snapshot.
-    pub fn observe(&self, snap: &mut MetricsSnapshot) {
-        snap.append(self.name, MetricValue::Count(self.get()));
     }
 }
 
@@ -175,11 +131,6 @@ impl Timer {
             total_ns: AtomicU64::new(0),
             count: AtomicU64::new(0),
         }
-    }
-
-    /// The metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Opens a scoped span; elapsed time is recorded when the guard
@@ -211,23 +162,6 @@ impl Timer {
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
-
-    /// Zeroes both accumulators.
-    pub fn reset(&self) {
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
-    }
-
-    /// Appends this timer to a snapshot.
-    pub fn observe(&self, snap: &mut MetricsSnapshot) {
-        snap.append(
-            self.name,
-            MetricValue::Duration {
-                total_ns: self.total_ns(),
-                count: self.count(),
-            },
-        );
-    }
 }
 
 /// Scoped timing guard; see [`Timer::span`].
@@ -245,6 +179,61 @@ impl Drop for Span<'_> {
             let ns = start.elapsed().as_nanos() as u64;
             self.timer.total_ns.fetch_add(ns, Ordering::Relaxed);
             self.timer.count.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// One static metric, as the crate that declares it lists it in its
+/// table (`pub static ALL: [Metric; N]`). A table is the fixed selection
+/// of registers the RS2HPM daemon read: [`Metric::observe`] names its
+/// readings for a snapshot, and a [`crate::Recording`] samples it as a
+/// row of raw numbers every daemon sweep.
+#[derive(Debug, Clone, Copy)]
+pub enum Metric {
+    Counter(&'static Counter),
+    Gauge(&'static Gauge),
+    MaxGauge(&'static MaxGauge),
+    Timer(&'static Timer),
+}
+
+impl Metric {
+    /// The metric name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Metric::Counter(c) => c.name,
+            Metric::Gauge(g) => g.name,
+            Metric::MaxGauge(m) => m.name,
+            Metric::Timer(t) => t.name,
+        }
+    }
+
+    /// Appends the current reading to a snapshot: counters and
+    /// high-water marks as counts, gauges as values, timers as
+    /// durations.
+    pub fn observe(self, snap: &mut MetricsSnapshot) {
+        let value = match self {
+            Metric::Counter(c) => MetricValue::Count(c.get()),
+            Metric::Gauge(g) => MetricValue::Value(g.get()),
+            Metric::MaxGauge(m) => MetricValue::Count(m.get()),
+            Metric::Timer(t) => MetricValue::Duration {
+                total_ns: t.total_ns(),
+                count: t.count(),
+            },
+        };
+        snap.append(self.name(), value);
+    }
+
+    /// Zeroes the metric (collection-side use; never on a hot path). A
+    /// gauge's all-zero bits read 0.0.
+    pub fn reset(self) {
+        match self {
+            Metric::Counter(c) => c.value.store(0, Ordering::Relaxed),
+            Metric::Gauge(g) => g.bits.store(0, Ordering::Relaxed),
+            Metric::MaxGauge(m) => m.max.store(0, Ordering::Relaxed),
+            Metric::Timer(t) => {
+                t.total_ns.store(0, Ordering::Relaxed);
+                t.count.store(0, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -305,28 +294,59 @@ mod tests {
 
     #[test]
     fn reset_zeroes_and_observe_appends() {
+        static C: Counter = Counter::new("t.reset.count");
+        static G: Gauge = Gauge::new("t.reset.gauge");
+        static M: MaxGauge = MaxGauge::new("t.reset.max");
+        static T: Timer = Timer::new("t.reset.timer");
+        let table = [
+            Metric::Counter(&C),
+            Metric::Gauge(&G),
+            Metric::MaxGauge(&M),
+            Metric::Timer(&T),
+        ];
         crate::set_enabled(true);
-        let c = Counter::new("t.reset.count");
-        c.add(3);
-        c.reset();
-        assert_eq!(c.get(), 0);
-        let t = Timer::new("t.reset.timer");
-        t.record_ns(10);
-        t.reset();
-        assert_eq!((t.total_ns(), t.count()), (0, 0));
+        C.add(3);
+        G.set(1.5);
+        M.record(4);
+        T.record_ns(10);
         crate::set_enabled(false);
 
         let mut snap = MetricsSnapshot::new();
-        c.observe(&mut snap);
-        t.observe(&mut snap);
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap.get("t.reset.count"), Some(&MetricValue::Count(0)));
+        for metric in table {
+            metric.observe(&mut snap);
+        }
+        let names: Vec<&str> = snap.entries().iter().map(|(n, _)| n.as_ref()).collect();
+        assert_eq!(
+            names,
+            [
+                "t.reset.count",
+                "t.reset.gauge",
+                "t.reset.max",
+                "t.reset.timer"
+            ]
+        );
+        assert_eq!(snap.get("t.reset.count"), Some(&MetricValue::Count(3)));
+        assert_eq!(snap.get("t.reset.gauge"), Some(&MetricValue::Value(1.5)));
+        assert_eq!(snap.get("t.reset.max"), Some(&MetricValue::Count(4)));
+        assert_eq!(
+            snap.get("t.reset.timer"),
+            Some(&MetricValue::Duration {
+                total_ns: 10,
+                count: 1
+            })
+        );
+
+        for metric in table {
+            metric.reset();
+        }
+        assert_eq!((C.get(), G.get(), M.get()), (0, 0.0, 0));
+        assert_eq!((T.total_ns(), T.count()), (0, 0));
     }
 
     #[test]
     fn statics_are_const_constructible() {
         static C: Counter = Counter::new("t.static");
         assert_eq!(C.get(), 0);
-        assert_eq!(C.name(), "t.static");
+        assert_eq!(Metric::Counter(&C).name(), "t.static");
     }
 }

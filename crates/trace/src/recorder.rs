@@ -2,42 +2,42 @@
 //!
 //! The static metrics are free-running cumulative counters, exactly like
 //! the SP2's hardware counters — useful for totals (`sp2 profile`), but
-//! a *history* needs what Bergeron's daemon did every 15 minutes:
-//! sample on a cadence and difference consecutive snapshots. This module
-//! is that daemon turned inward. The campaign engine calls [`on_sweep`]
-//! at every simulated daemon sweep; every `cadence` sweeps the calling
-//! thread's current [`crate::Recording`] collects a [`MetricsSnapshot`]
-//! (through the collector callback it was made with, so this crate stays
-//! dependency-free), differences it against the previous one, and pushes
-//! an [`IntervalSample`] into a bounded ring buffer.
+//! a *history* needs what Bergeron's daemon did every 15 minutes: read a
+//! fixed selection of registers and difference the raw values. This
+//! module is that daemon turned inward. A recording is made with the
+//! instrumented crates' metric tables, and the campaign engine calls
+//! [`on_sweep`] at every simulated daemon sweep. The calling thread's
+//! current [`crate::Recording`] then appends one fixed-width row of raw
+//! readings to a bounded flat ring: counts, timer nanoseconds and span
+//! counts, and gauge bits, in table order. A row carries no names and
+//! costs no allocation. [`crate::Recording::series`] differences
+//! consecutive rows by index and names the readings from the tables.
 //!
 //! Discontinuities are handled the way the daemon handles its own
-//! restarts: when any monotonic reading moves backwards (someone called
-//! a subsystem's `reset`/`reset_all` mid-flight), the interval is
-//! recorded as a pure **re-baseline** — `discontinuity` is flagged, the
-//! monotonic deltas are zeroed instead of going negative, and the next
-//! interval differences against the post-reset snapshot. Instantaneous
-//! gauges pass through unchanged (they never difference).
+//! restarts: when any count or duration moves backwards between two
+//! rows (someone called a subsystem's `reset` mid-flight), the interval
+//! is a pure **re-baseline** — `discontinuity` is flagged, the monotonic
+//! deltas are zeroed instead of going negative, and the next interval
+//! differences against the post-reset row. Instantaneous gauges pass
+//! through unchanged (they never difference).
 //!
-//! When the ring is full the oldest sample is dropped and a counter
+//! When the ring is full the oldest row is dropped and a counter
 //! incremented — bounded memory, never silent truncation. While no
 //! recording is current, [`on_sweep`] is one thread-local read.
 
 use crate::context::with_recording;
-use crate::snapshot::{MetricValue, MetricsSnapshot};
-use std::borrow::Cow;
-use std::collections::VecDeque;
+use crate::metric::Metric;
+use crate::snapshot::MetricValue;
 
-/// Default ring capacity in samples: a 85-day campaign at the default
-/// one-sample-per-sweep cadence before the ring starts recycling.
-pub const DEFAULT_CAPACITY: usize = 8_192;
+/// Default ring capacity in rows: 2^15 holds the 25,921 rows (the
+/// baseline and 25,920 sweeps) of the paper's 270-day campaign.
+pub const DEFAULT_CAPACITY: usize = 1 << 15;
 
-/// Snapshot provider a recording calls on every sampled sweep. A plain
-/// fn pointer keeps `sp2-trace` dependency-free; `sp2-core` supplies its
-/// aggregate `metrics::snapshot`.
-pub type Collector = fn() -> MetricsSnapshot;
+/// Row slots ahead of the readings: the sweep index and the bits of the
+/// simulated time.
+const HEADER: usize = 2;
 
-/// One recorded interval: what changed between two sampled sweeps.
+/// One recorded interval: what changed between two consecutive sweeps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntervalSample {
     /// 1-based daemon sweep index at capture (0 = the baseline pass).
@@ -47,17 +47,22 @@ pub struct IntervalSample {
     /// A monotonic reading moved backwards (a subsystem reset); the
     /// monotonic deltas in this sample are zeroed re-baselines.
     pub discontinuity: bool,
-    /// Interval readings in snapshot order: counts and durations are
+    /// Interval readings in table order: counts and durations are
     /// deltas over the interval, values are instantaneous.
-    pub deltas: Vec<(Cow<'static, str>, MetricValue)>,
+    pub deltas: Vec<(&'static str, MetricValue)>,
 }
 
-/// A cloned-out view of a recording's ring.
+impl IntervalSample {
+    /// The interval reading of one named metric.
+    pub fn get(&self, name: &str) -> Option<&MetricValue> {
+        self.deltas.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+}
+
+/// A differenced view of a recording's ring.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
-    /// Sweeps between samples (1 = every daemon sweep).
-    pub cadence: u64,
-    /// Samples oldest-first.
+    /// Samples oldest-first, one per sweep after the oldest row held.
     pub samples: Vec<IntervalSample>,
     /// Samples lost to the drop-oldest policy.
     pub dropped: u64,
@@ -69,159 +74,155 @@ impl TimeSeries {
     pub fn points(&self, name: &str) -> Vec<(f64, f64)> {
         self.samples
             .iter()
-            .filter_map(|s| {
-                s.deltas
-                    .iter()
-                    .find(|(n, _)| n.as_ref() == name)
-                    .map(|(_, v)| (s.sim_t, v.as_f64()))
-            })
+            .filter_map(|s| s.get(name).map(|v| (s.sim_t, v.as_f64())))
             .collect()
     }
 }
 
-/// Differences two snapshots into interval readings. Returns the deltas
-/// and whether a monotonic reading regressed (`reset_all` ran between
-/// the snapshots). On a regression the sample is a pure re-baseline:
-/// every monotonic delta is zero — mirroring how the RS2HPM daemon
-/// discards the delta and re-baselines after its own restart — and no
-/// delta is ever negative.
-fn diff_snapshots(
-    prev: &MetricsSnapshot,
-    cur: &MetricsSnapshot,
-) -> (Vec<(Cow<'static, str>, MetricValue)>, bool) {
-    let prev_entries = prev.entries();
-    let cur_entries = cur.entries();
-    // The collector walks the subsystems in a fixed order, so between
-    // two sweeps the name sequences are almost always identical —
-    // difference by index then, instead of an O(n²) lookup per name.
-    // The slow path only runs when a metric appeared or disappeared.
-    let aligned = prev_entries.len() == cur_entries.len()
-        && prev_entries
-            .iter()
-            .zip(cur_entries)
-            .all(|((a, _), (b, _))| a == b);
-    let prev_of = |i: usize, name: &str| -> Option<&MetricValue> {
-        if aligned {
-            Some(&prev_entries[i].1)
-        } else {
-            prev.get(name)
+impl Metric {
+    /// Row slots of the raw reading: a timer's nanoseconds and spans, or
+    /// one count or gauge's bits.
+    fn width(self) -> usize {
+        match self {
+            Metric::Timer(_) => 2,
+            _ => 1,
         }
-    };
-    let regressed = cur_entries
-        .iter()
-        .enumerate()
-        .any(|(i, (name, v))| match *v {
-            MetricValue::Count(c) => {
-                matches!(prev_of(i, name), Some(&MetricValue::Count(p)) if c < p)
+    }
+
+    /// Writes the raw reading into the metric's `slots` of a row.
+    fn read(self, slots: &mut [u64]) {
+        match self {
+            Metric::Counter(c) => slots[0] = c.get(),
+            Metric::Gauge(g) => slots[0] = g.get().to_bits(),
+            Metric::MaxGauge(m) => slots[0] = m.get(),
+            Metric::Timer(t) => {
+                slots[0] = t.total_ns();
+                slots[1] = t.count();
             }
-            MetricValue::Duration { total_ns, count } => matches!(
-                prev_of(i, name),
-                Some(&MetricValue::Duration { total_ns: p_ns, count: p_n })
-                    if total_ns < p_ns || count < p_n
-            ),
-            MetricValue::Value(_) => false,
-        });
-    let deltas = cur_entries
-        .iter()
-        .enumerate()
-        .map(|(i, (name, v))| {
-            let delta = match *v {
-                MetricValue::Count(c) => {
-                    let p = match (regressed, prev_of(i, name)) {
-                        (false, Some(&MetricValue::Count(p))) => p,
-                        (false, _) => 0,
-                        (true, _) => c, // re-baseline: contribute nothing
-                    };
-                    MetricValue::Count(c - p)
-                }
-                MetricValue::Duration { total_ns, count } => {
-                    let (p_ns, p_n) = match (regressed, prev_of(i, name)) {
-                        (
-                            false,
-                            Some(&MetricValue::Duration {
-                                total_ns: p_ns,
-                                count: p_n,
-                            }),
-                        ) => (p_ns, p_n),
-                        (false, _) => (0, 0),
-                        (true, _) => (total_ns, count),
-                    };
-                    MetricValue::Duration {
-                        total_ns: total_ns - p_ns,
-                        count: count - p_n,
-                    }
-                }
-                MetricValue::Value(x) => MetricValue::Value(x),
-            };
-            (name.clone(), delta)
-        })
-        .collect();
-    (deltas, regressed)
+        }
+    }
+
+    /// Whether a count or duration went backwards between two rows'
+    /// slots of this metric.
+    fn regressed(self, prev: &[u64], cur: &[u64]) -> bool {
+        !matches!(self, Metric::Gauge(_)) && cur.iter().zip(prev).any(|(c, p)| c < p)
+    }
+
+    /// The interval reading between two rows' slots of this metric:
+    /// counts and durations differenced (zero on a re-baseline), a
+    /// gauge as read.
+    fn delta(self, prev: &[u64], cur: &[u64], rebaseline: bool) -> MetricValue {
+        let d = |i: usize| if rebaseline { 0 } else { cur[i] - prev[i] };
+        match self {
+            Metric::Counter(_) | Metric::MaxGauge(_) => MetricValue::Count(d(0)),
+            Metric::Gauge(_) => MetricValue::Value(f64::from_bits(cur[0])),
+            Metric::Timer(_) => MetricValue::Duration {
+                total_ns: d(0),
+                count: d(1),
+            },
+        }
+    }
 }
 
-/// A recording's interval state: the cadence and collector it was made
-/// with, the last sampled snapshot, and the bounded ring.
+/// A recording's interval state: the sampled metrics laid out as row
+/// slots, and the bounded ring of raw rows.
 #[derive(Debug)]
 pub(crate) struct IntervalSeries {
-    cadence: u64,
+    /// Every sampled metric, in table order, with the row slot its
+    /// reading starts at.
+    layout: Vec<(Metric, usize)>,
+    /// Slots per row.
+    stride: usize,
+    /// Rows the ring holds at most.
     capacity: usize,
-    collector: Collector,
-    baseline: Option<MetricsSnapshot>,
-    samples: VecDeque<IntervalSample>,
-    dropped: u64,
+    /// `capacity` rows of `stride` slots; row `n` of the recording
+    /// lands in ring row `n % capacity`.
+    ring: Vec<u64>,
+    /// Rows appended since the recording began.
+    rows: usize,
 }
 
 impl IntervalSeries {
-    pub(crate) fn new(cadence: u64, collector: Collector, capacity: usize) -> IntervalSeries {
+    pub(crate) fn new(tables: &[&[Metric]], capacity: usize) -> IntervalSeries {
+        let mut layout = Vec::new();
+        let mut stride = HEADER;
+        for &metric in tables.iter().flat_map(|table| table.iter()) {
+            layout.push((metric, stride));
+            stride += metric.width();
+        }
         IntervalSeries {
-            cadence: cadence.max(1),
-            capacity: capacity.max(1),
-            collector,
-            baseline: None,
-            samples: VecDeque::new(),
-            dropped: 0,
+            layout,
+            stride,
+            capacity,
+            ring: vec![0; capacity * stride],
+            rows: 0,
         }
     }
 
-    /// Samples and records the interval when `sweep` lands on the
-    /// cadence.
+    /// The slots of the metric whose reading starts at `at`.
+    fn slots(row: &[u64], metric: Metric, at: usize) -> &[u64] {
+        &row[at..at + metric.width()]
+    }
+
+    /// Row `n` of the recording; the caller keeps `n` among the rows
+    /// held.
+    fn row(&self, n: usize) -> &[u64] {
+        let r = n % self.capacity;
+        &self.ring[r * self.stride..(r + 1) * self.stride]
+    }
+
+    /// Appends the row of sweep `sweep`, overwriting the oldest row when
+    /// the ring is full.
     pub(crate) fn on_sweep(&mut self, sweep: u64, sim_t: f64) {
-        if !sweep.is_multiple_of(self.cadence) {
-            return;
+        let r = self.rows % self.capacity;
+        self.rows += 1;
+        let row = &mut self.ring[r * self.stride..(r + 1) * self.stride];
+        row[0] = sweep;
+        row[1] = sim_t.to_bits();
+        for &(metric, at) in &self.layout {
+            metric.read(&mut row[at..at + metric.width()]);
         }
-        let cur = (self.collector)();
-        if let Some(prev) = &self.baseline {
-            let (deltas, discontinuity) = diff_snapshots(prev, &cur);
-            if self.samples.len() >= self.capacity {
-                self.samples.pop_front();
-                self.dropped += 1;
-            }
-            self.samples.push_back(IntervalSample {
-                sweep,
-                sim_t,
-                discontinuity,
-                deltas,
-            });
-        }
-        // Sweep 0 (or the first sampled sweep) only baselines, exactly like
-        // the daemon's first pass over a node.
-        self.baseline = Some(cur);
     }
 
+    /// Differences two rows by index.
+    fn interval(&self, prev: &[u64], cur: &[u64]) -> IntervalSample {
+        let discontinuity = self.layout.iter().any(|&(metric, at)| {
+            metric.regressed(Self::slots(prev, metric, at), Self::slots(cur, metric, at))
+        });
+        let deltas = self
+            .layout
+            .iter()
+            .map(|&(metric, at)| {
+                let (p, c) = (Self::slots(prev, metric, at), Self::slots(cur, metric, at));
+                (metric.name(), metric.delta(p, c, discontinuity))
+            })
+            .collect();
+        IntervalSample {
+            sweep: cur[0],
+            sim_t: f64::from_bits(cur[1]),
+            discontinuity,
+            deltas,
+        }
+    }
+
+    /// Differences every row held against the one before it. The oldest
+    /// row held only baselines, exactly like the daemon's first pass
+    /// over a node; the rows before it were dropped.
     pub(crate) fn to_series(&self) -> TimeSeries {
+        let dropped = self.rows.saturating_sub(self.capacity);
         TimeSeries {
-            cadence: self.cadence,
-            samples: self.samples.iter().cloned().collect(),
-            dropped: self.dropped,
+            samples: (dropped + 1..self.rows)
+                .map(|n| self.interval(self.row(n - 1), self.row(n)))
+                .collect(),
+            dropped: dropped as u64,
         }
     }
 }
 
 /// Called by the campaign engine at daemon sweep `sweep` (0 for the
 /// baseline pass at t=0), simulated time `sim_t`. The calling thread's
-/// current recording samples the metrics and records the interval when
-/// the sweep lands on its cadence. One thread-local read while no
-/// recording is current.
+/// current recording appends the sweep's row. One thread-local read
+/// while no recording is current.
 pub fn on_sweep(sweep: u64, sim_t: f64) {
     with_recording(|recording| recording.on_sweep(sweep, sim_t));
 }
@@ -229,155 +230,114 @@ pub fn on_sweep(sweep: u64, sim_t: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Recording;
+    use crate::{Counter, Gauge, Recording, Timer};
 
-    fn snap(entries: &[(&'static str, MetricValue)]) -> MetricsSnapshot {
-        let mut s = MetricsSnapshot::new();
-        for (n, v) in entries {
-            s.append(*n, v.clone());
-        }
-        s
+    static COUNT: Counter = Counter::new("a.count");
+    static GAUGE: Gauge = Gauge::new("a.gauge");
+    static TIMER: Timer = Timer::new("a.timer");
+    static TABLE: [Metric; 3] = [
+        Metric::Counter(&COUNT),
+        Metric::Gauge(&GAUGE),
+        Metric::Timer(&TIMER),
+    ];
+
+    /// A row's readings: count, gauge bits, timer ns and spans.
+    fn row(count: u64, gauge: f64, ns: u64, spans: u64) -> [u64; 6] {
+        [0, 0, count, gauge.to_bits(), ns, spans]
+    }
+
+    fn series() -> IntervalSeries {
+        IntervalSeries::new(&[&TABLE], 4)
     }
 
     #[test]
-    fn diff_produces_interval_deltas() {
-        let prev = snap(&[
-            ("a.count", MetricValue::Count(10)),
-            ("a.gauge", MetricValue::Value(0.5)),
-            (
-                "a.timer",
-                MetricValue::Duration {
-                    total_ns: 1_000,
-                    count: 2,
-                },
-            ),
-        ]);
-        let cur = snap(&[
-            ("a.count", MetricValue::Count(17)),
-            ("a.gauge", MetricValue::Value(0.25)),
-            (
-                "a.timer",
-                MetricValue::Duration {
-                    total_ns: 4_500,
-                    count: 5,
-                },
-            ),
-            ("a.new", MetricValue::Count(3)),
-        ]);
-        let (deltas, disc) = diff_snapshots(&prev, &cur);
-        assert!(!disc);
-        let get = |name: &str| deltas.iter().find(|(n, _)| n == name).unwrap().1.clone();
-        assert_eq!(get("a.count"), MetricValue::Count(7));
+    fn rows_difference_into_interval_deltas() {
+        let s = series();
+        let sample = s.interval(&row(10, 0.5, 1_000, 2), &row(17, 0.25, 4_500, 5));
+        assert!(!sample.discontinuity);
+        assert_eq!(sample.get("a.count"), Some(&MetricValue::Count(7)));
         assert_eq!(
-            get("a.gauge"),
-            MetricValue::Value(0.25),
+            sample.get("a.gauge"),
+            Some(&MetricValue::Value(0.25)),
             "gauges pass through"
         );
         assert_eq!(
-            get("a.timer"),
-            MetricValue::Duration {
+            sample.get("a.timer"),
+            Some(&MetricValue::Duration {
                 total_ns: 3_500,
                 count: 3
-            }
+            })
         );
-        assert_eq!(
-            get("a.new"),
-            MetricValue::Count(3),
-            "new metrics baseline at 0"
-        );
+        let names: Vec<&str> = sample.deltas.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, ["a.count", "a.gauge", "a.timer"], "table order");
     }
 
     #[test]
     fn reset_discontinuity_is_flagged_and_never_negative() {
-        // The satellite contract: a reset_all between snapshots must
-        // re-baseline (deltas zero, flagged), mirroring the daemon's
-        // restart handling — never a negative or wrapped delta.
-        let prev = snap(&[
-            ("a.count", MetricValue::Count(1_000)),
-            (
-                "a.timer",
-                MetricValue::Duration {
-                    total_ns: 9_000,
-                    count: 9,
-                },
-            ),
-        ]);
-        // reset_all zeroed everything, then a little new work happened.
-        let cur = snap(&[
-            ("a.count", MetricValue::Count(4)),
-            (
-                "a.timer",
-                MetricValue::Duration {
-                    total_ns: 100,
-                    count: 1,
-                },
-            ),
-        ]);
-        let (deltas, disc) = diff_snapshots(&prev, &cur);
-        assert!(disc, "regression must flag a discontinuity");
-        for (name, v) in &deltas {
-            match *v {
-                MetricValue::Count(c) => assert_eq!(c, 0, "{name} must re-baseline"),
-                MetricValue::Duration { total_ns, count } => {
-                    assert_eq!((total_ns, count), (0, 0), "{name} must re-baseline");
-                }
-                MetricValue::Value(_) => {}
-            }
-        }
-        // The next interval differences against the post-reset snapshot.
-        let next = snap(&[("a.count", MetricValue::Count(10))]);
-        let (deltas, disc) = diff_snapshots(&cur, &next);
-        assert!(!disc);
-        assert_eq!(deltas[0].1, MetricValue::Count(6));
+        // A reset between two rows must re-baseline (deltas zero,
+        // flagged), mirroring the daemon's restart handling — never a
+        // negative or wrapped delta.
+        let s = series();
+        // The reset zeroed everything, then a little new work happened.
+        let (before, after) = (row(1_000, 0.5, 9_000, 9), row(4, 0.75, 100, 1));
+        let sample = s.interval(&before, &after);
+        assert!(sample.discontinuity, "regression must flag a discontinuity");
+        assert_eq!(sample.get("a.count"), Some(&MetricValue::Count(0)));
+        assert_eq!(
+            sample.get("a.timer"),
+            Some(&MetricValue::Duration {
+                total_ns: 0,
+                count: 0
+            })
+        );
+        assert_eq!(sample.get("a.gauge"), Some(&MetricValue::Value(0.75)));
+        // The next interval differences against the post-reset row.
+        let next = s.interval(&after, &row(10, 0.75, 100, 1));
+        assert!(!next.discontinuity);
+        assert_eq!(next.get("a.count"), Some(&MetricValue::Count(6)));
     }
 
     #[test]
     fn partial_regression_rebaselines_whole_sample() {
-        // One subsystem reset while another kept counting: the sample
-        // is still a single coherent re-baseline (no mixing of real
-        // deltas with reset artifacts).
-        let prev = snap(&[("x", MetricValue::Count(50)), ("y", MetricValue::Count(50))]);
-        let cur = snap(&[("x", MetricValue::Count(60)), ("y", MetricValue::Count(0))]);
-        let (deltas, disc) = diff_snapshots(&prev, &cur);
-        assert!(disc);
-        assert!(deltas.iter().all(|(_, v)| v.as_count() == Some(0)));
+        // One reading reset while another kept counting: the sample is
+        // still a single coherent re-baseline (no mixing of real deltas
+        // with reset artifacts).
+        let s = series();
+        let sample = s.interval(&row(50, 0.0, 50, 5), &row(60, 0.0, 0, 0));
+        assert!(sample.discontinuity);
+        assert_eq!(sample.get("a.count"), Some(&MetricValue::Count(0)));
     }
 
     #[test]
-    fn recorder_samples_on_cadence_with_ring_bound() {
-        static TICKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        fn counting_collector() -> MetricsSnapshot {
-            let t = TICKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            snap_helper(t * 5)
-        }
-        fn snap_helper(v: u64) -> MetricsSnapshot {
-            let mut s = MetricsSnapshot::new();
-            s.append("tick.count", MetricValue::Count(v));
-            s
-        }
-        let mut ring = IntervalSeries::new(2, counting_collector, 3);
+    fn recorder_samples_every_sweep_with_ring_bound() {
+        crate::set_enabled(true);
+        Metric::Counter(&COUNT).reset();
+        let mut ring = series();
         ring.on_sweep(0, 0.0); // baseline only
         for sweep in 1..=10 {
+            COUNT.add(5);
             ring.on_sweep(sweep, sweep as f64 * 900.0);
         }
+        crate::set_enabled(false);
         let series = ring.to_series();
-        assert_eq!(series.cadence, 2);
-        // Sweeps 2,4,6,8,10 sampled; ring of 3 keeps 6,8,10.
+        // Rows 0..=10 appended; a ring of 4 keeps rows 7..=10, so the
+        // samples of sweeps 8, 9 and 10.
         assert_eq!(series.samples.len(), 3);
-        assert_eq!(series.dropped, 2, "ring drops are counted");
+        assert_eq!(series.dropped, 7, "ring drops are counted");
         let sweeps: Vec<u64> = series.samples.iter().map(|s| s.sweep).collect();
-        assert_eq!(sweeps, vec![6, 8, 10]);
-        // Every interval advanced the collector once → delta 5 each.
+        assert_eq!(sweeps, vec![8, 9, 10]);
+        // Every interval advanced the counter once → delta 5 each.
         for s in &series.samples {
-            assert_eq!(s.deltas[0].1, MetricValue::Count(5));
+            assert_eq!(s.get("a.count"), Some(&MetricValue::Count(5)));
             assert!(!s.discontinuity);
         }
-        assert_eq!(series.points("tick.count").len(), 3);
+        assert_eq!(series.points("a.count").len(), 3);
+        assert_eq!(series.samples[2].sim_t, 9_000.0);
     }
 
     #[test]
     fn disabled_recording_samples_nothing() {
-        let rec = Recording::new(1, MetricsSnapshot::new);
+        let rec = Recording::new(&[]);
         rec.run(|| {
             on_sweep(0, 0.0);
             on_sweep(1, 900.0);

@@ -36,10 +36,8 @@ impl MetricValue {
 /// An ordered list of named readings, in collection order (subsystems
 /// collect in a fixed sequence, so rendering is deterministic).
 ///
-/// Names are `Cow<'static, str>` because the overwhelmingly common case
-/// is a static metric name observed every recorder sweep — borrowing
-/// keeps the per-sweep sampling path allocation-free for them, while
-/// dynamic (per-experiment) names still carry owned strings.
+/// Names are `Cow<'static, str>`: a static metric's name is borrowed,
+/// and only dynamic (per-experiment) names carry owned strings.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     entries: Vec<(Cow<'static, str>, MetricValue)>,
@@ -51,20 +49,10 @@ impl MetricsSnapshot {
         MetricsSnapshot::default()
     }
 
-    /// An empty snapshot with room for `capacity` readings (the
-    /// aggregate collector knows roughly how many it will append).
-    pub fn with_capacity(capacity: usize) -> Self {
-        MetricsSnapshot {
-            entries: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Appends a reading. Collectors emit each name exactly once per
-    /// pass, so release builds run no same-name scan (the flight
-    /// recorder collects a full snapshot every daemon sweep). A
-    /// duplicate name is caught in debug builds and merely yields a
-    /// shadowed entry (the first occurrence wins on lookup) in release
-    /// builds.
+    /// pass, so release builds run no same-name scan. A duplicate name
+    /// is caught in debug builds and merely yields a shadowed entry (the
+    /// first occurrence wins on lookup) in release builds.
     pub fn append(&mut self, name: impl Into<Cow<'static, str>>, value: MetricValue) {
         let name = name.into();
         debug_assert!(
@@ -80,6 +68,26 @@ impl MetricsSnapshot {
             .iter()
             .find(|(n, _)| n.as_ref() == name)
             .map(|(_, v)| v)
+    }
+
+    /// A count reading by name; 0 when absent or not a count.
+    pub fn count(&self, name: &str) -> u64 {
+        self.get(name).and_then(MetricValue::as_count).unwrap_or(0)
+    }
+
+    /// A reading by name as `f64` (see [`MetricValue::as_f64`]); 0.0
+    /// when absent.
+    pub fn value(&self, name: &str) -> f64 {
+        self.get(name).map(MetricValue::as_f64).unwrap_or(0.0)
+    }
+
+    /// A duration reading by name as `(total_ns, spans)`; zeros when
+    /// absent or not a duration.
+    pub fn duration(&self, name: &str) -> (u64, u64) {
+        match self.get(name) {
+            Some(&MetricValue::Duration { total_ns, count }) => (total_ns, count),
+            _ => (0, 0),
+        }
     }
 
     /// All readings in collection order.
@@ -140,10 +148,23 @@ mod tests {
         let mut s = MetricsSnapshot::new();
         s.append("a.count", MetricValue::Count(2));
         s.append("a.rate", MetricValue::Value(0.5));
-        assert_eq!(s.len(), 2);
+        s.append(
+            "a.timer",
+            MetricValue::Duration {
+                total_ns: 7,
+                count: 1,
+            },
+        );
+        assert_eq!(s.len(), 3);
         assert_eq!(s.get("a.count"), Some(&MetricValue::Count(2)));
         assert!(s.get("missing").is_none());
         assert!(!s.is_empty());
+        assert_eq!((s.count("a.count"), s.count("a.rate")), (2, 0));
+        assert_eq!((s.value("a.rate"), s.value("missing")), (0.5, 0.0));
+        assert_eq!(
+            (s.duration("a.timer"), s.duration("a.count")),
+            ((7, 1), (0, 0))
+        );
     }
 
     #[test]

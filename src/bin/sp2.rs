@@ -120,8 +120,6 @@ OPTIONS:
                     `timeline`) and write the run's span events to PATH as
                     Chrome trace-event JSON (open in Perfetto or
                     chrome://tracing)
-    --cadence N     flight-recorder sampling cadence in daemon sweeps
-                    (default 1 = every simulated 15-minute sweep)
     --plan-only     toplev: print the counter-group schedule and exit
                     without running a campaign
     --passes N      toplev: rotate the full 28-signal request over N
@@ -211,8 +209,6 @@ struct Args {
     metrics: Option<Option<String>>,
     /// Chrome trace-event destination; enables the flight recorder.
     trace_out: Option<String>,
-    /// Flight-recorder sampling cadence in daemon sweeps.
-    cadence: u64,
     /// Daemon address for `serve` / `submit` / `jobs`.
     addr: String,
     /// Result-store directory for `serve`.
@@ -269,7 +265,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
         fast_forward: true,
         metrics: None,
         trace_out: None,
-        cadence: 1,
         addr: "127.0.0.1:7598".into(),
         store: "target/sp2-store".into(),
         campaigns: 2,
@@ -345,13 +340,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
                     return Err(format!("--trace-out needs a PATH, got option {v}"));
                 }
                 args.trace_out = Some(v);
-            }
-            "--cadence" => {
-                let v = argv.next().ok_or("--cadence needs a value")?;
-                args.cadence = v.parse().map_err(|_| format!("bad --cadence value: {v}"))?;
-                if args.cadence == 0 {
-                    return Err("--cadence must be at least 1 sweep".into());
-                }
             }
             "--addr" => {
                 let v = argv.next().ok_or("--addr needs a HOST:PORT value")?;
@@ -561,7 +549,7 @@ fn engine_config(args: &Args) -> EngineConfig {
 /// sampling.
 fn recording(args: &Args) -> Option<Recording> {
     (args.trace_out.is_some() || args.command == "timeline")
-        .then(|| Recording::new(args.cadence, metrics::snapshot))
+        .then(|| Recording::new(metrics::TABLES))
 }
 
 fn run() -> Result<ExitCode, CliError> {
@@ -1145,7 +1133,6 @@ mod tests {
         let args = parse(&["timeline"]).expect("parses");
         assert_eq!(args.command, "timeline");
         assert_eq!(args.days, 60);
-        assert_eq!(args.cadence, 1);
         assert_eq!(args.engine, EngineKind::Batch);
         assert!(args.fast_forward);
         assert!(args.trace_out.is_none());
@@ -1178,15 +1165,6 @@ mod tests {
     }
 
     #[test]
-    fn cadence_must_be_positive() {
-        let args = parse(&["timeline", "--cadence", "4"]).expect("parses");
-        assert_eq!(args.cadence, 4);
-        assert!(parse(&["timeline", "--cadence", "0"]).is_err());
-        assert!(parse(&["timeline", "--cadence", "x"]).is_err());
-        assert!(parse(&["timeline", "--cadence"]).is_err());
-    }
-
-    #[test]
     fn flags_translate_to_engine_config() {
         // Defaults: sweep elision on, the metrics switch None so the
         // thread's setting is left alone, and no recording.
@@ -1196,16 +1174,9 @@ mod tests {
         assert!(e.metrics.is_none());
         assert!(recording(&args).is_none());
 
-        let args = parse(&[
-            "timeline",
-            "--cadence",
-            "4",
-            "--no-fast-forward",
-            "--metrics",
-        ])
-        .expect("parses");
+        let args = parse(&["timeline", "--no-fast-forward", "--metrics"]).expect("parses");
         let e = engine_config(&args);
-        assert_eq!(recording(&args).map(|r| r.series().cadence), Some(4));
+        assert!(recording(&args).is_some());
         assert!(!e.fast_forward);
         assert_eq!(e.metrics, Some(true));
 
@@ -1213,7 +1184,7 @@ mod tests {
         let e = engine_config(&parse(&["profile"]).expect("parses"));
         assert_eq!(e.metrics, Some(true));
         let args = parse(&["table1", "--trace-out", "t.json"]).expect("parses");
-        assert_eq!(recording(&args).map(|r| r.series().cadence), Some(1));
+        assert!(recording(&args).is_some());
     }
 
     #[test]
@@ -1224,6 +1195,8 @@ mod tests {
         // Campaigns run on the calling thread; there is no thread knob.
         assert!(parse(&["table1", "--threads", "2"]).is_err());
         assert!(parse(&["table1", "-j", "0"]).is_err());
+        // The recorder samples every sweep; there is no cadence knob.
+        assert!(parse(&["timeline", "--cadence", "4"]).is_err());
         assert!(parse(&[]).is_err(), "no command prints usage");
     }
 

@@ -1,10 +1,11 @@
 //! The flight recorder's contract, end to end: recording observes the
 //! campaign without perturbing it (results bit-identical with the
-//! recorder on or off), the interval time series
-//! covers a month-scale campaign without ring drops, a batch-engine
-//! campaign files each elided sweep and its advance under its own
-//! interval, and the Chrome trace export round-trips through the JSON
-//! parser with every phase and job span intact and zero
+//! recorder on or off), the interval time series covers a month-scale
+//! campaign without ring drops and carries exactly the metric tables'
+//! statics, a batch-engine campaign files each sweep's sample span, each
+//! elided sweep and its advance under its own interval, and the Chrome
+//! trace export round-trips through the JSON parser with the campaign
+//! and job spans intact, no per-sweep span events, and zero
 //! silently-dropped events.
 
 mod common;
@@ -16,21 +17,21 @@ use sp2_repro::trace::recorder::IntervalSample;
 use sp2_repro::trace::{MetricValue, Recording};
 
 fn new_recording() -> Recording {
-    Recording::new(1, metrics::snapshot)
+    Recording::new(metrics::TABLES)
 }
 
 /// An interval's count of `name`: a counter's delta, or the spans a
 /// timer closed.
 fn count(sample: &IntervalSample, name: &str) -> u64 {
-    match sample.deltas.iter().find(|(n, _)| n.as_ref() == name) {
-        Some((_, MetricValue::Count(n))) => *n,
-        Some((_, MetricValue::Duration { count, .. })) => *count,
+    match sample.get(name) {
+        Some(MetricValue::Count(n)) => *n,
+        Some(MetricValue::Duration { count, .. }) => *count,
         other => panic!("{name}: {other:?}"),
     }
 }
 
 /// One test (not several): the interval series differences metric
-/// snapshots, which are process totals, so a second recorded campaign
+/// readings, which are process totals, so a second recorded campaign
 /// in this binary would move the deltas this one checks.
 #[test]
 fn recorder_is_invisible_bounded_and_exportable() {
@@ -47,7 +48,6 @@ fn recorder_is_invisible_bounded_and_exportable() {
     assert_same_campaign(&baseline, &recorded);
 
     // The interval series holds a month of sweeps without recycling.
-    assert_eq!(series.cadence, 1);
     assert_eq!(series.dropped, 0, "default ring must hold 31 days");
     // Exactly one interval per daemon sample after the shared baseline
     // pass — the recorder and the daemon miss the same fault-hit sweeps.
@@ -57,6 +57,17 @@ fn recorder_is_invisible_bounded_and_exportable() {
         "a month-long history, got {}",
         series.samples.len()
     );
+    // Every interval carries exactly the tables' statics, in order.
+    let statics: Vec<&str> = metrics::TABLES
+        .iter()
+        .flat_map(|table| table.iter())
+        .map(|metric| metric.name())
+        .collect();
+    assert_eq!(statics.len(), 33);
+    for sample in &series.samples {
+        let names: Vec<&str> = sample.deltas.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, statics, "sweep {}", sample.sweep);
+    }
     // Counters were moving: the advance phase ran in every interval.
     let advance = series.points("cluster.phase.advance");
     assert_eq!(advance.len(), series.samples.len());
@@ -90,10 +101,16 @@ fn recorder_is_invisible_bounded_and_exportable() {
         parsed.get("schema").and_then(Json::as_str),
         Some(timeline::SCHEMA)
     );
+    assert_eq!(
+        parsed.get("cadence_sweeps").and_then(Json::as_f64),
+        Some(1.0)
+    );
 
     // --- Batch engine with sweep elision: every sweep its interval. --
     // A replayed run counts each elided sweep in that sweep's own
-    // interval, and the jump's advance lands in the run's first one.
+    // interval, and the jump's advance lands in the run's first one. A
+    // stepped sweep's sample span closes in its own interval, and an
+    // elided sweep takes none.
     let recording = new_recording();
     let batch = recording.run(|| small_campaign_on(EngineKind::Batch, 8, 7, false));
     let series = recording.series();
@@ -114,6 +131,11 @@ fn recorder_is_invisible_bounded_and_exportable() {
             elided[i] <= 1,
             "interval {i} holds {} elided sweeps",
             elided[i]
+        );
+        assert_eq!(
+            count(sample, "cluster.phase.sample"),
+            1 - elided[i],
+            "interval {i}: sample spans against elided sweeps"
         );
         if elided[i] == 1 && (i == 0 || elided[i - 1] == 0) {
             assert!(
@@ -143,13 +165,26 @@ fn recorder_is_invisible_bounded_and_exportable() {
             .any(|e| e.cat == cat && e.name.contains(name_part))
     };
     assert!(has("phase", "campaign"), "campaign span missing");
-    assert!(has("phase", "advance"), "advance phase spans missing");
-    assert!(has("phase", "sample"), "sample phase spans missing");
-    assert!(has("phase", "schedule"), "schedule phase spans missing");
-    assert!(has("rs2hpm", "daemon sweep"), "daemon sweep spans missing");
     assert!(has("pbs", "wait"), "job queue-wait spans missing");
     assert!(has("pbs", "run"), "job run spans missing");
     assert!(has("pbs", "epilogue"), "job epilogue marks missing");
+    assert!(has("fault", "down"), "node-down marks missing");
+    // What the interval series already holds is not logged again: no
+    // per-sweep or per-scheduling-pass span events.
+    for name in [
+        "advance",
+        "sample",
+        "daemon sweep",
+        "cluster fast-forward",
+        "daemon fast-forward",
+        "schedule",
+        "fault",
+    ] {
+        assert!(
+            drained.iter().all(|e| e.name != name),
+            "a {name:?} span event was recorded"
+        );
+    }
 
     let chrome = timeline::chrome_trace(&drained, recording.dropped_events());
     let text = chrome.to_string_pretty();
