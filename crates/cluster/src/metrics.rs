@@ -2,10 +2,10 @@
 //!
 //! The event loop is where campaign minutes go, so it is split into the
 //! phases the engine actually alternates between: advancing node
-//! counters, folding daemon samples, scheduling jobs, and handling fault
-//! events.
+//! counters, scheduling jobs, and handling fault events. The daemon's
+//! sweeps over the counters are timed where they run, by `rs2hpm.sweep`.
 
-use sp2_trace::{Counter, Gauge, Metric, MetricValue, MetricsSnapshot, Timer};
+use sp2_trace::{Counter, Metric, MetricValue, MetricsSnapshot, Timer};
 
 /// Whole [`crate::Campaign::run`] invocations, wall time per campaign.
 pub static CAMPAIGN: Timer = Timer::new("cluster.campaign");
@@ -24,13 +24,9 @@ pub static SWEEPS: Counter = Counter::new("cluster.sweeps");
 pub static SWEEPS_ELIDED: Counter = Counter::new("cluster.sweeps_elided");
 
 /// Wall time of advancing every node's counters in each sampling pass
-/// (stepped or fast-forwarded).
+/// (stepped or fast-forwarded; the reference engine's copy into its
+/// lane buffer included).
 pub static ADVANCE: Timer = Timer::new("cluster.phase.advance");
-
-/// Wall time of the daemon's sweep over the engine's counter lanes per
-/// sampling pass (the reference engine's copy into its lane buffer
-/// included).
-pub static SAMPLE: Timer = Timer::new("cluster.phase.sample");
 
 /// Wall time of PBS scheduling passes (job starts).
 pub static SCHEDULE: Timer = Timer::new("cluster.phase.schedule");
@@ -44,40 +40,19 @@ pub static ROTATE: Timer = Timer::new("cluster.phase.rotate");
 /// Passes executed by rotated campaigns.
 pub static ROTATE_PASSES: Counter = Counter::new("cluster.rotate_passes");
 
-/// Latest sweep's dispatch-bound fraction of cycles, in percent.
-pub static TOPLEV_DISPATCH: Gauge = Gauge::new("cluster.toplev.dispatch");
-
-/// Latest sweep's FPU-bound fraction of cycles, in percent.
-pub static TOPLEV_FPU: Gauge = Gauge::new("cluster.toplev.fpu");
-
-/// Latest sweep's D-cache/TLB-stall fraction of cycles, in percent.
-pub static TOPLEV_DCACHE_TLB: Gauge = Gauge::new("cluster.toplev.dcache_tlb");
-
-/// Latest sweep's I-cache-stall fraction of cycles, in percent.
-pub static TOPLEV_ICACHE: Gauge = Gauge::new("cluster.toplev.icache");
-
-/// Latest sweep's I/O-wait fraction of cycles, in percent.
-pub static TOPLEV_IO_WAIT: Gauge = Gauge::new("cluster.toplev.io_wait");
-
 /// The campaign engine's statics, each listed once: what [`collect`]
 /// observes, [`reset`] zeroes and a flight recording samples.
-pub static ALL: [Metric; 16] = [
+pub static ALL: [Metric; 10] = [
     Metric::Timer(&CAMPAIGN),
     Metric::Counter(&EVENTS),
     Metric::Counter(&SIMULATED_S),
     Metric::Counter(&SWEEPS),
     Metric::Counter(&SWEEPS_ELIDED),
     Metric::Timer(&ADVANCE),
-    Metric::Timer(&SAMPLE),
     Metric::Timer(&SCHEDULE),
     Metric::Timer(&FAULT_SWEEP),
     Metric::Timer(&ROTATE),
     Metric::Counter(&ROTATE_PASSES),
-    Metric::Gauge(&TOPLEV_DISPATCH),
-    Metric::Gauge(&TOPLEV_FPU),
-    Metric::Gauge(&TOPLEV_DCACHE_TLB),
-    Metric::Gauge(&TOPLEV_ICACHE),
-    Metric::Gauge(&TOPLEV_IO_WAIT),
 ];
 
 /// Appends the engine's table and the derived
@@ -119,16 +94,10 @@ mod tests {
             "cluster.sweeps",
             "cluster.sweeps_elided",
             "cluster.phase.advance",
-            "cluster.phase.sample",
             "cluster.phase.schedule",
             "cluster.phase.faults",
             "cluster.phase.rotate",
             "cluster.rotate_passes",
-            "cluster.toplev.dispatch",
-            "cluster.toplev.fpu",
-            "cluster.toplev.dcache_tlb",
-            "cluster.toplev.icache",
-            "cluster.toplev.io_wait",
             "cluster.sim_seconds_per_wall_second",
         ] {
             assert!(snap.get(key).is_some(), "missing {key}");

@@ -20,7 +20,8 @@ use sp2_hpm::{nas_selection, CounterSelection};
 use sp2_pbs::{JobId, JobOutcome, JobRecord, JobSpec, Pbs, PbsError};
 use sp2_power2::handler::{daemon_sample_signature, page_fault_signature};
 use sp2_power2::{CounterBatch, KernelSignature, MachineConfig};
-use sp2_rs2hpm::{BottleneckSplit, Daemon, JobCounterReport, SAMPLE_INTERVAL_S};
+use sp2_rs2hpm::{Daemon, JobCounterReport, SAMPLE_INTERVAL_S};
+use sp2_trace::events::{SimEntry, SimKind};
 use sp2_workload::{SubmittedJob, WorkloadLibrary};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -258,13 +259,12 @@ impl PartialOrd for Scheduled {
     }
 }
 
+/// What the campaign keeps of a running job beside PBS's own record of
+/// it (spec, nodes, start).
 struct RunningJob {
-    spec: JobSpec,
-    nodes: Vec<usize>,
-    start: f64,
     attempt: u32,
     /// The job's nodes' counter lanes at job start, node after node in
-    /// `nodes` order; the epilogue diffs the live lanes against it.
+    /// allocation order; the epilogue diffs the live lanes against it.
     prologue: Vec<u64>,
 }
 
@@ -376,27 +376,6 @@ impl Engine {
     }
 }
 
-/// Publishes the newest sweep's top-down bottleneck split as live
-/// gauges (percent of cycles per category). Gated on recording so the
-/// hot loop pays nothing when tracing is off; gauges never feed back
-/// into engine state, so bit-identity between engines is unaffected.
-fn publish_toplev_gauges(selection: &CounterSelection, daemon: &Daemon) {
-    if !sp2_trace::recording() {
-        return;
-    }
-    let Some(sample) = daemon.samples().last() else {
-        return;
-    };
-    let Some(split) = BottleneckSplit::from_delta(selection, &sample.total) else {
-        return;
-    };
-    crate::metrics::TOPLEV_DISPATCH.set(split.dispatch * 100.0);
-    crate::metrics::TOPLEV_FPU.set(split.fpu * 100.0);
-    crate::metrics::TOPLEV_DCACHE_TLB.set(split.dcache_tlb * 100.0);
-    crate::metrics::TOPLEV_ICACHE.set(split.icache * 100.0);
-    crate::metrics::TOPLEV_IO_WAIT.set(split.io_wait * 100.0);
-}
-
 /// One campaign: the five inputs that decide its result, plus settings
 /// that decide only how it runs.
 ///
@@ -412,7 +391,8 @@ fn publish_toplev_gauges(selection: &CounterSelection, daemon: &Daemon) {
 ///
 /// [`Campaign::run`] runs the campaign on the calling thread and writes
 /// no process global: two campaigns in one process cannot change each
-/// other's configuration.
+/// other's configuration. Under a flight recording it files the
+/// campaign's simulated-clock track when it closes.
 pub struct Campaign<'a> {
     config: &'a ClusterConfig,
     library: &'a WorkloadLibrary,
@@ -530,6 +510,9 @@ struct CampaignRun<'a> {
     spare_prologues: Vec<Vec<u64>>,
     /// The gathered run of Sample events, reused across samples.
     gathered: Vec<(u64, f64)>,
+    /// Node failure and repair marks for the campaign's track; `None`
+    /// unless a flight recording was current when the campaign began.
+    marks: Option<Vec<SimEntry>>,
 }
 
 impl<'a> CampaignRun<'a> {
@@ -577,6 +560,7 @@ impl<'a> CampaignRun<'a> {
             seq: 0,
             spare_prologues: Vec::new(),
             gathered: Vec::new(),
+            marks: sp2_trace::recording().then(Vec::new),
         };
 
         for (i, job) in c.trace.iter().enumerate() {
@@ -651,16 +635,6 @@ impl<'a> CampaignRun<'a> {
             let payload = started.spec.payload as usize;
             let submitted = &trace[payload];
             let attempt = self.attempts[payload];
-            if sp2_trace::recording() && attempt == 0 {
-                // Queue wait in simulated time; a requeued attempt's wait
-                // began at the kill, which the kill site records instead.
-                sp2_trace::events::sim_span(
-                    format!("job {} wait", started.spec.id.0),
-                    "pbs",
-                    submitted.submit_s,
-                    now,
-                );
-            }
             let plan = ActivityPlan::for_job(
                 library.program(submitted.program),
                 library.signature_of(submitted.program),
@@ -683,16 +657,8 @@ impl<'a> CampaignRun<'a> {
                 now + submitted.residency_s(),
                 Ev::Finish(started.spec.id, attempt),
             );
-            self.running.insert(
-                started.spec.id,
-                RunningJob {
-                    spec: started.spec,
-                    nodes: started.nodes,
-                    start: now,
-                    attempt,
-                    prologue,
-                },
-            );
+            let job = RunningJob { attempt, prologue };
+            self.running.insert(started.spec.id, job);
         }
     }
 
@@ -708,32 +674,22 @@ impl<'a> CampaignRun<'a> {
         let Some(job) = self.running.remove(&id) else {
             return Ok(());
         };
-        let lanes = self.engine.lanes_at(&job.nodes, t);
+        let ran = self.pbs.release(id)?;
+        let lanes = self.engine.lanes_at(&ran.nodes, t);
         self.job_reports.push(JobCounterReport::from_lanes(
             &self.selection,
-            job.spec.id.0,
-            job.start,
+            id.0,
+            ran.start,
             t,
             &job.prologue,
-            job.nodes
+            ran.nodes
                 .iter()
                 .map(|&n| self.selection.node_lanes(lanes, n)),
         ));
         self.engine
-            .set_activity_many(&job.nodes, t, self.idle_plan.clone());
+            .set_activity_many(&ran.nodes, t, self.idle_plan.clone());
         self.spare_prologues.push(job.prologue);
-        self.pbs.finish(id, t)?;
-        if sp2_trace::recording() {
-            sp2_trace::events::sim_span(format!("job {} run", id.0), "pbs", job.start, t);
-            sp2_trace::events::sim_instant(format!("job {} epilogue", id.0), "pbs", t);
-        }
-        self.pbs_records.push(JobRecord {
-            id: job.spec.id.0,
-            nodes: job.spec.nodes,
-            start: job.start,
-            end: t,
-            outcome: JobOutcome::Completed,
-        });
+        self.pbs_records.push(ran.record(t, JobOutcome::Completed));
         self.start_jobs(t);
         Ok(())
     }
@@ -800,9 +756,6 @@ impl<'a> CampaignRun<'a> {
                     let times = run.iter().map(|&(_, t2)| t2);
                     self.daemon
                         .fast_forward_steady(times, bank.lanes(), &self.down);
-                    // Replayed sweeps share one steady-state delta, so a
-                    // single gauge update covers the whole run.
-                    publish_toplev_gauges(&self.selection, &self.daemon);
                 }
                 // Each replayed sweep counts in its own interval, as a
                 // stepped sweep does.
@@ -818,22 +771,19 @@ impl<'a> CampaignRun<'a> {
             // order. Down nodes are skipped exactly as the real cron
             // script skipped unavailable nodes; glitched nodes return
             // their raw 32-bit registers. The sample is bit-identical
-            // under either engine.
-            {
+            // under either engine. The reference engine's copy of its
+            // monitors into the lane buffer is timed with the advance.
+            let lanes = {
                 let _advance_span = crate::metrics::ADVANCE.span();
                 self.engine.advance_all(tt);
-            }
-            // The sample span closes before the sweep is recorded, so its
-            // time lands in this sweep's interval.
-            {
-                let _sample_span = crate::metrics::SAMPLE.span();
-                let glitched = self.faults.glitched_nodes(kk);
-                self.summary.glitches += glitched.iter().filter(|&&g| !self.down[g]).count();
-                self.daemon
-                    .sweep(self.engine.lanes(), &self.down, glitched, tt);
-            }
+                self.engine.lanes()
+            };
+            // The daemon's sweep span closes before the sweep is recorded,
+            // so its time lands in this sweep's interval.
+            let glitched = self.faults.glitched_nodes(kk);
+            self.summary.glitches += glitched.iter().filter(|&&g| !self.down[g]).count();
+            self.daemon.sweep(lanes, &self.down, glitched, tt);
             crate::metrics::SWEEPS.inc();
-            publish_toplev_gauges(&self.selection, &self.daemon);
             sp2_trace::recorder::on_sweep(kk, tt);
             i += 1;
         }
@@ -907,39 +857,29 @@ impl<'a> CampaignRun<'a> {
     /// killed and, within its attempt budget, requeued.
     fn on_node_down(&mut self, node: usize, t: f64) -> Result<(), CampaignError> {
         let fault_span = crate::metrics::FAULT_SWEEP.span();
-        if sp2_trace::recording() {
-            sp2_trace::events::sim_instant(format!("node {node} down"), "fault", t);
+        if let Some(marks) = &mut self.marks {
+            marks.push(SimEntry::new(node as u64, SimKind::NodeDown, t, t));
         }
         self.down[node] = true;
         // The node crashes: counters freeze at `t` (they advanced while
         // the job computed up to the crash).
         self.engine.set_activity(node, t, None);
         if let Some(id) = self.pbs.take_node_offline(node) {
-            let killed = self.pbs.kill(id, t)?;
+            let killed = self.pbs.release(id)?;
             if let Some(job) = self.running.remove(&id) {
                 // Surviving siblings drop back to idle; no epilogue runs
                 // for a killed job — its prologue buffer goes straight
                 // back for reuse.
                 self.spare_prologues.push(job.prologue);
-                for &n in &job.nodes {
+                for &n in &killed.nodes {
                     if n != node && !self.down[n] {
                         self.engine.set_activity(n, t, Some(self.idle_plan.clone()));
                     }
                 }
                 let requeued = job.attempt + 1 < MAX_JOB_ATTEMPTS;
-                if sp2_trace::recording() {
-                    sp2_trace::events::sim_span(format!("job {} run", id.0), "pbs", job.start, t);
-                    let marker = if requeued { "requeue" } else { "kill" };
-                    sp2_trace::events::sim_instant(format!("job {} {marker}", id.0), "pbs", t);
-                }
                 self.summary.jobs_killed += 1;
-                self.pbs_records.push(JobRecord {
-                    id: job.spec.id.0,
-                    nodes: job.spec.nodes,
-                    start: job.start,
-                    end: t,
-                    outcome: JobOutcome::NodeFailure { requeued },
-                });
+                let outcome = JobOutcome::NodeFailure { requeued };
+                self.pbs_records.push(killed.record(t, outcome));
                 if requeued {
                     self.attempts[id.0 as usize] += 1;
                     self.summary.jobs_requeued += 1;
@@ -955,8 +895,8 @@ impl<'a> CampaignRun<'a> {
     /// Node `node` is repaired and rebooted.
     fn on_node_up(&mut self, node: usize, t: f64) -> Result<(), CampaignError> {
         let fault_span = crate::metrics::FAULT_SWEEP.span();
-        if sp2_trace::recording() {
-            sp2_trace::events::sim_instant(format!("node {node} up"), "fault", t);
+        if let Some(marks) = &mut self.marks {
+            marks.push(SimEntry::new(node as u64, SimKind::NodeUp, t, t));
         }
         self.down[node] = false;
         // The monitor state did not survive, so the daemon will
@@ -972,30 +912,21 @@ impl<'a> CampaignRun<'a> {
 
     /// Closes out still-running jobs at the horizon (partial records for
     /// utilization accounting; no epilogue report — the epilogue never
-    /// ran, exactly as on a machine powered down mid-job) and hands over
-    /// every dataset.
+    /// ran, exactly as on a machine powered down mid-job), files the
+    /// campaign's track under a recording and hands over every dataset.
     fn close(mut self) -> Result<CampaignResult, CampaignError> {
         let horizon = self.horizon;
         let mut ids: Vec<JobId> = self.running.keys().copied().collect();
         ids.sort(); // HashMap iteration order is nondeterministic
         for id in ids {
-            let Some(job) = self.running.remove(&id) else {
-                continue;
-            };
-            self.pbs.finish(id, horizon)?;
-            if sp2_trace::recording() {
-                sp2_trace::events::sim_span(format!("job {} run", id.0), "pbs", job.start, horizon);
-                sp2_trace::events::sim_instant(format!("job {} horizon", id.0), "pbs", horizon);
-            }
-            self.pbs_records.push(JobRecord {
-                id: job.spec.id.0,
-                nodes: job.spec.nodes,
-                start: job.start,
-                end: horizon,
-                outcome: JobOutcome::Horizon,
-            });
+            let ran = self.pbs.release(id)?;
+            self.pbs_records
+                .push(ran.record(horizon, JobOutcome::Horizon));
         }
         crate::metrics::SIMULATED_S.add(horizon as u64);
+        if let Some(marks) = self.marks.take() {
+            sp2_trace::events::file_track(self.track(marks));
+        }
         Ok(CampaignResult {
             days: self.days,
             node_count: self.config.nodes,
@@ -1006,6 +937,31 @@ impl<'a> CampaignRun<'a> {
             pbs_records: self.pbs_records,
             faults: self.summary,
         })
+    }
+
+    /// The campaign's simulated-clock track: the node `marks`, PBS's
+    /// drains, and per accounting record the attempt's run and how it
+    /// ended, after the queue wait of each job's first attempt.
+    fn track(&self, mut track: Vec<SimEntry>) -> Vec<SimEntry> {
+        let drains = self.pbs.drains().iter();
+        track.extend(drains.map(|&(id, t)| SimEntry::new(id.0, SimKind::Drain, t, t)));
+        let mut waited = vec![false; self.trace.len()];
+        for rec in &self.pbs_records {
+            let (id, job) = (rec.id, rec.id as usize);
+            if !std::mem::replace(&mut waited[job], true) {
+                let submit_s = self.trace[job].submit_s;
+                track.push(SimEntry::new(id, SimKind::Wait, submit_s, rec.start));
+            }
+            track.push(SimEntry::new(id, SimKind::Run, rec.start, rec.end));
+            let ended = match rec.outcome {
+                JobOutcome::Completed => SimKind::Epilogue,
+                JobOutcome::NodeFailure { requeued: true } => SimKind::Requeue,
+                JobOutcome::NodeFailure { requeued: false } => SimKind::Kill,
+                JobOutcome::Horizon => SimKind::Horizon,
+            };
+            track.push(SimEntry::new(id, ended, rec.end, rec.end));
+        }
+        track
     }
 }
 

@@ -139,7 +139,7 @@ pub fn profile_report(snap: &MetricsSnapshot) -> String {
         campaign_ms,
         snap.value("cluster.sim_seconds_per_wall_second"),
     ));
-    for phase in ["advance", "sample", "schedule", "faults"] {
+    for phase in ["advance", "schedule", "faults"] {
         let (ms, n) = duration_ms(snap, &format!("cluster.phase.{phase}"));
         line(format!("  phase {phase:<9} {ms:>10.1} ms over {n} passes"));
     }
@@ -191,7 +191,7 @@ mod tests {
             "power2.sigcache.hit_rate",
             "power2.timing_memo.hit_rate",
             "cluster.phase.advance",
-            "cluster.phase.sample",
+            "cluster.phase.schedule",
             "rs2hpm.sweep",
             "pbs.queue_depth_max",
         ] {

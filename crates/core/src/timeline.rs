@@ -1,39 +1,34 @@
 //! Flight-recorder exporters: Perfetto traces, timeline JSON, and the
 //! terminal's own Figure 1.
 //!
-//! `sp2-trace` owns the capture machinery (a `Recording` holds the
-//! span-event log and the interval series); this module owns everything
-//! that needs the rest of the stack — the [`Json`] writer. A recording
-//! made with [`crate::metrics::TABLES`] feeds three consumers:
+//! `sp2-trace` owns the capture machinery (a `Recording` holds the event
+//! log and the interval series); this module owns everything that needs
+//! the rest of the stack — the [`Json`] writer and the daemon's samples.
+//! A recording made with [`crate::metrics::TABLES`] feeds three consumers:
 //!
-//! - [`chrome_trace`] renders span events as Chrome trace-event JSON
-//!   loadable in Perfetto or `chrome://tracing`. Wall-clock spans (the
-//!   simulator's own execution) and simulated-clock spans (the PBS job
-//!   lifecycle on the machine being simulated) get separate trace
-//!   processes so the two clocks never share an axis.
+//! - [`chrome_trace`] renders span events and campaign tracks as Chrome
+//!   trace-event JSON loadable in Perfetto or `chrome://tracing`. The
+//!   simulator's own execution is one trace process on the wall clock,
+//!   and each campaign's track a process of its own on the simulated
+//!   clock, so the two clocks never share an axis.
 //! - [`timeline_json`] dumps the interval time series as
 //!   `sp2-timeline/v1` for external tooling.
 //! - [`render_timeline`] prints per-phase/per-subsystem sparkline
 //!   histories — the simulator's answer to the paper's Figure 1.
 
 use crate::json::Json;
-use sp2_trace::events::{Domain, SpanEvent};
+use sp2_cluster::CampaignResult;
+use sp2_rs2hpm::BottleneckSplit;
+use sp2_trace::events::{SimEntry, SimKind, SpanEvent};
 use sp2_trace::recorder::{IntervalSample, TimeSeries};
+use sp2_trace::MetricValue;
 
 /// Identifies the timeline JSON layout for downstream tooling.
 pub const SCHEMA: &str = "sp2-timeline/v1";
 
-/// Trace process id used for wall-clock (simulator execution) events.
+/// Trace process id of the simulator's own (wall-clock) execution; the
+/// campaign tracks follow it, one process each.
 const PID_WALL: u64 = 1;
-/// Trace process id used for simulated-clock (modeled machine) events.
-const PID_SIM: u64 = 2;
-
-fn pid(domain: Domain) -> u64 {
-    match domain {
-        Domain::Wall => PID_WALL,
-        Domain::Sim => PID_SIM,
-    }
-}
 
 fn metadata(name: &str, pid: u64) -> Json {
     Json::obj()
@@ -44,36 +39,102 @@ fn metadata(name: &str, pid: u64) -> Json {
         .field("args", Json::obj().field("name", name))
 }
 
-/// Renders span events as a Chrome trace-event document (the
-/// `{"traceEvents": [...]}` object form, which Perfetto and
-/// `chrome://tracing` both load). Spans become `ph:"X"` complete events,
-/// instants `ph:"i"`; timestamps and durations are microseconds. The
-/// `dropped_events` top-level field carries the drop-oldest counter so
-/// truncation is visible in the artifact itself.
-pub fn chrome_trace(events: &[SpanEvent], dropped: u64) -> Json {
-    let mut trace_events = vec![
-        metadata("sp2 simulator (wall clock)", PID_WALL),
-        metadata("sp2 simulated machine (sim clock)", PID_SIM),
-    ];
-    for ev in events {
-        let mut obj = Json::obj()
-            .field("name", ev.name.as_ref())
-            .field("cat", ev.cat)
-            .field("pid", pid(ev.domain) as f64)
-            .field("tid", ev.tid as f64)
-            .field("ts", ev.ts_ns as f64 / 1e3);
-        if ev.dur_ns > 0 {
-            obj = obj.field("ph", "X").field("dur", ev.dur_ns as f64 / 1e3);
-        } else {
-            obj = obj.field("ph", "i").field("s", "t");
-        }
-        trace_events.push(obj);
+fn trace_event(pid: u64, ev: &SpanEvent) -> Json {
+    let obj = Json::obj()
+        .field("name", ev.name.as_ref())
+        .field("cat", ev.cat)
+        .field("pid", pid as f64)
+        .field("tid", ev.tid as f64)
+        .field("ts", ev.ts_ns as f64 / 1e3);
+    if ev.dur_ns > 0 {
+        obj.field("ph", "X").field("dur", ev.dur_ns as f64 / 1e3)
+    } else {
+        obj.field("ph", "i").field("s", "t")
+    }
+}
+
+/// A track entry as an event: its simulated seconds in nanoseconds
+/// (negative times clamp to 0, an end before the begin to a mark), on
+/// its job's own thread (the id + 1, so a job's spans nest), or on
+/// thread 0 for node marks.
+fn sim_event(entry: &SimEntry) -> SpanEvent {
+    let id = entry.id;
+    let (name, cat, tid) = match entry.kind {
+        SimKind::Wait => (format!("job {id} wait"), "pbs", id + 1),
+        SimKind::Run => (format!("job {id} run"), "pbs", id + 1),
+        SimKind::Epilogue => (format!("job {id} epilogue"), "pbs", id + 1),
+        SimKind::Requeue => (format!("job {id} requeue"), "pbs", id + 1),
+        SimKind::Kill => (format!("job {id} kill"), "pbs", id + 1),
+        SimKind::Horizon => (format!("job {id} horizon"), "pbs", id + 1),
+        SimKind::Drain => (format!("drain for job {id}"), "pbs", id + 1),
+        SimKind::NodeDown => (format!("node {id} down"), "fault", 0),
+        SimKind::NodeUp => (format!("node {id} up"), "fault", 0),
+    };
+    let ns = |s: f64| (s.max(0.0) * 1e9) as u64;
+    let ts_ns = ns(entry.start_s);
+    let dur_ns = ns(entry.end_s).saturating_sub(ts_ns);
+    SpanEvent {
+        name: name.into(),
+        cat,
+        tid,
+        ts_ns,
+        dur_ns,
+    }
+}
+
+/// Renders span events and campaign tracks as a Chrome trace-event
+/// document (the `{"traceEvents": [...]}` object form, which Perfetto
+/// and `chrome://tracing` both load). Spans become `ph:"X"` complete
+/// events, instants and marks `ph:"i"`; timestamps and durations are
+/// microseconds. The `dropped_events` top-level field carries the log's
+/// drop counter so truncation is visible in the artifact itself.
+pub fn chrome_trace(events: &[SpanEvent], tracks: &[Vec<SimEntry>], dropped: u64) -> Json {
+    let mut trace_events = vec![metadata("sp2 simulator (wall clock)", PID_WALL)];
+    trace_events.extend(events.iter().map(|ev| trace_event(PID_WALL, ev)));
+    for (pid, track) in (PID_WALL + 1..).zip(tracks) {
+        let name = format!(
+            "sp2 simulated machine (sim clock), campaign {}",
+            pid - PID_WALL
+        );
+        trace_events.push(metadata(&name, pid));
+        trace_events.extend(track.iter().map(|e| trace_event(pid, &sim_event(e))));
     }
     Json::obj()
         .field("traceEvents", Json::Arr(trace_events))
         .field("displayTimeUnit", "ms")
         .field("schema", "sp2-trace-events/v1")
         .field("dropped_events", dropped as f64)
+}
+
+/// The top-down readings [`with_toplev`] adds, by bottleneck category:
+/// dispatch, FPU, D-cache+TLB, I-cache and I/O wait.
+pub const TOPLEV: [&str; 5] = [
+    "cluster.toplev.dispatch",
+    "cluster.toplev.fpu",
+    "cluster.toplev.dcache_tlb",
+    "cluster.toplev.icache",
+    "cluster.toplev.io_wait",
+];
+
+/// Adds `campaign`'s top-down split to each interval of a recording
+/// that ran it, as the `cluster.toplev.*` percentages of cycles: the split
+/// of the newest campaign sample at or before the interval's sweep. A
+/// sample without cycles has no split, so the reading before it holds
+/// (0 before the first).
+pub fn with_toplev(mut series: TimeSeries, campaign: &CampaignResult) -> TimeSeries {
+    let mut samples = campaign.samples.iter().peekable();
+    let mut held = [0.0; 5];
+    for interval in &mut series.samples {
+        while let Some(sample) = samples.next_if(|s| s.t <= interval.sim_t) {
+            if let Some(s) = BottleneckSplit::from_delta(&campaign.selection, &sample.total) {
+                held = [s.dispatch, s.fpu, s.dcache_tlb, s.icache, s.io_wait].map(|f| f * 100.0);
+            }
+        }
+        for (&name, v) in TOPLEV.iter().zip(held) {
+            interval.deltas.push((name, MetricValue::Value(v)));
+        }
+    }
+    series
 }
 
 fn sample_to_json(sample: &IntervalSample) -> Json {
@@ -142,13 +203,13 @@ fn sparkline(values: &[f64]) -> String {
 }
 
 /// The metrics the terminal history plots, in display order: the four
-/// campaign phases (per-interval milliseconds), then throughput and
-/// bottleneck readings. Every one is a static of
-/// [`crate::metrics::TABLES`], so the render never depends on workload
-/// specifics.
+/// campaign phases (per-interval milliseconds; the daemon's sweep is the
+/// sample phase), then throughput and bottleneck readings. Each is a
+/// static of [`crate::metrics::TABLES`] or a [`TOPLEV`] reading, so the
+/// render never depends on workload specifics.
 const TIMELINE_ROWS: [(&str, &str); 14] = [
     ("cluster.phase.advance", "phase advance (ms)"),
-    ("cluster.phase.sample", "phase sample (ms)"),
+    ("rs2hpm.sweep", "phase sample (ms)"),
     ("cluster.phase.schedule", "phase schedule (ms)"),
     ("cluster.phase.faults", "phase faults (ms)"),
     ("cluster.events", "engine events"),
@@ -156,11 +217,11 @@ const TIMELINE_ROWS: [(&str, &str); 14] = [
     ("rs2hpm.nodes_sampled", "node deltas"),
     ("pbs.jobs_started", "jobs started"),
     ("pbs.queue_depth", "queue depth"),
-    ("cluster.toplev.dispatch", "toplev dispatch (%)"),
-    ("cluster.toplev.fpu", "toplev fpu (%)"),
-    ("cluster.toplev.dcache_tlb", "toplev dcache+tlb (%)"),
-    ("cluster.toplev.icache", "toplev icache (%)"),
-    ("cluster.toplev.io_wait", "toplev io-wait (%)"),
+    (TOPLEV[0], "toplev dispatch (%)"),
+    (TOPLEV[1], "toplev fpu (%)"),
+    (TOPLEV[2], "toplev dcache+tlb (%)"),
+    (TOPLEV[3], "toplev icache (%)"),
+    (TOPLEV[4], "toplev io-wait (%)"),
 ];
 
 /// Renders the recorded history as aligned sparkline rows — the
@@ -217,15 +278,11 @@ mod tests {
     use sp2_trace::MetricValue;
     use std::borrow::Cow;
 
-    fn ev(name: &'static str, domain: Domain, ts_ns: u64, dur_ns: u64) -> SpanEvent {
-        SpanEvent {
-            name: Cow::Borrowed(name),
-            cat: "test",
-            tid: 7,
-            domain,
-            ts_ns,
-            dur_ns,
-        }
+    fn campaign() -> CampaignResult {
+        CampaignResult::empty(
+            sp2_power2::MachineConfig::nas_sp2(),
+            sp2_hpm::nas_selection(),
+        )
     }
 
     fn sample(sweep: u64, sim_t: f64, advance_ms: f64, started: u64) -> IntervalSample {
@@ -254,15 +311,25 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_round_trips_and_separates_domains() {
-        let doc = chrome_trace(
-            &[
-                ev("advance", Domain::Wall, 1_000, 5_000),
-                ev("job 3", Domain::Sim, 900_000_000_000, 1_800_000_000_000),
-                ev("requeue", Domain::Sim, 950_000_000_000, 0),
+    fn chrome_trace_round_trips_and_gives_each_track_a_process() {
+        let wall = SpanEvent {
+            name: Cow::Borrowed("advance"),
+            cat: "test",
+            tid: 7,
+            ts_ns: 1_000,
+            dur_ns: 5_000,
+        };
+        let tracks = [
+            vec![
+                SimEntry::new(3, SimKind::Run, 900.0, 2_700.0),
+                SimEntry::new(3, SimKind::Requeue, 2_700.0, 2_700.0),
             ],
-            2,
-        );
+            vec![
+                SimEntry::new(5, SimKind::NodeDown, 100.0, 100.0),
+                SimEntry::new(4, SimKind::Run, 50.0, 20.0),
+            ],
+        ];
+        let doc = chrome_trace(&[wall], &tracks, 2);
         let text = doc.to_string_pretty();
         let parsed = Json::parse(&text).expect("valid JSON");
         assert!(parsed.bits_eq(&doc), "export must round-trip exactly");
@@ -271,35 +338,49 @@ mod tests {
             .get("traceEvents")
             .and_then(Json::as_arr)
             .expect("traceEvents array");
-        // Two process_name metadata records plus the three events.
-        assert_eq!(events.len(), 5);
-        let span = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("advance"))
-            .expect("wall span present");
+        // A process_name record per process plus the five events.
+        assert_eq!(events.len(), 8);
+        let named = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("{name} missing"))
+        };
+        let field = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64);
+        let span = named("advance");
         assert_eq!(span.get("ph").and_then(Json::as_str), Some("X"));
-        assert_eq!(span.get("pid").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(span.get("ts").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(span.get("dur").and_then(Json::as_f64), Some(5.0));
-        let job = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("job 3"))
-            .expect("sim span present");
-        assert_eq!(job.get("pid").and_then(Json::as_f64), Some(2.0));
-        let instant = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("requeue"))
-            .expect("instant present");
-        assert_eq!(instant.get("ph").and_then(Json::as_str), Some("i"));
+        assert_eq!(field(span, "pid"), Some(1.0));
+        assert_eq!(field(span, "ts"), Some(1.0));
+        assert_eq!(field(span, "dur"), Some(5.0));
+        let run = named("job 3 run");
+        assert_eq!(field(run, "pid"), Some(2.0));
+        assert_eq!(field(run, "tid"), Some(4.0), "a job's own thread");
+        assert_eq!(field(run, "ts"), Some(900e6));
+        assert_eq!(field(run, "dur"), Some(1_800e6));
+        let requeue = named("job 3 requeue");
+        assert_eq!(requeue.get("ph").and_then(Json::as_str), Some("i"));
+        assert_eq!(requeue.get("cat").and_then(Json::as_str), Some("pbs"));
+        let down = named("node 5 down");
+        assert_eq!(field(down, "pid"), Some(3.0), "the second campaign");
+        assert_eq!(down.get("cat").and_then(Json::as_str), Some("fault"));
+        let clamped = named("job 4 run");
         assert_eq!(
-            parsed.get("dropped_events").and_then(Json::as_f64),
-            Some(2.0)
+            clamped.get("ph").and_then(Json::as_str),
+            Some("i"),
+            "end before start clamps to a mark"
         );
+        let processes = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
+            .count();
+        assert_eq!(processes, 3);
+        assert_eq!(field(&parsed, "dropped_events"), Some(2.0));
     }
 
     #[test]
     fn timeline_json_carries_schema_and_deltas() {
-        let doc = timeline_json(&series(vec![sample(1, 900.0, 2.5, 4)]));
+        let recorded = series(vec![sample(1, 900.0, 2.5, 4)]);
+        let doc = timeline_json(&with_toplev(recorded, &campaign()));
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
         let samples = doc.get("samples").and_then(Json::as_arr).expect("samples");
         assert_eq!(samples.len(), 1);
@@ -307,6 +388,11 @@ mod tests {
         assert_eq!(
             deltas.get("pbs.jobs_started").and_then(Json::as_f64),
             Some(4.0)
+        );
+        assert_eq!(
+            deltas.get("cluster.toplev.fpu").and_then(Json::as_f64),
+            Some(0.0),
+            "no sample, no split"
         );
         let parsed = Json::parse(&doc.to_string_pretty()).expect("valid JSON");
         assert!(parsed.bits_eq(&doc));
@@ -317,8 +403,9 @@ mod tests {
         let samples = (1..=40)
             .map(|i| sample(i, i as f64 * 900.0, (i % 7) as f64, i % 3))
             .collect();
-        let text = render_timeline(&series(samples));
+        let text = render_timeline(&with_toplev(series(samples), &campaign()));
         assert!(text.contains("phase advance (ms)"), "{text}");
+        assert!(text.contains("toplev io-wait (%)"), "{text}");
         assert!(text.contains("jobs started"), "{text}");
         assert!(text.contains("40 samples"), "{text}");
         assert!(

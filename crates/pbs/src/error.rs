@@ -25,7 +25,7 @@ pub enum PbsError {
         /// Machine size.
         machine: usize,
     },
-    /// `finish`/`kill` on a job that is not running.
+    /// `release` of a job that is not running.
     NotRunning {
         /// The unknown or already-finished job.
         id: JobId,

@@ -1,4 +1,4 @@
-//! Batch job descriptions and lifecycle states.
+//! Batch job descriptions.
 
 /// Unique batch job identifier; also the x-axis of Figure 4
 /// ("performance … as a function of batch job id").
@@ -25,35 +25,6 @@ impl JobSpec {
     pub fn needs_drain(&self, drain_threshold: u32) -> bool {
         self.nodes > drain_threshold
     }
-}
-
-/// Lifecycle of a job inside PBS.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobState {
-    /// Waiting in the queue.
-    Queued,
-    /// Running on the listed nodes since `start`.
-    Running {
-        /// Start time, seconds.
-        start: f64,
-        /// Allocated node indices (dedicated).
-        nodes: Vec<usize>,
-    },
-    /// Finished.
-    Done {
-        /// Start time, seconds.
-        start: f64,
-        /// End time, seconds.
-        end: f64,
-    },
-    /// Killed before completion (node failure or operator `qdel`). A
-    /// killed job may reappear as `Queued` if the runtime requeues it.
-    Killed {
-        /// Start time, seconds.
-        start: f64,
-        /// Kill time, seconds.
-        end: f64,
-    },
 }
 
 #[cfg(test)]

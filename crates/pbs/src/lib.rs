@@ -36,5 +36,5 @@ pub mod scheduler;
 
 pub use accounting::{utilization, walltime_histogram, JobOutcome, JobRecord};
 pub use error::PbsError;
-pub use job::{JobId, JobSpec, JobState};
+pub use job::{JobId, JobSpec};
 pub use scheduler::{Pbs, StartedJob};

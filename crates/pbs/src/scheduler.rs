@@ -1,7 +1,8 @@
 //! The PBS scheduler: FCFS with backfill and drain-for-large-jobs.
 
+use crate::accounting::{JobOutcome, JobRecord};
 use crate::error::PbsError;
-use crate::job::{JobId, JobSpec, JobState};
+use crate::job::{JobId, JobSpec};
 use std::collections::{HashMap, VecDeque};
 
 /// A job the scheduler just started (prologue hook payload).
@@ -13,6 +14,20 @@ pub struct StartedJob {
     pub nodes: Vec<usize>,
     /// Start time, seconds.
     pub start: f64,
+}
+
+impl StartedJob {
+    /// The accounting record of this attempt, ended at `end` by
+    /// `outcome`.
+    pub fn record(&self, end: f64, outcome: JobOutcome) -> JobRecord {
+        JobRecord {
+            id: self.spec.id.0,
+            nodes: self.spec.nodes,
+            start: self.start,
+            end,
+            outcome,
+        }
+    }
 }
 
 /// The batch system: node pool, queue, and running set.
@@ -30,7 +45,7 @@ pub struct StartedJob {
 /// .unwrap();
 /// let started = pbs.schedule(0.0);
 /// assert_eq!(started[0].nodes.len(), 16);
-/// pbs.finish(JobId(1), 3_600.0).unwrap();
+/// pbs.release(JobId(1)).unwrap();
 /// assert_eq!(pbs.free_nodes(), 144);
 /// ```
 #[derive(Debug, Clone)]
@@ -42,11 +57,14 @@ pub struct Pbs {
     offline: Vec<bool>,
     queue: VecDeque<JobSpec>,
     running: HashMap<JobId, StartedJob>,
-    states: HashMap<JobId, JobState>,
     /// Node count above which a job forces queue draining (64 at NAS).
     drain_threshold: u32,
     /// How deep backfill may look past the queue head.
     backfill_depth: usize,
+    /// Every drain begun, with its start time.
+    drains: Vec<(JobId, f64)>,
+    /// The wide job the machine is emptying for, until it starts.
+    draining: Option<JobId>,
 }
 
 impl Pbs {
@@ -58,9 +76,10 @@ impl Pbs {
             offline: vec![false; nodes],
             queue: VecDeque::new(),
             running: HashMap::new(),
-            states: HashMap::new(),
             drain_threshold: 64,
             backfill_depth: 16,
+            drains: Vec::new(),
+            draining: None,
         }
     }
 
@@ -104,9 +123,12 @@ impl Pbs {
         self.running.len()
     }
 
-    /// State of a job, if known.
-    pub fn state(&self, id: JobId) -> Option<&JobState> {
-        self.states.get(&id)
+    /// Every drain begun: the wide job the machine empties for, and the
+    /// scheduling pass that first found it blocked at the queue head.
+    /// The passes after it that find it there continue that drain until
+    /// the job starts; a requeued attempt blocked again begins another.
+    pub fn drains(&self) -> &[(JobId, f64)] {
+        &self.drains
     }
 
     /// Submits a job to the queue. Rejects requests for zero nodes or
@@ -123,7 +145,6 @@ impl Pbs {
                 machine: self.node_count(),
             });
         }
-        self.states.insert(spec.id, JobState::Queued);
         self.queue.push_back(spec);
         crate::metrics::SUBMITTED.inc();
         crate::metrics::QUEUE_DEPTH_MAX.record(self.queue.len() as u64);
@@ -134,7 +155,6 @@ impl Pbs {
     /// Puts a killed job's spec back at the head of the queue (the
     /// requeue-on-node-failure path; it retries before new arrivals).
     pub fn requeue(&mut self, spec: JobSpec) {
-        self.states.insert(spec.id, JobState::Queued);
         self.queue.push_front(spec);
         crate::metrics::REQUEUED.inc();
         crate::metrics::QUEUE_DEPTH_MAX.record(self.queue.len() as u64);
@@ -156,13 +176,14 @@ impl Pbs {
         for &n in &nodes {
             self.node_owner[n] = Some(spec.id);
         }
+        if self.draining == Some(spec.id) {
+            self.draining = None;
+        }
         let job = StartedJob {
             spec,
-            nodes: nodes.clone(),
+            nodes,
             start: now,
         };
-        self.states
-            .insert(job.spec.id, JobState::Running { start: now, nodes });
         self.running.insert(job.spec.id, job.clone());
         crate::metrics::STARTED.inc();
         job
@@ -198,12 +219,12 @@ impl Pbs {
         }
         // Phase 2: head blocked. Drain for large jobs, else backfill.
         if let Some(head) = self.queue.front() {
-            if head.needs_drain(self.drain_threshold) && sp2_trace::recording() {
-                // The machine is emptying for a wide job — worth a mark
-                // on the simulated timeline (Figure 5's interventions).
-                sp2_trace::events::sim_instant(format!("drain for job {}", head.id.0), "pbs", now);
-            }
-            if !head.needs_drain(self.drain_threshold) {
+            if head.needs_drain(self.drain_threshold) {
+                if self.draining != Some(head.id) {
+                    self.draining = Some(head.id);
+                    self.drains.push((head.id, now));
+                }
+            } else {
                 let mut i = 1;
                 while i < self.queue.len().min(1 + self.backfill_depth) {
                     let fits = self.queue[i].nodes as usize <= self.free_nodes();
@@ -258,39 +279,19 @@ impl Pbs {
             .any(|j| j.nodes as usize <= free)
     }
 
-    fn release(&mut self, id: JobId, now: f64, killed: bool) -> Result<StartedJob, PbsError> {
-        let Some(job) = self.running.remove(&id) else {
-            return Err(PbsError::NotRunning { id });
-        };
+    /// Takes a running job off its nodes, whether it completed, a node
+    /// failure killed it or the horizon clipped it, and returns what it
+    /// ran on (the epilogue hook's payload).
+    pub fn release(&mut self, id: JobId) -> Result<StartedJob, PbsError> {
+        let job = self
+            .running
+            .remove(&id)
+            .ok_or(PbsError::NotRunning { id })?;
         for &n in &job.nodes {
             debug_assert_eq!(self.node_owner[n], Some(id));
             self.node_owner[n] = None;
         }
-        let state = if killed {
-            JobState::Killed {
-                start: job.start,
-                end: now,
-            }
-        } else {
-            JobState::Done {
-                start: job.start,
-                end: now,
-            }
-        };
-        self.states.insert(id, state);
         Ok(job)
-    }
-
-    /// Completes a running job at time `now`, freeing its nodes and
-    /// returning its record data (epilogue hook payload).
-    pub fn finish(&mut self, id: JobId, now: f64) -> Result<StartedJob, PbsError> {
-        self.release(id, now, false)
-    }
-
-    /// Kills a running job at time `now` (node failure or operator
-    /// `qdel`), freeing its nodes. No epilogue runs for killed jobs.
-    pub fn kill(&mut self, id: JobId, now: f64) -> Result<StartedJob, PbsError> {
-        self.release(id, now, true)
     }
 
     /// Takes a node out of service (failure or maintenance). Returns the
@@ -333,17 +334,11 @@ mod tests {
         let started = pbs.schedule(0.0);
         assert_eq!(started.len(), 2);
         assert_eq!(pbs.free_nodes(), 0);
-        assert!(matches!(
-            pbs.state(JobId(1)),
-            Some(JobState::Running { .. })
-        ));
-        let rec = pbs.finish(JobId(1), 100.0).unwrap();
-        assert_eq!(rec.nodes.len(), 4);
+        assert_eq!(pbs.running(), 2);
+        let rec = pbs.release(JobId(1)).unwrap();
+        assert_eq!((rec.nodes.len(), rec.start), (4, 0.0));
         assert_eq!(pbs.free_nodes(), 4);
-        assert!(matches!(
-            pbs.state(JobId(1)),
-            Some(JobState::Done { start, end }) if *start == 0.0 && *end == 100.0
-        ));
+        assert_eq!(pbs.running(), 1);
     }
 
     #[test]
@@ -354,7 +349,7 @@ mod tests {
         let started = pbs.schedule(0.0);
         assert_eq!(started.len(), 1, "only 1 node left for the 2-node job");
         // Node sets must be disjoint once job 2 eventually starts.
-        pbs.finish(JobId(1), 10.0).unwrap();
+        pbs.release(JobId(1)).unwrap();
         let started2 = pbs.schedule(10.0);
         assert_eq!(started2.len(), 1);
         assert_eq!(pbs.busy_nodes(), 2);
@@ -368,7 +363,7 @@ mod tests {
         pbs.submit(spec(3, 2)).unwrap(); // backfills? No free nodes at all.
         pbs.schedule(0.0);
         assert_eq!(pbs.running(), 1);
-        pbs.finish(JobId(1), 50.0).unwrap();
+        pbs.release(JobId(1)).unwrap();
         // 8 free; head (6) starts, then 3 backfills into remaining 2.
         let started = pbs.schedule(50.0);
         assert_eq!(started.len(), 2);
@@ -394,7 +389,7 @@ mod tests {
         pbs.submit(spec(3, 4)).unwrap(); // would fit, but drain forbids backfill
         let started = pbs.schedule(1.0);
         assert!(started.is_empty(), "drain mode must not backfill");
-        pbs.finish(JobId(1), 2.0).unwrap();
+        pbs.release(JobId(1)).unwrap();
         let started = pbs.schedule(2.0);
         assert_eq!(
             started.len(),
@@ -402,6 +397,31 @@ mod tests {
             "drained machine runs the big job, then backfills"
         );
         assert_eq!(started[0].spec.id, JobId(2));
+    }
+
+    #[test]
+    fn a_blocked_wide_head_begins_one_drain() {
+        let mut pbs = Pbs::new(144);
+        pbs.submit(spec(1, 100)).unwrap();
+        pbs.schedule(0.0);
+        pbs.submit(spec(2, 128)).unwrap(); // > 64: drains while blocked
+        for t in 1..=5 {
+            pbs.submit(spec(10 + t, 4)).unwrap();
+            assert!(pbs.schedule(t as f64).is_empty(), "drain mode");
+        }
+        assert_eq!(pbs.drains(), [(JobId(2), 1.0)], "one drain, when it began");
+        pbs.release(JobId(1)).unwrap();
+        let started = pbs.schedule(6.0);
+        assert_eq!(started[0].spec.id, JobId(2), "the drained job starts");
+        // A node failure kills job 2, and its requeued attempt, blocked
+        // again at the head, begins a second drain.
+        let victim = started[0].nodes[0];
+        assert_eq!(pbs.take_node_offline(victim), Some(JobId(2)));
+        let killed = pbs.release(JobId(2)).unwrap();
+        pbs.requeue(killed.spec);
+        assert!(pbs.schedule(7.0).is_empty(), "127 nodes free for 128");
+        pbs.schedule(8.0);
+        assert_eq!(pbs.drains(), [(JobId(2), 1.0), (JobId(2), 7.0)]);
     }
 
     #[test]
@@ -443,7 +463,7 @@ mod tests {
     fn finishing_unknown_job_is_an_error() {
         let mut pbs = Pbs::new(4);
         assert_eq!(
-            pbs.finish(JobId(99), 0.0),
+            pbs.release(JobId(99)),
             Err(PbsError::NotRunning { id: JobId(99) })
         );
     }
@@ -483,21 +503,15 @@ mod tests {
         let victim = started[0].nodes[0];
         // The node fails mid-job: PBS reports the occupant.
         assert_eq!(pbs.take_node_offline(victim), Some(JobId(7)));
-        let killed = pbs.kill(JobId(7), 10.0).unwrap();
+        let killed = pbs.release(JobId(7)).unwrap();
         assert_eq!(killed.spec.id, JobId(7));
-        assert!(matches!(
-            pbs.state(JobId(7)),
-            Some(JobState::Killed { end, .. }) if *end == 10.0
-        ));
+        assert_eq!(pbs.running(), 0);
         // Requeue: the job retries on the surviving nodes.
         pbs.requeue(killed.spec);
         let restarted = pbs.schedule(11.0);
         assert_eq!(restarted.len(), 1);
         assert!(!restarted[0].nodes.contains(&victim));
-        assert!(matches!(
-            pbs.state(JobId(7)),
-            Some(JobState::Running { .. })
-        ));
+        assert_eq!(pbs.running(), 1);
     }
 
     #[test]
@@ -528,7 +542,7 @@ mod tests {
         pbs.submit(spec(3, 4)).unwrap(); // fits, but drain forbids it
         assert!(!pbs.would_start());
         assert!(pbs.schedule(1.0).is_empty());
-        pbs.finish(JobId(1), 2.0).unwrap();
+        pbs.release(JobId(1)).unwrap();
         assert!(pbs.would_start());
         assert_eq!(pbs.schedule(2.0).len(), 2);
     }
@@ -601,7 +615,7 @@ mod proptests {
                     // Finish the oldest running job.
                     2 => {
                         if let Some(&id) = running.keys().min() {
-                            let job = pbs.finish(id, t).unwrap();
+                            let job = pbs.release(id).unwrap();
                             for n in &job.nodes {
                                 prop_assert_eq!(seen_nodes.remove(n), Some(id));
                             }
@@ -654,7 +668,7 @@ mod proptests {
                     started_order.push(s.spec.id.0);
                 }
                 if let Some(&last) = started_order.last() {
-                    pbs.finish(JobId(last), t + 0.5).unwrap();
+                    pbs.release(JobId(last)).unwrap();
                 }
             }
             let expected: Vec<u64> = (0..n_jobs as u64).collect();
@@ -685,7 +699,7 @@ mod proptests {
                     }
                     2 => {
                         if let Some(victim) = pbs.take_node_offline(node) {
-                            pbs.kill(victim, t).unwrap();
+                            pbs.release(victim).unwrap();
                         }
                         offline[node] = true;
                     }

@@ -9,7 +9,7 @@
 //! never reaches a campaign on another thread, while the metric statics
 //! themselves stay process totals.
 
-use crate::events::{EventLog, SpanEvent};
+use crate::events::{EventLog, SimEntry, SpanEvent};
 use crate::metric::Metric;
 use crate::recorder::{IntervalSeries, TimeSeries};
 use std::cell::{Cell, RefCell};
@@ -100,8 +100,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// One flight recording: the span-event log and the interval time series
-/// of every thread it is current on. Clones share the recording.
+/// One flight recording: the event log (span events and campaign
+/// tracks) and the interval time series of every thread it is current
+/// on. Clones share the recording.
 ///
 /// The metric tables it samples are fixed when the recording is made.
 /// While it is current, metric capture is on, since the series
@@ -111,7 +112,7 @@ pub struct Recording(Arc<Shared>);
 
 #[derive(Debug)]
 struct Shared {
-    /// The origin of every wall-domain timestamp in the log.
+    /// The origin of every span event's timestamp.
     epoch: Instant,
     events: Mutex<EventLog>,
     series: Mutex<IntervalSeries>,
@@ -120,8 +121,8 @@ struct Shared {
 impl Recording {
     /// A recording that samples the metrics of `tables`, in order, at
     /// every daemon sweep, holding at most
-    /// [`crate::events::DEFAULT_CAPACITY`] span events and
-    /// [`crate::recorder::DEFAULT_CAPACITY`] rows.
+    /// [`crate::events::DEFAULT_CAPACITY`] span events and as many track
+    /// entries, and [`crate::recorder::DEFAULT_CAPACITY`] rows.
     pub fn new(tables: &'static [&'static [Metric]]) -> Recording {
         Recording(Arc::new(Shared {
             epoch: Instant::now(),
@@ -148,15 +149,20 @@ impl Recording {
         .run(f)
     }
 
-    /// Every recorded span event, ordered by (domain, begin time, name,
-    /// thread) so exports are diff-stable.
+    /// Every recorded span event, ordered by (begin time, name, thread)
+    /// so exports are diff-stable.
     pub fn events(&self) -> Vec<SpanEvent> {
-        lock(&self.0.events).sorted()
+        self.log().sorted()
     }
 
-    /// Span events lost to the log's drop-oldest policy.
+    /// The campaign tracks held, in filing order.
+    pub fn tracks(&self) -> Vec<Vec<SimEntry>> {
+        self.log().tracks()
+    }
+
+    /// Span events and track entries lost to the log's bounds.
     pub fn dropped_events(&self) -> u64 {
-        lock(&self.0.events).dropped()
+        self.log().dropped
     }
 
     /// The interval time series: the rows held, differenced.
@@ -168,8 +174,8 @@ impl Recording {
         self.0.epoch
     }
 
-    pub(crate) fn push_event(&self, ev: SpanEvent) {
-        lock(&self.0.events).push(ev);
+    pub(crate) fn log(&self) -> MutexGuard<'_, EventLog> {
+        lock(&self.0.events)
     }
 
     pub(crate) fn on_sweep(&self, sweep: u64, sim_t: f64) {
@@ -228,7 +234,7 @@ mod tests {
         std::thread::spawn(move || {
             context.run(|| {
                 assert!(enabled() && recording());
-                crate::events::sim_instant("from a helper", "test", 1.0);
+                crate::events::instant("from a helper", "test");
             });
             assert!(!recording());
         })

@@ -1,26 +1,24 @@
-//! The flight recorder's span-event log.
+//! The flight recorder's event log.
 //!
 //! Where [`crate::metric::Timer`] answers "how much time did this region
-//! take in total", the event log answers "when did each occurrence run" —
-//! begin/end pairs with a name, a category, and a thread id, exportable
-//! as Chrome trace-event JSON for Perfetto. Two time domains coexist:
+//! take in total", the event log answers "when did each occurrence run",
+//! exportable as Chrome trace-event JSON for Perfetto, on two clocks:
 //!
-//! - **Wall** events carry nanoseconds since the recording began and
-//!   describe the simulator's own execution: campaigns, rotated passes,
-//!   experiment runs, signature-cache batches, misses and waits, served
-//!   jobs, daemon restarts. Per-sweep and per-scheduling-pass time is not logged here:
-//!   the interval series already holds it.
-//! - **Sim** events carry simulated nanoseconds and describe the
-//!   machine being simulated: the PBS job lifecycle (queue → run →
-//!   epilogue/kill/requeue/horizon), drains, node failures and repairs.
-//!   Exporters place the two domains in separate trace processes so
-//!   their clocks never mix.
+//! - **Span events** carry real nanoseconds since the recording began
+//!   and describe the simulator's own execution: campaigns, rotated
+//!   passes, experiment runs, signature-cache batches, misses and waits,
+//!   served jobs, daemon restarts. Per-sweep and per-scheduling-pass time
+//!   is not logged here: the interval series already holds it.
+//! - **Tracks** carry simulated seconds and describe the machine being
+//!   simulated: a campaign files one when it closes, built from its own
+//!   datasets. Its entries ([`SimEntry`]) carry no name; exporters name
+//!   them.
 //!
-//! Events land in the log of the calling thread's current
-//! [`crate::Recording`], a bounded buffer. When it is full the oldest
-//! event is dropped and the drop counted — bounded memory, never silent
-//! truncation. With no recording current a span guard is one
-//! thread-local read and an event is never allocated.
+//! Both land in the log of the calling thread's current
+//! [`crate::Recording`], a bounded buffer: past [`DEFAULT_CAPACITY`] span
+//! events the oldest is dropped, past as many track entries the oldest
+//! track, and every drop is counted. With no recording current a span
+//! guard is one thread-local read and nothing is allocated.
 
 use crate::context::with_recording;
 use crate::Recording;
@@ -29,47 +27,85 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Default event capacity of one recording.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Span events, and track entries, one recording holds: the tracks of
+/// two 270-day campaigns (about 34,000 entries each) fit.
+pub const DEFAULT_CAPACITY: usize = 1 << 17;
 
-/// Which clock an event's timestamps come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Domain {
-    /// Nanoseconds of real time since the recording began.
-    Wall,
-    /// Simulated nanoseconds since campaign start.
-    Sim,
-}
-
-/// One begin/end (or instantaneous) event.
+/// One span of the simulator's own execution, or an instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Event name (static for hot sites, owned for per-job names).
+    /// Event name (static for hot sites, owned for per-run names).
     pub name: Cow<'static, str>,
-    /// Category, e.g. `"phase"`, `"pbs"`, `"sigcache"`.
+    /// Category, e.g. `"phase"`, `"sigcache"`.
     pub cat: &'static str,
     /// Stable per-thread id (small integers in spawn order).
     pub tid: u64,
-    /// The clock [`SpanEvent::ts_ns`] and [`SpanEvent::dur_ns`] read.
-    pub domain: Domain,
-    /// Begin timestamp in the domain's nanoseconds.
+    /// Begin timestamp, nanoseconds since the recording began.
     pub ts_ns: u64,
     /// Duration in nanoseconds; `0` marks an instantaneous event.
     pub dur_ns: u64,
 }
 
-/// A bounded span-event log: drop-oldest, every drop counted.
+/// What a [`SimEntry`] records: a job's queue wait before its first
+/// attempt, an attempt's run, and how the attempt ended (its epilogue, a
+/// node failure that requeued or finally killed it, or the campaign
+/// horizon); a drain PBS began for the job; a node's failure or repair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimKind {
+    Wait,
+    Run,
+    Epilogue,
+    Requeue,
+    Kill,
+    Horizon,
+    Drain,
+    NodeDown,
+    NodeUp,
+}
+
+/// One entry of a campaign's simulated-clock track.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SimEntry {
+    /// The job id, or the node index of a node mark.
+    pub id: u64,
+    /// What the entry records.
+    pub kind: SimKind,
+    /// Begin, in simulated seconds since campaign start.
+    pub start_s: f64,
+    /// End, in simulated seconds; a mark ends where it begins.
+    pub end_s: f64,
+}
+
+impl SimEntry {
+    /// An entry of `kind` for `id`, from `start_s` to `end_s`.
+    pub fn new(id: u64, kind: SimKind, start_s: f64, end_s: f64) -> SimEntry {
+        SimEntry {
+            id,
+            kind,
+            start_s,
+            end_s,
+        }
+    }
+}
+
+/// A bounded event log: span events drop oldest first, tracks drop
+/// oldest whole, and every dropped record is counted.
 #[derive(Debug)]
 pub(crate) struct EventLog {
     events: VecDeque<SpanEvent>,
+    tracks: VecDeque<Vec<SimEntry>>,
+    /// Entries of the tracks held.
+    entries: usize,
     capacity: usize,
-    dropped: u64,
+    pub(crate) dropped: u64,
 }
 
 impl EventLog {
     pub(crate) fn new(capacity: usize) -> EventLog {
         EventLog {
             events: VecDeque::new(),
+            tracks: VecDeque::new(),
+            entries: 0,
             capacity: capacity.max(1),
             dropped: 0,
         }
@@ -83,17 +119,26 @@ impl EventLog {
         self.events.push_back(ev);
     }
 
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
+    pub(crate) fn file(&mut self, track: Vec<SimEntry>) {
+        self.entries += track.len();
+        self.tracks.push_back(track);
+        while self.entries > self.capacity {
+            let oldest = self.tracks.pop_front().unwrap_or_default();
+            self.entries -= oldest.len();
+            self.dropped += oldest.len() as u64;
+        }
     }
 
-    /// The events, ordered by (domain, begin time, name, thread).
+    /// The span events, ordered by (begin time, name, thread).
     pub(crate) fn sorted(&self) -> Vec<SpanEvent> {
         let mut all: Vec<SpanEvent> = self.events.iter().cloned().collect();
-        all.sort_by(|a, b| {
-            (a.domain, a.ts_ns, &a.name, a.tid).cmp(&(b.domain, b.ts_ns, &b.name, b.tid))
-        });
+        all.sort_by(|a, b| (a.ts_ns, &a.name, a.tid).cmp(&(b.ts_ns, &b.name, b.tid)));
         all
+    }
+
+    /// The tracks held, in filing order.
+    pub(crate) fn tracks(&self) -> Vec<Vec<SimEntry>> {
+        self.tracks.iter().cloned().collect()
     }
 }
 
@@ -108,8 +153,8 @@ pub fn thread_id() -> u64 {
     TID.with(|t| *t)
 }
 
-/// Opens a wall-domain span; the event is recorded when the guard
-/// drops. Costs one thread-local read while no recording is current.
+/// Opens a span; the event is recorded when the guard drops. Costs one
+/// thread-local read while no recording is current.
 #[must_use = "an event span measures the scope it is bound to"]
 pub fn span(name: impl Into<Cow<'static, str>>, cat: &'static str) -> EventSpan {
     EventSpan {
@@ -122,43 +167,26 @@ pub fn span(name: impl Into<Cow<'static, str>>, cat: &'static str) -> EventSpan 
     }
 }
 
-/// Records an instantaneous wall-domain event.
+/// Records an instantaneous event.
 pub fn instant(name: impl Into<Cow<'static, str>>, cat: &'static str) {
     with_recording(|recording| {
-        recording.push_event(SpanEvent {
+        recording.log().push(SpanEvent {
             name: name.into(),
             cat,
             tid: thread_id(),
-            domain: Domain::Wall,
             ts_ns: recording.epoch().elapsed().as_nanos() as u64,
             dur_ns: 0,
         })
     });
 }
 
-/// Records a completed sim-domain span from simulated seconds
-/// (`end_s < start_s` is clamped to an instantaneous event).
-pub fn sim_span(name: impl Into<Cow<'static, str>>, cat: &'static str, start_s: f64, end_s: f64) {
-    with_recording(|recording| {
-        let ts_ns = (start_s.max(0.0) * 1e9) as u64;
-        let end_ns = (end_s.max(0.0) * 1e9) as u64;
-        recording.push_event(SpanEvent {
-            name: name.into(),
-            cat,
-            tid: thread_id(),
-            domain: Domain::Sim,
-            ts_ns,
-            dur_ns: end_ns.saturating_sub(ts_ns),
-        })
-    });
+/// Files a campaign's simulated-clock track with the calling thread's
+/// current recording, if any.
+pub fn file_track(track: Vec<SimEntry>) {
+    with_recording(|recording| recording.log().file(track));
 }
 
-/// Records an instantaneous sim-domain event at simulated second `t_s`.
-pub fn sim_instant(name: impl Into<Cow<'static, str>>, cat: &'static str, t_s: f64) {
-    sim_span(name, cat, t_s, t_s);
-}
-
-/// Wall-domain span guard; see [`span`].
+/// Span guard; see [`span`].
 #[derive(Debug)]
 pub struct EventSpan {
     armed: Option<ArmedSpan>,
@@ -180,11 +208,10 @@ impl Drop for EventSpan {
                 .saturating_duration_since(armed.recording.epoch())
                 .as_nanos() as u64;
             let dur_ns = armed.start.elapsed().as_nanos() as u64;
-            armed.recording.push_event(SpanEvent {
+            armed.recording.log().push(SpanEvent {
                 name: armed.name,
                 cat: armed.cat,
                 tid: thread_id(),
-                domain: Domain::Wall,
                 ts_ns,
                 dur_ns,
             });
@@ -201,27 +228,28 @@ mod tests {
     }
 
     #[test]
-    fn spans_and_instants_record_when_recording() {
+    fn spans_instants_and_tracks_record_when_recording() {
         let rec = recording();
         rec.run(|| {
             {
                 let _s = span("unit", "test");
                 instant("marker", "test");
             }
-            sim_span("job1", "pbs", 10.0, 25.0);
-            sim_instant("requeue", "pbs", 30.0);
+            file_track(vec![
+                SimEntry::new(1, SimKind::Run, 10.0, 25.0),
+                SimEntry::new(1, SimKind::Requeue, 25.0, 25.0),
+            ]);
         });
 
         let events = rec.events();
-        assert_eq!(events.len(), 4);
-        // Wall events sort before sim events.
-        assert_eq!(events[0].domain, Domain::Wall);
-        let job = events.iter().find(|e| e.name == "job1").unwrap();
-        assert_eq!(job.domain, Domain::Sim);
-        assert_eq!(job.ts_ns, 10_000_000_000);
-        assert_eq!(job.dur_ns, 15_000_000_000);
-        let marker = events.iter().find(|e| e.name == "requeue").unwrap();
+        assert_eq!(events.len(), 2);
+        assert!(events.iter().any(|e| e.name == "unit"));
+        let marker = events.iter().find(|e| e.name == "marker").unwrap();
         assert_eq!(marker.dur_ns, 0, "instants have zero duration");
+        let tracks = rec.tracks();
+        assert_eq!(tracks.len(), 1);
+        assert_eq!(tracks[0][0].end_s, 25.0);
+        assert_eq!(tracks[0][1].kind, SimKind::Requeue);
         assert_eq!(rec.dropped_events(), 0);
     }
 
@@ -233,8 +261,7 @@ mod tests {
             let _s = span("off", "test");
         }
         instant("off", "test");
-        sim_span("off", "test", 0.0, 1.0);
-        sim_instant("off", "test", 2.0);
+        file_track(vec![SimEntry::new(0, SimKind::NodeDown, 2.0, 2.0)]);
         let events = rec.events();
         assert_eq!(
             events.len(),
@@ -242,6 +269,7 @@ mod tests {
             "a recording no longer current gets nothing"
         );
         assert_eq!(events[0].name, "on");
+        assert!(rec.tracks().is_empty());
         assert_eq!(rec.dropped_events(), 0);
     }
 
@@ -253,15 +281,30 @@ mod tests {
                 name: format!("e{i}").into(),
                 cat: "test",
                 tid: thread_id(),
-                domain: Domain::Sim,
                 ts_ns: i,
                 dur_ns: 0,
             });
         }
-        assert_eq!(log.dropped(), 19, "no silent truncation");
+        assert_eq!(log.dropped, 19, "no silent truncation");
         let survivors = log.sorted();
         assert_eq!(survivors.len(), 1);
         assert_eq!(survivors[0].name, "e19", "oldest dropped first");
+    }
+
+    #[test]
+    fn tracks_drop_oldest_whole() {
+        let mut log = EventLog::new(3);
+        let track = |id: u64, n: usize| vec![SimEntry::new(id, SimKind::Drain, 1.0, 1.0); n];
+        log.file(track(1, 2));
+        log.file(track(2, 1));
+        assert_eq!(log.dropped, 0, "three entries fit");
+        log.file(track(3, 2));
+        assert_eq!(log.dropped, 2, "the oldest track went whole");
+        let ids: Vec<u64> = log.tracks().iter().map(|t| t[0].id).collect();
+        assert_eq!(ids, [2, 3]);
+        log.file(track(4, 4));
+        assert!(log.tracks().is_empty(), "a track over capacity drops too");
+        assert_eq!(log.dropped, 2 + 3 + 4);
     }
 
     #[test]
@@ -270,13 +313,5 @@ mod tests {
         assert_eq!(here, thread_id(), "stable within a thread");
         let other = std::thread::spawn(thread_id).join().unwrap();
         assert_ne!(here, other);
-    }
-
-    #[test]
-    fn negative_sim_times_clamp() {
-        let rec = recording();
-        rec.run(|| sim_span("clamped", "test", 5.0, 2.0));
-        let events = rec.events();
-        assert_eq!(events[0].dur_ns, 0, "end before start clamps to instant");
     }
 }

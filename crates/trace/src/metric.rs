@@ -47,9 +47,8 @@ impl Counter {
     }
 }
 
-/// A last-write-wins instantaneous value (current queue depth, the
-/// latest sweep's bottleneck split). Stored as `f64` bits so gauges can
-/// carry rates.
+/// A last-write-wins instantaneous value (the current queue depth).
+/// Stored as `f64` bits so gauges can carry rates.
 #[derive(Debug)]
 pub struct Gauge {
     name: &'static str,

@@ -93,7 +93,7 @@ fn main() {
             &prologue,
             &epilogue,
         );
-        pbs.finish(job.spec.id, end).expect("job is running");
+        pbs.release(job.spec.id).expect("job is running");
         now = end;
 
         println!("\n{label} ({}):", program.name);

@@ -119,7 +119,9 @@ OPTIONS:
     --trace-out PATH enable the flight recorder (any command; implied by
                     `timeline`) and write the run's span events to PATH as
                     Chrome trace-event JSON (open in Perfetto or
-                    chrome://tracing)
+                    chrome://tracing): the simulator's own execution on
+                    the wall clock, then one simulated-machine process
+                    per campaign, each job on a thread of its own
     --plan-only     toplev: print the counter-group schedule and exit
                     without running a campaign
     --passes N      toplev: rotate the full 28-signal request over N
@@ -514,17 +516,15 @@ fn write_json_file(path: &str, doc: &Json) -> std::io::Result<()> {
     f.flush()
 }
 
-/// Writes the recorded span events where `--trace-out` asked for them,
-/// as Chrome trace-event JSON.
+/// Writes the recorded span events and campaign tracks where
+/// `--trace-out` asked for them, as Chrome trace-event JSON.
 fn dump_trace(path: &str, recording: &Recording) -> Result<(), CliError> {
-    let events = recording.events();
+    let (events, tracks) = (recording.events(), recording.tracks());
     let dropped = recording.dropped_events();
-    write_json_file(path, &timeline::chrome_trace(&events, dropped))
+    write_json_file(path, &timeline::chrome_trace(&events, &tracks, dropped))
         .map_err(|e| CliError::Sp2(Sp2Error::Io(e)))?;
-    eprintln!(
-        "trace written to {path} ({} events, {dropped} dropped)",
-        events.len()
-    );
+    let written = events.len() + tracks.iter().map(Vec::len).sum::<usize>();
+    eprintln!("trace written to {path} ({written} events, {dropped} dropped)");
     Ok(())
 }
 
@@ -662,8 +662,9 @@ fn dispatch(args: &Args, engine: EngineConfig) -> Result<ExitCode, CliError> {
             "running a {}-day campaign under the flight recorder…",
             args.days
         );
-        sys.campaign()?;
+        let campaign = sys.campaign()?;
         let series = Recording::current().map(|r| r.series()).unwrap_or_default();
+        let series = timeline::with_toplev(series, campaign);
         if args.json {
             println!("{}", timeline::timeline_json(&series).to_string_pretty());
         } else {
