@@ -510,8 +510,9 @@ struct CampaignRun<'a> {
     spare_prologues: Vec<Vec<u64>>,
     /// The gathered run of Sample events, reused across samples.
     gathered: Vec<(u64, f64)>,
-    /// Node failure and repair marks for the campaign's track; `None`
-    /// unless a flight recording was current when the campaign began.
+    /// Node failure, node repair and daemon restart marks for the
+    /// campaign's track; `None` unless a flight recording was current
+    /// when the campaign began.
     marks: Option<Vec<SimEntry>>,
 }
 
@@ -704,6 +705,9 @@ impl<'a> CampaignRun<'a> {
         if self.faults.restart_before_sweep(k) {
             self.daemon.restart();
             self.summary.daemon_restarts += 1;
+            if let Some(marks) = &mut self.marks {
+                marks.push(SimEntry::new(0, SimKind::DaemonRestart, t, t));
+            }
         }
         self.gathered.clear();
         self.gathered.push((k, t));
@@ -939,9 +943,9 @@ impl<'a> CampaignRun<'a> {
         })
     }
 
-    /// The campaign's simulated-clock track: the node `marks`, PBS's
-    /// drains, and per accounting record the attempt's run and how it
-    /// ended, after the queue wait of each job's first attempt.
+    /// The campaign's simulated-clock track: the node and restart
+    /// `marks`, PBS's drains, and per accounting record the attempt's run
+    /// and how it ended, after the queue wait of each job's first attempt.
     fn track(&self, mut track: Vec<SimEntry>) -> Vec<SimEntry> {
         let drains = self.pbs.drains().iter();
         track.extend(drains.map(|&(id, t)| SimEntry::new(id.0, SimKind::Drain, t, t)));

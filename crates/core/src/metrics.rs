@@ -97,10 +97,8 @@ pub fn profile_report(snap: &MetricsSnapshot) -> String {
     let hits = snap.count("power2.sigcache.hits");
     let misses = snap.count("power2.sigcache.misses");
     line(format!(
-        "signature cache   {hits} hits, {misses} misses ({:.1} % hit rate), \
-         {} evictions, {} entries",
+        "signature cache   {hits} hits, {misses} misses ({:.1} % hit rate), {} entries",
         snap.value("power2.sigcache.hit_rate") * 100.0,
-        snap.count("power2.sigcache.evictions"),
         snap.count("power2.sigcache.entries"),
     ));
     let (measure_ms, measure_n) = duration_ms(snap, "power2.signature_measure");

@@ -10,11 +10,10 @@
 //!
 //! ## The digest
 //!
-//! [`Submission::digest`] is a 128-bit FNV-1a hash (the same
-//! [`sp2_power2::Fnv128`] primitive the signature cache keys on —
-//! stable across processes and platforms, unlike `DefaultHasher`) over
-//! a canonical little-endian byte encoding of exactly the
-//! result-determining fields. Engine kind, fast-forward, and
+//! [`Submission::digest`] is a 128-bit FNV-1a hash (the
+//! [`sp2_power2::Fnv128`] primitive, stable across processes and
+//! platforms, unlike `DefaultHasher`) over a canonical little-endian
+//! byte encoding of exactly the result-determining fields. Engine kind, fast-forward, and
 //! instrumentation switches are deliberately **excluded**: the
 //! engine-equivalence and recorder-bit-identity test suites prove
 //! results are bit-identical under every such configuration, so two

@@ -56,7 +56,7 @@ fn trace_event(pid: u64, ev: &SpanEvent) -> Json {
 /// A track entry as an event: its simulated seconds in nanoseconds
 /// (negative times clamp to 0, an end before the begin to a mark), on
 /// its job's own thread (the id + 1, so a job's spans nest), or on
-/// thread 0 for node marks.
+/// thread 0 for node and daemon restart marks.
 fn sim_event(entry: &SimEntry) -> SpanEvent {
     let id = entry.id;
     let (name, cat, tid) = match entry.kind {
@@ -69,6 +69,7 @@ fn sim_event(entry: &SimEntry) -> SpanEvent {
         SimKind::Drain => (format!("drain for job {id}"), "pbs", id + 1),
         SimKind::NodeDown => (format!("node {id} down"), "fault", 0),
         SimKind::NodeUp => (format!("node {id} up"), "fault", 0),
+        SimKind::DaemonRestart => ("daemon restart".to_owned(), "rs2hpm", 0),
     };
     let ns = |s: f64| (s.max(0.0) * 1e9) as u64;
     let ts_ns = ns(entry.start_s);
@@ -85,7 +86,7 @@ fn sim_event(entry: &SimEntry) -> SpanEvent {
 /// Renders span events and campaign tracks as a Chrome trace-event
 /// document (the `{"traceEvents": [...]}` object form, which Perfetto
 /// and `chrome://tracing` both load). Spans become `ph:"X"` complete
-/// events, instants and marks `ph:"i"`; timestamps and durations are
+/// events and marks `ph:"i"`; timestamps and durations are
 /// microseconds. The `dropped_events` top-level field carries the log's
 /// drop counter so truncation is visible in the artifact itself.
 pub fn chrome_trace(events: &[SpanEvent], tracks: &[Vec<SimEntry>], dropped: u64) -> Json {

@@ -10,7 +10,8 @@
 //! from the same microarchitecture model.
 
 use crate::config::MachineConfig;
-use crate::signature::{measure_on_fresh_node, KernelSignature};
+use crate::sigcache::SignatureCache;
+use crate::signature::KernelSignature;
 use sp2_isa::{Kernel, KernelBuilder};
 
 /// Builds the page-fault handler kernel: one iteration ≈ one fault.
@@ -81,12 +82,12 @@ pub fn daemon_sample_kernel(samples: u64) -> Kernel {
 /// Measures the per-fault system-mode signature on the NAS node.
 pub fn page_fault_signature(config: &MachineConfig) -> KernelSignature {
     // 2000 simulated faults amortize cold-start effects.
-    measure_on_fresh_node(&page_fault_handler_kernel(2_000), config, 0xFA017)
+    SignatureCache::global().measure(&page_fault_handler_kernel(2_000), config, 0xFA017)
 }
 
 /// Measures the per-sample daemon cost on the NAS node.
 pub fn daemon_sample_signature(config: &MachineConfig) -> KernelSignature {
-    measure_on_fresh_node(&daemon_sample_kernel(2_000), config, 0xDAE30)
+    SignatureCache::global().measure(&daemon_sample_kernel(2_000), config, 0xDAE30)
 }
 
 #[cfg(test)]

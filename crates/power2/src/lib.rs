@@ -54,7 +54,7 @@ pub use cache::{AccessOutcome, Cache, CacheConfig, WritePolicy};
 pub use config::{FpuDispatch, MachineConfig};
 pub use node::{KernelReport, KernelRun, Node, RunStats};
 pub use sigcache::{Fnv128, SignatureCache};
-pub use signature::{measure_on_fresh_node, KernelSignature};
+pub use signature::KernelSignature;
 pub use tlb::Tlb;
 
 /// The argument `WorkloadLibrary::build_with` still takes. Every kernel

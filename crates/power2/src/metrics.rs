@@ -62,7 +62,7 @@ fn ratio(n: f64, d: f64) -> MetricValue {
     MetricValue::Value(if d > 0.0 { n / d } else { 0.0 })
 }
 
-/// Appends the process-wide signature cache's hit/miss/eviction tallies,
+/// Appends the process-wide signature cache's tallies and size,
 /// the node simulator's table, and the readings derived from them: the
 /// cache and timing-memo hit rates and the simulated-cycle and
 /// -instruction throughput.
@@ -74,10 +74,6 @@ pub fn collect(snap: &mut MetricsSnapshot) {
     snap.append(
         "power2.sigcache.coalesced",
         MetricValue::Count(cache.coalesced()),
-    );
-    snap.append(
-        "power2.sigcache.evictions",
-        MetricValue::Count(cache.evictions()),
     );
     snap.append(
         "power2.sigcache.entries",
@@ -125,7 +121,6 @@ mod tests {
             "power2.sigcache.hits",
             "power2.sigcache.misses",
             "power2.sigcache.coalesced",
-            "power2.sigcache.evictions",
             "power2.sigcache.hit_rate",
             "power2.kernel_runs",
             "power2.simulated_cycles",

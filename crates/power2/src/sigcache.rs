@@ -1,32 +1,24 @@
 //! Process-wide memoization of kernel signature measurements.
 //!
 //! Measuring a [`KernelSignature`] means cycle-simulating the kernel on a
-//! fresh node — tens of milliseconds per kernel, and the workload library,
-//! calibration suite, and cluster simulation all re-measure the same
-//! handful of kernels (the page-fault handler and daemon sampler alone
-//! are measured once per campaign). Since `measure_on_fresh_node` is a
-//! pure function of (kernel, machine config, seed), its results can be
+//! fresh node, tens of milliseconds per kernel. The measurement is a pure
+//! function of (kernel, machine config, seed), so its result can be
 //! shared across threads for the lifetime of the process.
 //!
-//! Two properties keep the lookup itself off the profile:
+//! A CLI run repeats few measurements: `sp2 profile --days 1` looks up
+//! the library's 54 kernels, 7 calibration and Table 4 kernels, and the
+//! page-fault handler and daemon sampler once per campaign, so 2 of its
+//! 65 lookups hit. Repeats come from processes that build a library more
+//! than once, such as a test binary whose tests each build one.
 //!
-//! - **Cheap keys.** The table is sharded and keyed by a 128-bit FNV-1a
-//!   hash of the measurement input's `Hash` encoding — no more formatting
-//!   the full `Debug` string on every lookup. The hash is a performance
-//!   device only: each bucket stores the full `(kernel, config, seed)`
-//!   key and verifies it on hit, so even a 128-bit collision degrades to
-//!   a bucket scan, never to a wrong answer.
-//! - **Single-flight misses.** Concurrent threads requesting the same
-//!   uncached key elect one leader to run the simulator; the rest block
-//!   on the in-flight slot and receive the leader's result (counted as
-//!   `coalesced`). If the leader unwinds without publishing, the slot is
-//!   abandoned and the waiters re-elect.
-//!
-//! A batch of independent measurements ([`SignatureCache::measure_all`])
-//! resolves its hits on the calling thread and simulates its misses on
-//! every available core. Each miss is the same single-flight measurement
-//! a lone call would make, so the batch returns exactly what measuring
-//! its jobs one after another returns, in input order.
+//! Each key owns one `OnceLock` cell, found or inserted under one table
+//! lock that is never held while simulating. The first thread to reach
+//! an empty cell simulates inside [`OnceLock::get_or_init`]; a thread
+//! that reaches it meanwhile blocks and takes that result (`coalesced`),
+//! or measures in its place if the simulating thread unwinds. So
+//! concurrent requests for one cold key simulate it once, and a batch
+//! ([`SignatureCache::measure_all`]) returns exactly what measuring its
+//! jobs one after another returns, with the same tallies.
 
 use crate::config::MachineConfig;
 use crate::node::Node;
@@ -35,18 +27,12 @@ use sp2_isa::Kernel;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-const SHARDS: usize = 16;
-
-/// 128-bit FNV-1a. Only [`Fnv128::finish128`] is used for keys; the
-/// `Hasher` impl exists so `Hash` types can feed it their encoding.
-///
-/// Public because it doubles as the repo's canonical content-digest
-/// primitive: `sp2-core`'s `Submission` digests (the campaign-service
-/// result-store keys) hash their canonical field encoding through the
-/// same function, so a digest is stable across processes and platforms
-/// (unlike `DefaultHasher`, which is seeded per process).
+/// 128-bit FNV-1a, the repo's content-digest primitive: `sp2-core`'s
+/// `Submission` digests hash their canonical encoding through it, so a
+/// digest is stable across processes and platforms (unlike
+/// `DefaultHasher`, which is seeded per process).
 #[derive(Debug, Clone)]
 pub struct Fnv128(u128);
 
@@ -84,108 +70,70 @@ impl Hasher for Fnv128 {
     }
 }
 
-/// Lifecycle of one measurement.
+/// The full inputs of one measurement. The machine's `f64` clock
+/// compares and hashes by bit pattern, so equal keys hash alike.
 #[derive(Debug)]
-enum SlotState {
-    /// A leader thread is running the simulator.
-    InFlight,
-    /// The measurement is published.
-    Done(Box<KernelSignature>),
-    /// The leader unwound without publishing; waiters must re-elect.
-    Abandoned,
-}
-
-#[derive(Debug)]
-struct Slot {
-    state: Mutex<SlotState>,
-    cond: Condvar,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            state: Mutex::new(SlotState::InFlight),
-            cond: Condvar::new(),
-        }
-    }
-
-    fn lock_state(&self) -> MutexGuard<'_, SlotState> {
-        lock(&self.state)
-    }
-}
-
-/// Locks `mutex`, entering it even if poisoned: a slot transition is a
-/// single assignment, and a holder that panics mid-update leaves a shard
-/// at worst with an empty bucket, so there is no torn invariant to fear.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// One bucket entry: the full key (hash collisions coexist in the bucket
-/// `Vec` and are disambiguated here) plus the measurement slot.
-#[derive(Debug)]
-struct Entry {
+struct Key {
     kernel: Kernel,
     config: MachineConfig,
     seed: u64,
-    slot: Arc<Slot>,
 }
 
-impl Entry {
-    fn matches(&self, kernel: &Kernel, config: &MachineConfig, seed: u64) -> bool {
-        self.seed == seed && &self.config == config && &self.kernel == kernel
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        let clockless = |key: &Key| MachineConfig {
+            clock_hz: 0.0,
+            ..key.config
+        };
+        self.seed == other.seed
+            && self.config.clock_hz.to_bits() == other.config.clock_hz.to_bits()
+            && clockless(self) == clockless(other)
+            && self.kernel == other.kernel
     }
 }
 
-type Shard = Mutex<HashMap<u128, Vec<Entry>>>;
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let config = &self.config;
+        self.seed.hash(h);
+        // `MachineConfig` holds an `f64` clock, so it can't derive `Hash`;
+        // feed the bit pattern and every other field explicitly.
+        config.clock_hz.to_bits().hash(h);
+        config.dcache.hash(h);
+        config.icache.hash(h);
+        config.tlb_entries.hash(h);
+        config.tlb_ways.hash(h);
+        config.page_bytes.hash(h);
+        config.dcache_miss_penalty.hash(h);
+        config.tlb_penalty_min.hash(h);
+        config.tlb_penalty_max.hash(h);
+        config.dispatch_width.hash(h);
+        config.fpu_latency.hash(h);
+        config.fdiv_cycles.hash(h);
+        config.fsqrt_cycles.hash(h);
+        config.load_hit_latency.hash(h);
+        config.imul_cycles.hash(h);
+        config.idiv_cycles.hash(h);
+        config.fxu0_miss_occupancy.hash(h);
+        config.memory_bytes.hash(h);
+        config.fpu_dispatch.hash(h);
+        config.dcache_policy.hash(h);
+        self.kernel.hash(h);
+    }
+}
+
+/// One key's measurement, empty until a measuring thread fills it.
+type Cell = Arc<OnceLock<KernelSignature>>;
 
 /// Shared memo table for signature measurements.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SignatureCache {
-    shards: [Shard; SHARDS],
+    cells: Mutex<HashMap<Key, Cell>>,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Default for SignatureCache {
-    fn default() -> Self {
-        SignatureCache {
-            shards: std::array::from_fn(|_| Shard::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Retracts an in-flight entry if the leader unwinds before publishing,
-/// waking waiters so they can re-elect a leader.
-struct InFlightGuard<'a> {
-    cache: &'a SignatureCache,
-    hash: u128,
-    slot: &'a Arc<Slot>,
-    published: bool,
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        if self.published {
-            return;
-        }
-        let mut map = self.cache.lock_shard(self.hash);
-        if let Some(bucket) = map.get_mut(&self.hash) {
-            bucket.retain(|e| !Arc::ptr_eq(&e.slot, self.slot));
-            if bucket.is_empty() {
-                map.remove(&self.hash);
-            }
-        }
-        drop(map);
-        *self.slot.lock_state() = SlotState::Abandoned;
-        self.slot.cond.notify_all();
-    }
 }
 
 impl SignatureCache {
@@ -195,10 +143,7 @@ impl SignatureCache {
         Self::default()
     }
 
-    /// The process-wide cache every [`measure_on_fresh_node`] call
-    /// shares.
-    ///
-    /// [`measure_on_fresh_node`]: crate::signature::measure_on_fresh_node
+    /// The process-wide cache every signature measurement shares.
     pub fn global() -> &'static SignatureCache {
         static GLOBAL: OnceLock<SignatureCache> = OnceLock::new();
         GLOBAL.get_or_init(SignatureCache::new)
@@ -207,10 +152,11 @@ impl SignatureCache {
     /// Measures `kernel` on a fresh node with `config` and `seed`,
     /// returning a memoized result when an identical measurement has
     /// already run (in any thread). Concurrent requests for the same
-    /// uncached key coalesce onto a single in-flight simulation.
+    /// uncached key share one simulation.
     pub fn measure(&self, kernel: &Kernel, config: &MachineConfig, seed: u64) -> KernelSignature {
-        let hash = Self::key_hash(kernel, config, seed);
-        self.measure_keyed(hash, kernel, config, seed)
+        self.resolve(&self.cell(kernel, config, seed), || {
+            simulate(kernel, config, seed)
+        })
     }
 
     /// Measures every `(kernel, seed)` job on `config`, returning the
@@ -218,12 +164,10 @@ impl SignatureCache {
     /// [`SignatureCache::measure`] on each job in turn returns, with
     /// the same hit/miss/coalesced tallies.
     ///
-    /// Hits resolve on the calling thread. The first occurrence of each
-    /// missing key is simulated on one of [`crate::workers::available`]
-    /// threads, the caller included ([`crate::workers::map_indexed`]);
-    /// no thread is spawned when fewer than two jobs miss. Repeats of a
-    /// key within the batch are answered from its published entry
-    /// afterwards, so each key is simulated once.
+    /// Hits resolve on the calling thread. Each distinct missing key is
+    /// simulated once, on one of [`crate::workers::available`] threads
+    /// ([`crate::workers::map_indexed`]), and its repeats in the batch
+    /// are read from its cell afterwards.
     pub fn measure_all(
         &self,
         jobs: &[(Kernel, u64)],
@@ -241,241 +185,131 @@ impl SignatureCache {
     ) -> Vec<KernelSignature> {
         let _batch = crate::metrics::MEASURE_BATCH.span();
         let _ev = sp2_trace::events::span("sigcache batch", "sigcache");
-        let hashes: Vec<u128> = jobs
+        let cells: Vec<Cell> = jobs
             .iter()
-            .map(|(kernel, seed)| Self::key_hash(kernel, config, *seed))
+            .map(|(kernel, seed)| self.cell(kernel, config, *seed))
             .collect();
-        let mut sigs: Vec<Option<KernelSignature>> = jobs
-            .iter()
-            .zip(&hashes)
-            .map(|((kernel, seed), &hash)| self.lookup(hash, kernel, config, *seed))
+        let measure = |i: usize| {
+            let (kernel, seed) = &jobs[i];
+            self.resolve(&cells[i], || simulate(kernel, config, *seed))
+        };
+        let mut sigs: Vec<Option<KernelSignature>> =
+            cells.iter().map(|cell| self.hit(cell)).collect();
+        let firsts: Vec<usize> = (0..jobs.len())
+            .filter(|&i| sigs[i].is_none())
+            .filter(|&i| !cells[..i].iter().any(|c| Arc::ptr_eq(c, &cells[i])))
             .collect();
-        let mut firsts: Vec<usize> = Vec::new();
-        for (i, sig) in sigs.iter().enumerate() {
-            if sig.is_none()
-                && !firsts
-                    .iter()
-                    .any(|&j| hashes[j] == hashes[i] && jobs[j] == jobs[i])
-            {
-                firsts.push(i);
-            }
-        }
-
         let threads = workers.clamp(1, firsts.len().max(1));
         crate::metrics::MEASURE_THREADS.record(threads as u64);
-        let measured = crate::workers::map_indexed(firsts.len(), threads, |k| {
-            let i = firsts[k];
-            let (kernel, seed) = &jobs[i];
-            self.measure_keyed(hashes[i], kernel, config, *seed)
-        });
+        let measured = crate::workers::map_indexed(firsts.len(), threads, |k| measure(firsts[k]));
         for (&i, sig) in firsts.iter().zip(measured) {
             sigs[i] = Some(sig);
         }
 
-        // Only repeats are still unresolved; their first occurrence is
-        // published by now, so these are ordinary hits.
+        // Only repeats are still unresolved; their cells are filled by
+        // now, so these are ordinary hits.
         sigs.into_iter()
-            .zip(jobs.iter().zip(&hashes))
-            .map(|(sig, ((kernel, seed), &hash))| {
-                sig.unwrap_or_else(|| self.measure_keyed(hash, kernel, config, *seed))
-            })
+            .enumerate()
+            .map(|(i, sig)| sig.unwrap_or_else(|| measure(i)))
             .collect()
     }
 
-    /// The published measurement for a key, counted as a hit, or `None`
-    /// when the key is absent or still in flight.
-    fn lookup(
-        &self,
-        hash: u128,
-        kernel: &Kernel,
-        config: &MachineConfig,
-        seed: u64,
-    ) -> Option<KernelSignature> {
-        let map = self.lock_shard(hash);
-        let entry = map
-            .get(&hash)?
-            .iter()
-            .find(|e| e.matches(kernel, config, seed))?;
-        let state = entry.slot.lock_state();
-        match &*state {
-            SlotState::Done(sig) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((**sig).clone())
-            }
-            SlotState::InFlight | SlotState::Abandoned => None,
-        }
+    /// The cell for a measurement's inputs, inserted empty if the table
+    /// has none.
+    fn cell(&self, kernel: &Kernel, config: &MachineConfig, seed: u64) -> Cell {
+        let key = Key {
+            kernel: kernel.clone(),
+            config: *config,
+            seed,
+        };
+        Arc::clone(self.table().entry(key).or_default())
     }
 
-    /// [`SignatureCache::measure`] for a key whose hash is known.
-    fn measure_keyed(
+    /// The signature in `cell`: a hit if it is filled, else a miss that
+    /// fills it with `measure` on this thread. When another thread is
+    /// filling it, this one waits and takes that result (coalesced), or
+    /// measures in its place if that thread unwinds.
+    fn resolve(
         &self,
-        hash: u128,
-        kernel: &Kernel,
-        config: &MachineConfig,
-        seed: u64,
+        cell: &OnceLock<KernelSignature>,
+        measure: impl FnOnce() -> KernelSignature,
     ) -> KernelSignature {
-        loop {
-            let (slot, leader) = {
-                let mut map = self.lock_shard(hash);
-                let bucket = map.entry(hash).or_default();
-                match bucket.iter().find(|e| e.matches(kernel, config, seed)) {
-                    Some(e) => (Arc::clone(&e.slot), false),
-                    None => {
-                        let slot = Arc::new(Slot::new());
-                        bucket.push(Entry {
-                            kernel: kernel.clone(),
-                            config: *config,
-                            seed,
-                            slot: Arc::clone(&slot),
-                        });
-                        (slot, true)
-                    }
-                }
-            };
-
-            if leader {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let mut guard = InFlightGuard {
-                    cache: self,
-                    hash,
-                    slot: &slot,
-                    published: false,
-                };
-                let sig = {
-                    let _span = crate::metrics::MEASURE.span();
-                    let _ev = sp2_trace::events::span("sigcache miss", "sigcache");
-                    let mut node = Node::with_seed(*config, seed);
-                    KernelSignature::measure(&mut node, kernel)
-                };
-                *slot.lock_state() = SlotState::Done(Box::new(sig.clone()));
-                guard.published = true;
-                slot.cond.notify_all();
-                return sig;
-            }
-
-            let mut state = slot.lock_state();
-            let mut waited = false;
-            let mut wait_ev = None;
-            loop {
-                match &*state {
-                    SlotState::Done(sig) => {
-                        let counter = if waited { &self.coalesced } else { &self.hits };
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        return (**sig).clone();
-                    }
-                    SlotState::Abandoned => break,
-                    SlotState::InFlight => {
-                        waited = true;
-                        // Time blocked behind the leader — the span opens
-                        // on the first wait and closes whenever this
-                        // waiter leaves the loop.
-                        wait_ev.get_or_insert_with(|| {
-                            sp2_trace::events::span("sigcache wait", "sigcache")
-                        });
-                        state = slot.cond.wait(state).unwrap_or_else(|e| e.into_inner());
-                    }
-                }
-            }
-            // The leader unwound without publishing — re-elect.
+        if let Some(sig) = self.hit(cell) {
+            return sig;
         }
+        let mut measured = false;
+        let sig = cell.get_or_init(|| {
+            measured = true;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            measure()
+        });
+        if !measured {
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+        }
+        sig.clone()
     }
 
-    fn lock_shard(&self, hash: u128) -> MutexGuard<'_, HashMap<u128, Vec<Entry>>> {
-        lock(&self.shards[(hash >> 124) as usize])
+    /// A filled cell's signature, counted as a hit.
+    fn hit(&self, cell: &OnceLock<KernelSignature>) -> Option<KernelSignature> {
+        let sig = cell.get()?.clone();
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(sig)
     }
 
-    fn key_hash(kernel: &Kernel, config: &MachineConfig, seed: u64) -> u128 {
-        let mut h = Fnv128::new();
-        seed.hash(&mut h);
-        // `MachineConfig` holds an `f64` clock, so it can't derive `Hash`;
-        // feed the bit pattern and every other field explicitly.
-        config.clock_hz.to_bits().hash(&mut h);
-        config.dcache.hash(&mut h);
-        config.icache.hash(&mut h);
-        config.tlb_entries.hash(&mut h);
-        config.tlb_ways.hash(&mut h);
-        config.page_bytes.hash(&mut h);
-        config.dcache_miss_penalty.hash(&mut h);
-        config.tlb_penalty_min.hash(&mut h);
-        config.tlb_penalty_max.hash(&mut h);
-        config.dispatch_width.hash(&mut h);
-        config.fpu_latency.hash(&mut h);
-        config.fdiv_cycles.hash(&mut h);
-        config.fsqrt_cycles.hash(&mut h);
-        config.load_hit_latency.hash(&mut h);
-        config.imul_cycles.hash(&mut h);
-        config.idiv_cycles.hash(&mut h);
-        config.fxu0_miss_occupancy.hash(&mut h);
-        config.memory_bytes.hash(&mut h);
-        config.fpu_dispatch.hash(&mut h);
-        config.dcache_policy.hash(&mut h);
-        kernel.hash(&mut h);
-        h.finish128()
+    /// Locks the table, entering it even if poisoned: a holder only finds,
+    /// inserts, counts or drops cells, so a panic there leaves nothing torn.
+    fn table(&self) -> MutexGuard<'_, HashMap<Key, Cell>> {
+        self.cells.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Measurements answered from an already-published entry.
+    /// Measurements answered from an already-filled cell.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Measurements that ran the simulator (single-flight leaders).
+    /// Measurements that ran the simulator.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Measurements that blocked on another thread's in-flight simulation
-    /// and received its result instead of duplicating the work.
+    /// Measurements that found their key unmeasured and received another
+    /// thread's simulation instead of duplicating the work.
     pub fn coalesced(&self) -> u64 {
         self.coalesced.load(Ordering::Relaxed)
     }
 
-    /// Cached measurements dropped over the cache's lifetime (the only
-    /// eviction path is [`SignatureCache::clear`]; unlike the hit/miss
-    /// counters this tally survives `clear` so a post-clear snapshot
-    /// still shows that entries were thrown away).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Distinct published measurements currently cached (in-flight
-    /// entries don't count until their result lands), counted under the
-    /// shard locks.
+    /// Distinct measurements currently cached (a measurement in flight
+    /// doesn't count until its result lands).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| published(&lock(shard)))
-            .sum::<u64>() as usize
+        self.table()
+            .values()
+            .filter(|cell| cell.get().is_some())
+            .count()
     }
 
-    /// Whether the cache holds no published measurements.
+    /// Whether the cache holds no measurements.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Drops all cached measurements and zeroes the hit/miss/coalesced
-    /// counters. Every dropped published entry counts as an eviction.
-    /// An in-flight leader keeps its slot alive through the `Arc` and
-    /// still delivers to its waiters; only the table forgets it.
+    /// counters. A measurement in flight keeps its cell alive through
+    /// the `Arc` and still delivers to its waiters; only the table
+    /// forgets it.
     pub fn clear(&self) {
-        let mut dropped = 0u64;
-        for shard in &self.shards {
-            let mut map = lock(shard);
-            dropped += published(&map);
-            map.clear();
+        self.table().clear();
+        for tally in [&self.hits, &self.misses, &self.coalesced] {
+            tally.store(0, Ordering::Relaxed);
         }
-        self.evictions.fetch_add(dropped, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.coalesced.store(0, Ordering::Relaxed);
     }
 }
 
-/// Published (`Done`) entries in one shard's table.
-fn published(map: &HashMap<u128, Vec<Entry>>) -> u64 {
-    map.values()
-        .flatten()
-        .filter(|e| matches!(*e.slot.lock_state(), SlotState::Done(_)))
-        .count() as u64
+/// Cycle-simulates `kernel` on a fresh node: the measurement the cache
+/// memoizes.
+fn simulate(kernel: &Kernel, config: &MachineConfig, seed: u64) -> KernelSignature {
+    let _span = crate::metrics::MEASURE.span();
+    let _ev = sp2_trace::events::span("sigcache miss", "sigcache");
+    KernelSignature::measure(&mut Node::with_seed(*config, seed), kernel)
 }
 
 #[cfg(test)]
@@ -546,20 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_counts_evictions_across_generations() {
-        let cache = SignatureCache::new();
-        let cfg = MachineConfig::nas_sp2();
-        assert_eq!(cache.evictions(), 0);
-        cache.measure(&tiny_kernel("ev-a", 100), &cfg, 1);
-        cache.measure(&tiny_kernel("ev-b", 100), &cfg, 1);
-        cache.clear();
-        assert_eq!(cache.evictions(), 2);
-        cache.measure(&tiny_kernel("ev-c", 100), &cfg, 1);
-        cache.clear();
-        assert_eq!(cache.evictions(), 3, "eviction tally survives clear");
-    }
-
-    #[test]
     fn shared_across_threads() {
         let cache = SignatureCache::new();
         let cfg = MachineConfig::nas_sp2();
@@ -611,6 +431,49 @@ mod tests {
         for sig in &sigs[1..] {
             assert_eq!(sig, &sigs[0]);
         }
+    }
+
+    #[test]
+    fn a_waiter_measures_the_key_whose_first_measurement_unwound() {
+        // The first requester of a key unwinds mid-measurement while a
+        // second thread waits on the key: the waiter then measures it
+        // itself and publishes the result.
+        let cache = SignatureCache::new();
+        let cfg = MachineConfig::nas_sp2();
+        let k = tiny_kernel("unwind", 300);
+        let cell = cache.cell(&k, &cfg, 4);
+        let (measuring, waiting) = (Barrier::new(2), Barrier::new(2));
+        let (first, second) = std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                cache.resolve(&cell, || {
+                    measuring.wait();
+                    waiting.wait();
+                    // Long enough for the second thread to block on the
+                    // cell before this measurement unwinds. Arriving after
+                    // the unwind, it would find the cell empty and measure
+                    // all the same, so no assertion hangs on the sleep.
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    panic!("measurement unwound")
+                })
+            });
+            measuring.wait();
+            let second = s.spawn(|| {
+                waiting.wait();
+                cache.resolve(&cell, || simulate(&k, &cfg, 4))
+            });
+            (first.join(), second.join())
+        });
+        assert!(first.is_err(), "the first measurement unwound");
+        let sig = second.expect("the waiter measured the key itself");
+        assert_eq!(sig, simulate(&k, &cfg, 4));
+        assert_eq!(
+            (cache.misses(), cache.hits(), cache.coalesced()),
+            (2, 0, 0),
+            "both requesters measured; neither was served"
+        );
+        assert_eq!(cache.len(), 1, "the waiter published its measurement");
+        assert_eq!(cache.measure(&k, &cfg, 4), sig);
+        assert_eq!(cache.hits(), 1);
     }
 
     /// Worker counts the batch tests run at: serial, fewer workers than

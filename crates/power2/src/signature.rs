@@ -7,7 +7,6 @@
 //! Every cluster-level number thus traces back to a microarchitecture
 //! simulation, not to a hand-entered constant.
 
-use crate::config::MachineConfig;
 use crate::node::Node;
 use sp2_hpm::{EventSet, Signal};
 use sp2_isa::Kernel;
@@ -80,25 +79,11 @@ impl KernelSignature {
     }
 }
 
-/// Measures a kernel on a fresh NAS-configured node (cold caches,
-/// deterministic seed). Convenience for workload construction.
-///
-/// Measurement is a pure function of its inputs, so results are memoized
-/// in the process-wide [`SignatureCache`](crate::sigcache::SignatureCache):
-/// repeated measurements of the same kernel (library rebuilds, the
-/// page-fault handler and daemon sampler every campaign measures,
-/// calibration reruns) pay the cycle simulation once.
-pub fn measure_on_fresh_node(
-    kernel: &Kernel,
-    config: &MachineConfig,
-    seed: u64,
-) -> KernelSignature {
-    crate::sigcache::SignatureCache::global().measure(kernel, config, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MachineConfig;
+    use crate::sigcache::SignatureCache;
     use sp2_isa::KernelBuilder;
 
     fn stream_kernel(iters: u64) -> Kernel {
@@ -114,7 +99,7 @@ mod tests {
     #[test]
     fn measure_and_scale_linearity() {
         let cfg = MachineConfig::nas_sp2();
-        let sig = measure_on_fresh_node(&stream_kernel(50_000), &cfg, 1);
+        let sig = SignatureCache::global().measure(&stream_kernel(50_000), &cfg, 1);
         let half = sig.events_for_cycles(sig.cycles / 2);
         let full = sig.events_for_cycles(sig.cycles);
         for s in [Signal::Fxu0Exec, Signal::DcacheMiss, Signal::Fpu0Fma] {
@@ -132,7 +117,7 @@ mod tests {
     #[test]
     fn rates_are_clock_scaled() {
         let cfg = MachineConfig::nas_sp2();
-        let sig = measure_on_fresh_node(&stream_kernel(20_000), &cfg, 2);
+        let sig = SignatureCache::global().measure(&stream_kernel(20_000), &cfg, 2);
         let cyc_rate = sig.rate_per_second(Signal::Cycles);
         assert!((cyc_rate - cfg.clock_hz).abs() / cfg.clock_hz < 1e-9);
         assert!(sig.mflops() > 0.0);
@@ -142,7 +127,7 @@ mod tests {
     #[test]
     fn events_for_seconds_matches_cycles_path() {
         let cfg = MachineConfig::nas_sp2();
-        let sig = measure_on_fresh_node(&stream_kernel(20_000), &cfg, 3);
+        let sig = SignatureCache::global().measure(&stream_kernel(20_000), &cfg, 3);
         let a = sig.events_for_seconds(1.0);
         let b = sig.events_for_cycles(cfg.clock_hz as u64);
         assert_eq!(a.get(Signal::Fpu0Fma), b.get(Signal::Fpu0Fma));
@@ -151,7 +136,7 @@ mod tests {
     #[test]
     fn cycles_for_iters_proportional() {
         let cfg = MachineConfig::nas_sp2();
-        let sig = measure_on_fresh_node(&stream_kernel(10_000), &cfg, 4);
+        let sig = SignatureCache::global().measure(&stream_kernel(10_000), &cfg, 4);
         let c1 = sig.cycles_for_iters(10_000);
         let c2 = sig.cycles_for_iters(20_000);
         assert_eq!(c1, sig.cycles);
@@ -161,8 +146,8 @@ mod tests {
     #[test]
     fn determinism_same_seed() {
         let cfg = MachineConfig::nas_sp2();
-        let a = measure_on_fresh_node(&stream_kernel(5_000), &cfg, 9);
-        let b = measure_on_fresh_node(&stream_kernel(5_000), &cfg, 9);
+        let a = SignatureCache::global().measure(&stream_kernel(5_000), &cfg, 9);
+        let b = SignatureCache::global().measure(&stream_kernel(5_000), &cfg, 9);
         assert_eq!(a, b);
     }
 }

@@ -271,7 +271,6 @@ impl Daemon {
     /// the next pass only re-baselines (contributing no deltas), exactly
     /// like the first pass after boot.
     pub fn restart(&mut self) {
-        sp2_trace::events::instant("daemon restart", "rs2hpm");
         self.has_baseline.fill(false);
     }
 

@@ -234,7 +234,7 @@ mod tests {
         std::thread::spawn(move || {
             context.run(|| {
                 assert!(enabled() && recording());
-                crate::events::instant("from a helper", "test");
+                let _span = crate::events::span("from a helper", "test");
             });
             assert!(!recording());
         })

@@ -6,9 +6,9 @@
 //!
 //! - **Span events** carry real nanoseconds since the recording began
 //!   and describe the simulator's own execution: campaigns, rotated
-//!   passes, experiment runs, signature-cache batches, misses and waits,
-//!   served jobs, daemon restarts. Per-sweep and per-scheduling-pass time
-//!   is not logged here: the interval series already holds it.
+//!   passes, experiment runs, signature-cache batches and misses, served
+//!   jobs. Per-sweep and per-scheduling-pass time is not logged here:
+//!   the interval series already holds it.
 //! - **Tracks** carry simulated seconds and describe the machine being
 //!   simulated: a campaign files one when it closes, built from its own
 //!   datasets. Its entries ([`SimEntry`]) carry no name; exporters name
@@ -31,7 +31,8 @@ use std::time::Instant;
 /// two 270-day campaigns (about 34,000 entries each) fit.
 pub const DEFAULT_CAPACITY: usize = 1 << 17;
 
-/// One span of the simulator's own execution, or an instant.
+/// One span of the simulator's own execution (exporters also cast track
+/// entries as these).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Event name (static for hot sites, owned for per-run names).
@@ -49,7 +50,8 @@ pub struct SpanEvent {
 /// What a [`SimEntry`] records: a job's queue wait before its first
 /// attempt, an attempt's run, and how the attempt ended (its epilogue, a
 /// node failure that requeued or finally killed it, or the campaign
-/// horizon); a drain PBS began for the job; a node's failure or repair.
+/// horizon); a drain PBS began for the job; a node's failure or repair;
+/// a restart of the sampling daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimKind {
     Wait,
@@ -61,12 +63,14 @@ pub enum SimKind {
     Drain,
     NodeDown,
     NodeUp,
+    DaemonRestart,
 }
 
 /// One entry of a campaign's simulated-clock track.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimEntry {
-    /// The job id, or the node index of a node mark.
+    /// The job id, the node index of a node mark, or 0 for a daemon
+    /// restart.
     pub id: u64,
     /// What the entry records.
     pub kind: SimKind,
@@ -167,19 +171,6 @@ pub fn span(name: impl Into<Cow<'static, str>>, cat: &'static str) -> EventSpan 
     }
 }
 
-/// Records an instantaneous event.
-pub fn instant(name: impl Into<Cow<'static, str>>, cat: &'static str) {
-    with_recording(|recording| {
-        recording.log().push(SpanEvent {
-            name: name.into(),
-            cat,
-            tid: thread_id(),
-            ts_ns: recording.epoch().elapsed().as_nanos() as u64,
-            dur_ns: 0,
-        })
-    });
-}
-
 /// Files a campaign's simulated-clock track with the calling thread's
 /// current recording, if any.
 pub fn file_track(track: Vec<SimEntry>) {
@@ -228,12 +219,11 @@ mod tests {
     }
 
     #[test]
-    fn spans_instants_and_tracks_record_when_recording() {
+    fn spans_and_tracks_record_when_recording() {
         let rec = recording();
         rec.run(|| {
             {
                 let _s = span("unit", "test");
-                instant("marker", "test");
             }
             file_track(vec![
                 SimEntry::new(1, SimKind::Run, 10.0, 25.0),
@@ -242,10 +232,8 @@ mod tests {
         });
 
         let events = rec.events();
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().any(|e| e.name == "unit"));
-        let marker = events.iter().find(|e| e.name == "marker").unwrap();
-        assert_eq!(marker.dur_ns, 0, "instants have zero duration");
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, "unit");
         let tracks = rec.tracks();
         assert_eq!(tracks.len(), 1);
         assert_eq!(tracks[0][0].end_s, 25.0);
@@ -256,11 +244,10 @@ mod tests {
     #[test]
     fn disabled_recording_emits_nothing() {
         let rec = recording();
-        rec.run(|| instant("on", "test"));
+        rec.run(|| drop(span("on", "test")));
         {
             let _s = span("off", "test");
         }
-        instant("off", "test");
         file_track(vec![SimEntry::new(0, SimKind::NodeDown, 2.0, 2.0)]);
         let events = rec.events();
         assert_eq!(

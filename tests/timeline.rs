@@ -7,8 +7,9 @@
 //! each elided sweep and its advance under its own interval, and the
 //! Chrome trace export round-trips through the JSON parser with one
 //! simulated-machine process per campaign, a wait and a run per job
-//! attempt, spans that nest, no per-sweep span events, and zero
-//! silently-dropped events.
+//! attempt, each daemon restart marked on its campaign's process, spans
+//! that nest, no per-sweep span events, and zero silently-dropped
+//! events.
 
 mod common;
 
@@ -251,6 +252,7 @@ fn recorder_is_invisible_bounded_and_exportable() {
     let recording = new_recording();
     let campaigns = recording.run(|| [small_campaign(7, 7, true), small_campaign(7, 9, false)]);
     assert!(campaigns[0].faults.enabled && !campaigns[1].faults.enabled);
+    assert!(campaigns[0].faults.daemon_restarts > 0, "no daemon restart");
 
     assert_eq!(
         recording.dropped_events(),
@@ -318,6 +320,15 @@ fn recorder_is_invisible_bounded_and_exportable() {
     );
     let entries: usize = tracks.iter().map(Vec::len).sum();
     assert_eq!(trace_events.len(), 3 + drained.len() + entries);
+    // A daemon restart is a fact of the simulated machine, not of the
+    // simulator's wall clock.
+    assert!(
+        trace_events
+            .iter()
+            .filter(|e| pid_of(e) == 1)
+            .all(|e| str_of(e, "name").as_deref() != Some("daemon restart")),
+        "a daemon restart on the wall clock"
+    );
 
     // Within each process, a run per attempt and a wait per job, and
     // each attempt's end marked as its accounting record ended it.
@@ -327,6 +338,7 @@ fn recorder_is_invisible_bounded_and_exportable() {
         let mut drains = runs.clone();
         let mut ends: BTreeMap<(u64, String), usize> = BTreeMap::new();
         let mut node_marks = 0;
+        let mut restarts = 0;
         for e in trace_events.iter().filter(|e| pid_of(e) == pid) {
             let name = str_of(e, "name").expect("name");
             let words: Vec<&str> = name.split(' ').collect();
@@ -338,6 +350,7 @@ fn recorder_is_invisible_bounded_and_exportable() {
                 }
                 ["drain", "for", "job", id] => *drains.entry(id.parse().unwrap()).or_default() += 1,
                 ["node", _, "down" | "up"] => node_marks += 1,
+                ["daemon", "restart"] => restarts += 1,
                 _ => {}
             }
         }
@@ -371,6 +384,10 @@ fn recorder_is_invisible_bounded_and_exportable() {
         );
         assert!(waits.keys().eq(attempts.keys()));
         assert_eq!(campaign.faults.enabled, node_marks > 0, "pid {pid}");
+        assert_eq!(
+            restarts, campaign.faults.daemon_restarts,
+            "pid {pid}: a mark per daemon restart"
+        );
         if !campaign.faults.enabled {
             assert!(!drains.is_empty(), "the wide jobs drained the machine");
             assert!(
