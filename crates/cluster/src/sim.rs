@@ -762,10 +762,11 @@ impl<'a> CampaignRun<'a> {
                         .fast_forward_steady(times, bank.lanes(), &self.down);
                 }
                 // Each replayed sweep counts in its own interval, as a
-                // stepped sweep does.
+                // stepped sweep does: its sweep and the nodes it sampled.
                 for &(k2, t2) in run {
                     crate::metrics::SWEEPS.inc();
                     crate::metrics::SWEEPS_ELIDED.inc();
+                    sp2_rs2hpm::metrics::NODES_SAMPLED.add(active as u64);
                     sp2_trace::recorder::on_sweep(k2, t2);
                 }
                 break;

@@ -94,19 +94,11 @@ pub fn selection_kind(selection: &CounterSelection) -> Result<SelectionKind, Sp2
     ))
 }
 
-fn kind_name(kind: SelectionKind) -> &'static str {
-    match kind {
-        SelectionKind::Nas => "nas",
-        SelectionKind::IoAware => "io_aware",
-    }
-}
-
 fn kind_from_name(name: &str) -> Result<SelectionKind, Sp2Error> {
-    match name {
-        "nas" => Ok(SelectionKind::Nas),
-        "io_aware" => Ok(SelectionKind::IoAware),
-        other => Err(malformed(format!("unknown selection {other:?}"))),
-    }
+    [SelectionKind::Nas, SelectionKind::IoAware]
+        .into_iter()
+        .find(|k| k.name() == name)
+        .ok_or_else(|| malformed(format!("unknown selection {name:?}")))
 }
 
 // ---------------------------------------------------------------------
@@ -295,7 +287,7 @@ fn header_json(campaign: Option<&CampaignMeta>) -> Json {
         h = h.field(
             "campaign",
             Json::obj()
-                .field("selection", kind_name(m.kind))
+                .field("selection", m.kind.name())
                 .field("slots", m.kind.selection().len() as u64)
                 .field("days", u64::from(m.days))
                 .field("node_count", m.node_count as u64)
@@ -321,7 +313,7 @@ fn parse_header(payload: &[u8]) -> Result<Option<CampaignMeta>, Sp2Error> {
     if slots != kind.selection().len() {
         return Err(malformed(format!(
             "header says {slots} slots but the {} selection has {}",
-            kind_name(kind),
+            kind.name(),
             kind.selection().len()
         )));
     }

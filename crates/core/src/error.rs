@@ -30,6 +30,9 @@ pub enum Sp2Error {
     /// A malformed serve-protocol request or response: not valid JSON,
     /// missing fields, or an operation on a job the server doesn't know.
     Protocol(String),
+    /// An archive replay was asked for a campaign the archive does not
+    /// hold (named here); a replay never simulates one in its place.
+    MissingCampaign(String),
 }
 
 impl std::fmt::Display for Sp2Error {
@@ -42,6 +45,10 @@ impl std::fmt::Display for Sp2Error {
             Sp2Error::Io(e) => write!(f, "artifact i/o: {e}"),
             Sp2Error::Submission(m) => write!(f, "submission: {m}"),
             Sp2Error::Protocol(m) => write!(f, "protocol: {m}"),
+            Sp2Error::MissingCampaign(c) => write!(
+                f,
+                "archive replay: the archive holds no {c} (run without --archive to simulate it)"
+            ),
         }
     }
 }
@@ -54,7 +61,7 @@ impl std::error::Error for Sp2Error {
             Sp2Error::Campaign(e) => Some(e),
             Sp2Error::UnknownExperiment(_) => None,
             Sp2Error::Io(e) => Some(e),
-            Sp2Error::Submission(_) | Sp2Error::Protocol(_) => None,
+            Sp2Error::Submission(_) | Sp2Error::Protocol(_) | Sp2Error::MissingCampaign(_) => None,
         }
     }
 }

@@ -55,6 +55,15 @@ impl SelectionKind {
             SelectionKind::IoAware => io_aware_selection(),
         }
     }
+
+    /// The selection's label: `nas` or `io_aware`, as archive headers
+    /// record it.
+    pub fn name(self) -> &'static str {
+        match self {
+            SelectionKind::Nas => "nas",
+            SelectionKind::IoAware => "io_aware",
+        }
+    }
 }
 
 /// What an experiment analyses: the campaign it declares it needs

@@ -37,23 +37,21 @@
 //! ```
 //!
 //! with `{"event":"error","job":h,"state":"failed"|"cancelled",…}`
-//! terminating failed or cancelled jobs, and — when the daemon runs
-//! with instrumentation on — trailing `{"event":"metrics",…}` /
-//! `{"event":"timeline",…}` lines carrying the live `sp2-metrics/v1`
-//! and `sp2-timeline/v1` documents.
+//! terminating failed or cancelled jobs instead. A stream holds nothing
+//! else: the daemon's own metrics are a `status` request with
+//! `"live":true` away.
 //!
 //! ## Determinism and the store
 //!
 //! The `dataset` lines are a pure function of the submission: campaign
 //! results are bit-identical across engines and instrumentation (the
 //! engine-equivalence suites prove it), and every JSON number renders
-//! through one writer. So the service can treat the rendered lines as
-//! *the* result: they are what subscribers stream, what the store
-//! persists, and what a digest-hit replays — byte-equal
-//! no matter which path produced them or what else was in flight. The
-//! `metrics`/`timeline` events are deliberately outside that contract
-//! (they carry wall-clock readings of this process) and are never
-//! stored.
+//! through one writer. Every job runs through [`execute`], the runner
+//! `sp2 submit --local` and `sp2 archive` use too. So the service can
+//! treat the rendered lines as *the* result: they are what subscribers
+//! stream, what the store persists, and what a digest-hit replays —
+//! byte-equal no matter which path produced them or what else was in
+//! flight.
 //!
 //! ## Scheduling and fairness
 //!
@@ -68,17 +66,16 @@ pub mod store;
 use crate::error::Sp2Error;
 use crate::experiments;
 use crate::json::Json;
+use crate::metrics;
 use crate::submission::Submission;
-use crate::system::{Sp2System, DEFAULT_LIBRARY_SEED};
-use crate::{metrics, timeline};
-use sp2_cluster::{CampaignError, CampaignResult, CancelToken, ClusterConfig, EngineConfig};
-use sp2_workload::WorkloadLibrary;
+use crate::system::Sp2System;
+use sp2_cluster::{CampaignError, CancelToken, EngineConfig};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 pub use store::{Store, StoredJob};
 
@@ -110,16 +107,6 @@ fn read_line_capped(
     Ok(n)
 }
 
-/// One workload library serves every job: submissions don't vary the
-/// machine model, and the library build (kernel measurement) is the
-/// most expensive fixed cost in the process.
-fn shared_library() -> &'static WorkloadLibrary {
-    static LIBRARY: OnceLock<WorkloadLibrary> = OnceLock::new();
-    LIBRARY.get_or_init(|| {
-        WorkloadLibrary::build(&ClusterConfig::default().machine, DEFAULT_LIBRARY_SEED)
-    })
-}
-
 /// Renders one dataset event line — THE deterministic unit of the
 /// protocol. Server workers, local one-shot runs, the store, and
 /// replays all share this one rendering, which is what makes
@@ -134,38 +121,32 @@ fn dataset_line(digest_hex: &str, seq: usize, experiment: &str, doc: Json) -> St
         .to_string_compact()
 }
 
-/// Executes a submission in-process (no daemon, no store) and returns
-/// the dataset event lines — byte-identical to what `sp2 serve` would
-/// stream for the same submission. `sp2 submit --local` and the CI
-/// smoke diff ride this.
-pub fn run_local(submission: &Submission, engine: EngineConfig) -> Result<Vec<String>, Sp2Error> {
-    local_lines(submission, &mut submission.system(engine))
-}
-
-/// [`run_local`], also returning the primary campaign the datasets were
-/// analyzed from — `sp2 archive` persists both in one container so a
-/// later `--archive` run can replay the analysis without simulating.
-pub fn run_local_archival(
+/// Runs a submission: builds its system through [`Submission::system`]
+/// under `engine`, evaluates the experiments in order, and hands each
+/// rendered dataset event line to `emit` as soon as it is done. A raised
+/// `cancel` token stops the run between experiments, and inside a
+/// campaign, with [`CampaignError::Cancelled`]. Returns the system, whose
+/// cached campaigns `sp2 archive` persists.
+///
+/// `sp2 submit --local`, `sp2 archive` and every `sp2 serve` worker run
+/// their submissions through here, so the lines they produce for one
+/// submission are the same bytes.
+pub fn execute(
     submission: &Submission,
     engine: EngineConfig,
-) -> Result<(Vec<String>, CampaignResult), Sp2Error> {
-    let mut sys = submission.system(engine);
-    let lines = local_lines(submission, &mut sys)?;
-    let campaign = sys.campaign()?.clone();
-    Ok((lines, campaign))
-}
-
-/// The dataset event lines of every experiment the submission names, in
-/// order, analyzed on `sys`.
-fn local_lines(submission: &Submission, sys: &mut Sp2System) -> Result<Vec<String>, Sp2Error> {
+    cancel: Option<Arc<CancelToken>>,
+    mut emit: impl FnMut(String),
+) -> Result<Sp2System, Sp2Error> {
     let digest = submission.digest_hex();
-    let mut lines = Vec::with_capacity(submission.experiments().len());
+    let mut sys = submission.system(engine, cancel.clone());
     for (seq, id) in submission.experiments().iter().enumerate() {
-        let exp = experiments::experiment_or_err(id)?;
-        let dataset = sys.dataset(exp)?;
-        lines.push(dataset_line(&digest, seq, id, dataset.json));
+        if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            return Err(CampaignError::Cancelled.into());
+        }
+        let dataset = sys.dataset(experiments::experiment_or_err(id)?)?;
+        emit(dataset_line(&digest, seq, id, dataset.json));
     }
-    Ok(lines)
+    Ok(sys)
 }
 
 /// Daemon configuration.
@@ -417,44 +398,23 @@ impl ServerInner {
             )
         });
         let start = std::time::Instant::now();
-        let mut sys = Sp2System::builder()
-            .spec(*job.submission.spec())
-            .library(shared_library().clone())
-            .engine(self.engine)
-            .faults(job.submission.fault_rate())
-            .fault_seed(job.submission.fault_seed())
-            .cancel_token(Arc::clone(&job.cancel))
-            .build();
-        let mut lines: Vec<String> = Vec::new();
-        for (seq, id) in job.submission.experiments().iter().enumerate() {
-            if job.cancel.is_cancelled() {
+        let cancel = Some(Arc::clone(&job.cancel));
+        match execute(&job.submission, self.engine, cancel, |line| {
+            scope.add("datasets", 1);
+            job.push_line(line);
+        }) {
+            Ok(_) => {}
+            Err(Sp2Error::Campaign(CampaignError::Cancelled)) => {
                 job.finish(JobState::Cancelled, Some("cancelled by request".into()));
                 return;
             }
-            let Some(exp) = experiments::experiment(id) else {
-                // Validated at submit time; only a registry change
-                // mid-flight could get here.
-                job.finish(JobState::Failed, Some(format!("unknown experiment: {id}")));
+            Err(e) => {
+                job.finish(JobState::Failed, Some(e.to_string()));
                 return;
-            };
-            match sys.dataset(exp) {
-                Ok(dataset) => {
-                    let line = dataset_line(&job.digest_hex, seq, id, dataset.json);
-                    lines.push(line.clone());
-                    scope.add("datasets", 1);
-                    job.push_line(line);
-                }
-                Err(Sp2Error::Campaign(CampaignError::Cancelled)) => {
-                    job.finish(JobState::Cancelled, Some("cancelled by request".into()));
-                    return;
-                }
-                Err(e) => {
-                    job.finish(JobState::Failed, Some(e.to_string()));
-                    return;
-                }
             }
         }
         scope.record_ns("wall", start.elapsed().as_nanos() as u64);
+        let lines = job.lock().lines.clone();
         if let Err(e) = self.store.persist(&job.submission, &lines) {
             job.finish(JobState::Failed, Some(format!("persisting result: {e}")));
             return;
@@ -685,7 +645,6 @@ fn handle_request(
             )?;
             if wait {
                 stream_job(&job, w)?;
-                stream_instrumentation(w)?;
             }
             Ok(())
         }
@@ -890,30 +849,6 @@ fn stream_job(job: &JobEntry, w: &mut impl Write) -> std::io::Result<()> {
     }
 }
 
-/// When the daemon runs instrumented, trail the stream with the live
-/// `sp2-metrics/v1` / `sp2-timeline/v1` documents. These carry
-/// wall-clock readings of this process — a side channel, never stored,
-/// never part of the byte-identity contract.
-fn stream_instrumentation(w: &mut impl Write) -> std::io::Result<()> {
-    if sp2_trace::enabled() {
-        write_line(
-            w,
-            &Json::obj()
-                .field("event", "metrics")
-                .field("doc", metrics::to_json(&metrics::snapshot())),
-        )?;
-    }
-    if let Some(recording) = sp2_trace::Recording::current() {
-        write_line(
-            w,
-            &Json::obj()
-                .field("event", "timeline")
-                .field("doc", timeline::timeline_json(&recording.series())),
-        )?;
-    }
-    Ok(())
-}
-
 /// A thin protocol client, shared by `sp2 submit`/`sp2 jobs` and the
 /// integration tests.
 pub struct Client {
@@ -983,15 +918,21 @@ impl Client {
 
     /// Submits and streams to completion. Returns the raw `dataset`
     /// event lines (exactly as sent — the deterministic payload) and
-    /// the parsed terminal event. Side-channel `metrics`/`timeline`
-    /// events are parsed past and dropped.
+    /// the parsed terminal event.
     pub fn submit_and_wait(&mut self, submission: &Submission) -> Result<SubmitOutcome, Sp2Error> {
-        self.send(
+        self.stream(
             &Json::obj()
                 .field("op", "submit")
                 .field("submission", submission.to_json())
                 .field("wait", true),
-        )?;
+        )
+    }
+
+    /// Sends a request that answers with an event stream (a waiting
+    /// `submit`, or `fetch`) and reads the stream to its end: the `job`
+    /// header, the dataset lines, and one terminal event.
+    pub fn stream(&mut self, request: &Json) -> Result<SubmitOutcome, Sp2Error> {
+        self.send(request)?;
         let header = self.recv()?;
         let mut lines = Vec::new();
         loop {
@@ -1009,13 +950,13 @@ impl Client {
                         terminal: doc,
                     })
                 }
-                _ => {} // metrics/timeline side channel
+                _ => return Err(Sp2Error::Protocol(format!("unexpected event line: {raw}"))),
             }
         }
     }
 }
 
-/// What a waited submission produced.
+/// What a job's event stream held.
 pub struct SubmitOutcome {
     /// The `job` header event (digest, dedup/stored flags).
     pub header: Json,
@@ -1127,6 +1068,53 @@ mod tests {
         assert!(live.get("sweeps").and_then(Json::as_f64).is_some());
         assert!(live.get("sweeps_elided").and_then(Json::as_f64).is_some());
 
+        server.shutdown().expect("clean shutdown");
+    }
+
+    #[test]
+    fn a_stream_holds_the_header_the_datasets_and_one_terminal_event() {
+        // An instrumented daemon still streams only the job's own lines;
+        // its metrics answer a live `status`.
+        let server = Server::spawn(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            store_dir: temp_dir("stream"),
+            campaigns: 1,
+            engine: EngineConfig::default().metrics(true),
+        })
+        .expect("server spawns");
+        let mut client = Client::connect(server.addr()).expect("connects");
+        let sub = cheap_submission();
+        client
+            .send(
+                &Json::obj()
+                    .field("op", "submit")
+                    .field("submission", sub.to_json())
+                    .field("wait", true),
+            )
+            .expect("sends");
+        let mut events = Vec::new();
+        while !matches!(events.last().map(String::as_str), Some("done" | "error")) {
+            let line = client.recv_line().expect("reads").expect("stream open");
+            let doc = Json::parse(&line).expect("event line parses");
+            let event = doc.get("event").and_then(Json::as_str).expect("an event");
+            events.push(event.to_string());
+        }
+        assert_eq!(events, ["job", "dataset", "done"]);
+
+        // The next line on the connection answers the next request.
+        let status = client
+            .request(
+                &Json::obj()
+                    .field("op", "status")
+                    .field("job", &sub.digest_hex()[..8])
+                    .field("live", true),
+            )
+            .expect("live status");
+        let live = status.get("live").expect("live snapshot present");
+        assert!(
+            live.get("metrics").is_some(),
+            "no daemon metrics: {status:?}"
+        );
         server.shutdown().expect("clean shutdown");
     }
 

@@ -26,10 +26,11 @@ use crate::error::Sp2Error;
 use crate::experiments;
 use crate::json::Json;
 use crate::system::{Sp2System, DEFAULT_FAULT_SEED};
-use sp2_cluster::EngineConfig;
+use sp2_cluster::{CancelToken, EngineConfig};
 use sp2_power2::Fnv128;
 use sp2_workload::CampaignSpec;
 use std::hash::Hasher as _;
+use std::sync::Arc;
 
 /// Schema tag for the JSON form (and domain separator for the digest).
 pub const SCHEMA: &str = "sp2-submission/v1";
@@ -307,15 +308,16 @@ impl Submission {
     }
 
     /// Assembles an [`Sp2System`] that executes this submission under
-    /// `engine`. The engine configuration affects only speed and
-    /// instrumentation, never the result bytes — that is the invariant
-    /// the digest leans on.
-    pub fn system(&self, engine: EngineConfig) -> Sp2System {
+    /// `engine`, its campaigns polling `cancel` when one is given. The
+    /// engine configuration affects only speed and instrumentation, never
+    /// the result bytes — that is the invariant the digest leans on.
+    pub fn system(&self, engine: EngineConfig, cancel: Option<Arc<CancelToken>>) -> Sp2System {
         Sp2System::builder()
             .spec(self.spec)
             .engine(engine)
             .faults(self.fault_rate)
             .fault_seed(self.fault_seed)
+            .cancel_token(cancel)
             .build()
     }
 }
@@ -427,7 +429,7 @@ mod tests {
         // The digest covers the request, not the execution strategy —
         // there is simply no way to feed an engine config into it.
         let sub = demo();
-        let sys = sub.system(EngineConfig::default());
+        let sys = sub.system(EngineConfig::default(), None);
         assert_eq!(sys.spec().days, 2);
         assert_eq!(sys.fault_rate(), 0.5);
         assert_eq!(sys.fault_seed(), 11);

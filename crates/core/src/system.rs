@@ -7,7 +7,7 @@ use sp2_cluster::{
     FaultPlan, RotatedCampaign,
 };
 use sp2_hpm::SchedulePlan;
-use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
+use sp2_workload::{trace, CampaignSpec, JobMix, SubmittedJob, WorkloadLibrary};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -21,23 +21,25 @@ pub const DEFAULT_FAULT_SEED: u64 = 4_096;
 /// The assembled NAS SP2 measurement system.
 ///
 /// Owns the cluster configuration, the measured workload library, the
-/// job-mix model, the campaign spec, and the fault configuration;
-/// lazily runs and caches one campaign per `(counter selection,
-/// faulted)` pair so all fourteen experiments — including the
-/// `availability` report, which needs a fault-free twin — can share
-/// simulations. Each campaign runs on the calling thread under the
-/// system's [`EngineConfig`], and results are bit-identical under every
-/// engine configuration.
+/// campaign spec, and the fault configuration; lazily runs and caches
+/// one campaign per `(counter selection, faulted)` pair so all fourteen
+/// experiments — including the `availability` report, which needs a
+/// fault-free twin — can share simulations. Campaigns follow the NAS
+/// job mix. Each campaign runs on the calling thread under the system's
+/// [`EngineConfig`], and results are bit-identical under every engine
+/// configuration.
 pub struct Sp2System {
     config: ClusterConfig,
     library: WorkloadLibrary,
-    mix: JobMix,
     spec: CampaignSpec,
     engine: EngineConfig,
     fault_rate: f64,
     fault_seed: u64,
     cancel: Option<Arc<CancelToken>>,
     campaigns: HashMap<(SelectionKind, bool), CampaignResult>,
+    /// Set by [`Sp2System::replay`]: the cached campaigns are all there
+    /// is, and asking for another is an error, not a simulation.
+    replay: bool,
 }
 
 /// Builder for [`Sp2System`]: the paper's configuration with any subset
@@ -45,8 +47,6 @@ pub struct Sp2System {
 pub struct Sp2SystemBuilder {
     config: ClusterConfig,
     library: Option<WorkloadLibrary>,
-    library_seed: u64,
-    mix: JobMix,
     spec: CampaignSpec,
     engine: EngineConfig,
     fault_rate: f64,
@@ -59,8 +59,6 @@ impl Default for Sp2SystemBuilder {
         Sp2SystemBuilder {
             config: ClusterConfig::default(),
             library: None,
-            library_seed: DEFAULT_LIBRARY_SEED,
-            mix: JobMix::nas(),
             spec: CampaignSpec::default(),
             engine: EngineConfig::default(),
             fault_rate: 0.0,
@@ -78,21 +76,9 @@ impl Sp2SystemBuilder {
     }
 
     /// Uses a prebuilt workload library instead of building one from the
-    /// machine description and [`Sp2SystemBuilder::library_seed`].
+    /// machine description and [`DEFAULT_LIBRARY_SEED`].
     pub fn library(mut self, library: WorkloadLibrary) -> Self {
         self.library = Some(library);
-        self
-    }
-
-    /// Seed for building the workload library (default 1998).
-    pub fn library_seed(mut self, seed: u64) -> Self {
-        self.library_seed = seed;
-        self
-    }
-
-    /// Replaces the job mix.
-    pub fn mix(mut self, mix: JobMix) -> Self {
-        self.mix = mix;
         self
     }
 
@@ -138,13 +124,13 @@ impl Sp2SystemBuilder {
         self
     }
 
-    /// Attaches a cooperative cancellation token: campaign runs poll it
-    /// at every event boundary and fail with
+    /// Attaches a cooperative cancellation token (or none): campaign
+    /// runs poll it at every event boundary and fail with
     /// [`sp2_cluster::CampaignError::Cancelled`] once raised. The serve
     /// scheduler uses this so a `cancel` request frees its campaign
     /// worker mid-campaign.
-    pub fn cancel_token(mut self, cancel: Arc<CancelToken>) -> Self {
-        self.cancel = Some(cancel);
+    pub fn cancel_token(mut self, cancel: Option<Arc<CancelToken>>) -> Self {
+        self.cancel = cancel;
         self
     }
 
@@ -153,17 +139,17 @@ impl Sp2SystemBuilder {
     pub fn build(self) -> Sp2System {
         let library = self
             .library
-            .unwrap_or_else(|| WorkloadLibrary::build(&self.config.machine, self.library_seed));
+            .unwrap_or_else(|| WorkloadLibrary::build(&self.config.machine, DEFAULT_LIBRARY_SEED));
         Sp2System {
             config: self.config,
             library,
-            mix: self.mix,
             spec: self.spec,
             engine: self.engine,
             fault_rate: self.fault_rate,
             fault_seed: self.fault_seed,
             cancel: self.cancel,
             campaigns: HashMap::new(),
+            replay: false,
         }
     }
 }
@@ -194,11 +180,6 @@ impl Sp2System {
     /// The campaign spec.
     pub fn spec(&self) -> &CampaignSpec {
         &self.spec
-    }
-
-    /// The engine configuration campaigns run under.
-    pub fn engine(&self) -> &EngineConfig {
-        &self.engine
     }
 
     /// The configured fault-injection rate (0.0 = fault-free).
@@ -272,6 +253,16 @@ impl Sp2System {
         self.campaigns.insert((kind, faulted), result);
     }
 
+    /// Turns the system into a replay of one archived campaign: it is
+    /// preloaded under `kind` and its own fault mode, and from then on
+    /// any other campaign an experiment asks for — a fault-free twin,
+    /// the other counter selection, a rotated run — fails with
+    /// [`Sp2Error::MissingCampaign`] instead of being simulated.
+    pub fn replay(&mut self, kind: SelectionKind, campaign: CampaignResult) {
+        self.preload_campaign(kind, campaign.faults.enabled, campaign);
+        self.replay = true;
+    }
+
     fn ensure_campaign(
         &mut self,
         kind: SelectionKind,
@@ -281,16 +272,19 @@ impl Sp2System {
         if self.campaigns.contains_key(&(kind, faulted)) {
             return Ok(());
         }
+        if self.replay {
+            let mode = if faulted { "faulted" } else { "fault-free" };
+            return Err(Sp2Error::MissingCampaign(format!(
+                "{mode} {} campaign",
+                kind.name()
+            )));
+        }
         let mut config = self.config.clone();
         if !own {
             config.selection = kind.selection();
         }
-        let jobs = trace::generate(&self.spec, &self.mix, &self.library);
-        let faults = if faulted {
-            self.fault_plan()
-        } else {
-            FaultPlan::none()
-        };
+        let jobs = self.trace();
+        let faults = self.faults(faulted);
         let result = Campaign::new(&config, &self.library, &jobs, self.spec.days, &faults)
             .engine(self.engine)
             .cancel(self.cancel.as_deref())
@@ -299,24 +293,39 @@ impl Sp2System {
         Ok(())
     }
 
+    /// The job trace every campaign of the system replays: the spec's
+    /// submissions under the NAS job mix.
+    fn trace(&self) -> Vec<SubmittedJob> {
+        trace::generate(&self.spec, &JobMix::nas(), &self.library)
+    }
+
+    /// The configured fault plan for a faulted campaign, none otherwise.
+    fn faults(&self, faulted: bool) -> FaultPlan {
+        if faulted {
+            self.fault_plan()
+        } else {
+            FaultPlan::none()
+        }
+    }
+
     /// Runs a rotated campaign: one lockstep campaign per pass of
     /// `plan`, with the configured trace, faults, and engine — the
     /// multiplexed path for signal requests wider than one counter
     /// selection (see [`sp2_cluster::run_campaign_rotated`]). Not
     /// cached: the plan, not the system's selection, keys the result.
     pub fn rotated_campaign(&self, plan: &SchedulePlan) -> Result<RotatedCampaign, Sp2Error> {
-        let jobs = trace::generate(&self.spec, &self.mix, &self.library);
-        let faults = if self.faulted() {
-            self.fault_plan()
-        } else {
-            FaultPlan::none()
-        };
+        if self.replay {
+            return Err(Sp2Error::MissingCampaign(format!(
+                "rotated {}-pass campaign",
+                plan.n_passes()
+            )));
+        }
         Ok(run_campaign_rotated(
             &self.config,
             &self.library,
-            &jobs,
+            &self.trace(),
             self.spec.days,
-            &faults,
+            &self.faults(self.faulted()),
             &self.engine,
             plan,
             self.cancel.as_deref(),
@@ -380,17 +389,6 @@ impl Sp2System {
             .map(|e| self.dataset(*e))
             .collect()
     }
-
-    /// Discards the cached campaigns (after changing the spec).
-    pub fn invalidate(&mut self) {
-        self.campaigns.clear();
-    }
-
-    /// Replaces the campaign spec and discards cached campaigns.
-    pub fn respec(&mut self, spec: CampaignSpec) {
-        self.spec = spec;
-        self.invalidate();
-    }
 }
 
 #[cfg(test)]
@@ -404,18 +402,6 @@ mod tests {
         let b = sys.campaign().expect("campaign runs").samples.len();
         assert_eq!(a, b);
         assert_eq!(a, 2 * 96 + 1);
-    }
-
-    #[test]
-    fn invalidate_allows_respec() {
-        let mut sys = Sp2System::nas_1996(1);
-        assert_eq!(sys.campaign().expect("campaign runs").days, 1);
-        let spec = CampaignSpec {
-            days: 2,
-            ..*sys.spec()
-        };
-        sys.respec(spec);
-        assert_eq!(sys.campaign().expect("campaign runs").days, 2);
     }
 
     #[test]

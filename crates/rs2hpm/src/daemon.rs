@@ -239,6 +239,10 @@ impl Daemon {
     /// and `down` the nodes unavailable then; they become the per-node
     /// baselines exactly as stepping would have left them.
     ///
+    /// The replayed sweeps' `rs2hpm.nodes_sampled` counts are the
+    /// caller's to add, one sweep at a time, so each lands in the
+    /// recorder interval of its own sweep.
+    ///
     /// # Panics
     /// Panics unless `lanes` and `down` cover every node of the machine,
     /// or when there is no sample to replay.
@@ -254,13 +258,10 @@ impl Daemon {
             "fast-forward requires a preceding sample to replay"
         );
         let template = self.samples[self.samples.len() - 1].clone();
-        let before = self.samples.len();
         self.samples.extend(times.into_iter().map(|t| SystemSample {
             t,
             ..template.clone()
         }));
-        let replayed = (self.samples.len() - before) as u64;
-        crate::metrics::NODES_SAMPLED.add(template.nodes_sampled as u64 * replayed);
         self.baselines.copy_from_slice(lanes);
         for (has_baseline, &d) in self.has_baseline.iter_mut().zip(down) {
             *has_baseline = !d;

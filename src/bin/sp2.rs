@@ -29,11 +29,10 @@
 
 use sp2_repro::cluster::{EngineConfig, EngineKind};
 use sp2_repro::core::compare::compare_datasets;
-use sp2_repro::core::experiments::{all_experiments, experiment_or_err, SelectionKind};
-use sp2_repro::core::serve::{self, Client, ServeConfig, Server};
+use sp2_repro::core::experiments::{all_experiments, experiment_or_err};
+use sp2_repro::core::serve::{self, Client, ServeConfig, Server, SubmitOutcome};
 use sp2_repro::core::{
-    archive, export, metrics, timeline, toplev, CampaignResult, Json, Sp2Error, Sp2System,
-    Submission, Tolerance,
+    archive, export, metrics, timeline, toplev, Json, Sp2Error, Sp2System, Submission, Tolerance,
 };
 use sp2_repro::hpm::{nas_selection, Hpm, Mode, SchedulePlan, Signal};
 use sp2_repro::power2::{MachineConfig, Node};
@@ -98,6 +97,8 @@ OPTIONS:
     --faults RATE   fault-injection rate (default 0 = fault-free; 1.0 is
                     roughly a troubled production month)
     --fault-seed N  seed for the fault plan (default 4096)
+    --seed N        campaign trace seed (default 1996); every command that
+                    simulates reads it, and `submit` sends it
     --engine KIND   node engine: `batch` (default; struct-of-arrays bank
                     with interned plans and cluster-interval
                     fast-forward) or `reference` (the per-node loop the
@@ -139,7 +140,6 @@ SERVICE OPTIONS (serve / submit / jobs):
     --experiments A,B,C
                     experiment ids for a submission (submit; a positional
                     experiment id works for a single one)
-    --seed N        campaign seed for the submission (submit)
     --no-wait       return the job header immediately instead of
                     streaming results (submit)
     --local         run the submission in-process, no daemon, printing
@@ -149,14 +149,17 @@ SERVICE OPTIONS (serve / submit / jobs):
 ARCHIVE / COMPARE OPTIONS:
     --out FILE      where `archive` writes the container
     --archive FILE  run an experiment against an archived campaign
-                    instead of simulating (`sp2 table2 --archive a.sp2a`)
+                    instead of simulating (`sp2 table2 --archive a.sp2a`).
+                    A replay analyzes only the campaign the archive holds:
+                    an experiment that needs another (a fault-free twin,
+                    the io-aware campaign, a rotated run) fails, exit 7
     --rel-tol X     compare: relative tolerance per metric (default 1e-9)
     --abs-tol X     compare: absolute tolerance per metric (default 0)
 
 EXIT CODES:
     0 ok   2 usage   3 unknown experiment   4 cluster config
     5 campaign spec / submission   6 campaign engine   7 artifact i/o
-    8 service protocol
+    or a campaign the archive lacks   8 service protocol
     compare: 0 bit-identical   3 within tolerance   4 tolerance exceeded
     5 shape mismatch
 ";
@@ -183,7 +186,7 @@ impl CliError {
             CliError::Sp2(Sp2Error::Config(_)) => 4,
             CliError::Sp2(Sp2Error::Spec(_) | Sp2Error::Submission(_)) => 5,
             CliError::Sp2(Sp2Error::Campaign(_)) => 6,
-            CliError::Sp2(Sp2Error::Io(_)) => 7,
+            CliError::Sp2(Sp2Error::Io(_) | Sp2Error::MissingCampaign(_)) => 7,
             CliError::Sp2(Sp2Error::Protocol(_)) => 8,
         })
     }
@@ -219,7 +222,7 @@ struct Args {
     campaigns: usize,
     /// Comma-separated experiment ids for `submit`.
     experiments: Option<String>,
-    /// Campaign seed for `submit` (None = the spec default).
+    /// Campaign trace seed (None = the spec default).
     seed: Option<u64>,
     /// `submit --no-wait`: return the job header, don't stream.
     no_wait: bool,
@@ -621,36 +624,7 @@ fn dispatch(args: &Args, engine: EngineConfig) -> Result<ExitCode, CliError> {
         _ => {}
     }
 
-    // `--archive` replaces the simulation: the archived campaign seeds
-    // the cache and its length overrides `--days` (the archive defines
-    // the campaign).
-    let preloaded = args
-        .archive
-        .as_deref()
-        .map(load_campaign_archive)
-        .transpose()?;
-    let mut sys = Sp2System::builder()
-        .days(preloaded.as_ref().map_or(args.days, |(_, c)| c.days))
-        .engine(engine)
-        .faults(args.faults)
-        .fault_seed(args.fault_seed)
-        .build();
-    if let Some((kind, campaign)) = preloaded {
-        if campaign.faults.enabled != (args.faults > 0.0) {
-            return Err(CliError::Usage(if campaign.faults.enabled {
-                "the archived campaign ran with faults; pass the matching --faults rate".into()
-            } else {
-                "the archived campaign is fault-free; drop --faults".into()
-            }));
-        }
-        eprintln!(
-            "replaying a {}-day archived campaign ({} samples, {} job reports)…",
-            campaign.days,
-            campaign.samples.len(),
-            campaign.job_reports.len()
-        );
-        sys.preload_campaign(kind, campaign.faults.enabled, campaign);
-    }
+    let mut sys = campaign_system(args, engine)?;
 
     if cmd == "toplev" && args.passes.is_some() {
         cmd_toplev_rotated(args, &mut sys)?;
@@ -701,8 +675,7 @@ fn dispatch(args: &Args, engine: EngineConfig) -> Result<ExitCode, CliError> {
         return done;
     }
 
-    let exp = experiment_or_err(cmd)
-        .map_err(|_| CliError::Sp2(Sp2Error::UnknownExperiment(format!("{cmd}\n{USAGE}"))))?;
+    let exp = experiment_or_err(cmd)?;
     if exp.needs_campaign() {
         eprintln!("running a {}-day campaign…", args.days);
     }
@@ -789,17 +762,37 @@ fn cmd_toplev_rotated(args: &Args, sys: &mut Sp2System) -> Result<(), CliError> 
     Ok(())
 }
 
-/// Loads `--archive` input: the campaign plus the cache key it should
-/// seed ([`SelectionKind`] recovered from the stored selection).
-fn load_campaign_archive(path: &str) -> Result<(SelectionKind, CampaignResult), CliError> {
+/// The system a campaign command runs on: the one its flags submit
+/// ([`campaign_submission`]), or with `--archive`, a replay of the
+/// archived campaign that simulates nothing.
+fn campaign_system(args: &Args, engine: EngineConfig) -> Result<Sp2System, CliError> {
+    let submission = campaign_submission(args)?;
+    let Some(path) = args.archive.as_deref() else {
+        return Ok(submission.system(engine, None));
+    };
     let loaded = archive::load_archive(std::path::Path::new(path))?;
     let campaign = loaded.campaign.ok_or_else(|| {
         CliError::Sp2(Sp2Error::Protocol(format!(
             "{path} holds dataset lines only, no campaign to replay"
         )))
     })?;
+    if campaign.faults.enabled != (args.faults > 0.0) {
+        return Err(CliError::Usage(if campaign.faults.enabled {
+            "the archived campaign ran with faults; pass the matching --faults rate".into()
+        } else {
+            "the archived campaign is fault-free; drop --faults".into()
+        }));
+    }
+    eprintln!(
+        "replaying a {}-day archived campaign ({} samples, {} job reports)…",
+        campaign.days,
+        campaign.samples.len(),
+        campaign.job_reports.len()
+    );
     let kind = archive::selection_kind(&campaign.selection)?;
-    Ok((kind, campaign))
+    let mut sys = submission.system(engine, None);
+    sys.replay(kind, campaign);
+    Ok(sys)
 }
 
 /// `sp2 archive <EXPERIMENT> --out FILE`: run the submission the same
@@ -812,9 +805,11 @@ fn cmd_archive(args: &Args, engine: EngineConfig) -> Result<(), CliError> {
         .ok_or_else(|| CliError::Usage("archive needs --out FILE".into()))?;
     let submission = submission_from_args(args)?;
     eprintln!("running a {}-day campaign…", args.days);
-    let (lines, campaign) = serve::run_local_archival(&submission, engine)?;
+    let mut lines = Vec::new();
+    let mut sys = serve::execute(&submission, engine, None, |line| lines.push(line))?;
+    let campaign = sys.campaign()?;
     let file = std::fs::File::create(out).map_err(|e| CliError::Sp2(Sp2Error::Io(e)))?;
-    let mut w = archive::write_campaign_archive(std::io::BufWriter::new(file), &campaign, &lines)?;
+    let mut w = archive::write_campaign_archive(std::io::BufWriter::new(file), campaign, &lines)?;
     use std::io::Write as _;
     w.flush().map_err(|e| CliError::Sp2(Sp2Error::Io(e)))?;
     eprintln!(
@@ -828,8 +823,8 @@ fn cmd_archive(args: &Args, engine: EngineConfig) -> Result<(), CliError> {
 
 /// Reads one `compare` input into labeled dataset documents: an
 /// sp2-archive container's dataset lines, or an NDJSON stream (dataset
-/// events picked out; side-channel events skipped; plain JSON-per-line
-/// files compare whole lines).
+/// events picked out, a captured stream's job header and terminal event
+/// skipped; plain JSON-per-line files compare whole lines).
 fn load_compare_input(path: &str) -> Result<Vec<(String, Json)>, CliError> {
     let p = std::path::Path::new(path);
     let lines = if archive::file_is_archive(p) {
@@ -852,7 +847,7 @@ fn load_compare_input(path: &str) -> Result<Vec<(String, Json)>, CliError> {
         })?;
         match doc.get("event").and_then(Json::as_str) {
             Some("dataset") | None => {}
-            Some(_) => continue, // metrics/timeline side channel
+            Some(_) => continue, // the job header or the terminal event
         }
         let label = doc
             .get("experiment")
@@ -915,10 +910,31 @@ fn cmd_serve(args: &Args, engine: EngineConfig) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Pure translation from CLI flags to a canonical [`Submission`] — the
-/// one-shot path and the service path build the exact same value, so
-/// they get the exact same digest.
+/// The one translation of the run flags: `--days`, `--seed`,
+/// `--faults` and `--fault-seed` mean the same on every command that
+/// simulates, because each builds its [`Submission`] here.
+fn submission_of(args: &Args, experiments: Vec<String>) -> Result<Submission, CliError> {
+    let mut builder = Submission::builder()
+        .days(args.days)
+        .faults(args.faults)
+        .fault_seed(args.fault_seed)
+        .experiments(experiments);
+    if let Some(seed) = args.seed {
+        builder = builder.seed(seed);
+    }
+    Ok(builder.build()?)
+}
+
+/// What `submit` and `archive` run: the experiments `--experiments` or
+/// the positional id names. The one-shot path and the service path
+/// build the exact same value, so they get the exact same digest.
 fn submission_from_args(args: &Args) -> Result<Submission, CliError> {
+    if args.archive.is_some() {
+        return Err(CliError::Usage(format!(
+            "{} runs a campaign and replays no archive; replay one with `sp2 <experiment> --archive FILE`",
+            args.command
+        )));
+    }
     let ids: Vec<String> = match (&args.experiments, &args.arg) {
         (Some(list), _) => list
             .split(',')
@@ -934,15 +950,24 @@ fn submission_from_args(args: &Args) -> Result<Submission, CliError> {
             )))
         }
     };
-    let mut builder = Submission::builder()
-        .days(args.days)
-        .faults(args.faults)
-        .fault_seed(args.fault_seed)
-        .experiments(ids);
-    if let Some(seed) = args.seed {
-        builder = builder.seed(seed);
-    }
-    Ok(builder.build()?)
+    submission_of(args, ids)
+}
+
+/// What a campaign command runs: `campaign` and `profile` evaluate every
+/// experiment, `timeline` records the primary campaign (the one Figure 1
+/// charts), and any other command is an experiment id of its own.
+fn campaign_submission(args: &Args) -> Result<Submission, CliError> {
+    let ids = match args.command.as_str() {
+        "campaign" | "profile" => all_experiments().iter().map(|e| e.id().into()).collect(),
+        "timeline" => vec!["fig1".into()],
+        cmd => {
+            experiment_or_err(cmd).map_err(|_| {
+                CliError::Sp2(Sp2Error::UnknownExperiment(format!("{cmd}\n{USAGE}")))
+            })?;
+            vec![cmd.into()]
+        }
+    };
+    submission_of(args, ids)
 }
 
 /// `sp2 submit`: build the submission, then either run it in-process
@@ -951,9 +976,7 @@ fn submission_from_args(args: &Args) -> Result<Submission, CliError> {
 fn cmd_submit(args: &Args, engine: EngineConfig) -> Result<(), CliError> {
     let submission = submission_from_args(args)?;
     if args.local {
-        for line in serve::run_local(&submission, engine)? {
-            println!("{line}");
-        }
+        serve::execute(&submission, engine, None, |line| println!("{line}"))?;
         return Ok(());
     }
     let mut client = Client::connect(args.addr.as_str()).map_err(connect_err(&args.addr))?;
@@ -968,11 +991,7 @@ fn cmd_submit(args: &Args, engine: EngineConfig) -> Result<(), CliError> {
         return Ok(());
     }
     let outcome = client.submit_and_wait(&submission)?;
-    eprintln!("{}", outcome.header.to_string_compact());
-    for line in &outcome.dataset_lines {
-        println!("{line}");
-    }
-    eprintln!("{}", outcome.terminal.to_string_compact());
+    print_stream(&outcome);
     if outcome.is_done() {
         Ok(())
     } else {
@@ -1057,31 +1076,25 @@ fn cmd_jobs(args: &Args) -> Result<(), CliError> {
             Ok(())
         }
         "fetch" => {
-            client.send(&Json::obj().field("op", "fetch").field("job", job_of(args)?))?;
-            let header = client.recv()?;
-            eprintln!("{}", header.to_string_compact());
-            loop {
-                let Some(line) = client.recv_line()? else {
-                    return Err(CliError::Sp2(Sp2Error::Protocol(
-                        "stream ended before a terminal event".into(),
-                    )));
-                };
-                let doc = Json::parse(&line)
-                    .map_err(|e| Sp2Error::Protocol(format!("bad event line: {e}")))?;
-                match doc.get("event").and_then(Json::as_str) {
-                    Some("done") | Some("error") => {
-                        eprintln!("{line}");
-                        return Ok(());
-                    }
-                    Some("dataset") => println!("{line}"),
-                    _ => {} // metrics/timeline side channel
-                }
-            }
+            print_stream(
+                &client.stream(&Json::obj().field("op", "fetch").field("job", job_of(args)?))?,
+            );
+            Ok(())
         }
         other => Err(CliError::Usage(format!(
             "unknown jobs action: {other} (list|status|fetch|cancel)"
         ))),
     }
+}
+
+/// Prints a job's event stream: the dataset lines on stdout, the job
+/// header and the terminal event on stderr.
+fn print_stream(outcome: &SubmitOutcome) {
+    eprintln!("{}", outcome.header.to_string_compact());
+    for line in &outcome.dataset_lines {
+        println!("{line}");
+    }
+    eprintln!("{}", outcome.terminal.to_string_compact());
 }
 
 /// Decorates a connect failure with the address it was aimed at — "is
@@ -1375,5 +1388,30 @@ mod tests {
         .expect("builds");
         assert_eq!(a.digest_hex(), b.digest_hex());
         assert!(submission_from_args(&parse(&["submit"]).unwrap()).is_err());
+    }
+
+    #[test]
+    fn campaign_commands_and_submit_translate_the_same_run() {
+        let run = campaign_submission(&parse(&["summary", "--days", "2", "--seed", "7"]).unwrap())
+            .expect("builds");
+        let submitted = submission_from_args(
+            &parse(&["submit", "summary", "--days", "2", "--seed", "7"]).unwrap(),
+        )
+        .expect("builds");
+        assert_eq!(run.spec(), submitted.spec());
+        assert_eq!(run.spec().seed, 7);
+        assert_eq!(run.fault_rate(), submitted.fault_rate());
+        assert_eq!(run.fault_seed(), submitted.fault_seed());
+        assert_eq!(run.digest_hex(), submitted.digest_hex());
+        // `submit` runs its campaign; replaying an archive is what the
+        // campaign commands do.
+        assert!(matches!(
+            submission_from_args(&parse(&["submit", "table2", "--archive", "a.sp2a"]).unwrap()),
+            Err(CliError::Usage(_))
+        ));
+        assert!(matches!(
+            campaign_submission(&parse(&["nope"]).unwrap()),
+            Err(CliError::Sp2(Sp2Error::UnknownExperiment(_)))
+        ));
     }
 }

@@ -9,6 +9,8 @@ use sp2_repro::cluster::{
     Campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind, FaultPlan,
 };
 use sp2_repro::core::archive::{self, rate_report_fields};
+use sp2_repro::core::experiments::experiment;
+use sp2_repro::core::{Sp2Error, Sp2System};
 use sp2_repro::rs2hpm::JobCounterReport;
 use sp2_repro::workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 
@@ -102,4 +104,54 @@ fn whole_campaign_container_round_trips() {
     assert_eq!(replay.job_reports, campaign.job_reports, "reports bitwise");
     assert_eq!(replay.pbs_records, campaign.pbs_records);
     assert_eq!(replay.faults, campaign.faults);
+}
+
+/// `--archive` replays only what the archive holds: a faulted
+/// campaign's archive replays `table2` byte-equal to the live run, and
+/// refuses `availability` (the fault-free twin) and `iowait` (the
+/// io-aware campaign) rather than simulating them.
+#[test]
+fn a_faulted_archive_replays_only_its_own_campaign() {
+    let system = || {
+        Sp2System::builder()
+            .library(WorkloadLibrary::build(
+                &ClusterConfig::default().machine,
+                31,
+            ))
+            .days(2)
+            .seed(17)
+            .faults(1.0)
+            .build()
+    };
+    let table2 = experiment("table2").expect("registered");
+    let mut live = system();
+    let expected = live.dataset(table2).expect("live run").json;
+    let campaign = live.campaign().expect("cached");
+    assert!(campaign.faults.enabled);
+    let bytes = archive::write_campaign_archive(Vec::new(), campaign, &[]).expect("writes");
+    let campaign = archive::read_archive(&bytes[..])
+        .expect("reads back")
+        .campaign
+        .expect("holds the campaign");
+
+    let mut replay = system();
+    replay.replay(
+        archive::selection_kind(&campaign.selection).expect("archivable"),
+        campaign,
+    );
+    let replayed = replay.dataset(table2).expect("replays").json;
+    assert_eq!(
+        replayed.to_string_compact(),
+        expected.to_string_compact(),
+        "a replay renders the live run's bytes"
+    );
+    for (id, missing) in [
+        ("availability", "fault-free nas campaign"),
+        ("iowait", "faulted io_aware campaign"),
+    ] {
+        match replay.dataset(experiment(id).expect("registered")) {
+            Err(Sp2Error::MissingCampaign(name)) => assert_eq!(name, missing, "{id}"),
+            other => panic!("{id} replayed from an archive that lacks its campaign: {other:?}"),
+        }
+    }
 }

@@ -19,13 +19,14 @@ fn small_mix() -> JobMix {
 /// `seed` picks the trace, so two threads can run different campaigns,
 /// and `faulted` turns the fault plan on.
 pub fn small_campaign(days: u32, seed: u64, faulted: bool) -> CampaignResult {
-    small_campaign_on(EngineKind::Reference, days, seed, faulted)
+    let reference = EngineConfig::default().engine(EngineKind::Reference);
+    small_campaign_on(reference, days, seed, faulted)
 }
 
-/// [`small_campaign`] on `engine`, with the default engine settings: the
-/// batch engine elides runs of steady sweeps.
+/// [`small_campaign`] under `engine`: the batch engine elides runs of
+/// steady sweeps unless `engine` turns fast-forward off.
 pub fn small_campaign_on(
-    engine: EngineKind,
+    engine: EngineConfig,
     days: u32,
     seed: u64,
     faulted: bool,
@@ -48,7 +49,7 @@ pub fn small_campaign_on(
         FaultPlan::none()
     };
     Campaign::new(&config, &library, &jobs, days, &faults)
-        .engine(EngineConfig::default().engine(engine))
+        .engine(engine)
         .run()
         .expect("campaign runs")
 }

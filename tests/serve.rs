@@ -4,7 +4,7 @@
 //!    sent concurrently, with an unrelated campaign in flight on the
 //!    same daemon, stream bit-identical dataset lines, and those bytes
 //!    equal what the one-shot path (`sp2 submit --local`, i.e.
-//!    [`serve::run_local`]) prints for the same submission.
+//!    [`serve::execute`]) prints for the same submission.
 //! 2. **Cancellation consistency** — cancelling a campaign mid-run
 //!    settles the job as `cancelled` and leaves nothing in the store;
 //!    the daemon keeps serving.
@@ -90,7 +90,9 @@ fn concurrent_duplicates_match_each_other_and_the_one_shot_path() {
     );
     // At least one of the two rode the other's run (single-flight) or
     // the store — both are dedup paths; what matters is the bytes.
-    let local = serve::run_local(&sub, EngineConfig::default()).expect("one-shot path runs");
+    let mut local = Vec::new();
+    serve::execute(&sub, EngineConfig::default(), None, |line| local.push(line))
+        .expect("one-shot path runs");
     assert_eq!(
         outcomes[0].dataset_lines, local,
         "service bytes must equal the one-shot (`sp2 submit --local`) bytes"

@@ -4,7 +4,8 @@
 //! campaign without ring drops and carries exactly the metric tables'
 //! statics, its top-down readings equal what a per-sweep gauge would
 //! have held, a batch-engine campaign files each sweep's daemon span,
-//! each elided sweep and its advance under its own interval, and the
+//! each elided sweep and its advance under its own interval, with the
+//! node deltas a stepped run records there, and the
 //! Chrome trace export round-trips through the JSON parser with one
 //! simulated-machine process per campaign, a wait and a run per job
 //! attempt, each daemon restart marked on its campaign's process, spans
@@ -14,7 +15,7 @@
 mod common;
 
 use common::{assert_same_campaign, small_campaign, small_campaign_on};
-use sp2_repro::cluster::{CampaignResult, EngineKind};
+use sp2_repro::cluster::{CampaignResult, EngineConfig};
 use sp2_repro::core::{metrics, timeline, Json};
 use sp2_repro::pbs::JobOutcome;
 use sp2_repro::rs2hpm::BottleneckSplit;
@@ -211,7 +212,7 @@ fn recorder_is_invisible_bounded_and_exportable() {
     // stepped sweep's daemon span closes in its own interval, and an
     // elided sweep takes none.
     let recording = new_recording();
-    let batch = recording.run(|| small_campaign_on(EngineKind::Batch, 8, 7, false));
+    let batch = recording.run(|| small_campaign_on(EngineConfig::default(), 8, 7, false));
     let series = recording.series();
     assert_eq!(series.dropped, 0);
     assert_eq!(series.samples.len(), batch.samples.len() - 1);
@@ -245,6 +246,40 @@ fn recorder_is_invisible_bounded_and_exportable() {
     }
     // Replayed sweeps read the split of the sample they replay.
     assert_toplev_matches_gauges(&series, &batch);
+
+    // An elided run's intervals read what stepping its sweeps records:
+    // each replayed sweep counts its sweep, its simulated time and the
+    // nodes it sampled in its own interval. (A submit absorbed into a
+    // run is still recorded before the run's sweeps, so the event, submit
+    // and queue-depth rows differ; ROADMAP item 8.)
+    let recording = new_recording();
+    let stepped = recording
+        .run(|| small_campaign_on(EngineConfig::default().fast_forward(false), 8, 7, false));
+    let stepped_series = recording.series();
+    assert_same_campaign(&batch, &stepped);
+    assert_eq!(stepped_series.samples.len(), series.samples.len());
+    for (i, (elided, stepped)) in series
+        .samples
+        .iter()
+        .zip(&stepped_series.samples)
+        .enumerate()
+    {
+        for name in [
+            "cluster.sweeps",
+            "cluster.simulated_seconds",
+            "rs2hpm.nodes_sampled",
+            "rs2hpm.anomalies",
+            "rs2hpm.baselines",
+            "pbs.jobs_started",
+            "pbs.jobs_requeued",
+        ] {
+            assert_eq!(
+                count(elided, name),
+                count(stepped, name),
+                "interval {i}: {name}, elided against stepped"
+            );
+        }
+    }
 
     // --- Chrome trace export of two campaigns, one faulted. -------
     // A fresh, shorter recording so the default capacities hold every
