@@ -9,7 +9,7 @@ use sp2_cluster::{
 use sp2_hpm::SchedulePlan;
 use sp2_workload::{trace, CampaignSpec, JobMix, SubmittedJob, WorkloadLibrary};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default seed for the measured workload library (the campaign year).
 pub const DEFAULT_LIBRARY_SEED: u64 = 1998;
@@ -28,9 +28,12 @@ pub const DEFAULT_FAULT_SEED: u64 = 4_096;
 /// job mix. Each campaign runs on the calling thread under the system's
 /// [`EngineConfig`], and results are bit-identical under every engine
 /// configuration.
+///
+/// The library, too, is built on first use: a replay and the
+/// experiments that need no campaign measure none of its kernels.
 pub struct Sp2System {
     config: ClusterConfig,
-    library: WorkloadLibrary,
+    library: OnceLock<WorkloadLibrary>,
     spec: CampaignSpec,
     engine: EngineConfig,
     fault_rate: f64,
@@ -76,7 +79,8 @@ impl Sp2SystemBuilder {
     }
 
     /// Uses a prebuilt workload library instead of building one from the
-    /// machine description and [`DEFAULT_LIBRARY_SEED`].
+    /// machine description and [`DEFAULT_LIBRARY_SEED`] when a campaign
+    /// first needs it.
     pub fn library(mut self, library: WorkloadLibrary) -> Self {
         self.library = Some(library);
         self
@@ -134,15 +138,12 @@ impl Sp2SystemBuilder {
         self
     }
 
-    /// Assembles the system, building the workload library unless one
-    /// was given.
+    /// Assembles the system. Without a library given, none is built
+    /// until [`Sp2System::library`] is first called.
     pub fn build(self) -> Sp2System {
-        let library = self
-            .library
-            .unwrap_or_else(|| WorkloadLibrary::build(&self.config.machine, DEFAULT_LIBRARY_SEED));
         Sp2System {
             config: self.config,
-            library,
+            library: self.library.map_or_else(OnceLock::new, OnceLock::from),
             spec: self.spec,
             engine: self.engine,
             fault_rate: self.fault_rate,
@@ -172,9 +173,12 @@ impl Sp2System {
         &self.config
     }
 
-    /// The measured workload library.
+    /// The measured workload library, built from the machine description
+    /// and [`DEFAULT_LIBRARY_SEED`] on the first call when the builder was
+    /// given none.
     pub fn library(&self) -> &WorkloadLibrary {
-        &self.library
+        self.library
+            .get_or_init(|| WorkloadLibrary::build(&self.config.machine, DEFAULT_LIBRARY_SEED))
     }
 
     /// The campaign spec.
@@ -285,7 +289,7 @@ impl Sp2System {
         }
         let jobs = self.trace();
         let faults = self.faults(faulted);
-        let result = Campaign::new(&config, &self.library, &jobs, self.spec.days, &faults)
+        let result = Campaign::new(&config, self.library(), &jobs, self.spec.days, &faults)
             .engine(self.engine)
             .cancel(self.cancel.as_deref())
             .run()?;
@@ -296,7 +300,7 @@ impl Sp2System {
     /// The job trace every campaign of the system replays: the spec's
     /// submissions under the NAS job mix.
     fn trace(&self) -> Vec<SubmittedJob> {
-        trace::generate(&self.spec, &JobMix::nas(), &self.library)
+        trace::generate(&self.spec, &JobMix::nas(), self.library())
     }
 
     /// The configured fault plan for a faulted campaign, none otherwise.
@@ -322,7 +326,7 @@ impl Sp2System {
         }
         Ok(run_campaign_rotated(
             &self.config,
-            &self.library,
+            self.library(),
             &self.trace(),
             self.spec.days,
             &self.faults(self.faulted()),
@@ -470,6 +474,33 @@ mod tests {
         assert!(
             faulted_samples <= baseline_samples,
             "missed sweeps can only shrink the sample count"
+        );
+    }
+
+    #[test]
+    fn the_library_is_built_only_when_a_campaign_runs() {
+        let table1 = crate::experiments::experiment("table1").expect("registered");
+        let table2 = crate::experiments::experiment("table2").expect("registered");
+        let mut live = Sp2System::nas_1996(1);
+        live.campaign().expect("campaign runs");
+        let campaign = live.campaigns.remove(&(SelectionKind::Nas, false));
+
+        let mut replayed = Sp2System::nas_1996(1);
+        replayed.replay(SelectionKind::Nas, campaign.expect("cached"));
+        let d = replayed.dataset(table2).expect("a replay answers table2");
+        assert_eq!(d.id, "table2");
+        assert!(
+            replayed.library.get().is_none(),
+            "a replay measures no kernel"
+        );
+
+        let mut fresh = Sp2System::nas_1996(1);
+        fresh.dataset(table1).expect("table1 runs");
+        assert!(fresh.library.get().is_none(), "table1 runs no campaign");
+        fresh.dataset(table2).expect("table2 runs");
+        assert!(
+            fresh.library.get().is_some(),
+            "its campaign needs the library"
         );
     }
 

@@ -41,19 +41,60 @@ pub enum AddrPattern {
 pub struct AddrGen {
     pattern: AddrPattern,
     /// Linear position within the pattern; its meaning varies per pattern
-    /// but always advances deterministically.
+    /// but always advances deterministically. `Strided2D`: the current
+    /// row's offset.
     cursor: u64,
     /// LCG state for `Random`.
     rng: u64,
+    /// `Strided2D`'s walk within a row (all zero for other patterns).
+    rows: RowWalk,
+}
+
+/// Where a `Strided2D` walk is within its row, with its steps reduced
+/// modulo the span once, so each address costs adds and compares. At
+/// step `k` the row offset (the generator's cursor) is `⌊k/inner⌋·outer
+/// mod span` and `col_off` is `(k mod inner)·stride mod span`; their sum
+/// modulo the span is the address's offset.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+struct RowWalk {
+    /// `max(span, 1)`: the modulus.
+    wrap: u64,
+    /// `stride mod wrap` and `outer mod wrap`.
+    step: u64,
+    jump: u64,
+    /// `max(inner, 1)` and the column index `k mod inner`.
+    inner: u32,
+    col: u32,
+    col_off: u64,
 }
 
 impl AddrGen {
     /// Creates a generator at the start of its pattern.
     pub fn new(pattern: AddrPattern) -> Self {
+        let rows = match pattern {
+            AddrPattern::Strided2D {
+                stride,
+                inner,
+                outer,
+                span,
+                ..
+            } => {
+                let wrap = span.max(1);
+                RowWalk {
+                    wrap,
+                    step: stride % wrap,
+                    jump: outer % wrap,
+                    inner: inner.max(1),
+                    ..RowWalk::default()
+                }
+            }
+            _ => RowWalk::default(),
+        };
         AddrGen {
             pattern,
             cursor: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
+            rows,
         }
     }
 
@@ -64,8 +105,7 @@ impl AddrGen {
 
     /// Resets to the start of the pattern (fresh job on a node).
     pub fn reset(&mut self) {
-        self.cursor = 0;
-        self.rng = 0x9E37_79B9_7F4A_7C15;
+        *self = AddrGen::new(self.pattern);
     }
 
     /// Produces the next virtual address.
@@ -83,19 +123,17 @@ impl AddrGen {
                 self.cursor = wrap_step(self.cursor, stride, tile.max(stride));
                 a
             }
-            AddrPattern::Strided2D {
-                base,
-                stride,
-                inner,
-                outer,
-                span,
-            } => {
-                // cursor encodes (row, col) as row * inner + col.
-                let inner = inner.max(1) as u64;
-                let row = self.cursor / inner;
-                let col = self.cursor % inner;
-                let off = (row * outer + col * stride) % span.max(1);
-                self.cursor += 1;
+            AddrPattern::Strided2D { base, .. } => {
+                let w = &mut self.rows;
+                let off = wrap_step(self.cursor, w.col_off, w.wrap);
+                w.col += 1;
+                if w.col == w.inner {
+                    w.col = 0;
+                    w.col_off = 0;
+                    self.cursor = wrap_step(self.cursor, w.jump, w.wrap);
+                } else {
+                    w.col_off = wrap_step(w.col_off, w.step, w.wrap);
+                }
                 base + off
             }
             AddrPattern::Random { base, span, align } => {
@@ -256,6 +294,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// `Seq` and `Tile` walks visit `base + (k·stride) mod
         /// max(span, stride)` at step `k`, strides at or beyond the span
+        /// included. A `Strided2D` walk visits `base + (⌊k/inner⌋·outer +
+        /// (k mod inner)·stride) mod max(span, 1)`, an `inner` of 0
+        /// reading as 1, and strides and jumps at or beyond the span
         /// included.
         #[test]
         fn wrapping_walks_match_the_modulo_formula(
@@ -263,17 +304,24 @@ mod tests {
             stride in 1u64..1 << 16,
             span in 0u64..1 << 17,
             steps in 0usize..3_000,
-            tile in 0u8..2,
+            kind in 0u8..3,
+            inner in 0u32..70,
+            outer in 0u64..1 << 18,
         ) {
-            let pattern = if tile == 1 {
-                AddrPattern::Tile { base, stride, tile: span }
-            } else {
-                AddrPattern::Seq { base, stride, span }
+            let pattern = match kind {
+                0 => AddrPattern::Seq { base, stride, span },
+                1 => AddrPattern::Tile { base, stride, tile: span },
+                _ => AddrPattern::Strided2D { base, stride, inner, outer, span },
             };
             let mut g = AddrGen::new(pattern);
-            let wrap = span.max(stride);
             for k in 0..steps as u64 {
-                prop_assert_eq!(g.next_addr(), base + (k * stride) % wrap, "step {}", k);
+                let want = if kind == 2 {
+                    let inner = u64::from(inner.max(1));
+                    base + ((k / inner) * outer + (k % inner) * stride) % span.max(1)
+                } else {
+                    base + (k * stride) % span.max(stride)
+                };
+                prop_assert_eq!(g.next_addr(), want, "step {} of {:?}", k, pattern);
             }
         }
     }

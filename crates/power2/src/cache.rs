@@ -61,13 +61,38 @@ pub struct Cache {
     set_mask: usize,
     ways: usize,
     line_shift: u32,
-    /// Tags per way, `sets * ways`, row-major by set.
-    tags: Vec<u64>,
-    valid: Vec<bool>,
-    dirty: Vec<bool>,
-    /// LRU stamps per line; larger = more recently used.
-    stamp: Vec<u64>,
+    /// `sets * ways` line slots, row-major by set.
+    slots: Vec<Slot>,
     tick: u64,
+}
+
+/// One line slot: its tag, LRU stamp and state bits side by side, so an
+/// access reads and writes one slot's memory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Slot {
+    /// The line number held, `addr >> line_shift`.
+    tag: u64,
+    /// LRU stamp; larger = more recently used.
+    stamp: u64,
+    valid: bool,
+    dirty: bool,
+}
+
+impl Slot {
+    /// A hit at `tick`: re-stamps the slot for LRU and, under
+    /// write-back, dirties it on a store.
+    #[inline(always)]
+    fn hit(&mut self, tick: u64, is_store: bool, write_through: bool) -> AccessOutcome {
+        self.stamp = tick;
+        if is_store && !write_through {
+            self.dirty = true;
+        }
+        AccessOutcome {
+            hit: true,
+            castout: false,
+            memory_write: is_store && write_through,
+        }
+    }
 }
 
 impl Cache {
@@ -93,17 +118,13 @@ impl Cache {
             sets.is_power_of_two(),
             "set count must be a power of two, got {sets}"
         );
-        let n = sets * config.ways;
         Cache {
             config,
             policy: WritePolicy::WriteBack,
             set_mask: sets - 1,
             ways: config.ways,
             line_shift: config.line_bytes.trailing_zeros(),
-            tags: vec![0; n],
-            valid: vec![false; n],
-            dirty: vec![false; n],
-            stamp: vec![0; n],
+            slots: vec![Slot::default(); sets * config.ways],
             tick: 0,
         }
     }
@@ -130,72 +151,97 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, addr: u64, is_store: bool) -> AccessOutcome {
         self.tick += 1;
+        self.search(addr >> self.line_shift, is_store).0
+    }
+
+    /// [`Cache::access`], checking slot `hint` first: when it holds the
+    /// addressed line (valid, same tag), the access is a hit there
+    /// without a way search. A line lives only in its own set and at
+    /// most once, so a matching slot is the one the search would find,
+    /// and any hint, stale or out of range, leaves the same outcome,
+    /// tags, valid and dirty bits and LRU stamps as the unhinted access.
+    /// On return `hint` names the slot the line occupies, so a stream
+    /// that passes the same hint back finds its line there until the
+    /// line is evicted.
+    #[inline(always)]
+    pub fn access_hinted(&mut self, addr: u64, is_store: bool, hint: &mut usize) -> AccessOutcome {
+        self.tick += 1;
         let line = addr >> self.line_shift;
-        let set = (line as usize) & self.set_mask;
-        let base = set * self.ways;
+        if let Some(slot) = self.slots.get_mut(*hint) {
+            if slot.valid && slot.tag == line {
+                let write_through = self.policy == WritePolicy::WriteThrough;
+                return slot.hit(self.tick, is_store, write_through);
+            }
+        }
+        let (outcome, slot) = self.search(line, is_store);
+        *hint = slot;
+        outcome
+    }
+
+    /// The way search of an access to `line`, with the LRU victim choice
+    /// on a miss; `tick` has already advanced. Returns the outcome and
+    /// the index of the slot the line now occupies.
+    #[inline(always)]
+    fn search(&mut self, line: u64, is_store: bool) -> (AccessOutcome, usize) {
         let write_through = self.policy == WritePolicy::WriteThrough;
-        // Hit?
-        for w in 0..self.ways {
-            let i = base + w;
-            if self.valid[i] && self.tags[i] == line {
-                self.stamp[i] = self.tick;
-                if is_store && !write_through {
-                    self.dirty[i] = true;
-                }
-                return AccessOutcome {
-                    hit: true,
-                    castout: false,
-                    memory_write: is_store && write_through,
-                };
+        let base = ((line as usize) & self.set_mask) * self.ways;
+        for i in base..base + self.ways {
+            if self.slots[i].valid && self.slots[i].tag == line {
+                return (self.slots[i].hit(self.tick, is_store, write_through), i);
             }
         }
         // Miss: pick victim = invalid way, else LRU.
         let mut victim = base;
         let mut best = u64::MAX;
-        for w in 0..self.ways {
-            let i = base + w;
-            if !self.valid[i] {
+        for i in base..base + self.ways {
+            if !self.slots[i].valid {
                 victim = i;
                 break;
             }
-            if self.stamp[i] < best {
-                best = self.stamp[i];
+            if self.slots[i].stamp < best {
+                best = self.slots[i].stamp;
                 victim = i;
             }
         }
-        let castout = self.valid[victim] && self.dirty[victim];
-        self.tags[victim] = line;
-        self.valid[victim] = true;
-        self.dirty[victim] = is_store && !write_through;
-        self.stamp[victim] = self.tick;
-        AccessOutcome {
+        let castout = self.slots[victim].valid && self.slots[victim].dirty;
+        self.slots[victim] = Slot {
+            tag: line,
+            stamp: self.tick,
+            valid: true,
+            dirty: is_store && !write_through,
+        };
+        let outcome = AccessOutcome {
             hit: false,
             castout,
             memory_write: castout || (is_store && write_through),
-        }
+        };
+        (outcome, victim)
     }
 
     /// Invalidates everything without writing back (context switch on a
     /// dedicated node — we model jobs as starting cold).
     pub fn flush(&mut self) {
-        self.valid.fill(false);
-        self.dirty.fill(false);
+        for slot in &mut self.slots {
+            slot.valid = false;
+            slot.dirty = false;
+        }
     }
 
     /// Number of currently valid lines (diagnostics/tests).
     pub fn resident_lines(&self) -> usize {
-        self.valid.iter().filter(|&&v| v).count()
+        self.slots.iter().filter(|s| s.valid).count()
     }
 
     /// Number of currently dirty lines (diagnostics/tests).
     pub fn dirty_lines(&self) -> usize {
-        self.dirty.iter().filter(|&&d| d).count()
+        self.slots.iter().filter(|s| s.dirty).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64-byte lines = 512 bytes.
@@ -349,6 +395,69 @@ mod tests {
         wb.access(b, false);
         let out = wb.access(d, false); // evicts dirty a
         assert!(out.memory_write && out.castout);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// On the NAS D-cache and its 128-byte-line and write-through
+        /// variants, any hint (the slot a stream's last access returned,
+        /// another stream's, a random one out of range half the time, or
+        /// `usize::MAX`) gives the unhinted access's outcome and leaves
+        /// the same tags, valid and dirty bits and LRU stamps.
+        /// Four streams walk 8 bytes a step or jump among three times as
+        /// many lines as four sets hold, so lines are evicted under their
+        /// hints; an occasional flush leaves hints on invalid slots that
+        /// still carry the tag.
+        #[test]
+        fn any_hint_leaves_the_unhinted_access(
+            draws in prop::collection::vec(0u64..u64::MAX, 1..2_000),
+        ) {
+            let nas = CacheConfig { bytes: 256 * 1024, ways: 4, line_bytes: 256 };
+            let short_lines = CacheConfig { line_bytes: 128, ..nas };
+            let geometries = [
+                (nas, WritePolicy::WriteBack),
+                (short_lines, WritePolicy::WriteBack),
+                (nas, WritePolicy::WriteThrough),
+            ];
+            for (config, policy) in geometries {
+                let mut plain = Cache::with_policy(config, policy);
+                let mut hinted = plain.clone();
+                let lines = config.lines();
+                let pool = 4 * config.ways as u64 * 3;
+                let mut addrs = [0u64; 4];
+                let mut hints = [0usize; 4];
+                for (step, &r) in draws.iter().enumerate() {
+                    let s = (r & 3) as usize;
+                    if (r >> 2) % 4 == 0 {
+                        let pick = (r >> 4) % pool;
+                        let line = (pick / 4) * config.sets() as u64 + pick % 4;
+                        addrs[s] = line * config.line_bytes + (r >> 20) % config.line_bytes;
+                    } else {
+                        addrs[s] += 8;
+                    }
+                    if (r >> 32) % 256 == 0 {
+                        plain.flush();
+                        hinted.flush();
+                    }
+                    let store = (r >> 40) & 1 == 1;
+                    let mut hint = match (r >> 44) % 16 {
+                        0 => hints[(s + 1) % 4],
+                        1 => (r >> 52) as usize % (2 * lines),
+                        2 => usize::MAX,
+                        _ => hints[s],
+                    };
+                    let want = plain.access(addrs[s], store);
+                    let got = hinted.access_hinted(addrs[s], store, &mut hint);
+                    hints[s] = hint;
+                    prop_assert_eq!(got, want, "step {} on {:?} {:?}", step, config, policy);
+                    let slot = hinted.slots[hint];
+                    prop_assert!(slot.valid && slot.tag == addrs[s] >> hinted.line_shift,
+                        "the hint names the line's slot");
+                    prop_assert!(hinted.slots == plain.slots && hinted.tick == plain.tick,
+                        "step {}: the slots differ", step);
+                }
+            }
+        }
     }
 
     #[test]

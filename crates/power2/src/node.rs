@@ -10,13 +10,15 @@
 //!
 //! Each iteration runs in two parts. The memory pass walks the body's
 //! storage references in program order through the address generators,
-//! TLB and D-cache, with the TLB-penalty draws; none of that depends on
-//! timing. The timing routine then dispatches and issues the body with
-//! each reference's outcome given. In front of the routine sits the run's
-//! timing memo (`memo`), which replays the effect of an iteration whose
-//! timing it has seen before in the same run; a body too short for the
-//! memo to pay calls the routine directly. The interleaved loop these
-//! replaced is kept as a test oracle (`oracle`).
+//! TLB and D-cache, with the TLB-penalty draws; each generator's
+//! reference checks first the TLB entry and D-cache slot its last one
+//! used. None of that depends on timing. The timing routine then
+//! dispatches and issues the body with each reference's outcome given.
+//! In front of the routine sits the run's timing memo (`memo`), which
+//! replays the effect of an iteration whose timing it has seen before in
+//! the same run; a body too short for the memo to pay calls the routine
+//! directly. The interleaved loop these replaced is kept as a test
+//! oracle (`oracle`).
 
 use crate::cache::Cache;
 use crate::config::{FpuDispatch, MachineConfig};
@@ -116,6 +118,16 @@ pub struct Node {
     icache: Cache,
     tlb: Tlb,
     rng: u64,
+}
+
+/// One address generator of a run with its hints: the TLB entry and
+/// D-cache slot its last reference used, which its next reference checks
+/// first ([`Tlb::access_hinted`], [`Cache::access_hinted`]).
+#[derive(Debug, Clone)]
+struct Stream {
+    gen: AddrGen,
+    page: usize,
+    line: usize,
 }
 
 /// Scoreboard slot no instruction writes: absent sources read it, and
@@ -658,10 +670,18 @@ impl Node {
         let mut pipe = Pipeline::new();
         let mut memo = TimingMemo::for_body(&body);
         let config = self.config;
-        let mut gens = kernel.addr_gens.clone();
+        let mut streams: Vec<Stream> = kernel
+            .addr_gens
+            .iter()
+            .map(|gen| Stream {
+                gen: gen.clone(),
+                page: 0,
+                line: 0,
+            })
+            .collect();
         let mut outcomes = vec![0; body.refs.len()];
         for _ in 0..kernel.iters {
-            self.memory_pass(&body.refs, &mut gens, &mut events, &mut outcomes);
+            self.memory_pass(&body.refs, &mut streams, &mut events, &mut outcomes);
             let last_done = match memo.as_mut() {
                 Some(memo) => memo.time(&body, &outcomes, &mut pipe, &config),
                 None => pipe.time_iteration(&body.ops, &outcomes, &config),
@@ -696,36 +716,31 @@ impl Node {
     fn memory_pass(
         &mut self,
         refs: &[(u16, bool)],
-        gens: &mut [AddrGen],
+        streams: &mut [Stream],
         events: &mut EventSet,
         outcomes: &mut [u64],
     ) {
         for (&(slot, store), outcome) in refs.iter().zip(outcomes) {
-            *outcome = self.reference(gens, events, slot, store);
+            *outcome = self.reference(&mut streams[slot as usize], events, store);
         }
     }
 
     /// One storage reference of the memory pass: the next address of
-    /// generator `slot`, through the TLB and the D-cache, counting its
-    /// events. None of it depends on timing. Returns the reference's
-    /// outcome code: the cycles it halts execution for, shifted left
-    /// once, with the low bit set on a D-cache miss (FXU0 then
-    /// administers the reload). A code of 0 times like a double hit.
+    /// `stream`, through the TLB and the D-cache, each checking first the
+    /// entry the stream's last reference used, counting its events. None
+    /// of it depends on timing. Returns the reference's outcome code: the
+    /// cycles it halts execution for, shifted left once, with the low bit
+    /// set on a D-cache miss (FXU0 then administers the reload). A code
+    /// of 0 times like a double hit.
     #[inline(always)]
-    fn reference(
-        &mut self,
-        gens: &mut [AddrGen],
-        events: &mut EventSet,
-        slot: u16,
-        store: bool,
-    ) -> u64 {
-        let addr = gens[slot as usize].next_addr();
+    fn reference(&mut self, stream: &mut Stream, events: &mut EventSet, store: bool) -> u64 {
+        let addr = stream.gen.next_addr();
         let mut penalty = 0;
-        if !self.tlb.access(addr) {
+        if !self.tlb.access_hinted(addr, &mut stream.page) {
             events.bump(Signal::TlbMiss, 1);
             penalty += self.draw_tlb_penalty();
         }
-        let access = self.dcache.access(addr, store);
+        let access = self.dcache.access_hinted(addr, store, &mut stream.line);
         if !access.hit {
             events.bump(Signal::DcacheMiss, 1);
             events.bump(Signal::DcacheReload, 1);

@@ -33,10 +33,19 @@ pub struct Tlb {
     /// picks the set without a divide.
     set_mask: usize,
     page_shift: u32,
-    tags: Vec<u64>,
-    valid: Vec<bool>,
-    stamp: Vec<u64>,
+    /// `entries` translations, row-major by set.
+    entries: Vec<Entry>,
     tick: u64,
+}
+
+/// One translation: its tag, LRU stamp and valid bit side by side.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Entry {
+    /// The page number held, `addr >> page_shift`.
+    tag: u64,
+    /// LRU stamp; larger = more recently used.
+    stamp: u64,
+    valid: bool,
 }
 
 impl Tlb {
@@ -60,9 +69,7 @@ impl Tlb {
             config,
             set_mask: sets - 1,
             page_shift: config.page_bytes.trailing_zeros(),
-            tags: vec![0; config.entries],
-            valid: vec![false; config.entries],
-            stamp: vec![0; config.entries],
+            entries: vec![Entry::default(); config.entries],
             tick: 0,
         }
     }
@@ -76,50 +83,80 @@ impl Tlb {
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
+        self.search(addr >> self.page_shift).0
+    }
+
+    /// [`Tlb::access`], checking entry `hint` first: when it holds the
+    /// addressed page (valid, same tag), the translation hits there
+    /// without a way search. A page lives only in its own set and at
+    /// most once, so any hint, stale or out of range, leaves the same
+    /// outcome, tags, valid bits and LRU stamps as the unhinted access.
+    /// On return `hint` names the entry the page occupies.
+    #[inline(always)]
+    pub fn access_hinted(&mut self, addr: u64, hint: &mut usize) -> bool {
+        self.tick += 1;
         let page = addr >> self.page_shift;
-        let set = (page as usize) & self.set_mask;
-        let base = set * self.config.ways;
-        for w in 0..self.config.ways {
-            let i = base + w;
-            if self.valid[i] && self.tags[i] == page {
-                self.stamp[i] = self.tick;
+        if let Some(entry) = self.entries.get_mut(*hint) {
+            if entry.valid && entry.tag == page {
+                entry.stamp = self.tick;
                 return true;
+            }
+        }
+        let (hit, entry) = self.search(page);
+        *hint = entry;
+        hit
+    }
+
+    /// The way search for `page`, installing it over the LRU entry of its
+    /// set on a miss; `tick` has already advanced. Returns whether it hit
+    /// and the index of the entry the page now occupies.
+    #[inline(always)]
+    fn search(&mut self, page: u64) -> (bool, usize) {
+        let base = ((page as usize) & self.set_mask) * self.config.ways;
+        for i in base..base + self.config.ways {
+            if self.entries[i].valid && self.entries[i].tag == page {
+                self.entries[i].stamp = self.tick;
+                return (true, i);
             }
         }
         // Miss: install with LRU replacement.
         let mut victim = base;
         let mut best = u64::MAX;
-        for w in 0..self.config.ways {
-            let i = base + w;
-            if !self.valid[i] {
+        for i in base..base + self.config.ways {
+            if !self.entries[i].valid {
                 victim = i;
                 break;
             }
-            if self.stamp[i] < best {
-                best = self.stamp[i];
+            if self.entries[i].stamp < best {
+                best = self.entries[i].stamp;
                 victim = i;
             }
         }
-        self.tags[victim] = page;
-        self.valid[victim] = true;
-        self.stamp[victim] = self.tick;
-        false
+        self.entries[victim] = Entry {
+            tag: page,
+            stamp: self.tick,
+            valid: true,
+        };
+        (false, victim)
     }
 
     /// Drops every translation (job start / address-space switch).
     pub fn flush(&mut self) {
-        self.valid.fill(false);
+        for entry in &mut self.entries {
+            entry.valid = false;
+        }
     }
 
     /// Resident translation count (diagnostics/tests).
     pub fn resident(&self) -> usize {
-        self.valid.iter().filter(|&&v| v).count()
+        self.entries.iter().filter(|e| e.valid).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn hit_after_install() {
@@ -173,6 +210,58 @@ mod tests {
             }
         }
         assert_eq!(misses, n / 512);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// On the POWER2 TLB, any hint (the entry a stream's last
+        /// translation returned, another stream's, a random one out of
+        /// range half the time, or `usize::MAX`) gives the unhinted
+        /// translation's outcome and leaves the same tags, valid bits and
+        /// LRU stamps. Four streams walk 8 bytes a step or jump among
+        /// three times as many pages as four sets hold; an occasional
+        /// flush leaves hints on invalid entries that still carry the tag.
+        #[test]
+        fn any_hint_leaves_the_unhinted_translation(
+            draws in prop::collection::vec(0u64..u64::MAX, 1..2_000),
+        ) {
+            let config = TlbConfig::default();
+            let sets = (config.entries / config.ways) as u64;
+            let pool = 4 * config.ways as u64 * 3;
+            let mut plain = Tlb::new(config);
+            let mut hinted = plain.clone();
+            let mut addrs = [0u64; 4];
+            let mut hints = [0usize; 4];
+            for (step, &r) in draws.iter().enumerate() {
+                let s = (r & 3) as usize;
+                if (r >> 2) % 4 == 0 {
+                    let pick = (r >> 4) % pool;
+                    let page = (pick / 4) * sets + pick % 4;
+                    addrs[s] = page * config.page_bytes + (r >> 20) % config.page_bytes;
+                } else {
+                    addrs[s] += 8 << ((r >> 12) % 10);
+                }
+                if (r >> 32) % 256 == 0 {
+                    plain.flush();
+                    hinted.flush();
+                }
+                let mut hint = match (r >> 44) % 16 {
+                    0 => hints[(s + 1) % 4],
+                    1 => (r >> 52) as usize % (2 * config.entries),
+                    2 => usize::MAX,
+                    _ => hints[s],
+                };
+                let want = plain.access(addrs[s]);
+                let got = hinted.access_hinted(addrs[s], &mut hint);
+                hints[s] = hint;
+                prop_assert_eq!(got, want, "step {}", step);
+                let entry = hinted.entries[hint];
+                prop_assert!(entry.valid && entry.tag == addrs[s] >> hinted.page_shift,
+                    "the hint names the page's entry");
+                prop_assert!(hinted.entries == plain.entries && hinted.tick == plain.tick,
+                    "step {}: the entries differ", step);
+            }
+        }
     }
 
     #[test]

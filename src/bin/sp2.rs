@@ -632,10 +632,7 @@ fn dispatch(args: &Args, engine: EngineConfig) -> Result<ExitCode, CliError> {
     }
 
     if cmd == "timeline" {
-        eprintln!(
-            "running a {}-day campaign under the flight recorder…",
-            args.days
-        );
+        announce_campaign(args, " under the flight recorder");
         let campaign = sys.campaign()?;
         let series = Recording::current().map(|r| r.series()).unwrap_or_default();
         let series = timeline::with_toplev(series, campaign);
@@ -648,15 +645,11 @@ fn dispatch(args: &Args, engine: EngineConfig) -> Result<ExitCode, CliError> {
     }
 
     if cmd == "campaign" || cmd == "profile" {
-        eprintln!(
-            "running a {}-day campaign{}…",
-            args.days,
-            if args.faults > 0.0 {
-                format!(" with faults at rate {}", args.faults)
-            } else {
-                String::new()
-            }
-        );
+        if args.faults > 0.0 {
+            announce_campaign(args, &format!(" with faults at rate {}", args.faults));
+        } else {
+            announce_campaign(args, "");
+        }
         for dataset in sys.run_all()? {
             if cmd == "campaign" {
                 println!("{}", dataset.rendered);
@@ -677,7 +670,7 @@ fn dispatch(args: &Args, engine: EngineConfig) -> Result<ExitCode, CliError> {
 
     let exp = experiment_or_err(cmd)?;
     if exp.needs_campaign() {
-        eprintln!("running a {}-day campaign…", args.days);
+        announce_campaign(args, "");
     }
     let dataset = sys.dataset(exp)?;
     if args.json {
@@ -722,11 +715,13 @@ fn cmd_toplev_plan(args: &Args) -> Result<(), CliError> {
 /// tree from the reconstructed totals.
 fn cmd_toplev_rotated(args: &Args, sys: &mut Sp2System) -> Result<(), CliError> {
     let plan = toplev_plan(args)?;
-    eprintln!(
-        "running a {}-day campaign {} time(s) to rotate {} signal(s)…",
-        args.days,
-        plan.n_passes(),
-        plan.requested().len()
+    announce_campaign(
+        args,
+        &format!(
+            " {} time(s) to rotate {} signal(s)",
+            plan.n_passes(),
+            plan.requested().len()
+        ),
     );
     let rotated = sys.rotated_campaign(&plan)?;
     let recon = rotated
@@ -760,6 +755,15 @@ fn cmd_toplev_rotated(args: &Args, sys: &mut Sp2System) -> Result<(), CliError> 
         );
     }
     Ok(())
+}
+
+/// Says on stderr that the command's `--days` campaign is about to run,
+/// `detail` following. A replay runs none: its progress line came from
+/// the archive (see [`campaign_system`]), so this prints nothing.
+fn announce_campaign(args: &Args, detail: &str) {
+    if args.archive.is_none() {
+        eprintln!("running a {}-day campaign{detail}…", args.days);
+    }
 }
 
 /// The system a campaign command runs on: the one its flags submit
